@@ -13,7 +13,9 @@ package.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from typing import Mapping
+
+from ..core.records import Record, decoded
 
 #: Paper-grounded boot times, in simulated seconds.  The Edison runs
 #: Yocto off flash and is up in single-digit seconds; an R620 POSTs
@@ -23,7 +25,7 @@ DEFAULT_BOOT_S: Mapping[str, float] = {"edison": 8.0, "dell": 15.0}
 
 
 @dataclass(frozen=True)
-class PolicyConfig:
+class PolicyConfig(Record):
     """Shared policy knobs plus the predictive extension.
 
     The reactive rule targets ``target_utilization`` of the active
@@ -66,7 +68,7 @@ class PolicyConfig:
 
 
 @dataclass(frozen=True)
-class ActuationConfig:
+class ActuationConfig(Record):
     """How capacity changes become real: boots, drains, floors."""
 
     boot_s: Mapping[str, float] = field(
@@ -87,12 +89,14 @@ class ActuationConfig:
 
 
 @dataclass(frozen=True)
-class AutoscaleConfig:
+class AutoscaleConfig(Record):
     """Top-level switch; off by default (static fleet, bit-identical)."""
 
     enabled: bool = False
-    policy: PolicyConfig = field(default_factory=PolicyConfig)
-    actuation: ActuationConfig = field(default_factory=ActuationConfig)
+    policy: PolicyConfig = decoded(PolicyConfig.from_dict,
+                                   default_factory=PolicyConfig)
+    actuation: ActuationConfig = decoded(ActuationConfig.from_dict,
+                                         default_factory=ActuationConfig)
 
     @classmethod
     def disabled(cls) -> "AutoscaleConfig":
@@ -108,34 +112,3 @@ class AutoscaleConfig:
     def predictive(cls, **overrides) -> "AutoscaleConfig":
         return cls(enabled=True,
                    policy=PolicyConfig(kind="predictive", **overrides))
-
-    # -- (de)serialisation, for the committed day plan -------------------
-
-    def to_dict(self) -> Dict:
-        return {
-            "enabled": self.enabled,
-            "policy": {
-                "kind": self.policy.kind,
-                "target_utilization": self.policy.target_utilization,
-                "high_utilization": self.policy.high_utilization,
-                "low_utilization": self.policy.low_utilization,
-                "eval_interval_s": self.policy.eval_interval_s,
-                "metric_window_s": self.policy.metric_window_s,
-                "cooldown_s": self.policy.cooldown_s,
-                "history_s": self.policy.history_s,
-                "lookahead_s": self.policy.lookahead_s,
-                "headroom": self.policy.headroom,
-            },
-            "actuation": {
-                "boot_s": dict(self.actuation.boot_s),
-                "drain_poll_s": self.actuation.drain_poll_s,
-                "drain_timeout_s": self.actuation.drain_timeout_s,
-                "min_active": self.actuation.min_active,
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "AutoscaleConfig":
-        return cls(enabled=data["enabled"],
-                   policy=PolicyConfig(**data.get("policy", {})),
-                   actuation=ActuationConfig(**data.get("actuation", {})))

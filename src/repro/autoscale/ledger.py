@@ -13,19 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from ..energy.account import ScalingCosts
+from ..core.records import Record
+from ..energy.account import OverheadJoules
 
 
 @dataclass(frozen=True)
-class ScalingAction:
+class ScalingAction(Record):
     """One actuation step, timestamped on the simulation clock."""
 
     time: float
     action: str      # "boot" | "serve" | "drain" | "off"
     node: str
-
-    def to_dict(self) -> Dict:
-        return {"time": self.time, "action": self.action, "node": self.node}
 
 
 class AutoscaleLedger:
@@ -69,9 +67,9 @@ class AutoscaleLedger:
             self.drain_joules += joules
         self.node_joules[node] = self.node_joules.get(node, 0.0) + joules
 
-    def to_scaling_costs(self) -> ScalingCosts:
-        return ScalingCosts(boot_j=self.boot_joules,
-                            drain_j=self.drain_joules)
+    def to_scaling_costs(self) -> OverheadJoules:
+        return OverheadJoules({"boot": self.boot_joules,
+                               "drain": self.drain_joules})
 
     def summary(self) -> Dict[str, object]:
         return {

@@ -12,8 +12,9 @@ by where the day they landed — that difference is the whole subsystem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping
+from typing import Dict, List
 
+from ..core.records import Record
 from ..energy.account import GridImpact
 from ..tco.model import weighted_energy_rate
 from .trace import SignalTrace
@@ -39,8 +40,10 @@ def grid_impact(power_pairs, start_day_s: float, intensity: SignalTrace,
 
 
 @dataclass(frozen=True)
-class JobRecord:
+class JobRecord(Record):
     """One deferrable job's day, fully accounted."""
+
+    derived = ("wait_s", "deadline_met")
 
     name: str
     kind: str
@@ -67,42 +70,14 @@ class JobRecord:
     def deadline_met(self) -> bool:
         return self.end_s <= self.deadline_s
 
-    def to_dict(self) -> Dict:
-        return {"name": self.name, "kind": self.kind,
-                "release_s": self.release_s,
-                "deadline_s": self.deadline_s,
-                "start_s": self.start_s, "end_s": self.end_s,
-                "seconds": self.seconds,
-                "joules": self.joules, "grams_co2": self.grams_co2,
-                "energy_usd": self.energy_usd,
-                "wait_s": self.wait_s,
-                "deadline_met": self.deadline_met,
-                "suspensions": self.suspensions,
-                "suspended_s": self.suspended_s}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "JobRecord":
-        return cls(name=data["name"], kind=data["kind"],
-                   release_s=data["release_s"],
-                   deadline_s=data["deadline_s"],
-                   start_s=data["start_s"], end_s=data["end_s"],
-                   seconds=data["seconds"],
-                   joules=data["joules"], grams_co2=data["grams_co2"],
-                   energy_usd=data["energy_usd"],
-                   suspensions=data.get("suspensions", 0),
-                   suspended_s=data.get("suspended_s", 0.0))
-
 
 @dataclass(frozen=True)
-class GovernorAction:
+class GovernorAction(Record):
     """One suspend/resume flip, on the day clock."""
 
     time: float
     job: str
     action: str                     # "suspend" | "resume"
-
-    def to_dict(self) -> Dict:
-        return {"time": self.time, "job": self.job, "action": self.action}
 
 
 class CarbonLedger:

@@ -14,10 +14,10 @@ so the report can answer the two questions the paper could not ask:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from ..core.records import Record, decoded, find, many
 from .jobspec import CarbonJobSpec
 from .ledger import CarbonLedger
 from .policy import POLICY_KINDS, PolicySpec
@@ -33,20 +33,26 @@ PLATFORMS = ("edison", "dell")
 
 
 @dataclass(frozen=True)
-class CarbonDayPlan:
-    """One committed, seeded carbon day: jobs, signals, arms."""
+class CarbonDayPlan(Record):
+    """One committed, seeded carbon day: jobs, signals, arms.
+
+    ``seed`` and ``jobs`` are keyword-only so the fields keep the
+    committed plan's key order.
+    """
 
     name: str
     day_s: float
-    intensity: SignalTrace
-    price: SignalTrace
-    jobs: Tuple[CarbonJobSpec, ...]
+    seed: int = field(default=DAY_SEED, kw_only=True)
+    intensity: SignalTrace = decoded(SignalTrace.from_dict)
+    price: SignalTrace = decoded(SignalTrace.from_dict)
     slaves: Mapping[str, int] = field(
         default_factory=lambda: {"edison": 4, "dell": 2})
-    policies: Tuple[PolicySpec, ...] = field(
+    policies: Tuple[PolicySpec, ...] = decoded(
+        many(PolicySpec.from_dict),
         default_factory=lambda: tuple(PolicySpec(kind=k)
                                       for k in POLICY_KINDS))
-    seed: int = DAY_SEED
+    jobs: Tuple[CarbonJobSpec, ...] = decoded(many(CarbonJobSpec.from_dict),
+                                              kw_only=True)
 
     def __post_init__(self):
         if self.day_s <= 0:
@@ -66,40 +72,9 @@ class CarbonDayPlan:
                 raise ValueError(f"job {job.name!r} deadline exceeds "
                                  "the day")
 
-    def to_dict(self) -> Dict:
-        return {"name": self.name, "day_s": self.day_s,
-                "seed": self.seed,
-                "intensity": self.intensity.to_dict(),
-                "price": self.price.to_dict(),
-                "slaves": dict(self.slaves),
-                "policies": [p.to_dict() for p in self.policies],
-                "jobs": [j.to_dict() for j in self.jobs]}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "CarbonDayPlan":
-        return cls(name=data["name"], day_s=data["day_s"],
-                   seed=data["seed"],
-                   intensity=SignalTrace.from_dict(data["intensity"]),
-                   price=SignalTrace.from_dict(data["price"]),
-                   slaves=dict(data["slaves"]),
-                   policies=tuple(PolicySpec.from_dict(p)
-                                  for p in data["policies"]),
-                   jobs=tuple(CarbonJobSpec.from_dict(j)
-                              for j in data["jobs"]))
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=1)
-            handle.write("\n")
-
-    @classmethod
-    def load(cls, path: str) -> "CarbonDayPlan":
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
-
 
 @dataclass(frozen=True)
-class CarbonArm:
+class CarbonArm(Record):
     """One (policy, platform) day, fully accounted."""
 
     policy: str
@@ -111,35 +86,12 @@ class CarbonArm:
     deadline_misses: int
     suspensions: int = 0
     suspended_s: float = 0.0
-    records: Tuple[Dict, ...] = field(default_factory=tuple)
-    actions: Tuple[Dict, ...] = field(default_factory=tuple)
+    records: Tuple[Dict, ...] = decoded(tuple, default_factory=tuple)
+    actions: Tuple[Dict, ...] = decoded(tuple, default_factory=tuple)
 
     @property
     def label(self) -> str:
         return f"{self.policy}/{self.platform}"
-
-    def to_dict(self) -> Dict:
-        return {"policy": self.policy, "platform": self.platform,
-                "joules": self.joules, "grams_co2": self.grams_co2,
-                "energy_usd": self.energy_usd,
-                "wait_hours": self.wait_hours,
-                "deadline_misses": self.deadline_misses,
-                "suspensions": self.suspensions,
-                "suspended_s": self.suspended_s,
-                "records": list(self.records),
-                "actions": list(self.actions)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "CarbonArm":
-        return cls(policy=data["policy"], platform=data["platform"],
-                   joules=data["joules"], grams_co2=data["grams_co2"],
-                   energy_usd=data["energy_usd"],
-                   wait_hours=data["wait_hours"],
-                   deadline_misses=data["deadline_misses"],
-                   suspensions=data.get("suspensions", 0),
-                   suspended_s=data.get("suspended_s", 0.0),
-                   records=tuple(data.get("records", ())),
-                   actions=tuple(data.get("actions", ())))
 
     @classmethod
     def from_ledger(cls, policy: str, platform: str,
@@ -156,18 +108,15 @@ class CarbonArm:
 
 
 @dataclass(frozen=True)
-class CarbonReport:
+class CarbonReport(Record):
     """All arms side by side, with the dominance and platform verdicts."""
 
     plan_name: str
     detail: str
-    arms: Tuple[CarbonArm, ...]
+    arms: Tuple[CarbonArm, ...] = decoded(many(CarbonArm.from_dict))
 
     def arm(self, policy: str, platform: str) -> CarbonArm:
-        for arm in self.arms:
-            if arm.policy == policy and arm.platform == platform:
-                return arm
-        raise KeyError(f"no arm for policy {policy!r} on {platform!r}")
+        return find(self.arms, policy=policy, platform=platform)
 
     def platforms(self) -> List[str]:
         seen: List[str] = []
@@ -230,18 +179,11 @@ class CarbonReport:
                 "dell_grams_saved": self.grams_saved("dell")}
 
     def to_dict(self) -> Dict:
-        return {"plan_name": self.plan_name, "detail": self.detail,
-                "arms": [arm.to_dict() for arm in self.arms],
-                "dominating_policies": {
-                    platform: self.dominating_policies(platform)
-                    for platform in self.platforms()},
-                "platform_delta": self.platform_delta()}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "CarbonReport":
-        return cls(plan_name=data["plan_name"], detail=data["detail"],
-                   arms=tuple(CarbonArm.from_dict(a)
-                              for a in data["arms"]))
+        return super().to_dict() | {
+            "dominating_policies": {
+                platform: self.dominating_policies(platform)
+                for platform in self.platforms()},
+            "platform_delta": self.platform_delta()}
 
     def lines(self) -> List[str]:
         """The four-policy table per platform, CLI/docs-ready."""

@@ -19,10 +19,11 @@ the piecewise-constant ``(start_s, rate)`` sequence
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import List, Optional, Tuple
+
+from ..core.records import Record, decoded
 
 #: Grid resolution used when a non-step trace must be rendered as
 #: steps, and when scanning for threshold crossings.
@@ -30,12 +31,13 @@ DEFAULT_STEP_S = 30.0
 
 
 @dataclass(frozen=True)
-class SignalTrace:
+class SignalTrace(Record):
     """One grid signal: sorted ``(time_s, value)`` points plus a unit."""
 
     name: str
     unit: str                                    # "gCO2/kWh" | "usd/kWh"
-    points: Tuple[Tuple[float, float], ...]
+    points: Tuple[Tuple[float, float], ...] = decoded(
+        lambda points: tuple((float(t), float(v)) for t, v in points))
     interpolation: str = "step"                  # "step" | "linear"
     #: When set, the trace repeats with this period (a one-day shape
     #: can score a multi-day run); when ``None`` the edge values hold.
@@ -161,32 +163,6 @@ class SignalTrace:
         n = max(2, int(math.ceil((end - start) / step_s)))
         return sum(self.at(start + (end - start) * i / n)
                    for i in range(n)) / n
-
-    # -- (de)serialisation ------------------------------------------------
-
-    def to_dict(self) -> Dict:
-        return {"name": self.name, "unit": self.unit,
-                "points": [[t, v] for t, v in self.points],
-                "interpolation": self.interpolation,
-                "period_s": self.period_s}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "SignalTrace":
-        return cls(name=data["name"], unit=data["unit"],
-                   points=tuple((float(t), float(v))
-                                for t, v in data["points"]),
-                   interpolation=data.get("interpolation", "step"),
-                   period_s=data.get("period_s"))
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=1)
-            handle.write("\n")
-
-    @classmethod
-    def load(cls, path: str) -> "SignalTrace":
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
 
 
 # -- synthetic shapes -----------------------------------------------------

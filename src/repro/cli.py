@@ -17,7 +17,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .cluster import Cluster
 from .core import paperdata as paper
@@ -324,99 +325,112 @@ def _cmd_chaos_job(args) -> int:
     return 0 if result.completed else 1
 
 
-def _cmd_resilience(args) -> int:
-    """The paired gray-failure experiment: mitigated vs unmitigated."""
-    import json
-    from .resilience import (job_resilience_experiment,
-                             web_resilience_experiment)
-    if args.json:
-        _check_parent_dir("--json", args.json)
+def _run_resilience(plane, args, plan, trace):
     # Always the committed gray seed: the report's numbers are the
     # repo's pinned acceptance story, not a sampling experiment.
     if args.kind == "web":
-        report = web_resilience_experiment(platform=args.platform)
-    else:
-        report = job_resilience_experiment(platform=args.platform)
-    for line in report.lines():
-        print(line)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=1)
-        print(f"report -> {args.json}")
-    return 0
+        return plane.web_resilience_experiment(platform=args.platform)
+    return plane.job_resilience_experiment(platform=args.platform)
 
 
-def _cmd_autoscale(args) -> int:
-    """The three-arm provisioning day: static fleets vs the autoscaler."""
+def _run_durability(plane, args, plan, trace):
+    kwargs = {"platforms": tuple(args.platforms)} if args.platforms else {}
+    return plane.durability_experiment(plan, controls=not args.no_controls,
+                                       **kwargs)
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """One plane's sweep subcommand; its name is the plane's package."""
+
+    help: str
+    #: ``(plane, args, plan, tracer) -> report`` with lines()/to_dict().
+    run: Callable
+    #: ``(class name, committed file)`` of the ``--plan``; None: no plan.
+    plan: Optional[Tuple[str, str]] = None
+    #: Extra ``(flags, add_argument kwargs)`` of this subcommand.
+    flags: Tuple[Tuple[Tuple[str, ...], Dict], ...] = ()
+
+
+_SWEEPS = {
+    "resilience": _Sweep(
+        help="gray-failure tax report: the same seeded fault plan run "
+             "with and without mitigation, and the joule price of the "
+             "difference",
+        run=_run_resilience,
+        flags=((("kind",), {"choices": ("web", "job")}),
+               (("--platform",), {"choices": ("edison", "dell"),
+                                  "default": "edison"}))),
+    "autoscale": _Sweep(
+        help="three-arm provisioning day: static-Edison and static-Dell "
+             "fleets vs the autoscaled hybrid, with joules, SLOs and "
+             "dollars per arm",
+        run=lambda plane, args, plan, trace:
+            plane.autoscale_experiment(plan, trace=trace),
+        plan=("DayPlan", "autoscale_day.json"),
+        flags=((("--trace",), {"metavar": "PATH",
+                               "help": "write a Chrome/Perfetto trace of "
+                                       "all three arms to PATH"}),)),
+    "carbon": _Sweep(
+        help="carbon day: four deferral policies (no-wait, EDD, "
+             "threshold-waiting, suspend-resume) x both platforms, "
+             "with grams CO2, dollars, wait and deadline misses per arm",
+        run=lambda plane, args, plan, trace: plane.carbon_experiment(plan),
+        plan=("CarbonDayPlan", "carbon_day.json")),
+    "dvfs": _Sweep(
+        help="governor sweep: performance, powersave and ondemand x "
+             "both platforms x three day shapes, with joules, p95, "
+             "P-state switches and energy-proportionality scorecards",
+        run=lambda plane, args, plan, trace: plane.dvfs_experiment(
+            plan, scorecards=not args.no_scorecards),
+        plan=("DvfsPlan", "dvfs_day.json"),
+        flags=((("--no-scorecards",), {
+            "action": "store_true",
+            "help": "skip the 10..100%% load ladders (faster)"}),)),
+    "durability": _Sweep(
+        help="durability day: rack-aware vs oblivious placement x "
+             "replication 1..3 x both platforms under a committed "
+             "partition/disk-failure timeline, with blocks lost, "
+             "block-seconds at risk, repair joules and the split-brain "
+             "reconciliation bill",
+        run=_run_durability,
+        plan=("DurabilityPlan", "durability_day.json"),
+        flags=((("--platforms",), {
+                    "nargs": "*", "choices": ("edison", "dell"),
+                    "metavar": "PLATFORM",
+                    "help": "restrict the day to these platforms "
+                            "(default: both)"}),
+               (("--no-controls",), {
+                    "action": "store_true",
+                    "help": "skip the no-partition control arms (faster, "
+                            "but no downtime cross-check)"}))),
+}
+
+
+def _cmd_sweep(args) -> int:
+    """Run one plane's sweep, print its table, optionally save JSON."""
+    import importlib
     import json
-    from .autoscale import DayPlan, autoscale_experiment
+    sweep = _SWEEPS[args.command]
+    plane = importlib.import_module(f".{args.command}", __package__)
     if args.json:
         _check_parent_dir("--json", args.json)
-    plan = DayPlan.load(args.plan)
+    plan = None
+    if sweep.plan is not None:
+        try:
+            plan = getattr(plane, sweep.plan[0]).load(args.plan)
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"repro: error: --plan: {exc}")
     tracer = None
-    if args.trace:
+    if getattr(args, "trace", None):
         _check_parent_dir("--trace", args.trace)
         tracer = Tracer()
-    report = autoscale_experiment(plan, trace=tracer)
+    report = sweep.run(plane, args, plan, tracer)
     for line in report.lines():
         print(line)
     if tracer is not None:
         write_chrome_trace(tracer.log, args.trace)
         print(f"trace: {len(tracer.log)} events -> {args.trace}")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=1)
-        print(f"report -> {args.json}")
-    return 0
-
-
-def _cmd_carbon(args) -> int:
-    """The carbon day: four deferral policies x both platforms."""
-    import json
-    from .carbon import CarbonDayPlan, carbon_experiment
-    if args.json:
-        _check_parent_dir("--json", args.json)
-    plan = CarbonDayPlan.load(args.plan)
-    report = carbon_experiment(plan)
-    for line in report.lines():
-        print(line)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=1)
-        print(f"report -> {args.json}")
-    return 0
-
-
-def _cmd_dvfs(args) -> int:
-    """The governor sweep: governor x platform x load shape."""
-    import json
-    from .dvfs import DvfsPlan, dvfs_experiment
-    if args.json:
-        _check_parent_dir("--json", args.json)
-    plan = DvfsPlan.load(args.plan)
-    report = dvfs_experiment(plan, scorecards=not args.no_scorecards)
-    for line in report.lines():
-        print(line)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=1)
-        print(f"report -> {args.json}")
-    return 0
-
-
-def _cmd_durability(args) -> int:
-    """The durability day: placement x replication x platform."""
-    import json
-    from .durability import DurabilityPlan, durability_experiment
-    if args.json:
-        _check_parent_dir("--json", args.json)
-    plan = DurabilityPlan.load(args.plan)
-    platforms = tuple(args.platforms) if args.platforms else None
-    kwargs = {} if platforms is None else {"platforms": platforms}
-    report = durability_experiment(plan, controls=not args.no_controls,
-                                   **kwargs)
-    for line in report.lines():
-        print(line)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(report.to_dict(), handle, indent=1)
@@ -756,91 +770,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_observability_flags(cjob)
     cjob.set_defaults(func=_cmd_chaos_job)
 
-    res = sub.add_parser(
-        "resilience",
-        help="gray-failure tax report: the same seeded fault plan run "
-             "with and without mitigation, and the joule price of the "
-             "difference")
-    res.add_argument("kind", choices=("web", "job"))
-    res.add_argument("--platform", choices=("edison", "dell"),
-                     default="edison")
-    res.add_argument("--json", metavar="PATH",
-                     help="also write the report as JSON to PATH")
-    res.set_defaults(func=_cmd_resilience)
-
-    autoscale = sub.add_parser(
-        "autoscale",
-        help="three-arm provisioning day: static-Edison and static-Dell "
-             "fleets vs the autoscaled hybrid, with joules, SLOs and "
-             "dollars per arm")
-    autoscale.add_argument(
-        "--plan", default=os.path.join(os.path.dirname(__file__), "..", "..",
-                                       "experiments", "autoscale_day.json"),
-        metavar="FILE",
-        help="DayPlan JSON (default: the committed experiments/"
-             "autoscale_day.json)")
-    autoscale.add_argument("--json", metavar="PATH",
-                           help="also write the report as JSON to PATH")
-    autoscale.add_argument("--trace", metavar="PATH",
-                           help="write a Chrome/Perfetto trace of all "
-                                "three arms to PATH")
-    autoscale.set_defaults(func=_cmd_autoscale)
-
-    carbon = sub.add_parser(
-        "carbon",
-        help="carbon day: four deferral policies (no-wait, EDD, "
-             "threshold-waiting, suspend-resume) x both platforms, "
-             "with grams CO2, dollars, wait and deadline misses per arm")
-    carbon.add_argument(
-        "--plan", default=os.path.join(os.path.dirname(__file__), "..", "..",
-                                       "experiments", "carbon_day.json"),
-        metavar="FILE",
-        help="CarbonDayPlan JSON (default: the committed experiments/"
-             "carbon_day.json)")
-    carbon.add_argument("--json", metavar="PATH",
-                        help="also write the report as JSON to PATH")
-    carbon.set_defaults(func=_cmd_carbon)
-
-    dvfs = sub.add_parser(
-        "dvfs",
-        help="governor sweep: performance, powersave and ondemand x "
-             "both platforms x three day shapes, with joules, p95, "
-             "P-state switches and energy-proportionality scorecards")
-    dvfs.add_argument(
-        "--plan", default=os.path.join(os.path.dirname(__file__), "..", "..",
-                                       "experiments", "dvfs_day.json"),
-        metavar="FILE",
-        help="DvfsPlan JSON (default: the committed experiments/"
-             "dvfs_day.json)")
-    dvfs.add_argument("--json", metavar="PATH",
-                      help="also write the report as JSON to PATH")
-    dvfs.add_argument("--no-scorecards", action="store_true",
-                      help="skip the 10..100%% load ladders (faster)")
-    dvfs.set_defaults(func=_cmd_dvfs)
-
-    durability = sub.add_parser(
-        "durability",
-        help="durability day: rack-aware vs oblivious placement x "
-             "replication 1..3 x both platforms under a committed "
-             "partition/disk-failure timeline, with blocks lost, "
-             "block-seconds at risk, repair joules and the split-brain "
-             "reconciliation bill")
-    durability.add_argument(
-        "--plan", default=os.path.join(os.path.dirname(__file__), "..", "..",
-                                       "experiments", "durability_day.json"),
-        metavar="FILE",
-        help="DurabilityPlan JSON (default: the committed experiments/"
-             "durability_day.json)")
-    durability.add_argument("--platforms", nargs="*",
-                            choices=("edison", "dell"), metavar="PLATFORM",
-                            help="restrict the day to these platforms "
-                                 "(default: both)")
-    durability.add_argument("--no-controls", action="store_true",
-                            help="skip the no-partition control arms "
-                                 "(faster, but no downtime cross-check)")
-    durability.add_argument("--json", metavar="PATH",
-                            help="also write the report as JSON to PATH")
-    durability.set_defaults(func=_cmd_durability)
+    experiments = os.path.join(os.path.dirname(__file__), "..", "..",
+                               "experiments")
+    for name, sweep in _SWEEPS.items():
+        cmd = sub.add_parser(name, help=sweep.help)
+        if sweep.plan is not None:
+            kind, committed = sweep.plan
+            cmd.add_argument(
+                "--plan", default=os.path.join(experiments, committed),
+                metavar="FILE",
+                help=f"{kind} JSON (default: the committed "
+                     f"experiments/{committed})")
+        for flags, kwargs in sweep.flags:
+            cmd.add_argument(*flags, **kwargs)
+        cmd.add_argument("--json", metavar="PATH",
+                         help="also write the report as JSON to PATH")
+        cmd.set_defaults(func=_cmd_sweep)
 
     sub.add_parser("table2", help="capacity estimate") \
         .set_defaults(func=_cmd_table2)

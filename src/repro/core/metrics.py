@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Mapping, Optional, Sequence
 
 
 def work_done_per_joule(work_units: float, joules: float) -> float:
@@ -62,3 +62,11 @@ def relative_error(measured: float, expected: float) -> float:
 def within_band(measured: float, expected: float, tolerance: float) -> bool:
     """True when ``measured`` is within ±tolerance of ``expected``."""
     return abs(relative_error(measured, expected)) <= tolerance
+
+
+def nearest_rank_p95(samples: Sequence[float]) -> Optional[float]:
+    """Nearest-rank 95th percentile, or ``None`` with no samples."""
+    if not samples:
+        return None
+    ordered = sorted(samples)
+    return ordered[max(0, math.ceil(0.95 * len(ordered)) - 1)]

@@ -19,7 +19,7 @@ micro-server enclosures from big boxes — *network partitions*:
   the real ToR/trunk topology through a bandwidth throttle;
 * the :class:`DurabilityLedger` bills it all — blocks-at-risk series,
   time-under-replicated integrals, data-loss events, repair and
-  split-brain joules (:class:`repro.energy.RepairCosts`) — and the
+  split-brain joules (:class:`repro.energy.OverheadJoules`) — and the
   committed durability day reproduces why rack-aware r=2 is the knee
   on the Edison cluster.
 

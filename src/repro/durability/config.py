@@ -10,12 +10,13 @@ bit-identical to a build without this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from dataclasses import dataclass
+
+from ..core.records import Record, decoded
 
 
 @dataclass(frozen=True)
-class PhiConfig:
+class PhiConfig(Record):
     """The phi-accrual failure detector's knobs.
 
     ``threshold`` is the suspicion level (Hayashibara's phi): 8 means
@@ -42,7 +43,7 @@ class PhiConfig:
 
 
 @dataclass(frozen=True)
-class RepairConfig:
+class RepairConfig(Record):
     """The NameNode-style re-replication loop's knobs.
 
     ``confirm_s`` is the fixed loss-confirmation window used when no
@@ -67,13 +68,14 @@ class RepairConfig:
 
 
 @dataclass(frozen=True)
-class DurabilityConfig:
+class DurabilityConfig(Record):
     """Top-level switch; off by default (bit-identical to PR 9)."""
 
     enabled: bool = False
     rack_aware: bool = False
-    phi: PhiConfig = field(default_factory=PhiConfig)
-    repair: RepairConfig = field(default_factory=RepairConfig)
+    phi: PhiConfig = decoded(PhiConfig.from_dict, default_factory=PhiConfig)
+    repair: RepairConfig = decoded(RepairConfig.from_dict,
+                                   default_factory=RepairConfig)
     sample_interval_s: float = 1.0
 
     def __post_init__(self):
@@ -90,29 +92,3 @@ class DurabilityConfig:
              ) -> "DurabilityConfig":
         """Phi detection + repair + ledger, the whole plane."""
         return cls(enabled=True, rack_aware=rack_aware, **overrides)
-
-    # -- (de)serialisation, for the committed day -------------------------
-
-    def to_dict(self) -> Dict:
-        return {
-            "enabled": self.enabled,
-            "rack_aware": self.rack_aware,
-            "phi": {"enabled": self.phi.enabled,
-                    "threshold": self.phi.threshold,
-                    "window": self.phi.window,
-                    "min_std_s": self.phi.min_std_s,
-                    "heartbeat_s": self.phi.heartbeat_s},
-            "repair": {"enabled": self.repair.enabled,
-                       "confirm_s": self.repair.confirm_s,
-                       "throttle_bps": self.repair.throttle_bps,
-                       "max_streams": self.repair.max_streams},
-            "sample_interval_s": self.sample_interval_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "DurabilityConfig":
-        return cls(enabled=data["enabled"],
-                   rack_aware=data.get("rack_aware", False),
-                   phi=PhiConfig(**data.get("phi", {})),
-                   repair=RepairConfig(**data.get("repair", {})),
-                   sample_interval_s=data.get("sample_interval_s", 1.0))

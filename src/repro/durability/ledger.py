@@ -15,7 +15,7 @@ everything the cluster does to keep *data* alive rather than compute:
   :class:`~repro.mapreduce.hdfs.ReplicationMonitor` per completed
   block copy (disk + wire activity on both ends), and **split-brain
   joules** from the job runner per zombie attempt killed at heal, so
-  the run's :class:`~repro.energy.RepairCosts` breakdown is exact.
+  the run's :class:`~repro.energy.OverheadJoules` breakdown is exact.
 
 The ledger spawns nothing and draws no RNG at construction; the
 sampler process is started by :func:`repro.durability.attach_job`.
@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..energy import RepairCosts
+from ..energy import OverheadJoules
 
-#: Ledger categories, mirroring :class:`repro.energy.RepairCosts`.
+#: Ledger categories, the keys of :meth:`DurabilityLedger.to_repair_costs`.
 CATEGORIES = ("re_replication", "split_brain")
 
 
@@ -150,10 +150,8 @@ class DurabilityLedger:
     def total_joules(self) -> float:
         return sum(self.joules.values())
 
-    def to_repair_costs(self) -> RepairCosts:
-        return RepairCosts(
-            re_replication_j=self.joules["re_replication"],
-            split_brain_j=self.joules["split_brain"])
+    def to_repair_costs(self) -> OverheadJoules:
+        return OverheadJoules(self.joules)
 
     def summary(self) -> Dict[str, object]:
         return {

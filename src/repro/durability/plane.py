@@ -47,7 +47,7 @@ def _heartbeat_feeder(sim, detector, node: str, rng, base_s: float,
             detector.beat(node)
 
 
-def attach_job(runner, config: Optional[DurabilityConfig],
+def attach_job(runner, config: Optional[DurabilityConfig], *,
                telemetry=None,
                until: Optional[float] = None) -> Optional[DurabilityLedger]:
     """Arm the durability plane on a JobRunner, or do nothing.

@@ -24,10 +24,10 @@ arms' exactly — the ledger tolerance the smoke asserts.
 from __future__ import annotations
 
 import dataclasses
-import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
+from ..core.records import Record, decoded, find, many
 from ..faults.models import PARTITION_KINDS, FaultPlan
 from .config import DurabilityConfig, PhiConfig, RepairConfig
 
@@ -38,7 +38,7 @@ PLATFORMS = ("edison", "dell")
 
 
 @dataclass(frozen=True)
-class DurabilityPlan:
+class DurabilityPlan(Record):
     """One committed, seeded durability day.
 
     Fault node/rack names may carry a ``{platform}`` placeholder —
@@ -47,7 +47,7 @@ class DurabilityPlan:
     """
 
     name: str
-    faults: FaultPlan
+    faults: FaultPlan = decoded(FaultPlan.from_dict)
     slaves: int = 8
     racks: int = 2
     job: str = "wordcount2"
@@ -55,8 +55,9 @@ class DurabilityPlan:
     settle_s: float = 30.0
     seed: int = DAY_SEED
     detection_s: float = 0.25
-    phi: PhiConfig = field(default_factory=PhiConfig)
-    repair: RepairConfig = field(default_factory=RepairConfig)
+    phi: PhiConfig = decoded(PhiConfig.from_dict, default_factory=PhiConfig)
+    repair: RepairConfig = decoded(RepairConfig.from_dict,
+                                   default_factory=RepairConfig)
     sample_interval_s: float = 1.0
 
     def __post_init__(self):
@@ -95,53 +96,12 @@ class DurabilityPlan:
             repair=self.repair,
             sample_interval_s=self.sample_interval_s)
 
-    # -- (de)serialisation ------------------------------------------------
-
-    def to_dict(self) -> Dict:
-        return {"name": self.name, "faults": self.faults.to_dict(),
-                "slaves": self.slaves, "racks": self.racks,
-                "job": self.job,
-                "replications": list(self.replications),
-                "settle_s": self.settle_s, "seed": self.seed,
-                "detection_s": self.detection_s,
-                "phi": {"enabled": self.phi.enabled,
-                        "threshold": self.phi.threshold,
-                        "window": self.phi.window,
-                        "min_std_s": self.phi.min_std_s,
-                        "heartbeat_s": self.phi.heartbeat_s},
-                "repair": {"enabled": self.repair.enabled,
-                           "confirm_s": self.repair.confirm_s,
-                           "throttle_bps": self.repair.throttle_bps,
-                           "max_streams": self.repair.max_streams},
-                "sample_interval_s": self.sample_interval_s}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "DurabilityPlan":
-        return cls(name=data["name"],
-                   faults=FaultPlan.from_dict(data["faults"]),
-                   slaves=data["slaves"], racks=data["racks"],
-                   job=data["job"],
-                   replications=tuple(data["replications"]),
-                   settle_s=data["settle_s"], seed=data["seed"],
-                   detection_s=data["detection_s"],
-                   phi=PhiConfig(**data["phi"]),
-                   repair=RepairConfig(**data["repair"]),
-                   sample_interval_s=data["sample_interval_s"])
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=1)
-            handle.write("\n")
-
-    @classmethod
-    def load(cls, path: str) -> "DurabilityPlan":
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
-
 
 @dataclass(frozen=True)
-class DurabilityArm:
+class DurabilityArm(Record):
     """One placement/replication choice living through the day."""
+
+    derived = ("label", "durable", "same_rack_read_fraction")
 
     platform: str
     rack_aware: bool
@@ -188,44 +148,24 @@ class DurabilityArm:
             return None
         return self.same_rack_read_bytes / total
 
-    def to_dict(self) -> Dict:
-        return {k: getattr(self, k)
-                for k in (f.name for f in dataclasses.fields(self))} | {
-                    "label": self.label,
-                    "durable": self.durable,
-                    "same_rack_read_fraction":
-                        self.same_rack_read_fraction}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "DurabilityArm":
-        names = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in names})
-
 
 @dataclass(frozen=True)
-class DurabilityReport:
+class DurabilityReport(Record):
     """The whole day, every arm, plus the knee verdict."""
 
     plan_name: str
     detail: str
-    arms: Tuple[DurabilityArm, ...]
-    controls: Tuple[DurabilityArm, ...] = ()
+    arms: Tuple[DurabilityArm, ...] = decoded(many(DurabilityArm.from_dict))
+    controls: Tuple[DurabilityArm, ...] = decoded(
+        many(DurabilityArm.from_dict), default=())
 
     def arm(self, platform: str, rack_aware: bool,
             replication: int) -> DurabilityArm:
-        for arm in self.arms:
-            if (arm.platform == platform
-                    and arm.rack_aware == rack_aware
-                    and arm.replication == replication):
-                return arm
-        raise KeyError(
-            f"no arm {platform}/rack_aware={rack_aware}/r{replication}")
+        return find(self.arms, platform=platform, rack_aware=rack_aware,
+                    replication=replication)
 
     def control(self, platform: str) -> DurabilityArm:
-        for arm in self.controls:
-            if arm.platform == platform:
-                return arm
-        raise KeyError(f"no control arm for {platform}")
+        return find(self.controls, platform=platform)
 
     def knee(self, platform: str) -> Optional[int]:
         """Smallest rack-aware replication that lost nothing all day."""
@@ -250,21 +190,10 @@ class DurabilityReport:
         return True
 
     def to_dict(self) -> Dict:
-        return {"plan_name": self.plan_name, "detail": self.detail,
-                "arms": [a.to_dict() for a in self.arms],
-                "controls": [a.to_dict() for a in self.controls],
-                "knee": {p: self.knee(p) for p in
-                         sorted({a.platform for a in self.arms})},
-                "partition_downtime_clean":
-                    self.partition_downtime_clean()}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "DurabilityReport":
-        return cls(plan_name=data["plan_name"], detail=data["detail"],
-                   arms=tuple(DurabilityArm.from_dict(a)
-                              for a in data["arms"]),
-                   controls=tuple(DurabilityArm.from_dict(a)
-                                  for a in data.get("controls", ())))
+        return super().to_dict() | {
+            "knee": {p: self.knee(p) for p in
+                     sorted({a.platform for a in self.arms})},
+            "partition_downtime_clean": self.partition_downtime_clean()}
 
     def lines(self) -> List[str]:
         out = [f"Durability day — {self.plan_name} ({self.detail})"]

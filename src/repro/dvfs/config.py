@@ -10,15 +10,16 @@ runs bit-identical to a build without this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from dataclasses import dataclass
+
+from ..core.records import Record, decoded
 
 #: The governors this package implements, in the cpufreq tradition.
 GOVERNOR_KINDS = ("performance", "powersave", "ondemand")
 
 
 @dataclass(frozen=True)
-class GovernorConfig:
+class GovernorConfig(Record):
     """One frequency policy's knobs.
 
     The static governors (``performance``, ``powersave``) pin every
@@ -55,11 +56,12 @@ class GovernorConfig:
 
 
 @dataclass(frozen=True)
-class DvfsConfig:
+class DvfsConfig(Record):
     """Top-level switch; off by default (nominal P0, bit-identical)."""
 
     enabled: bool = False
-    governor: GovernorConfig = field(default_factory=GovernorConfig)
+    governor: GovernorConfig = decoded(GovernorConfig.from_dict,
+                                       default_factory=GovernorConfig)
 
     @classmethod
     def disabled(cls) -> "DvfsConfig":
@@ -78,22 +80,3 @@ class DvfsConfig:
     def ondemand(cls, **overrides) -> "DvfsConfig":
         return cls(enabled=True,
                    governor=GovernorConfig(kind="ondemand", **overrides))
-
-    # -- (de)serialisation, for the committed sweep plan -----------------
-
-    def to_dict(self) -> Dict:
-        return {
-            "enabled": self.enabled,
-            "governor": {
-                "kind": self.governor.kind,
-                "sampling_interval_s": self.governor.sampling_interval_s,
-                "up_threshold": self.governor.up_threshold,
-                "down_threshold": self.governor.down_threshold,
-                "metric_window_s": self.governor.metric_window_s,
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "DvfsConfig":
-        return cls(enabled=data["enabled"],
-                   governor=GovernorConfig(**data.get("governor", {})))

@@ -154,7 +154,7 @@ class DvfsPlane:
         }
 
 
-def attach_web(deployment, config: Optional[DvfsConfig],
+def attach_web(deployment, config: Optional[DvfsConfig], *,
                until: Optional[float] = None,
                telemetry=None) -> Optional[DvfsPlane]:
     """Govern a web deployment's metered servers, or do nothing.
@@ -177,7 +177,7 @@ def attach_web(deployment, config: Optional[DvfsConfig],
     return plane
 
 
-def attach_job(runner, config: Optional[DvfsConfig],
+def attach_job(runner, config: Optional[DvfsConfig], *,
                until: Optional[float] = None,
                telemetry=None) -> Optional[DvfsPlane]:
     """Govern a MapReduce runner's slave nodes, or do nothing.

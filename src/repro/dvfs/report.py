@@ -13,11 +13,11 @@ latency has not earned its complexity.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
+from ..core.metrics import nearest_rank_p95
+from ..core.records import Record, decoded, find, keyed, many
 from ..web.loadshape import ShapedLoad
 from .config import DvfsConfig, GovernorConfig
 from .scorecard import DVFS_SEED, ProportionalityScorecard
@@ -27,26 +27,20 @@ GOVERNORS = ("performance", "powersave", "ondemand")
 PLATFORMS = ("edison", "dell")
 
 
-def _p95(delays: List[float]) -> Optional[float]:
-    if not delays:
-        return None
-    ordered = sorted(delays)
-    index = max(0, math.ceil(0.95 * len(ordered)) - 1)
-    return ordered[index]
-
-
 @dataclass(frozen=True)
-class DvfsPlan:
+class DvfsPlan(Record):
     """One committed, seeded governor sweep."""
 
     name: str
-    shapes: Mapping[str, ShapedLoad]    # shape name -> rate function
+    #: Shape name -> rate function.
+    shapes: Mapping[str, ShapedLoad] = decoded(keyed(ShapedLoad.from_dict))
     duration_s: float
     seed: int = DVFS_SEED
     calls: int = 5
     edison_scale: str = "1/8"
     dell_scale: str = "1/2"
-    ondemand: GovernorConfig = field(
+    ondemand: GovernorConfig = decoded(
+        GovernorConfig.from_dict,
         default_factory=lambda: GovernorConfig(kind="ondemand"))
 
     def __post_init__(self):
@@ -70,46 +64,12 @@ class DvfsPlan:
         return DvfsConfig(enabled=True,
                           governor=GovernorConfig(kind=governor))
 
-    def to_dict(self) -> Dict:
-        return {"name": self.name,
-                "shapes": {name: shape.to_dict()
-                           for name, shape in self.shapes.items()},
-                "duration_s": self.duration_s, "seed": self.seed,
-                "calls": self.calls, "edison_scale": self.edison_scale,
-                "dell_scale": self.dell_scale,
-                "ondemand": {
-                    "kind": self.ondemand.kind,
-                    "sampling_interval_s": self.ondemand.sampling_interval_s,
-                    "up_threshold": self.ondemand.up_threshold,
-                    "down_threshold": self.ondemand.down_threshold,
-                    "metric_window_s": self.ondemand.metric_window_s,
-                }}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "DvfsPlan":
-        return cls(name=data["name"],
-                   shapes={name: ShapedLoad.from_dict(shape)
-                           for name, shape in data["shapes"].items()},
-                   duration_s=data["duration_s"], seed=data["seed"],
-                   calls=data["calls"],
-                   edison_scale=data["edison_scale"],
-                   dell_scale=data["dell_scale"],
-                   ondemand=GovernorConfig(**data["ondemand"]))
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=1)
-            handle.write("\n")
-
-    @classmethod
-    def load(cls, path: str) -> "DvfsPlan":
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
-
 
 @dataclass(frozen=True)
-class DvfsArm:
+class DvfsArm(Record):
     """One governor serving one platform through one shaped day."""
+
+    derived = ("slo_attained", "work_per_joule")
 
     governor: str
     platform: str
@@ -143,52 +103,23 @@ class DvfsArm:
         return (self.availability_met is not False
                 and self.latency_met is not False)
 
-    def to_dict(self) -> Dict:
-        return {"governor": self.governor, "platform": self.platform,
-                "shape_name": self.shape_name, "seconds": self.seconds,
-                "joules": self.joules, "ok_calls": self.ok_calls,
-                "errors": self.errors,
-                "client_failures": self.client_failures,
-                "availability": self.availability,
-                "availability_met": self.availability_met,
-                "latency_met": self.latency_met,
-                "slo_attained": self.slo_attained,
-                "p95_s": self.p95_s, "mean_power_w": self.mean_power_w,
-                "work_per_joule": self.work_per_joule,
-                "transitions": self.transitions,
-                "residency_s": dict(self.residency_s)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "DvfsArm":
-        return cls(governor=data["governor"], platform=data["platform"],
-                   shape_name=data["shape_name"], seconds=data["seconds"],
-                   joules=data["joules"], ok_calls=data["ok_calls"],
-                   errors=data["errors"],
-                   client_failures=data["client_failures"],
-                   availability=data["availability"],
-                   availability_met=data["availability_met"],
-                   latency_met=data["latency_met"], p95_s=data["p95_s"],
-                   mean_power_w=data["mean_power_w"],
-                   transitions=data.get("transitions", 0),
-                   residency_s=dict(data.get("residency_s", {})))
-
 
 @dataclass(frozen=True)
-class DvfsReport:
+class DvfsReport(Record):
     """The whole sweep, plus the proportionality scorecards."""
+
+    derived = ("ondemand_wins",)
 
     plan_name: str
     detail: str
-    arms: Tuple[DvfsArm, ...]
-    scorecards: Tuple[ProportionalityScorecard, ...] = ()
+    arms: Tuple[DvfsArm, ...] = decoded(many(DvfsArm.from_dict))
+    scorecards: Tuple[ProportionalityScorecard, ...] = decoded(
+        many(ProportionalityScorecard.from_dict), default=())
 
     def arm(self, platform: str, shape_name: str,
             governor: str) -> DvfsArm:
-        for arm in self.arms:
-            if (arm.platform == platform and arm.shape_name == shape_name
-                    and arm.governor == governor):
-                return arm
-        raise KeyError(f"no arm {platform}/{shape_name}/{governor}")
+        return find(self.arms, platform=platform, shape_name=shape_name,
+                    governor=governor)
 
     def ondemand_wins(self) -> List[str]:
         """Platform/shape pairs where ondemand strictly beats
@@ -208,22 +139,6 @@ class DvfsReport:
                 continue
             out.append(f"{arm.platform}/{arm.shape_name}")
         return out
-
-    def to_dict(self) -> Dict:
-        return {"plan_name": self.plan_name, "detail": self.detail,
-                "arms": [arm.to_dict() for arm in self.arms],
-                "scorecards": [card.to_dict()
-                               for card in self.scorecards],
-                "ondemand_wins": self.ondemand_wins()}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "DvfsReport":
-        return cls(plan_name=data["plan_name"], detail=data["detail"],
-                   arms=tuple(DvfsArm.from_dict(a)
-                              for a in data["arms"]),
-                   scorecards=tuple(
-                       ProportionalityScorecard.from_dict(c)
-                       for c in data.get("scorecards", ())))
 
     def lines(self) -> List[str]:
         out = [f"DVFS governor sweep — {self.plan_name} ({self.detail})"]
@@ -284,7 +199,7 @@ def _run_arm(plan: DvfsPlan, governor: str, platform: str,
         availability=slo.availability,
         availability_met=slo.availability_met,
         latency_met=slo.latency_met,
-        p95_s=_p95(delays),
+        p95_s=nearest_rank_p95(delays),
         mean_power_w=level.mean_power_w,
         transitions=plane.counters["transitions"],
         residency_s={k: round(v, 6)

@@ -26,7 +26,9 @@ here is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import List, Tuple
+
+from ..core.records import Record, decoded, many
 
 #: Seed of the committed DVFS experiments (scorecards and the
 #: governor sweep), same spirit as repro.autoscale's DAY_SEED.
@@ -37,8 +39,10 @@ LOAD_FRACTIONS = tuple(round(0.1 * i, 1) for i in range(1, 11))
 
 
 @dataclass(frozen=True)
-class LoadPoint:
+class LoadPoint(Record):
     """One rung of the ladder: a flat-rate run at ``fraction`` load."""
+
+    derived = ("joules", "work_per_joule")
 
     fraction: float
     offered_rps: float
@@ -56,30 +60,18 @@ class LoadPoint:
             return 0.0
         return self.ok_calls / self.joules
 
-    def to_dict(self) -> Dict:
-        return {"fraction": self.fraction, "offered_rps": self.offered_rps,
-                "ok_calls": self.ok_calls, "window_s": self.window_s,
-                "mean_power_w": self.mean_power_w,
-                "joules": self.joules,
-                "work_per_joule": self.work_per_joule}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "LoadPoint":
-        return cls(fraction=data["fraction"],
-                   offered_rps=data["offered_rps"],
-                   ok_calls=data["ok_calls"], window_s=data["window_s"],
-                   mean_power_w=data["mean_power_w"])
-
 
 @dataclass(frozen=True)
-class ProportionalityScorecard:
+class ProportionalityScorecard(Record):
     """One platform/governor pair's ladder, with the derived figures."""
+
+    derived = ("peak_w", "dynamic_range", "proportionality_gap")
 
     platform: str
     scale: str
     governor: str            # "nominal" when no DVFS plane was attached
     idle_w: float
-    points: Tuple[LoadPoint, ...]
+    points: Tuple[LoadPoint, ...] = decoded(many(LoadPoint.from_dict))
 
     def __post_init__(self):
         if not self.points:
@@ -111,21 +103,6 @@ class ProportionalityScorecard:
     def best_point(self) -> LoadPoint:
         """The rung with the highest work per joule."""
         return max(self.points, key=lambda p: p.work_per_joule)
-
-    def to_dict(self) -> Dict:
-        return {"platform": self.platform, "scale": self.scale,
-                "governor": self.governor, "idle_w": self.idle_w,
-                "peak_w": self.peak_w,
-                "dynamic_range": self.dynamic_range,
-                "proportionality_gap": self.proportionality_gap,
-                "points": [p.to_dict() for p in self.points]}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ProportionalityScorecard":
-        return cls(platform=data["platform"], scale=data["scale"],
-                   governor=data["governor"], idle_w=data["idle_w"],
-                   points=tuple(LoadPoint.from_dict(p)
-                                for p in data["points"]))
 
     def lines(self) -> List[str]:
         out = [f"Energy proportionality — {self.platform} {self.scale}, "

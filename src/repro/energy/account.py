@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 
@@ -33,81 +34,40 @@ class EnergyReport:
         return self.work_units / self.joules
 
 
-@dataclass(frozen=True)
-class MitigationCosts:
-    """Joules spent *surviving* rather than *working*.
+class OverheadJoules(Mapping):
+    """Joules a plane spent keeping the cluster going, not working.
 
-    Filled in by :class:`repro.resilience.ResilienceLedger`; each field
-    is the energy of one mitigation's discarded work — killed
-    speculative attempts, losing hedge legs, shed-request error
-    replies, and client retries of calls that ultimately succeeded
-    elsewhere.  These joules appear in the run's energy total but not
-    in its useful-work numerator, which is exactly why the resilience
-    tax report breaks them out.
+    A read-only mapping of category to non-negative joules, filled in by
+    a plane's ledger: the resilience ledger's mitigation waste (killed
+    speculative attempts, losing hedge legs, shed replies, retries), the
+    autoscale ledger's elasticity bill (boot and drain idle draw) and
+    the durability ledger's repair bill (re-replication copies,
+    split-brain zombie attempts).  Every category lands in the meter's
+    total; breaking it out is what makes the overhead visible instead
+    of smeared into the run's energy.
     """
 
-    speculative_j: float = 0.0
-    hedge_j: float = 0.0
-    shed_j: float = 0.0
-    retry_j: float = 0.0
+    def __init__(self, joules: Mapping[str, float]):
+        for name, value in joules.items():
+            if value < 0:
+                raise ValueError(f"{name} joules must be >= 0")
+        self._joules = dict(joules)
 
-    def __post_init__(self):
-        for name in ("speculative_j", "hedge_j", "shed_j", "retry_j"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+    def __getitem__(self, name: str) -> float:
+        return self._joules[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._joules)
+
+    def __len__(self) -> int:
+        return len(self._joules)
+
+    def __repr__(self) -> str:
+        return f"OverheadJoules({self._joules!r})"
 
     @property
     def total_j(self) -> float:
-        return self.speculative_j + self.hedge_j + self.shed_j + self.retry_j
-
-
-@dataclass(frozen=True)
-class ScalingCosts:
-    """Joules an autoscaler spent *moving* capacity, not serving with it.
-
-    Filled in by :class:`repro.autoscale.AutoscaleLedger`.  ``boot_j``
-    is the idle-draw energy of nodes between power-on and serving;
-    ``drain_j`` is the drained-but-idle energy of nodes finishing
-    in-flight connections after deregistration, before power-off.
-    Both land in the meter's total — this breakdown is what makes the
-    price of elasticity visible instead of smeared into it.
-    """
-
-    boot_j: float = 0.0
-    drain_j: float = 0.0
-
-    def __post_init__(self):
-        if self.boot_j < 0 or self.drain_j < 0:
-            raise ValueError("boot_j and drain_j must be >= 0")
-
-    @property
-    def total_j(self) -> float:
-        return self.boot_j + self.drain_j
-
-
-@dataclass(frozen=True)
-class RepairCosts:
-    """Joules the cluster spent keeping *data* alive, not computing.
-
-    Filled in by :class:`repro.durability.DurabilityLedger`.
-    ``re_replication_j`` is the disk+wire energy of the NameNode-style
-    repair pipeline copying under-replicated blocks to new homes;
-    ``split_brain_j`` is the CPU burned by zombie duplicate attempts on
-    the minority side of a partition before heal-time reconciliation
-    killed them.  Both land in the meter's total — this breakdown is
-    the durability premium the paper's r=2-on-Edison choice pays.
-    """
-
-    re_replication_j: float = 0.0
-    split_brain_j: float = 0.0
-
-    def __post_init__(self):
-        if self.re_replication_j < 0 or self.split_brain_j < 0:
-            raise ValueError("repair cost components must be >= 0")
-
-    @property
-    def total_j(self) -> float:
-        return self.re_replication_j + self.split_brain_j
+        return sum(self._joules.values())
 
 
 @dataclass(frozen=True)

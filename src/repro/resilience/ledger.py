@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..energy.account import MitigationCosts
+from ..energy.account import OverheadJoules
 
 #: Ledger charge categories.
 CATEGORIES = ("speculation", "hedge", "shed", "retry")
@@ -77,13 +77,8 @@ class ResilienceLedger:
     def total_waste_joules(self) -> float:
         return sum(self.waste_joules.values())
 
-    def to_mitigation_costs(self) -> MitigationCosts:
-        return MitigationCosts(
-            speculative_j=self.waste_joules["speculation"],
-            hedge_j=self.waste_joules["hedge"],
-            shed_j=self.waste_joules["shed"],
-            retry_j=self.waste_joules["retry"],
-        )
+    def to_mitigation_costs(self) -> OverheadJoules:
+        return OverheadJoules(self.waste_joules)
 
     def summary(self) -> Dict[str, object]:
         return {

@@ -13,14 +13,15 @@ which is what lets the headline experiment commit one canonical day.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Tuple
+from dataclasses import dataclass
+from typing import Tuple
+
+from ..core.records import Record, decoded, many
 
 
 @dataclass(frozen=True)
-class DiurnalShape:
+class DiurnalShape(Record):
     """A raised-cosine day: trough at ``trough_at_s``, peak half a
     period later.
 
@@ -45,7 +46,7 @@ class DiurnalShape:
 
 
 @dataclass(frozen=True)
-class FlashCrowd:
+class FlashCrowd(Record):
     """A multiplicative burst: ramp up, hold, decay back to 1x.
 
     The factor is 1.0 outside the event, climbs linearly to
@@ -85,11 +86,12 @@ class FlashCrowd:
 
 
 @dataclass(frozen=True)
-class ShapedLoad:
+class ShapedLoad(Record):
     """A diurnal base modulated by zero or more flash crowds."""
 
-    diurnal: DiurnalShape
-    flashes: Tuple[FlashCrowd, ...] = field(default_factory=tuple)
+    diurnal: DiurnalShape = decoded(DiurnalShape.from_dict)
+    flashes: Tuple[FlashCrowd, ...] = decoded(many(FlashCrowd.from_dict),
+                                              default_factory=tuple)
 
     def rate(self, t: float) -> float:
         """Offered request rate (req/s) at simulated time ``t``."""
@@ -109,36 +111,3 @@ class ShapedLoad:
         for flash in self.flashes:
             bound *= flash.multiplier
         return bound
-
-    # -- (de)serialisation, for the committed experiment plan ------------
-
-    def to_dict(self) -> Dict:
-        return {
-            "diurnal": {
-                "base_rps": self.diurnal.base_rps,
-                "peak_rps": self.diurnal.peak_rps,
-                "period_s": self.diurnal.period_s,
-                "trough_at_s": self.diurnal.trough_at_s,
-            },
-            "flashes": [
-                {"at_s": f.at_s, "ramp_s": f.ramp_s, "hold_s": f.hold_s,
-                 "decay_s": f.decay_s, "multiplier": f.multiplier}
-                for f in self.flashes
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ShapedLoad":
-        diurnal = DiurnalShape(**data["diurnal"])
-        flashes = tuple(FlashCrowd(**f) for f in data.get("flashes", ()))
-        return cls(diurnal=diurnal, flashes=flashes)
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=1)
-            handle.write("\n")
-
-    @classmethod
-    def load(cls, path: str) -> "ShapedLoad":
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))

@@ -311,8 +311,8 @@ def committed_report():
 
 
 def test_committed_day_loads_and_roundtrips():
+    # The byte-for-byte round trip is test_records.py's, for every day.
     plan = CarbonDayPlan.load(PLAN_PATH)
-    assert CarbonDayPlan.from_dict(plan.to_dict()) == plan
     assert {p.kind for p in plan.policies} == {
         "no-wait", "edd", "threshold", "suspend-resume"}
     assert {j.kind for j in plan.jobs} == {"terasort-mini", "wikidb-scan"}

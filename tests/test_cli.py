@@ -233,3 +233,21 @@ def test_durability_command_runs_a_tiny_day(tmp_path, capsys):
     assert labels == ["dell/oblivious/r2", "dell/rack-aware/r2"]
     assert [c["label"] for c in report["controls"]] == \
         ["dell/rack-aware/r2/control"]
+
+
+@pytest.mark.parametrize("command", ["autoscale", "carbon", "dvfs",
+                                     "durability"])
+@pytest.mark.parametrize("content, reason", [
+    (None, "No such file"),
+    ('{"name": "x"}', "missing required field"),
+])
+def test_plan_commands_reject_bad_plans_cleanly(tmp_path, command,
+                                                content, reason):
+    path = tmp_path / "plan.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--plan", str(path)])
+    message = str(excinfo.value.code)
+    assert message.startswith("repro: error: --plan: ")
+    assert reason in message

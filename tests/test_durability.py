@@ -337,8 +337,8 @@ def test_to_repair_costs_mirrors_the_ledger():
     ledger.charge("re_replication", "edison-slave-0", 2.0, 3.0)
     ledger.charge("split_brain", "edison-slave-1", 1.0, 4.0)
     costs = ledger.to_repair_costs()
-    assert costs.re_replication_j == pytest.approx(6.0)
-    assert costs.split_brain_j == pytest.approx(4.0)
+    assert costs["re_replication"] == pytest.approx(6.0)
+    assert costs["split_brain"] == pytest.approx(4.0)
     assert costs.total_j == pytest.approx(10.0)
     assert ledger.total_joules == pytest.approx(10.0)
 

@@ -140,8 +140,8 @@ def test_ledger_charges_by_category_and_node():
     assert ledger.total_waste_joules == pytest.approx(9.5)
     assert ledger.node_joules["web-0"] == pytest.approx(8.0)
     costs = ledger.to_mitigation_costs()
-    assert costs.hedge_j == pytest.approx(4.5)
-    assert costs.speculative_j == pytest.approx(5.0)
+    assert costs["hedge"] == pytest.approx(4.5)
+    assert costs["speculation"] == pytest.approx(5.0)
     summary = ledger.summary()
     assert summary["total_waste_joules"] == pytest.approx(9.5)
     assert summary["counters"]["hedges"] == 0
