@@ -80,6 +80,9 @@ class Resource:
         self.sim = sim
         self.capacity = int(capacity)
         self.name = name
+        # Span names built once, not per traced release/grant.
+        self._hold_span = f"{name}.hold"
+        self._wait_span = f"{name}.wait"
         # Holders as an insertion-ordered dict: O(1) membership and
         # removal where a list pays an O(n) scan per release, while
         # iteration order still matches grant order.
@@ -145,7 +148,7 @@ class Resource:
         if trace is not None:
             granted = request._granted_at
             if granted is not None:
-                trace.complete(f"{self.name}.hold", granted,
+                trace.complete(self._hold_span, granted,
                                category="resource")
         if self._queued:
             self._grant_waiters()
@@ -201,7 +204,7 @@ class Resource:
                 # Contended acquisitions leave a wait span; immediate
                 # grants would only add zero-length noise.
                 if enqueued is not None and enqueued < self.sim._now:
-                    trace.complete(f"{self.name}.wait", enqueued,
+                    trace.complete(self._wait_span, enqueued,
                                    category="resource")
             request.succeed(self)
 

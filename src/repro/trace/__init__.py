@@ -21,6 +21,12 @@ Enable tracing by constructing the simulation with a tracer::
 When no tracer is attached (``trace=None``, the default) every
 instrumented path reduces to a single None-check — no events, no
 allocation, identical simulation results.
+
+The log keeps its events in columns, one list per :class:`TraceEvent`
+field, which the tracer appends to directly; :class:`TraceEvent`
+objects are built only when the log is read (iteration,
+:meth:`TraceLog.events` and its ``spans``/``counters`` narrowings, the
+exporters, :func:`repro.causality.build_forest`).
 """
 
 from .analysis import (TraceDecomposition, delay_decomposition_from_trace,

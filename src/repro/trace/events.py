@@ -8,12 +8,19 @@ straight mapping.  A :class:`TraceLog` collects events append-only,
 optionally filtered down to a set of categories and optionally bounded
 to the most recent *N* events (ring-buffer mode) so week-long simulated
 runs cannot exhaust host memory.
+
+The log stores events column-wise, one list per :class:`TraceEvent`
+field, and builds :class:`TraceEvent` objects only when it is read.
+A traced run emits hundreds of thousands of spans; as columns they
+cost a few list slots each instead of one garbage-collected object
+each, so recording stays cheap and the cyclic collector has a fixed
+handful of lists to scan however long the run.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 #: Phase tags (a subset of the Chrome trace-event phases).
@@ -68,8 +75,9 @@ class TraceEvent:
     def __post_init__(self):
         if self.phase not in _VALID_PHASES:
             raise ValueError(f"unknown phase {self.phase!r}")
-        if self.ts < 0 or self.dur < 0:
-            raise ValueError("ts and dur must be >= 0")
+        if not (0 <= self.ts < math.inf and 0 <= self.dur < math.inf):
+            raise ValueError(f"ts and dur must be finite and >= 0, got "
+                             f"ts={self.ts!r}, dur={self.dur!r}")
         if self.trace_id < 0 or self.span_id < 0 or self.parent_id < 0:
             raise ValueError("span identity ids must be >= 0")
 
@@ -89,9 +97,10 @@ class TraceLog:
         events (ring-buffer mode); :attr:`evicted` counts the overwritten
         ones.
     categories:
-        When given, only events whose category is in this set are kept;
-        :attr:`filtered` counts the rejected ones.  Emitters can consult
-        :meth:`accepts` to skip building attrs for doomed events.
+        When given, only events whose category is in this set are kept
+        (an empty set keeps nothing); :attr:`filtered` counts the
+        rejected ones.  Emitters can consult :meth:`accepts` to skip
+        building attrs for doomed events.
     """
 
     def __init__(self, max_events: Optional[int] = None,
@@ -99,8 +108,19 @@ class TraceLog:
         if max_events is not None and max_events < 1:
             raise ValueError(f"max_events must be >= 1, got {max_events}")
         self.max_events = max_events
-        self.categories = frozenset(categories) if categories else None
-        self._events: deque = deque(maxlen=max_events)
+        self.categories = (frozenset(categories) if categories is not None
+                           else None)
+        # One list per TraceEvent field, in field order, so a row zips
+        # straight back into TraceEvent(*row).
+        self._columns = tuple([] for _ in fields(TraceEvent))
+        (self._ts, self._category, self._name, self._node, self._attrs,
+         self._phase, self._dur, self._trace_id, self._span_id,
+         self._parent_id) = self._columns
+        # A bounded log lets its columns overrun max_events by a quarter
+        # before trimming the oldest rows, so a trim's cost is spread
+        # over the appends that made it necessary.
+        self._trim_at = (max_events + max(max_events // 4, 64)
+                         if max_events is not None else None)
         self.accepted = 0
         self.filtered = 0
 
@@ -112,34 +132,72 @@ class TraceLog:
 
     def append(self, event: TraceEvent) -> bool:
         """Record ``event``; returns False when category-filtered out."""
-        if not self.accepts(event.category):
+        return self._record(event.ts, event.category, event.name,
+                            event.node, event.attrs, event.phase, event.dur,
+                            event.trace_id, event.span_id, event.parent_id)
+
+    def _record(self, ts: float, category: str, name: str, node: str,
+                attrs: Dict[str, Any], phase: str, dur: float,
+                trace_id: int, span_id: int, parent_id: int) -> bool:
+        """Record one event from its field values, unvalidated.
+
+        The write path of :meth:`append` and of
+        :class:`~repro.trace.Tracer`, which validates what it emits; no
+        :class:`TraceEvent` is built.  Returns False when filtered out.
+        """
+        if self.categories is not None and category not in self.categories:
             self.filtered += 1
             return False
-        self._events.append(event)
+        self._ts.append(ts)
+        self._category.append(category)
+        self._name.append(name)
+        self._node.append(node)
+        self._attrs.append(attrs)
+        self._phase.append(phase)
+        self._dur.append(dur)
+        self._trace_id.append(trace_id)
+        self._span_id.append(span_id)
+        self._parent_id.append(parent_id)
         self.accepted += 1
+        if self._trim_at is not None and len(self._ts) > self._trim_at:
+            self._trim()
         return True
+
+    def _trim(self) -> None:
+        """Drop the rows a ring buffer of ``max_events`` no longer holds."""
+        excess = len(self._ts) - self.max_events \
+            if self.max_events is not None else 0
+        if excess > 0:
+            for column in self._columns:
+                del column[:excess]
 
     # -- read side -------------------------------------------------------
 
     @property
     def evicted(self) -> int:
         """Accepted events overwritten by the ring buffer."""
-        return self.accepted - len(self._events)
+        return self.accepted - len(self)
 
     def __len__(self) -> int:
-        return len(self._events)
+        if self.max_events is not None:
+            return min(len(self._ts), self.max_events)
+        return len(self._ts)
+
+    def _rows(self) -> Iterator[tuple]:
+        self._trim()
+        return zip(*self._columns)
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._events)
+        return (TraceEvent(*row) for row in self._rows())
 
     def events(self, category: Optional[str] = None,
                name: Optional[str] = None,
                phase: Optional[str] = None) -> List[TraceEvent]:
         """Retained events, optionally narrowed by category/name/phase."""
-        return [e for e in self._events
-                if (category is None or e.category == category)
-                and (name is None or e.name == name)
-                and (phase is None or e.phase == phase)]
+        return [TraceEvent(*row) for row in self._rows()
+                if (category is None or row[1] == category)
+                and (name is None or row[2] == name)
+                and (phase is None or row[5] == phase)]
 
     def spans(self, category: Optional[str] = None,
               name: Optional[str] = None) -> List[TraceEvent]:

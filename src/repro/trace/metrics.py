@@ -83,12 +83,21 @@ class Histogram:
         """Record one sample (must be >= 0)."""
         if value < 0:
             raise ValueError(f"histogram values must be >= 0, got {value}")
-        index = self._bucket(value)
-        self._counts[index] = self._counts.get(index, 0) + 1
+        # _bucket() and min()/max() inlined: every traced span lands
+        # here.  The arithmetic is _bucket's, so buckets are identical.
+        if value <= self.floor:
+            index = 0
+        else:
+            index = 1 + math.floor(math.log(value / self.floor)
+                                   / self._log_growth * (1 - 1e-12))
+        counts = self._counts
+        counts[index] = counts.get(index, 0) + 1
         self.count += 1
         self.total += value
-        self._min = min(self._min, value)
-        self._max = max(self._max, value)
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
 
     def mean(self) -> float:
         if self.count == 0:
@@ -160,10 +169,18 @@ class MetricsRegistry:
 
     def histogram(self, name: str, growth: float = 1.08,
                   floor: float = 1e-9) -> Histogram:
-        if name not in self._histograms:
-            self._histograms[name] = Histogram(name, growth=growth,
-                                               floor=floor)
-        return self._histograms[name]
+        """Get or create ``name``; re-registering with another bucket
+        layout (``growth``/``floor``) raises ValueError."""
+        hist = self._histograms.get(name)
+        if hist is None:
+            hist = self._histograms[name] = Histogram(name, growth=growth,
+                                                      floor=floor)
+        elif hist.growth != growth or hist.floor != floor:
+            raise ValueError(
+                f"histogram {name!r} exists with growth={hist.growth}, "
+                f"floor={hist.floor}; asked for growth={growth}, "
+                f"floor={floor}")
+        return hist
 
     def __iter__(self) -> Iterator[str]:
         yield from self._counters

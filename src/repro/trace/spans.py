@@ -21,12 +21,21 @@ Spans may be emitted two ways:
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from .context import SpanContext
-from .events import (PHASE_COUNTER, PHASE_INSTANT, PHASE_SPAN, TraceEvent,
-                     TraceLog)
-from .metrics import MetricsRegistry
+from .events import PHASE_COUNTER, PHASE_INSTANT, PHASE_SPAN, TraceLog
+from .metrics import Counter, Histogram, MetricsRegistry
+
+
+class _Unbound:
+    """The clock of a tracer not bound to a simulation: always at 0."""
+
+    _now = 0.0
+    active_process = None
+
+
+_UNBOUND = _Unbound()
 
 
 class Tracer:
@@ -57,8 +66,10 @@ class Tracer:
         self.log = log if log is not None else TraceLog(
             max_events=max_events, categories=categories)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._sim = None
+        self._sim = _UNBOUND
         self._next_id = 0
+        # Span name -> its ("<name>.count", "<name>.duration_s") pair.
+        self._span_metrics: Dict[str, Tuple[Counter, Histogram]] = {}
         # Per-process span stacks: active-process id -> [span ids].
         self._stacks: Dict[int, list] = {}
 
@@ -66,14 +77,14 @@ class Tracer:
 
     def bind(self, sim) -> None:
         """Attach to ``sim``'s clock (done by ``Simulation(trace=...)``)."""
-        if self._sim is not None and self._sim is not sim:
+        if self._sim is not _UNBOUND and self._sim is not sim:
             raise RuntimeError("tracer is already bound to another simulation")
         self._sim = sim
 
     @property
     def now(self) -> float:
         """Current simulated time (0.0 while unbound)."""
-        return self._sim.now if self._sim is not None else 0.0
+        return self._sim._now
 
     def next_id(self) -> int:
         """A fresh tracer-unique integer id (for correlating spans)."""
@@ -104,18 +115,16 @@ class Tracer:
                 **attrs: Any) -> None:
         """Emit a point-in-time marker at the current clock."""
         self.metrics.counter(f"{name}.count").inc()
-        self.log.append(TraceEvent(
-            ts=self.now, category=category, name=name, node=node,
-            attrs=attrs, phase=PHASE_INSTANT))
+        self.log._record(self._sim._now, category, name, node, attrs,
+                         PHASE_INSTANT, 0.0, 0, 0, 0)
 
     def counter(self, name: str, value: float, category: str = "counter",
                 node: str = "", **attrs: Any) -> None:
         """Emit one sample of a numeric counter/gauge."""
         self.metrics.gauge(name).set(value)
         attrs["value"] = value
-        self.log.append(TraceEvent(
-            ts=self.now, category=category, name=name, node=node,
-            attrs=attrs, phase=PHASE_COUNTER))
+        self.log._record(self._sim._now, category, name, node, attrs,
+                         PHASE_COUNTER, 0.0, 0, 0, 0)
 
     def complete(self, name: str, start: float, category: str = "span",
                  node: str = "", ctx: Optional[SpanContext] = None,
@@ -124,20 +133,30 @@ class Tracer:
 
         ``ctx`` stamps the span's causal identity
         (:class:`SpanContext`); omitted, the span stays a flat legacy
-        record with all ids 0.
+        record with all ids 0.  ``start`` must be finite and in
+        ``[0, now]``.
         """
-        now = self.now
-        if start > now:
-            raise ValueError(f"span start {start} lies in the future "
-                             f"(now={now})")
-        self.metrics.counter(f"{name}.count").inc()
-        self.metrics.histogram(f"{name}.duration_s").observe(now - start)
-        self.log.append(TraceEvent(
-            ts=start, category=category, name=name, node=node,
-            attrs=attrs, phase=PHASE_SPAN, dur=now - start,
-            trace_id=ctx.trace_id if ctx is not None else 0,
-            span_id=ctx.span_id if ctx is not None else 0,
-            parent_id=ctx.parent_id if ctx is not None else 0))
+        now = self._sim._now
+        if not 0 <= start <= now:           # also rejects NaN
+            if start > now:
+                raise ValueError(f"span start {start} lies in the future "
+                                 f"(now={now})")
+            raise ValueError(f"span start must be finite and >= 0, "
+                             f"got {start}")
+        dur = now - start
+        metrics = self._span_metrics.get(name)
+        if metrics is None:
+            metrics = self._span_metrics[name] = (
+                self.metrics.counter(f"{name}.count"),
+                self.metrics.histogram(f"{name}.duration_s"))
+        metrics[0].inc()
+        metrics[1].observe(dur)
+        if ctx is None:
+            self.log._record(start, category, name, node, attrs, PHASE_SPAN,
+                             dur, 0, 0, 0)
+        else:
+            self.log._record(start, category, name, node, attrs, PHASE_SPAN,
+                             dur, ctx.trace_id, ctx.span_id, ctx.parent_id)
 
     @contextmanager
     def span(self, name: str, category: str = "span", node: str = "",
@@ -159,10 +178,9 @@ class Tracer:
         span still closes — tagged ``aborted`` with the interrupt's
         fault kind — so critical-path walks never see dangling spans.
         """
-        start = self.now
-        key = 0
-        if self._sim is not None and self._sim.active_process is not None:
-            key = id(self._sim.active_process)
+        start = self._sim._now
+        process = self._sim.active_process
+        key = id(process) if process is not None else 0
         stack = self._stacks.setdefault(key, [])
         parent: Optional[SpanContext] = stack[-1] if stack else None
         ctx = self.child_context(parent)

@@ -1,7 +1,10 @@
 """Tests for repro.trace: events, spans, metrics, exporters, oracle."""
 
+import gc
 import json
 import random
+import types
+from collections import deque
 
 import pytest
 
@@ -11,7 +14,8 @@ from repro.mapreduce.config import default_config
 from repro.mapreduce.yarn import YarnScheduler
 from repro.sim import Simulation, TimeSeries, periodic_sampler
 from repro.trace import (Counter, Gauge, Histogram, MetricsRegistry,
-                         PHASE_SPAN, TraceEvent, TraceLog, Tracer,
+                         PHASE_COUNTER, PHASE_INSTANT, PHASE_SPAN,
+                         TraceEvent, TraceLog, Tracer,
                          delay_decomposition_from_trace, span_time_by_name,
                          to_chrome_trace, write_chrome_trace, write_csv,
                          write_jsonl)
@@ -40,6 +44,92 @@ def test_log_ring_buffer_bounds_memory():
     assert [e.ts for e in log] == [float(i) for i in range(150, 250)]
 
 
+def test_log_empty_category_filter_keeps_nothing():
+    log = TraceLog(categories=[])
+    assert not log.accepts("web")
+    assert not log.append(TraceEvent(ts=0.0, category="web", name="a"))
+    assert len(log) == 0 and log.filtered == 1 and log.accepted == 0
+    tracer = Tracer(categories=())
+    tracer.complete("s", 0.0)
+    tracer.instant("i")
+    tracer.counter("c", 2.0)
+    assert len(tracer.log) == 0
+    assert tracer.log.filtered == 3
+    # Metrics still count the events the filter dropped.
+    snap = tracer.metrics.snapshot()
+    assert snap["s.count"] == 1 and snap["i.count"] == 1 and snap["c"] == 2.0
+    assert snap["s.duration_s"]["count"] == 1
+
+
+def test_bounded_log_interleaves_appends_and_emissions_across_trims():
+    cap = 100
+    # The filter drops the kernel's own calendar instant.
+    tracer = Tracer(max_events=cap,
+                    categories={"c", "s", "event", "counter"})
+    sim = Simulation(trace=tracer)
+    sim.run(until=5.0)
+    log = tracer.log
+    expected = deque(maxlen=cap)
+    for seq in range(1000):
+        kind = seq % 4
+        if kind == 0:
+            event = TraceEvent(ts=1.0, category="c", name="appended",
+                               attrs={"seq": seq})
+            log.append(event)
+        elif kind == 1:
+            tracer.complete("span", 2.0, category="s", node="n", seq=seq)
+            event = TraceEvent(ts=2.0, category="s", name="span", node="n",
+                               attrs={"seq": seq}, phase=PHASE_SPAN, dur=3.0)
+        elif kind == 2:
+            tracer.instant("mark", seq=seq)
+            event = TraceEvent(ts=5.0, category="event", name="mark",
+                               attrs={"seq": seq}, phase=PHASE_INSTANT)
+        else:
+            tracer.counter("depth", float(seq), seq=seq)
+            event = TraceEvent(ts=5.0, category="counter", name="depth",
+                               attrs={"seq": seq, "value": float(seq)},
+                               phase=PHASE_COUNTER)
+        expected.append(event)
+        assert len(log) == len(expected)
+        assert log.accepted == seq + 1
+        assert log.evicted == seq + 1 - len(expected)
+        if seq % 37 == 0 or seq >= 990:
+            assert list(log) == list(expected)
+        # Trimming happens in chunks, but the columns stay bounded.
+        assert max(len(column) for column in log._columns) <= 2 * cap + 64
+    assert log.evicted == 900
+    assert [e.attrs["seq"] for e in log] == list(range(900, 1000))
+    assert [e.attrs["seq"] for e in log.spans()] == \
+        [s for s in range(900, 1000) if s % 4 == 1]
+
+
+def _tracked_reachable(root):
+    """GC-tracked objects reachable from ``root``, not counting classes
+    and modules (every instance reaches its class, and from there the
+    whole interpreter)."""
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for ref in gc.get_referents(stack.pop()):
+            if (gc.is_tracked(ref) and id(ref) not in seen
+                    and not isinstance(ref, (type, types.ModuleType))):
+                seen.add(id(ref))
+                stack.append(ref)
+    return len(seen)
+
+
+def test_log_gc_footprint_does_not_grow_with_span_count():
+    def tracked_after(spans):
+        tracer = Tracer()
+        for i in range(spans):
+            tracer.complete("request", 0.0, category="web", node="web-0",
+                            req=i, status=200)
+        assert len(tracer.log) == spans
+        return _tracked_reachable(tracer.log)
+
+    assert tracked_after(1_000) == tracked_after(100_000)
+
+
 def test_log_rejects_bad_arguments():
     with pytest.raises(ValueError):
         TraceLog(max_events=0)
@@ -47,6 +137,29 @@ def test_log_rejects_bad_arguments():
         TraceEvent(ts=-1.0, category="c", name="e")
     with pytest.raises(ValueError):
         TraceEvent(ts=0.0, category="c", name="e", phase="Z")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_event_rejects_non_finite_times(bad):
+    with pytest.raises(ValueError):
+        TraceEvent(ts=bad, category="c", name="e")
+    with pytest.raises(ValueError):
+        TraceEvent(ts=0.0, category="c", name="e", phase=PHASE_SPAN, dur=bad)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                 -1.0, 5.0])
+def test_complete_rejects_bad_start(bad):
+    tracer = Tracer()
+    sim = Simulation(trace=tracer)
+    sim.run(until=2.0)
+    before = len(tracer.log)
+    with pytest.raises(ValueError):
+        tracer.complete("x", start=bad)
+    assert len(tracer.log) == before
+    assert "x.count" not in tracer.metrics.snapshot()
+    tracer.complete("x", start=0.5)
+    assert tracer.log.spans(name="x")[0].dur == 1.5
 
 
 # -- Tracer & spans -----------------------------------------------------------
@@ -206,6 +319,17 @@ def test_metrics_registry_snapshot():
     assert snap["delay"]["count"] == 4
     assert snap["delay"]["p95"] == pytest.approx(4.0, rel=0.1)
     assert registry.counter("requests") is registry.counter("requests")
+
+
+def test_registry_rejects_histogram_with_other_bucket_layout():
+    registry = MetricsRegistry()
+    hist = registry.histogram("delay", growth=1.1)
+    assert registry.histogram("delay", growth=1.1) is hist
+    with pytest.raises(ValueError):
+        registry.histogram("delay")
+    with pytest.raises(ValueError):
+        registry.histogram("delay", growth=1.1, floor=1e-6)
+    assert registry.histogram("plain") is registry.histogram("plain")
 
 
 # -- exporters ----------------------------------------------------------------
