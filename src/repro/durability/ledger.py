@@ -99,7 +99,7 @@ class DurabilityLedger:
     def sample(self) -> Dict[str, int]:
         """Walk the block map once; returns the census it recorded."""
         now = self.sim.now
-        health = self.hdfs.health_summary()
+        health, lost_ids = self.hdfs.census()
         if (health["blocks_created"]
                 != health["blocks_live"] + health["blocks_lost"]):
             self.conservation_violations += 1
@@ -114,10 +114,9 @@ class DurabilityLedger:
         self._last_sample_t = now
         self.max_under_replicated = max(self.max_under_replicated,
                                         health["under_replicated"])
-        lost_now = set(self.hdfs.lost_block_ids())
-        fresh = lost_now - self._known_lost
+        fresh = set(lost_ids) - self._known_lost
         if fresh:
-            self._known_lost |= lost_now
+            self._known_lost |= fresh
             self.loss_events.append({"t": now, "blocks": len(fresh),
                                      "block_ids": sorted(fresh)})
             if self.sim.trace is not None:

@@ -57,7 +57,7 @@ class PowerMeter:
 
     def sample(self) -> float:
         """Take one reading now; returns the summed watts."""
-        totals = {key: 0.0 for key in self.per_component}
+        cpu = mem = disk = net = 0.0
         watts = 0.0
         faults = self.sim.faults
         now = self.sim.now
@@ -76,17 +76,20 @@ class PowerMeter:
             if trace is not None:
                 trace.counter(f"{self.name}.node_power_w", node_w,
                               category="power", node=server.name)
-            for key in totals:
-                totals[key] += utilization.get(key, 0.0)
+            get = utilization.get
+            cpu += get("cpu", 0.0)
+            mem += get("mem", 0.0)
+            disk += get("disk", 0.0)
+            net += get("net", 0.0)
         self.series.record(now, watts)
         n = len(self.servers)
-        for key, series in self.per_component.items():
-            series.record(now, totals[key] / n)
+        means = (cpu / n, mem / n, disk / n, net / n)
+        for series, mean in zip(self.per_component.values(), means):
+            series.record(now, mean)
         if trace is not None:
             trace.counter(self.series.name, watts, category="power")
-            for key in self.per_component:
-                trace.counter(f"{self.name}.{key}", totals[key] / n,
-                              category="power")
+            for key, mean in zip(self.per_component, means):
+                trace.counter(f"{self.name}.{key}", mean, category="power")
         return watts
 
     def energy_joules(self) -> float:

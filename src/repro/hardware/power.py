@@ -77,7 +77,12 @@ class PowerSpec:
         blended = 0.0
         for component, weight in weights.items():
             value = utilization.get(component, 0.0)
-            blended += weight * min(1.0, max(0.0, value))
+            # min(1.0, max(0.0, value)) by comparisons; NaN clamps to 0.
+            if not value > 0.0:
+                value = 0.0
+            elif not value < 1.0:
+                value = 1.0
+            blended += weight * value
         return blended
 
     def power(self, utilization: Mapping[str, float],

@@ -277,33 +277,67 @@ class Hdfs:
                      if faults.is_up(r) and faults.is_reachable(r)
                      and not faults.disk_failed(r))
 
+    def census(self) -> Tuple[Dict[str, int], List[int]]:
+        """One pass over the block map: the health counts and the ids
+        of every lost block.
+
+        Each datanode's fault flags are read once; the block walk then
+        needs only set membership.  A block is *lost* when no replica
+        keeps its data (every home's disk failed), *unavailable* when
+        it is live but no copy is readable right now, and
+        *under-replicated* when fewer than ``replication`` copies are.
+        ``blocks_created`` comes from the placement counter, not from
+        the map, so ``created == live + lost`` is a real check on the
+        map's bookkeeping.
+        """
+        dead = set()        # disk failed: the copy's bytes are gone
+        unreadable = set()  # dead, down or severed right now
+        faults = self.sim.faults
+        if faults is not None:
+            for name in self._node_order:
+                if faults.disk_failed(name):
+                    dead.add(name)
+                    unreadable.add(name)
+                elif not (faults.is_up(name) and faults.is_reachable(name)):
+                    unreadable.add(name)
+        replication = self.replication
+        live = under = unavailable = 0
+        lost_ids: List[int] = []
+        for block in self.blocks.values():
+            # stranded: intact copies that cannot be read right now
+            readable = stranded = 0
+            if not unreadable:
+                readable = len(block.replicas)
+            else:
+                for name in block.replicas:
+                    if name not in unreadable:
+                        readable += 1
+                    elif name not in dead:
+                        stranded += 1
+            if not (readable or stranded):
+                lost_ids.append(block.block_id)
+                continue
+            live += 1
+            if readable < replication:
+                under += 1
+                if readable == 0:
+                    unavailable += 1
+        counts = {"blocks_created": self._next_block, "blocks_live": live,
+                  "blocks_lost": len(lost_ids), "under_replicated": under,
+                  "unavailable": unavailable}
+        return counts, lost_ids
+
     def health_summary(self) -> Dict[str, int]:
-        """Block census: created == live + lost is the conservation
-        invariant the durability ledger asserts at every sample.
+        """Block census counts: created == live + lost is the
+        conservation invariant the durability ledger asserts at every
+        sample.
 
         ``unavailable`` splits out the live blocks no reader can reach
         *right now* (every intact copy dead or severed) — the
         rack-oblivious-placement failure mode a single ``switch_down``
         exposes: not data loss, but downtime counted in block-seconds.
         """
-        live = lost = under = unavailable = 0
-        for block in self.blocks.values():
-            if self.intact_replicas(block):
-                live += 1
-                readable = len(self.readable_replicas(block))
-                if readable < self.replication:
-                    under += 1
-                if readable == 0:
-                    unavailable += 1
-            else:
-                lost += 1
-        return {"blocks_created": len(self.blocks), "blocks_live": live,
-                "blocks_lost": lost, "under_replicated": under,
-                "unavailable": unavailable}
-
-    def lost_block_ids(self) -> List[int]:
-        return [b.block_id for b in self.blocks.values()
-                if not self.intact_replicas(b)]
+        return self.census()[0]
 
     # -- repair (opt-in) --------------------------------------------------
 

@@ -4,7 +4,10 @@ Long-lived transfers (HDFS writes, MapReduce shuffle, iperf streams) are
 modelled as *fluid flows*: each flow traverses a set of capacity-limited
 segments (source NIC transmit, destination NIC receive, optionally an
 inter-rack trunk) and receives its max-min fair rate, recomputed by
-progressive filling every time a flow starts or finishes.
+progressive filling every time a flow starts or finishes.  Filling keeps
+a count of unfrozen flows per segment and decrements it as each flow
+freezes, so a round costs one pass over the segments rather than one
+rescan of every segment's flow list.
 
 The implementation keeps per-flow remaining bytes; when the rate
 allocation changes, remaining work is rolled forward and the next
@@ -14,6 +17,7 @@ timeout cancellation, so stale wake-ups are recognised and ignored).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -27,7 +31,7 @@ from ..sim import Event, Simulation
 COMPLETION_THRESHOLD_BYTES = 1e-3
 
 
-@dataclass
+@dataclass(eq=False)
 class Segment:
     """A capacity-limited network segment (a NIC direction or a trunk)."""
 
@@ -38,8 +42,9 @@ class Segment:
     nic_direction: str = "tx"   # "tx" or "rx"
 
     def __post_init__(self):
-        if self.capacity_Bps <= 0:
-            raise ValueError("segment capacity must be > 0")
+        if not (math.isfinite(self.capacity_Bps) and self.capacity_Bps > 0):
+            raise ValueError("segment capacity must be finite and > 0, "
+                             f"got {self.capacity_Bps}")
         #: Store-and-forward bookkeeping (see Topology.message): the
         #: time until which the wire is serialising earlier messages.
         #: Equivalent to a capacity-1 FIFO queue — each arrival starts
@@ -47,11 +52,8 @@ class Segment:
         #: flows ignore it.
         self.busy_until = 0.0
 
-    def __hash__(self):
-        return id(self)
 
-
-@dataclass
+@dataclass(eq=False)
 class Flow:
     """One in-flight bulk transfer."""
 
@@ -60,9 +62,6 @@ class Flow:
     done: Event
     rate_Bps: float = 0.0
     total_bytes: float = field(default=0.0)
-
-    def __hash__(self):
-        return id(self)
 
 
 class FlowNetwork:
@@ -83,6 +82,8 @@ class FlowNetwork:
         Returns an event that fires when the last byte arrives.  Zero-byte
         transfers complete immediately.
         """
+        if not math.isfinite(nbytes):
+            raise ValueError(f"nbytes must be finite, got {nbytes}")
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
         done = self.sim.event()
@@ -91,6 +92,8 @@ class FlowNetwork:
             return done
         if not segments:
             raise ValueError("a flow needs at least one segment")
+        if len(set(segments)) != len(segments):
+            raise ValueError("a flow cannot cross the same segment twice")
         flow = Flow(tuple(segments), float(nbytes), done,
                     total_bytes=float(nbytes))
         self._advance_clock()
@@ -163,16 +166,17 @@ class FlowNetwork:
             for segment in flow.segments:
                 seg_flows.setdefault(segment, []).append(flow)
         seg_capacity = {seg: seg.capacity_Bps for seg in seg_flows}
+        # Unfrozen flows per segment, in seg_flows' insertion order (the
+        # tie-break below relies on it).
+        active = {seg: len(flows) for seg, flows in seg_flows.items()}
         while unfrozen:
             # Tightest segment determines the next fair-share increment.
             bottleneck, fair = None, float("inf")
-            for segment, flows in seg_flows.items():
-                active = [f for f in flows if f in unfrozen]
-                if not active:
-                    continue
-                share = seg_capacity[segment] / len(active)
-                if share < fair:
-                    bottleneck, fair = segment, share
+            for segment, count in active.items():
+                if count:
+                    share = seg_capacity[segment] / count
+                    if share < fair:
+                        bottleneck, fair = segment, share
             if bottleneck is None:
                 break
             for flow in [f for f in seg_flows[bottleneck] if f in unfrozen]:
@@ -180,6 +184,7 @@ class FlowNetwork:
                 unfrozen.discard(flow)
                 for segment in flow.segments:
                     seg_capacity[segment] -= fair
+                    active[segment] -= 1
         for flow, rate in rates.items():
             flow.rate_Bps = rate
             for segment in flow.segments:

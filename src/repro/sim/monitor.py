@@ -27,7 +27,9 @@ class TimeSeries:
         return len(self.times)
 
     def record(self, time: float, value: float) -> None:
-        """Append a sample; times must be non-decreasing."""
+        """Append a sample; times must be finite and non-decreasing."""
+        if not math.isfinite(time):
+            raise ValueError(f"sample time must be finite, got {time}")
         if self.times and time < self.times[-1]:
             raise ValueError(
                 f"time went backwards: {time} < {self.times[-1]}")

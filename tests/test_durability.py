@@ -13,7 +13,7 @@ from repro.durability import (DurabilityArm, DurabilityConfig,
                               attach_job)
 from repro.faults import (FaultInjector, FaultPlan, disk_failure,
                           node_crash, rack_partition, switch_down)
-from repro.mapreduce.hdfs import BlockUnavailable, Hdfs
+from repro.mapreduce.hdfs import BlockUnavailable, Hdfs, HdfsBlock
 from repro.sim import Simulation
 
 
@@ -285,6 +285,101 @@ def test_disk_failure_with_r1_is_recorded_as_loss():
     health = hdfs.health_summary()
     assert health["blocks_created"] == \
         health["blocks_live"] + health["blocks_lost"]
+
+
+# -- the one-pass census against the per-block queries ------------------------
+
+def reference_census(hdfs):
+    """The two-walk census the ledger used to take: counts from
+    intact/readable replicas per block, then the lost ids on a second
+    pass."""
+    live = lost = under = unavailable = 0
+    for block in hdfs.blocks.values():
+        if hdfs.intact_replicas(block):
+            live += 1
+            readable = len(hdfs.readable_replicas(block))
+            if readable < hdfs.replication:
+                under += 1
+            if readable == 0:
+                unavailable += 1
+        else:
+            lost += 1
+    lost_ids = [b.block_id for b in hdfs.blocks.values()
+                if not hdfs.intact_replicas(b)]
+    counts = {"blocks_created": len(hdfs.blocks), "blocks_live": live,
+              "blocks_lost": lost, "under_replicated": under,
+              "unavailable": unavailable}
+    return counts, lost_ids
+
+
+NODE_STATES = ("disk_fail", "crash", "admin_off", "partition")
+
+
+def set_node_state(injector, node, state):
+    status = injector.status[node]
+    if state == "disk_fail":
+        status.disk_failed = True
+    elif state == "crash":
+        status.down_tokens += 1
+    elif state == "admin_off":
+        status.admin_off = True
+    else:
+        status.unreachable_tokens += 1
+
+
+def random_block_map(hdfs, rng, blocks=40):
+    """Replace the block map with random replica tuples (empty ones
+    included) over the datanodes."""
+    names = list(hdfs.datanodes)
+    hdfs.blocks = {}
+    for bid in range(blocks):
+        k = rng.randint(0, min(len(names), hdfs.replication + 1))
+        hdfs.blocks[bid] = HdfsBlock(bid, 1 << 20,
+                                     tuple(rng.sample(names, k)))
+    hdfs._next_block = blocks
+
+
+@pytest.mark.parametrize("states", [(s,) for s in NODE_STATES]
+                         + [NODE_STATES])
+def test_census_matches_per_block_queries(states):
+    rng = random.Random("+".join(states))
+    for _trial in range(25):
+        _, _, injector, hdfs = hdfs_fixture(
+            slaves=6, replication=rng.randint(1, 3))
+        random_block_map(hdfs, rng)
+        for node in hdfs.datanodes:
+            for state in states:
+                if rng.random() < 0.3:
+                    set_node_state(injector, node, state)
+        assert hdfs.census() == reference_census(hdfs)
+        assert hdfs.health_summary() == reference_census(hdfs)[0]
+
+
+def test_census_matches_per_block_queries_without_faults():
+    rng = random.Random(7)
+    sim = Simulation()
+    cluster = hadoop_cluster(sim, "edison", 4)
+    hdfs = Hdfs(sim, cluster.topology, list(cluster.servers.values())[1:],
+                block_bytes=1 << 20, replication=2, rng=random.Random(1))
+    assert sim.faults is None
+    random_block_map(hdfs, rng)
+    counts, lost_ids = hdfs.census()
+    assert (counts, lost_ids) == reference_census(hdfs)
+    assert lost_ids == [b.block_id for b in hdfs.blocks.values()
+                        if not b.replicas]
+
+
+def test_dropping_a_block_from_the_map_is_a_conservation_violation():
+    sim, _, _, hdfs = hdfs_fixture()
+    hdfs.stage_file("input", 4 << 20)
+    ledger = DurabilityLedger(sim, hdfs)
+    ledger.sample()
+    assert ledger.conservation_violations == 0
+    del hdfs.blocks[next(iter(hdfs.blocks))]
+    health = ledger.sample()
+    assert health["blocks_created"] == 4
+    assert health["blocks_live"] + health["blocks_lost"] == 3
+    assert ledger.conservation_violations == 1
 
 
 # -- the ledger ---------------------------------------------------------------

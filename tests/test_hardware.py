@@ -188,6 +188,16 @@ def test_power_unknown_component_key_raises():
     assert spec.effective_utilization({}) == 0.0
 
 
+def test_effective_utilization_clamps_like_min_max():
+    spec = PowerSpec(idle_w=50, busy_w=100, weights={"cpu": 1.0})
+    for value in (-1.0, -0.0, 0.0, 0.25, 1.0, 1.5, float("inf"),
+                  float("-inf"), float("nan"), 0, 1, 2):
+        expected = min(1.0, max(0.0, value))
+        got = spec.effective_utilization({"cpu": value})
+        assert got == expected and type(got) is type(expected)
+    assert spec.effective_utilization({"cpu": float("nan")}) == 0.0
+
+
 def test_power_without_adapter_ablation():
     bare = EDISON.power.without_adapter()
     assert bare.min_w == pytest.approx(paper.T3_EDISON_BARE_IDLE_W)

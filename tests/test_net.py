@@ -1,8 +1,11 @@
 """Unit tests for the network substrate (flows, topology, TCP)."""
 
+import random
+
 import pytest
 
 from repro.cluster import Cluster
+from repro.cluster.builders import hadoop_cluster
 from repro.hardware import DELL_R620, EDISON
 from repro.net import (
     ConnectTimeout, FlowNetwork, Segment, TcpListener, Topology,
@@ -94,6 +97,113 @@ def test_flow_accounts_nic_bytes():
     sim.run(until=done)
     assert a.nic.bytes_sent == pytest.approx(1e6)
     assert b.nic.bytes_received == pytest.approx(1e6)
+
+
+def test_flow_rejects_non_finite_bytes_and_stays_usable():
+    sim = Simulation()
+    net = FlowNetwork(sim)
+    seg = Segment("link", capacity_Bps=100.0)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            net.start_flow([seg], nbytes=bad)
+    assert net.flows == []
+    done = net.start_flow([seg], nbytes=1000)
+    sim.run(until=done)
+    assert sim.now == pytest.approx(10.0)
+
+
+def test_segment_rejects_non_finite_capacity():
+    for bad in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ValueError):
+            Segment("s", capacity_Bps=bad)
+
+
+def test_flow_rejects_a_repeated_segment():
+    sim = Simulation()
+    net = FlowNetwork(sim)
+    seg = Segment("link", capacity_Bps=100.0)
+    with pytest.raises(ValueError, match="twice"):
+        net.start_flow([seg, seg], nbytes=10)
+    assert net.flows == []
+
+
+def test_segments_and_flows_compare_by_identity():
+    a, b = Segment("s", 1.0), Segment("s", 1.0)
+    assert a != b and a == a and len({a, b}) == 2
+
+
+def reference_filling(flows):
+    """Progressive filling as first written: every round rescans every
+    segment's flow list for the unfrozen ones.  Returns the per-flow
+    rates and the NIC rates, accumulated in flow order."""
+    unfrozen = set(flows)
+    rates = {flow: 0.0 for flow in flows}
+    seg_flows = {}
+    for flow in flows:
+        for segment in flow.segments:
+            seg_flows.setdefault(segment, []).append(flow)
+    seg_capacity = {seg: seg.capacity_Bps for seg in seg_flows}
+    while unfrozen:
+        bottleneck, fair = None, float("inf")
+        for segment, members in seg_flows.items():
+            active = [f for f in members if f in unfrozen]
+            if not active:
+                continue
+            share = seg_capacity[segment] / len(active)
+            if share < fair:
+                bottleneck, fair = segment, share
+        if bottleneck is None:
+            break
+        for flow in [f for f in seg_flows[bottleneck] if f in unfrozen]:
+            rates[flow] += fair
+            unfrozen.discard(flow)
+            for segment in flow.segments:
+                seg_capacity[segment] -= fair
+    nic_rates = {}
+    for flow in flows:
+        for segment in flow.segments:
+            if segment.nic is not None:
+                nic_rates[segment.nic] = (nic_rates.get(segment.nic, 0.0)
+                                          + rates[flow])
+    return rates, nic_rates
+
+
+def assert_filling_matches_reference(net):
+    rates, nic_rates = reference_filling(net.flows)
+    for flow in net.flows:
+        assert flow.rate_Bps == rates[flow]
+    for nic, rate in nic_rates.items():
+        assert nic.active_rate_Bps == rate
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_filling_is_bit_equal_to_the_rescanning_reference(seed):
+    rng = random.Random(seed)
+    sim = Simulation()
+    cluster = hadoop_cluster(sim, "edison", 8, racks=2)
+    topo = cluster.topology
+    names = [f"edison-slave-{i}" for i in range(8)]
+    if seed % 2:
+        # Uneven capacities: bottlenecks move between NICs and ToRs.
+        segments = {id(seg): seg for a in names for b in names if a != b
+                    for seg in topo.path(a, b)}
+        for seg in segments.values():
+            seg.capacity_Bps = rng.choice((1e5, 2.5e5, 7e5)) * (
+                1 + rng.random())
+    throttle = Segment("throttle", rng.choice((5e4, 1e5, 3e6)))
+    for _ in range(rng.randint(4, 30)):
+        src, dst = rng.sample(names, 2)
+        path = topo.path(src, dst)
+        if rng.random() < 0.3:
+            path = path + [throttle]
+        topo.network.start_flow(path, rng.choice((1e5, 1e6, 3e6))
+                                * rng.random() + 1.0)
+    assert len(topo.network.flows) >= 4
+    assert_filling_matches_reference(topo.network)
+    # Completions re-run the filling on the survivors.
+    for horizon in (0.5, 2.0, 8.0):
+        sim.run(until=horizon)
+        assert_filling_matches_reference(topo.network)
 
 
 # -- Topology -----------------------------------------------------------------

@@ -20,6 +20,18 @@ def test_timeseries_rejects_time_reversal():
         ts.record(4, 1.0)
 
 
+def test_timeseries_rejects_non_finite_time():
+    ts = TimeSeries()
+    ts.record(0.0, 1.0)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            ts.record(bad, 1.0)
+    ts.record(1.0, 2.0)
+    assert ts.times == [0.0, 1.0]
+    with pytest.raises(ValueError):
+        TimeSeries().record(float("nan"), 0.0)
+
+
 def test_timeseries_at_step_function():
     ts = TimeSeries()
     ts.record(0, 10.0)
