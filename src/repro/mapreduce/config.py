@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import isfinite
 
 from ..core import paperdata as paper
 
@@ -30,6 +31,10 @@ class HadoopConfig:
             raise ValueError("node resources must be >= 1")
         if not 0 < self.slowstart <= 1:
             raise ValueError("slowstart must be in (0, 1]")
+        # Checked here, not on the first heartbeat mid-run.
+        if not (self.heartbeat_s > 0 and isfinite(self.heartbeat_s)):
+            raise ValueError(
+                f"heartbeat_s must be finite and > 0, got {self.heartbeat_s}")
 
     @property
     def block_bytes(self) -> int:

@@ -20,10 +20,12 @@ Three primitives cover everything the reproduction needs:
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
+from math import isfinite
 from typing import Any, Deque
 
 from .errors import SimulationError
-from .kernel import _NO_CALLBACKS, _PENDING, Event, Simulation
+from .kernel import _NO_CALLBACKS, _PENDING, NORMAL, Event, Simulation
 
 
 class Request(Event):
@@ -42,17 +44,37 @@ class Request(Event):
     def __init__(self, resource: "Resource"):
         # Event.__init__ inlined: one Request per CPU burst, disk op
         # and connection slot makes this a hot allocation site.
-        self.sim = resource.sim
+        sim = resource.sim
+        self.sim = sim
         self.callbacks = _NO_CALLBACKS
-        self._value = _PENDING
-        self._ok = None
         self._defused = False
         self._cancelled = False
         self.resource = resource
         self._in_queue = False
-        self._enqueued_at = None
         self._granted_at = None
-        resource._enqueue(self)
+        now = sim._now
+        traced = sim.trace is not None
+        self._enqueued_at = now if traced else None
+        users = resource.users
+        if resource._queued or len(users) >= resource.capacity:
+            self._value = _PENDING
+            self._ok = None
+            resource._enqueue(self)
+            return
+        # Uncontended: the grant happens here, with the same busy-time
+        # accounting as _grant_waiters and succeed()'s calendar entry
+        # at the current time, minus two calls per request.
+        resource._busy_integral += len(users) * (now - resource._last_change)
+        resource._last_change = now
+        users[self] = None
+        if traced:
+            self._granted_at = now
+        self._ok = True
+        self._value = resource
+        heap = sim._heap
+        heappush(heap, (now, NORMAL, next(sim._seq), self))
+        if len(heap) > sim._heap_peak:
+            sim._heap_peak = len(heap)
 
     def __enter__(self) -> "Request":
         return self
@@ -154,22 +176,7 @@ class Resource:
             self._grant_waiters()
 
     def _enqueue(self, request: Request) -> None:
-        if self.sim.trace is not None:
-            request._enqueued_at = self.sim._now
-        users = self.users
-        if not self._queued and len(users) < self.capacity:
-            # Uncontended fast path: grant in place (same accounting
-            # and same succeed-at-now scheduling as _grant_waiters,
-            # minus the queue round-trip every request otherwise pays).
-            now = self.sim._now
-            self._busy_integral += len(users) * (now - self._last_change)
-            self._last_change = now
-            users[request] = None
-            trace = self.sim.trace
-            if trace is not None:
-                request._granted_at = now
-            request.succeed(self)
-            return
+        """Queue a request that :class:`Request` could not grant at once."""
         request._in_queue = True
         self.queue.append(request)
         self._queued += 1
@@ -213,8 +220,11 @@ class ContainerPut(Event):
     __slots__ = ("amount",)
 
     def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise ValueError(f"put amount must be > 0, got {amount}")
+        # A NaN amount would sit at the head of the queue forever,
+        # wedging every put behind it.
+        if not (amount > 0 and isfinite(amount)):
+            raise ValueError(
+                f"put amount must be finite and > 0, got {amount}")
         super().__init__(container.sim)
         self.amount = amount
         container._puts.append(self)
@@ -225,8 +235,11 @@ class ContainerGet(Event):
     __slots__ = ("amount",)
 
     def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise ValueError(f"get amount must be > 0, got {amount}")
+        # A NaN amount would sit at the head of the queue forever,
+        # wedging every get behind it.
+        if not (amount > 0 and isfinite(amount)):
+            raise ValueError(
+                f"get amount must be finite and > 0, got {amount}")
         super().__init__(container.sim)
         self.amount = amount
         container._gets.append(self)
@@ -243,8 +256,9 @@ class Container:
 
     def __init__(self, sim: Simulation, capacity: float,
                  init: float = 0.0, name: str = "container"):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be > 0, got {capacity}")
+        if not (capacity > 0 and isfinite(capacity)):
+            raise ValueError(
+                f"capacity must be finite and > 0, got {capacity}")
         if not 0 <= init <= capacity:
             raise ValueError("init outside [0, capacity]")
         self.sim = sim

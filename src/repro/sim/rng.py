@@ -11,6 +11,8 @@ import hashlib
 import random
 from typing import Dict
 
+_INF = float("inf")
+
 
 def derive_seed(root_seed: int, name: str) -> int:
     """Derive a 63-bit child seed from ``root_seed`` and a stream name."""
@@ -26,13 +28,16 @@ def heartbeat_jitter(rng: random.Random, base_s: float,
     their wakeups with this draw; pulling it through the caller's named
     stream keeps every delay reproducible from the run seed.  The
     default ``(0.3, 1.0)`` window and draw order match the historical
-    YARN heartbeat jitter bit-for-bit.
+    YARN heartbeat jitter bit-for-bit.  The draw is spelt out as
+    ``low + (high - low) * rng.random()``, which is exactly what
+    ``Random.uniform`` computes, minus one call per heartbeat.
     """
-    if base_s < 0:
-        raise ValueError("base_s must be >= 0")
+    # One chained comparison rejects negatives, NaN and infinity alike.
+    if not 0 <= base_s < _INF:
+        raise ValueError(f"base_s must be finite and >= 0, got {base_s!r}")
     if not 0 <= low <= high:
         raise ValueError("need 0 <= low <= high")
-    return rng.uniform(low, high) * base_s
+    return (low + (high - low) * rng.random()) * base_s
 
 
 def backoff_delay(rng: random.Random, attempt: int, base_s: float,
@@ -46,8 +51,8 @@ def backoff_delay(rng: random.Random, attempt: int, base_s: float,
     """
     if attempt < 0:
         raise ValueError("attempt must be >= 0")
-    if base_s <= 0 or cap_s <= 0:
-        raise ValueError("base_s and cap_s must be > 0")
+    if not (0 < base_s < _INF and 0 < cap_s < _INF):
+        raise ValueError("base_s and cap_s must be finite and > 0")
     if not 0 <= jitter <= 1:
         raise ValueError("jitter must be in [0, 1]")
     delay = base_s * (2.0 ** attempt)

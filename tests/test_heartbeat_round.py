@@ -1,0 +1,273 @@
+"""Equivalence of the lean YARN heartbeat round with the code it replaced.
+
+The scheduler's grant pass, the heartbeat jitter draw and the in-place
+``Request`` grant were rewritten for host speed.  Each must stay exact:
+the previous implementations are kept here, and only here, as oracles.
+"""
+
+import random
+
+import pytest
+
+from repro.cluster import hadoop_cluster
+from repro.hardware import EDISON
+from repro.mapreduce import YarnScheduler, default_config
+from repro.mapreduce.yarn import ContainerGrant
+from repro.sim import Resource, Simulation, heartbeat_jitter
+from repro.sim.kernel import Event
+from repro.sim.resources import Request
+from repro.trace import Tracer
+
+
+# -- oracles: the previous implementations ------------------------------------
+
+def old_try_grant(yarn, mem_mb, preferred, allow_any, avoid=()):
+    """The list-building ``YarnScheduler._try_grant``."""
+    candidates = [n for n in preferred
+                  if n in yarn.nodes and yarn.nodes[n].can_fit(mem_mb)]
+    local = bool(candidates)
+    if not candidates and allow_any:
+        candidates = [name for name, nm in yarn.nodes.items()
+                      if nm.can_fit(mem_mb)]
+    if avoid:
+        candidates = [n for n in candidates if n not in avoid]
+    if not candidates:
+        return None
+    name = max(candidates, key=lambda n: yarn.nodes[n].free_mem_mb)
+    yarn.nodes[name].reserve(mem_mb)
+    if preferred:
+        yarn.total_grants += 1
+        if local:
+            yarn.local_grants += 1
+    return ContainerGrant(node=name, mem_mb=mem_mb, local=local)
+
+
+def old_allocate(yarn, mem_mb, preferred=(), max_heartbeats=None, avoid=()):
+    """The round that re-read every attribute and drew via ``uniform``."""
+    heartbeats = 0
+    while True:
+        if max_heartbeats is not None and heartbeats >= max_heartbeats:
+            return None
+        yield yarn.rng.uniform(0.3, 1.0) * yarn.config.heartbeat_s
+        if yarn.master is not None:
+            yield from yarn.master.cpu.execute(
+                yarn.RM_MI_PER_ROUND * yarn._master_penalty())
+        allow_any = (not preferred
+                     or heartbeats >= yarn.LOCALITY_WAIT_HEARTBEATS)
+        grant = old_try_grant(yarn, mem_mb, preferred, allow_any, avoid)
+        if grant is not None:
+            return grant
+        heartbeats += 1
+
+
+class OldRouteRequest(Request):
+    """A ``Request`` granted through ``Event.succeed``, as before."""
+
+    __slots__ = ()
+
+    def __init__(self, resource):
+        Event.__init__(self, resource.sim)
+        self.resource = resource
+        self._in_queue = False
+        self._enqueued_at = None
+        self._granted_at = None
+        sim = resource.sim
+        if sim.trace is not None:
+            self._enqueued_at = sim._now
+        users = resource.users
+        if not resource._queued and len(users) < resource.capacity:
+            now = sim._now
+            resource._busy_integral += len(users) * (
+                now - resource._last_change)
+            resource._last_change = now
+            users[self] = None
+            if sim.trace is not None:
+                self._granted_at = now
+            self.succeed(resource)
+            return
+        resource._enqueue(self)
+
+
+# -- _try_grant -----------------------------------------------------------------
+
+def _twin_schedulers(slaves):
+    sim = Simulation()
+    cluster = hadoop_cluster(sim, "edison", slaves)
+    config = default_config("edison")
+    servers = cluster.metered_servers
+    return (YarnScheduler(sim, servers, config, random.Random(1)),
+            YarnScheduler(sim, servers, config, random.Random(1)))
+
+
+def _state(yarn):
+    return ([(n, nm.down, nm.free_mem_mb) for n, nm in yarn.nodes.items()],
+            yarn.total_grants, yarn.local_grants)
+
+
+def test_try_grant_matches_list_based_version():
+    rng = random.Random(20161017)
+    old, new = _twin_schedulers(slaves=5)
+    names = list(old.nodes)
+    pool = names + ["ghost-a", "ghost-b"]
+    outcomes = set()
+    for _ in range(3000):
+        for yarn in (old, new):
+            yarn.total_grants = yarn.local_grants = 0
+        for name in names:
+            down = rng.random() < 0.2
+            # Few distinct levels, so ties between candidates are common.
+            free = rng.choice((0, 150, 150, 300, 450, 600))
+            for yarn in (old, new):
+                yarn.nodes[name].down = down
+                yarn.nodes[name].free_mem_mb = free
+        preferred = [rng.choice(pool) for _ in range(rng.randrange(4))]
+        avoid_names = rng.sample(pool, rng.randrange(3))
+        avoid = rng.choice((tuple, set, list))(avoid_names)
+        allow_any = rng.random() < 0.5
+        mem_mb = rng.choice((150, 300))
+        expect = old_try_grant(old, mem_mb, preferred, allow_any, avoid)
+        got = new._try_grant(mem_mb, preferred, allow_any, avoid)
+        assert got == expect, (preferred, avoid, allow_any, mem_mb)
+        assert _state(new) == _state(old)
+        outcomes.add(None if got is None else got.local)
+    # Every branch was exercised: local, fallback and no grant.
+    assert outcomes == {None, True, False}
+
+
+def test_try_grant_avoided_local_node_blocks_fallback():
+    old, new = _twin_schedulers(slaves=3)
+    first, second, _ = list(new.nodes)
+    got = new._try_grant(150, [first], allow_any=True, avoid={first})
+    assert got is None
+    assert old_try_grant(old, 150, [first], True, {first}) is None
+    # With the preferred node full, the fallback skips the avoided one.
+    for yarn in (old, new):
+        yarn.nodes[first].free_mem_mb = 0
+    got = new._try_grant(150, [first], allow_any=True, avoid={second})
+    assert got == old_try_grant(old, 150, [first], True, {second})
+    assert got.node not in (first, second) and not got.local
+
+
+# -- heartbeat_jitter ---------------------------------------------------------
+
+@pytest.mark.parametrize("low,high", [(0.3, 1.0), (0.0, 1.0), (0.5, 0.5),
+                                      (0.1, 2.5), (0.0, 0.0)])
+def test_heartbeat_jitter_equals_uniform_draw(low, high):
+    for base_s in (1.0, 0.37, 3.0):
+        ours = random.Random(7)
+        theirs = random.Random(7)
+        for _ in range(10_000):
+            assert (heartbeat_jitter(ours, base_s, low, high)
+                    == theirs.uniform(low, high) * base_s)
+        assert ours.getstate() == theirs.getstate()
+
+
+# -- full allocation round --------------------------------------------------------
+
+def _allocation_run(allocate_with):
+    sim = Simulation()
+    # An Edison master pays the paging penalty and queues the rounds
+    # on its two vcores.
+    cluster = hadoop_cluster(sim, "edison", 3, master_spec=EDISON)
+    yarn = YarnScheduler(sim, cluster.metered_servers,
+                         default_config("edison"), random.Random(11),
+                         master=cluster.servers["master"])
+    names = list(yarn.nodes)
+    log = []
+
+    def task(tag, preferred, max_heartbeats):
+        grant = yield from allocate_with(yarn, 150, preferred,
+                                         max_heartbeats, ())
+        log.append((sim.now, tag, grant))
+        if grant is not None:
+            yield 20.0 + tag % 3
+            yarn.release(grant)
+
+    # Preferences skewed onto two of the three nodes force locality
+    # fall-backs; the capped requests give up while the cluster is full.
+    for tag in range(60):
+        preferred = [names[tag % 2]] if tag % 4 else []
+        sim.process(task(tag, preferred, 2 if tag % 5 == 0 else None))
+    sim.run()
+    return log, sim.calendar_stats(), yarn.rng.getstate(), _state(yarn)
+
+
+def test_allocate_matches_previous_round():
+    def new(yarn, *args):
+        return yarn.allocate(*args)
+
+    assert _allocation_run(new) == _allocation_run(old_allocate)
+
+
+def test_allocation_round_costs_three_events():
+    sim = Simulation()
+    cluster = hadoop_cluster(sim, "edison", 1)
+    yarn = YarnScheduler(sim, cluster.metered_servers,
+                         default_config("edison"), random.Random(3),
+                         master=cluster.servers["master"])
+    next(iter(yarn.nodes.values())).free_mem_mb = 0   # never grants
+    sim.run(until=sim.process(yarn.allocate(150, max_heartbeats=7)))
+    # Heartbeat wait, master vCPU grant and CPU burst per round, plus
+    # the process's start and end.
+    assert sim.calendar_stats()["scheduled"] == 7 * 3 + 2
+
+
+# -- in-place Request grant ---------------------------------------------------------
+
+def _request_run(make_request, traced):
+    tracer = Tracer() if traced else None
+    sim = Simulation(trace=tracer)
+    res = Resource(sim, capacity=2, name="slots")
+    rng = random.Random(4242)
+    log = []
+
+    def user(tag):
+        for _ in range(12):
+            yield rng.choice((0, 0, 0.5, 1.0))
+            req = make_request(res)
+            log.append((sim.now, tag, "ask", req.triggered))
+            if rng.random() < 0.1 and not req.triggered:
+                res.release(req)          # withdraw while queued
+                log.append((sim.now, tag, "withdrew"))
+                continue
+            yield req
+            log.append((sim.now, tag, "got", res.count, res.queue_length))
+            yield rng.choice((0, 0.5, 1.0))
+            res.release(req)
+
+    def ticker():
+        # Plain same-time events interleave with the grants.
+        for _ in range(20):
+            yield sim.timeout(0.5)
+            log.append((sim.now, "tick"))
+
+    for tag in range(5):
+        sim.process(user(tag))
+    sim.process(ticker())
+    sim.run()
+    trace = list(tracer.log) if traced else None
+    return log, sim.calendar_stats(), res.busy_time(), trace
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_in_place_request_grant_matches_succeed_route(traced):
+    ours = _request_run(Request, traced)
+    theirs = _request_run(OldRouteRequest, traced)
+    assert ours == theirs
+    if traced:
+        names = {event.name for event in ours[3]}
+        assert {"slots.hold", "slots.wait"} <= names
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_in_place_request_grant_keeps_calendar_counters(traced):
+    def burst(make_request):
+        sim = Simulation(trace=Tracer() if traced else None)
+        res = Resource(sim, capacity=3)
+        requests = [make_request(res) for _ in range(4)]
+        stats = sim.calendar_stats()
+        return ([r.triggered for r in requests], stats,
+                [(r._enqueued_at, r._granted_at) for r in requests])
+
+    assert burst(Request) == burst(OldRouteRequest)
+    assert burst(Request)[1]["heap_peak"] == 3

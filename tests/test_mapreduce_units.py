@@ -35,6 +35,15 @@ def test_default_config_unknown_platform():
         default_config("sparc")
 
 
+@pytest.mark.parametrize("heartbeat_s", [float("nan"), float("inf"), -1.0,
+                                         0.0])
+def test_config_rejects_bad_heartbeat(heartbeat_s):
+    with pytest.raises(ValueError, match="heartbeat_s"):
+        HadoopConfig(platform="edison", block_mb=16, replication=2,
+                     node_task_mem_mb=600, node_vcores=2, am_mem_mb=300,
+                     heartbeat_s=heartbeat_s)
+
+
 def test_config_with_block_mb():
     config = default_config("edison").with_block_mb(32)
     assert config.block_mb == 32
@@ -238,6 +247,18 @@ def test_nodemanager_overreserve_rejected():
     nm = yarn.nodes[cluster.metered_servers[0].name]
     with pytest.raises(ValueError):
         nm.reserve(601)
+
+
+@pytest.mark.parametrize("size", [-100, 0])
+def test_nodemanager_non_positive_reserve_leaves_state_alone(size):
+    sim, cluster, yarn = make_yarn(slaves=1)
+    server = cluster.metered_servers[0]
+    nm = yarn.nodes[server.name]
+    nm.reserve(150)
+    with pytest.raises(ValueError, match="mem_mb must be >= 1"):
+        nm.reserve(size)
+    assert nm.free_mem_mb == 450
+    assert server.memory.occupied_bytes == 150e6
 
 
 # -- Costs ----------------------------------------------------------------------

@@ -165,6 +165,28 @@ def test_container_invalid_args():
         box.get(-1)
 
 
+@pytest.mark.parametrize("amount", [float("nan"), float("inf")])
+def test_container_rejects_non_finite_amounts(amount):
+    sim = Simulation()
+    box = Container(sim, capacity=5)
+    with pytest.raises(ValueError, match="put amount must be finite"):
+        box.put(amount)
+    with pytest.raises(ValueError, match="get amount must be finite"):
+        box.get(amount)
+    # Nothing was queued, so a valid put behind the rejected one fires.
+    put = box.put(1.0)
+    sim.run()
+    assert put.processed
+    assert box.level == 1.0
+    assert not box._puts and not box._gets
+
+
+@pytest.mark.parametrize("capacity", [float("nan"), float("inf")])
+def test_container_rejects_non_finite_capacity(capacity):
+    with pytest.raises(ValueError, match="capacity must be finite"):
+        Container(Simulation(), capacity=capacity)
+
+
 def test_store_fifo_order():
     sim = Simulation()
     store = Store(sim)
