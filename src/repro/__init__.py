@@ -18,41 +18,28 @@ See README.md for the architecture tour and benchmarks/ for the
 table/figure reproductions.
 """
 
-from .cluster import Cluster, dell_cluster, edison_cluster, hadoop_cluster, \
-    web_cluster
-from .core import paperdata
-from .energy import EnergyReport, PowerMeter, work_done_per_joule
-from .faults import FaultInjector, FaultPlan, job_kill_experiment, \
-    single_node_kill, web_kill_experiment
-from .hardware import DELL_R620, EDISON, EDISON_INTEGRATED_NIC, Server, \
-    ServerSpec, make_server
-from .mapreduce import JOB_FACTORIES, TABLE8_JOBS, JobReport, JobRunner, \
-    JobSpec, run_job
-from .sim import Simulation
-from .tco import cluster_tco, table10
-from .telemetry import DetectionReport, SloReport, SloSpec, Telemetry, \
-    TimeSeriesDB, default_rules
-from .trace import TraceLog, Tracer, delay_decomposition_from_trace, \
-    to_chrome_trace, write_chrome_trace
-from .web import WebServiceDeployment, WebWorkload, delay_distribution, \
-    measure_delay_decomposition, sweep_concurrency
+from ._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Cluster", "DELL_R620", "DetectionReport", "EDISON",
-    "EDISON_INTEGRATED_NIC",
-    "EnergyReport", "FaultInjector", "FaultPlan", "JOB_FACTORIES",
-    "JobReport", "JobRunner", "JobSpec",
-    "PowerMeter", "Server", "ServerSpec", "Simulation", "SloReport",
-    "SloSpec", "TABLE8_JOBS", "Telemetry", "TimeSeriesDB",
-    "TraceLog", "Tracer", "WebServiceDeployment", "WebWorkload",
-    "cluster_tco", "default_rules", "delay_decomposition_from_trace",
-    "dell_cluster",
-    "delay_distribution", "edison_cluster", "hadoop_cluster",
-    "job_kill_experiment", "make_server",
-    "measure_delay_decomposition", "paperdata", "run_job",
-    "single_node_kill", "sweep_concurrency", "table10", "to_chrome_trace",
-    "web_cluster", "web_kill_experiment",
-    "work_done_per_joule", "write_chrome_trace", "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".cluster": ("Cluster", "dell_cluster", "edison_cluster", "hadoop_cluster",
+                 "web_cluster"),
+    ".core": ("paperdata",),
+    ".energy": ("EnergyReport", "PowerMeter", "work_done_per_joule"),
+    ".faults": ("FaultInjector", "FaultPlan", "job_kill_experiment",
+                "single_node_kill", "web_kill_experiment"),
+    ".hardware": ("DELL_R620", "EDISON", "EDISON_INTEGRATED_NIC", "Server",
+                  "ServerSpec", "make_server"),
+    ".mapreduce": ("JOB_FACTORIES", "TABLE8_JOBS", "JobReport", "JobRunner",
+                   "JobSpec", "run_job"),
+    ".sim": ("Simulation",),
+    ".tco": ("cluster_tco", "table10"),
+    ".telemetry": ("DetectionReport", "SloReport", "SloSpec", "Telemetry",
+                   "TimeSeriesDB", "default_rules"),
+    ".trace": ("TraceLog", "Tracer", "delay_decomposition_from_trace",
+               "to_chrome_trace", "write_chrome_trace"),
+    ".web": ("WebServiceDeployment", "WebWorkload", "delay_distribution",
+             "measure_delay_decomposition", "sweep_concurrency"),
+})
+__all__.append("__version__")

@@ -18,32 +18,17 @@ guarantee `repro.trace`, `repro.telemetry`, `repro.faults` and
 `repro.resilience` make.
 """
 
-from .actuator import FleetActuator
-from .config import (DEFAULT_BOOT_S, ActuationConfig, AutoscaleConfig,
-                     PolicyConfig)
-from .controller import AutoscaleController
-from .deployment import HybridWebDeployment
-from .ledger import AutoscaleLedger, ScalingAction
-from .policy import PredictivePolicy, ReactivePolicy, make_policy
-from .pool import ACTIVE, BOOTING, DRAINING, OFF, FleetPool, PoolNode
+from .._exports import lazy_exports
 
-__all__ = [
-    "ACTIVE", "ActuationConfig", "AutoscaleArm", "AutoscaleConfig",
-    "AutoscaleController", "AutoscaleLedger", "AutoscaleReport",
-    "BOOTING", "DAY_SEED", "DEFAULT_BOOT_S", "DRAINING", "DayPlan",
-    "FleetActuator", "FleetPool", "HybridWebDeployment", "OFF",
-    "PolicyConfig", "PoolNode", "PredictivePolicy", "ReactivePolicy",
-    "ScalingAction", "autoscale_experiment", "make_policy",
-]
-
-_REPORT_NAMES = ("AutoscaleArm", "AutoscaleReport", "DAY_SEED", "DayPlan",
-                 "autoscale_experiment")
-
-
-def __getattr__(name):
-    # Deferred: report builds on repro.telemetry and repro.web's
-    # deployment surface — keep the heavy imports off the config path.
-    if name in _REPORT_NAMES:
-        from . import report
-        return getattr(report, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".actuator": ("FleetActuator",),
+    ".config": ("DEFAULT_BOOT_S", "ActuationConfig", "AutoscaleConfig",
+                "PolicyConfig"),
+    ".controller": ("AutoscaleController",),
+    ".deployment": ("HybridWebDeployment",),
+    ".ledger": ("AutoscaleLedger", "ScalingAction"),
+    ".policy": ("PredictivePolicy", "ReactivePolicy", "make_policy"),
+    ".pool": ("ACTIVE", "BOOTING", "DRAINING", "OFF", "FleetPool", "PoolNode"),
+    ".report": ("AutoscaleArm", "AutoscaleReport", "DAY_SEED", "DayPlan",
+                "autoscale_experiment"),
+})

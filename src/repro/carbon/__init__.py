@@ -17,33 +17,17 @@ identical to plain ``run_job`` — the same hard off-path guarantee
 and `repro.autoscale` make.
 """
 
-from .governor import CarbonGovernor
-from .jobspec import CARBON_JOB_KINDS, CarbonJobSpec
-from .ledger import CarbonLedger, GovernorAction, JobRecord, grid_impact
-from .policy import (POLICY_KINDS, EddPolicy, NoWaitPolicy, PolicySpec,
-                     SchedulingPolicy, SuspendResumePolicy,
-                     ThresholdWaitPolicy, make_policy)
-from .scheduler import CarbonScheduler, run_policy_day
-from .trace import (SignalTrace, evening_peak_price, solar_dip_intensity)
+from .._exports import lazy_exports
 
-__all__ = [
-    "CARBON_JOB_KINDS", "CarbonArm", "CarbonDayPlan", "CarbonGovernor",
-    "CarbonJobSpec", "CarbonLedger", "CarbonReport", "CarbonScheduler",
-    "DAY_SEED", "EddPolicy", "GovernorAction", "JobRecord",
-    "NoWaitPolicy", "POLICY_KINDS", "PLATFORMS", "PolicySpec",
-    "SchedulingPolicy", "SignalTrace", "SuspendResumePolicy",
-    "ThresholdWaitPolicy", "carbon_experiment", "evening_peak_price",
-    "grid_impact", "make_policy", "run_policy_day", "solar_dip_intensity",
-]
-
-_REPORT_NAMES = ("CarbonArm", "CarbonDayPlan", "CarbonReport", "DAY_SEED",
-                 "PLATFORMS", "carbon_experiment")
-
-
-def __getattr__(name):
-    # Deferred: the report pulls in the whole MapReduce surface — keep
-    # it off the path of anyone who only wants traces and policies.
-    if name in _REPORT_NAMES:
-        from . import report
-        return getattr(report, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".governor": ("CarbonGovernor",),
+    ".jobspec": ("CARBON_JOB_KINDS", "CarbonJobSpec"),
+    ".ledger": ("CarbonLedger", "GovernorAction", "JobRecord", "grid_impact"),
+    ".policy": ("POLICY_KINDS", "EddPolicy", "NoWaitPolicy", "PolicySpec",
+                "SchedulingPolicy", "SuspendResumePolicy",
+                "ThresholdWaitPolicy", "make_policy"),
+    ".scheduler": ("CarbonScheduler", "run_policy_day"),
+    ".trace": ("SignalTrace", "evening_peak_price", "solar_dip_intensity"),
+    ".report": ("CarbonArm", "CarbonDayPlan", "CarbonReport", "DAY_SEED",
+                "PLATFORMS", "carbon_experiment"),
+})

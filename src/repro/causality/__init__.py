@@ -23,37 +23,16 @@ Everything here is pure post-processing over a
 runs zero code inside the simulation and cannot perturb it.
 """
 
-from ..trace.context import SpanContext
-from .critical import (CriticalPath, Segment, critical_path,
-                       decomposition_from_critical_paths, self_times)
-from .energy import (EnergyAttribution, NodeEnergy, attribute_energy,
-                     node_power_samples, pstate_transitions)
-from .exemplars import Exemplar, ExemplarStore
-from .flame import (collapse, energy_stacks, latency_stacks, render_html,
-                    write_collapsed, write_flame_html)
-from .forest import SpanForest, SpanNode, build_forest
+from .._exports import lazy_exports
 
-__all__ = [
-    "SpanContext",
-    "SpanForest",
-    "SpanNode",
-    "build_forest",
-    "CriticalPath",
-    "Segment",
-    "critical_path",
-    "self_times",
-    "decomposition_from_critical_paths",
-    "EnergyAttribution",
-    "NodeEnergy",
-    "attribute_energy",
-    "node_power_samples",
-    "pstate_transitions",
-    "Exemplar",
-    "ExemplarStore",
-    "collapse",
-    "latency_stacks",
-    "energy_stacks",
-    "render_html",
-    "write_collapsed",
-    "write_flame_html",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "..trace.context": ("SpanContext",),
+    ".critical": ("CriticalPath", "Segment", "critical_path",
+                  "decomposition_from_critical_paths", "self_times"),
+    ".energy": ("EnergyAttribution", "NodeEnergy", "attribute_energy",
+                "node_power_samples", "pstate_transitions"),
+    ".exemplars": ("Exemplar", "ExemplarStore"),
+    ".flame": ("collapse", "energy_stacks", "latency_stacks", "render_html",
+               "write_collapsed", "write_flame_html"),
+    ".forest": ("SpanForest", "SpanNode", "build_forest"),
+})

@@ -10,6 +10,9 @@ Examples
     python -m repro table10
     python -m repro microbench
     python -m repro histogram --platform dell
+
+Each handler imports the simulation modules it runs, so building the
+parser (``--help``, a usage error) loads none of them.
 """
 
 from __future__ import annotations
@@ -20,19 +23,8 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .cluster import Cluster
-from .core import paperdata as paper
-from .core.capacity import replacement_estimate
-from .core.report import format_table, paper_vs_measured
-from .hardware import DELL_R620, EDISON, make_server
-from .mapreduce import JOB_FACTORIES, TABLE8_JOBS, JobRunner, run_job
-from .microbench import run_dd, run_dhrystone, run_ioping, run_iperf, \
-    run_ping, run_sysbench_cpu, run_sysbench_memory
-from .sim import Simulation
-from .tco import savings_fraction, table10
-from .trace import Tracer, write_chrome_trace, write_csv, write_jsonl
-from .web import WebServiceDeployment, WebWorkload, delay_distribution, \
-    measure_delay_decomposition
+from .core.report import format_table
+from .mapreduce.jobs import JOB_NAMES, TABLE8_JOBS
 
 
 def _load_fault_plan(args):
@@ -79,6 +71,7 @@ def _make_tracer(args):
         _check_parent_dir("--metrics", metrics_path)
     if flame_path:
         _check_parent_dir("--flame", flame_path)
+    from .trace import Tracer
     return Tracer()
 
 
@@ -87,6 +80,7 @@ def _export_trace(tracer, args) -> None:
         return
     path = getattr(args, "trace", None)
     if path:
+        from .trace import write_chrome_trace, write_csv, write_jsonl
         # Extension picks the format: .jsonl/.csv round-trip through
         # ``repro causality``; anything else is a Chrome/Perfetto trace.
         if path.endswith(".jsonl"):
@@ -189,6 +183,7 @@ def _export_telemetry(telemetry, args) -> None:
 
 
 def _cmd_web(args) -> int:
+    from .web import WebServiceDeployment, WebWorkload
     workload = WebWorkload(image_fraction=args.images,
                            cache_hit_ratio=args.hit_ratio)
     tracer = _make_tracer(args)
@@ -222,6 +217,8 @@ def _cmd_web(args) -> int:
 
 
 def _cmd_job(args) -> int:
+    from .core import paperdata as paper
+    from .mapreduce import JOB_FACTORIES, JobRunner
     spec, config = JOB_FACTORIES[args.name](args.platform, args.slaves)
     tracer = _make_tracer(args)
     telemetry = _make_telemetry(args)
@@ -424,6 +421,7 @@ def _cmd_sweep(args) -> int:
     tracer = None
     if getattr(args, "trace", None):
         _check_parent_dir("--trace", args.trace)
+        from .trace import Tracer, write_chrome_trace
         tracer = Tracer()
     report = sweep.run(plane, args, plan, tracer)
     for line in report.lines():
@@ -536,6 +534,10 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_table2(args) -> int:
+    from .core import paperdata as paper
+    from .core.capacity import replacement_estimate
+    from .core.report import paper_vs_measured
+    from .hardware import DELL_R620, EDISON
     estimate = replacement_estimate(EDISON, DELL_R620)
     print(paper_vs_measured(
         [("by CPU", 12, estimate.by_cpu),
@@ -547,6 +549,8 @@ def _cmd_table2(args) -> int:
 
 
 def _cmd_table8(args) -> int:
+    from .core import paperdata as paper
+    from .mapreduce import JOB_FACTORIES, run_job
     jobs = args.jobs or list(TABLE8_JOBS)
     rows = []
     for job in jobs:
@@ -564,6 +568,8 @@ def _cmd_table8(args) -> int:
 
 
 def _cmd_table7(args) -> int:
+    from .core import paperdata as paper
+    from .web import measure_delay_decomposition
     rows = []
     for rate, db, cache, total in paper.T7_ROWS:
         e = measure_delay_decomposition("edison", rate,
@@ -583,6 +589,8 @@ def _cmd_table7(args) -> int:
 
 
 def _cmd_table10(args) -> int:
+    from .core import paperdata as paper
+    from .tco import savings_fraction, table10
     rows = []
     for key, values in table10().items():
         published = paper.T10[key]
@@ -597,6 +605,7 @@ def _cmd_table10(args) -> int:
 
 
 def _cmd_histogram(args) -> int:
+    from .web import delay_distribution
     log = delay_distribution(args.platform, total_rate_rps=args.rate,
                              duration=args.duration,
                              warmup=args.duration / 3)
@@ -609,6 +618,11 @@ def _cmd_histogram(args) -> int:
 
 
 def _cmd_microbench(args) -> int:
+    from .cluster import Cluster
+    from .hardware import DELL_R620, EDISON, make_server
+    from .microbench import (run_dd, run_dhrystone, run_ioping, run_iperf,
+                             run_ping, run_sysbench_cpu, run_sysbench_memory)
+    from .sim import Simulation
     rows = []
     for label, spec in (("edison", EDISON), ("dell", DELL_R620)):
         sim = Simulation()
@@ -697,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
     web.set_defaults(func=_cmd_web)
 
     job = sub.add_parser("job", help="run one MapReduce job")
-    job.add_argument("name", choices=sorted(JOB_FACTORIES))
+    job.add_argument("name", choices=sorted(JOB_NAMES))
     job.add_argument("--platform", choices=("edison", "dell"),
                      default="edison")
     job.add_argument("--slaves", type=int, default=35)
@@ -748,7 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
     cweb.set_defaults(func=_cmd_chaos_web)
     cjob = chaos_sub.add_parser(
         "job", help="kill a Hadoop slave mid-job vs a clean run")
-    cjob.add_argument("name", choices=sorted(JOB_FACTORIES))
+    cjob.add_argument("name", choices=sorted(JOB_NAMES))
     cjob.add_argument("--platform", choices=("edison", "dell"),
                       default="edison")
     cjob.add_argument("--slaves", type=int, default=35)

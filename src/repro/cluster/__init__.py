@@ -1,8 +1,9 @@
 """Cluster composition: server groups, topologies and testbed layouts."""
 
-from .builders import (dell_cluster, edison_cluster, hadoop_cluster,
-                       hybrid_web_cluster, web_cluster)
-from .cluster import Cluster
+from .._exports import lazy_exports
 
-__all__ = ["Cluster", "dell_cluster", "edison_cluster", "hadoop_cluster",
-           "hybrid_web_cluster", "web_cluster"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".builders": ("dell_cluster", "edison_cluster", "hadoop_cluster",
+                  "hybrid_web_cluster", "web_cluster"),
+    ".cluster": ("Cluster",),
+})

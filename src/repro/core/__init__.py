@@ -1,16 +1,12 @@
 """The evaluation harness: paper constants, metrics, capacity, reports."""
 
-from . import paperdata
-from .capacity import ReplacementEstimate, replacement_estimate
-from .metrics import (
-    efficiency_ratio, mean_speedup_across_jobs, relative_error,
-    speedup_per_doubling, within_band, work_done_per_joule,
-)
-from .report import format_series, format_table, paper_vs_measured
+from .._exports import lazy_exports
 
-__all__ = [
-    "ReplacementEstimate", "efficiency_ratio", "format_series",
-    "format_table", "mean_speedup_across_jobs", "paper_vs_measured",
-    "paperdata", "relative_error", "replacement_estimate",
-    "speedup_per_doubling", "within_band", "work_done_per_joule",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".": ("paperdata",),
+    ".capacity": ("ReplacementEstimate", "replacement_estimate"),
+    ".metrics": ("efficiency_ratio", "mean_speedup_across_jobs",
+                 "relative_error", "speedup_per_doubling", "within_band",
+                 "work_done_per_joule"),
+    ".report": ("format_series", "format_table", "paper_vs_measured"),
+})

@@ -31,24 +31,12 @@ hard guarantee `repro.trace`, `repro.telemetry`, `repro.faults`,
 `repro.dvfs` make.
 """
 
-from .config import DurabilityConfig, PhiConfig, RepairConfig
-from .ledger import DurabilityLedger
-from .plane import attach_job
+from .._exports import lazy_exports
 
-__all__ = [
-    "DAY_SEED", "DurabilityArm", "DurabilityConfig", "DurabilityLedger",
-    "DurabilityPlan", "DurabilityReport", "PhiConfig", "RepairConfig",
-    "attach_job", "durability_experiment",
-]
-
-_REPORT_NAMES = ("DAY_SEED", "DurabilityArm", "DurabilityPlan",
-                 "DurabilityReport", "durability_experiment")
-
-
-def __getattr__(name):
-    # Deferred: the report drives whole MapReduce runs — keep the
-    # heavy imports off the config/ledger path.
-    if name in _REPORT_NAMES:
-        from . import report
-        return getattr(report, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".config": ("DurabilityConfig", "PhiConfig", "RepairConfig"),
+    ".ledger": ("DurabilityLedger",),
+    ".plane": ("attach_job",),
+    ".report": ("DAY_SEED", "DurabilityArm", "DurabilityPlan",
+                "DurabilityReport", "durability_experiment"),
+})

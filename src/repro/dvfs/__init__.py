@@ -19,29 +19,14 @@ to a build without this package — the same hard guarantee
 `repro.autoscale` and `repro.carbon` make.
 """
 
-from .config import GOVERNOR_KINDS, DvfsConfig, GovernorConfig
-from .governor import (OndemandGovernor, PerformanceGovernor,
-                       PowersaveGovernor, make_governor)
-from .plane import DvfsPlane, attach_job, attach_web
-from .scorecard import (DVFS_SEED, LOAD_FRACTIONS, LoadPoint,
-                        ProportionalityScorecard, measure_proportionality)
+from .._exports import lazy_exports
 
-__all__ = [
-    "DVFS_SEED", "DvfsArm", "DvfsConfig", "DvfsPlan", "DvfsPlane",
-    "DvfsReport", "GOVERNOR_KINDS", "GovernorConfig", "LOAD_FRACTIONS",
-    "LoadPoint", "OndemandGovernor", "PerformanceGovernor",
-    "PowersaveGovernor", "ProportionalityScorecard", "attach_job",
-    "attach_web", "dvfs_experiment", "make_governor",
-    "measure_proportionality",
-]
-
-_REPORT_NAMES = ("DvfsArm", "DvfsPlan", "DvfsReport", "dvfs_experiment")
-
-
-def __getattr__(name):
-    # Deferred: report builds on repro.telemetry and repro.web's
-    # deployment surface — keep the heavy imports off the config path.
-    if name in _REPORT_NAMES:
-        from . import report
-        return getattr(report, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".config": ("GOVERNOR_KINDS", "DvfsConfig", "GovernorConfig"),
+    ".governor": ("OndemandGovernor", "PerformanceGovernor",
+                  "PowersaveGovernor", "make_governor"),
+    ".plane": ("DvfsPlane", "attach_job", "attach_web"),
+    ".scorecard": ("DVFS_SEED", "LOAD_FRACTIONS", "LoadPoint",
+                   "ProportionalityScorecard", "measure_proportionality"),
+    ".report": ("DvfsArm", "DvfsPlan", "DvfsReport", "dvfs_experiment"),
+})

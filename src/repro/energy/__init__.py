@@ -1,8 +1,9 @@
 """Energy measurement: power meters and work-done-per-joule accounting."""
 
-from .account import (EnergyReport, GridImpact, OverheadJoules,
-                      efficiency_gain, work_done_per_joule)
-from .meter import PowerMeter
+from .._exports import lazy_exports
 
-__all__ = ["EnergyReport", "GridImpact", "OverheadJoules", "PowerMeter",
-           "efficiency_gain", "work_done_per_joule"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".account": ("EnergyReport", "GridImpact", "OverheadJoules",
+                 "efficiency_gain", "work_done_per_joule"),
+    ".meter": ("PowerMeter",),
+})

@@ -22,24 +22,17 @@ to an unattached run — the same hard guarantee `repro.trace` makes, and
 tested the same way.
 """
 
-from .models import (Fault, FaultCause, FaultPlan, GRAY_KINDS,
-                     NODE_DOWN_KINDS, PARTITION_KINDS, RecurringFault,
-                     cpu_throttle, disk_failure, disk_stall, nic_degrade,
-                     node_crash, node_set_partition, packet_loss,
-                     power_event, rack_partition, single_node_kill,
-                     switch_down)
-from .injector import FaultInjector, FaultRecord
-from .phi import PhiAccrualDetector
-from .report import (AvailabilityReport, JobChaosResult, WebChaosResult,
-                     job_kill_experiment, web_kill_experiment)
+from .._exports import lazy_exports
 
-__all__ = [
-    "Fault", "FaultCause", "FaultPlan", "GRAY_KINDS", "NODE_DOWN_KINDS",
-    "PARTITION_KINDS", "RecurringFault",
-    "node_crash", "power_event", "nic_degrade", "disk_stall",
-    "disk_failure", "cpu_throttle", "packet_loss", "rack_partition",
-    "node_set_partition", "switch_down", "single_node_kill",
-    "FaultInjector", "FaultRecord", "PhiAccrualDetector",
-    "AvailabilityReport", "WebChaosResult", "JobChaosResult",
-    "web_kill_experiment", "job_kill_experiment",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".models": ("Fault", "FaultCause", "FaultPlan", "GRAY_KINDS",
+                "NODE_DOWN_KINDS", "PARTITION_KINDS", "RecurringFault",
+                "cpu_throttle", "disk_failure", "disk_stall", "nic_degrade",
+                "node_crash", "node_set_partition", "packet_loss",
+                "power_event", "rack_partition", "single_node_kill",
+                "switch_down"),
+    ".injector": ("FaultInjector", "FaultRecord"),
+    ".phi": ("PhiAccrualDetector",),
+    ".report": ("AvailabilityReport", "JobChaosResult", "WebChaosResult",
+                "job_kill_experiment", "web_kill_experiment"),
+})

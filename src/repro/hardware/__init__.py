@@ -1,19 +1,14 @@
 """Calibrated hardware models: CPU, memory, storage, NIC, power, servers."""
 
-from .cpu import NOMINAL_PSTATE, Cpu, CpuSpec, PState, derive_pstates
-from .memory import Memory, MemorySpec
-from .nic import Nic, NicSpec
-from .power import DEFAULT_WEIGHTS, PowerSpec, cluster_power
-from .profiles import (
-    DELL_R620, EDISON, EDISON_INTEGRATED_NIC, PROFILES, make_server,
-)
-from .server import Server, ServerSpec
-from .storage import Storage, StorageSpec
+from .._exports import lazy_exports
 
-__all__ = [
-    "Cpu", "CpuSpec", "DEFAULT_WEIGHTS", "DELL_R620", "EDISON",
-    "EDISON_INTEGRATED_NIC", "Memory", "MemorySpec", "NOMINAL_PSTATE",
-    "Nic", "NicSpec", "PROFILES", "PState", "PowerSpec", "Server",
-    "ServerSpec", "Storage", "StorageSpec", "cluster_power",
-    "derive_pstates", "make_server",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".cpu": ("NOMINAL_PSTATE", "Cpu", "CpuSpec", "PState", "derive_pstates"),
+    ".memory": ("Memory", "MemorySpec"),
+    ".nic": ("Nic", "NicSpec"),
+    ".power": ("DEFAULT_WEIGHTS", "PowerSpec", "cluster_power"),
+    ".profiles": ("DELL_R620", "EDISON", "EDISON_INTEGRATED_NIC", "PROFILES",
+                  "make_server"),
+    ".server": ("Server", "ServerSpec"),
+    ".storage": ("Storage", "StorageSpec"),
+})

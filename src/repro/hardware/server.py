@@ -105,5 +105,19 @@ class Server:
             utilization = self.utilization_window()
         return self.spec.power.power(utilization, self.cpu.pstate)
 
+    def marginal_vcore_watts(self) -> float:
+        """Marginal power of one busy vcore under the linear power model.
+
+        Priced at the CPU's active P-state: wasted seconds on a
+        down-clocked core cost fewer joules per second (they also last
+        longer — the caller bills the stretched duration).
+        """
+        power = self.spec.power
+        watts = (power.max_w - power.min_w) / self.cpu.spec.vcores
+        factor = self.cpu.pstate.busy_w_factor
+        if factor != 1.0:
+            watts *= factor
+        return watts
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Server {self.name} ({self.platform})>"

@@ -1,21 +1,15 @@
 """The Section 5.2 MapReduce substrate: HDFS, YARN, job runtime, jobs."""
 
-from .config import HadoopConfig, default_config
-from .costs import ALLOC_LEAD_S, JVM_START_MI, JobCosts
-from .hdfs import Hdfs, HdfsBlock, HdfsFile
-from .jobs import JOB_FACTORIES, TABLE8_JOBS
-from .runtime import JobReport, JobRunner, JobSpec, JobTimeline, run_job
-from .scaling import (
-    DELL_SIZES, EDISON_SIZES, ScalingGrid, efficiency_table,
-    paper_energies, paper_mean_speedup, paper_times, run_scaling_grid,
-)
-from .yarn import ContainerGrant, NodeManager, YarnScheduler
+from .._exports import lazy_exports
 
-__all__ = [
-    "ALLOC_LEAD_S", "DELL_SIZES", "EDISON_SIZES", "ScalingGrid",
-    "efficiency_table", "paper_energies", "paper_mean_speedup",
-    "paper_times", "run_scaling_grid", "ContainerGrant", "HadoopConfig", "Hdfs", "HdfsBlock",
-    "HdfsFile", "JOB_FACTORIES", "JVM_START_MI", "JobCosts", "JobReport",
-    "JobRunner", "JobSpec", "JobTimeline", "NodeManager", "TABLE8_JOBS",
-    "YarnScheduler", "default_config", "run_job",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".config": ("HadoopConfig", "default_config"),
+    ".costs": ("ALLOC_LEAD_S", "JVM_START_MI", "JobCosts"),
+    ".hdfs": ("Hdfs", "HdfsBlock", "HdfsFile"),
+    ".jobs": ("JOB_FACTORIES", "TABLE8_JOBS"),
+    ".runtime": ("JobReport", "JobRunner", "JobSpec", "JobTimeline", "run_job"),
+    ".scaling": ("DELL_SIZES", "EDISON_SIZES", "ScalingGrid",
+                 "efficiency_table", "paper_energies", "paper_mean_speedup",
+                 "paper_times", "run_scaling_grid"),
+    ".yarn": ("ContainerGrant", "NodeManager", "YarnScheduler"),
+})

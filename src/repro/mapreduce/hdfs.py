@@ -22,12 +22,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..hardware.server import Server
 from ..net import Segment, Topology
 from ..sim import Simulation
-from ..workloads import Dataset
+
+if TYPE_CHECKING:
+    from ..workloads import Dataset
 
 
 class BlockUnavailable(Exception):

@@ -2,31 +2,17 @@
 
 ``JOB_FACTORIES`` maps each job name to a factory
 ``(platform, slaves) -> (JobSpec, HadoopConfig)`` that applies the
-paper's per-platform, per-cluster-size tuning.
+paper's per-platform, per-cluster-size tuning.  ``JOB_NAMES`` and
+``TABLE8_JOBS`` name the jobs without importing the runtime.
 """
 
-from .logcount import logcount2_job, logcount_job
-from .pi import pi_job
-from .terasort import teragen_job, terasort_job, teravalidate_job
-from .wordcount import wordcount2_job, wordcount_job
+from ..._exports import lazy_exports
 
-JOB_FACTORIES = {
-    "wordcount": wordcount_job,
-    "wordcount2": wordcount2_job,
-    "logcount": logcount_job,
-    "logcount2": logcount2_job,
-    "pi": pi_job,
-    "terasort": terasort_job,
-    "teragen": teragen_job,
-    "teravalidate": teravalidate_job,
-}
-
-#: The jobs Table 8 reports on.
-TABLE8_JOBS = ("wordcount", "wordcount2", "logcount", "logcount2", "pi",
-               "terasort")
-
-__all__ = [
-    "JOB_FACTORIES", "TABLE8_JOBS", "logcount2_job", "logcount_job",
-    "pi_job", "teragen_job", "terasort_job", "teravalidate_job",
-    "wordcount2_job", "wordcount_job",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".names": ("JOB_NAMES", "TABLE8_JOBS"),
+    ".registry": ("JOB_FACTORIES",),
+    ".logcount": ("logcount2_job", "logcount_job"),
+    ".pi": ("pi_job",),
+    ".terasort": ("teragen_job", "terasort_job", "teravalidate_job"),
+    ".wordcount": ("wordcount2_job", "wordcount_job"),
+})

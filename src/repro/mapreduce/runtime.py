@@ -24,20 +24,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import math
 import statistics
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..cluster import Cluster, hadoop_cluster
 from ..core import paperdata as paper
-from ..faults.models import FaultCause, PARTITION_KINDS
 from ..hardware import ServerSpec
-from ..resilience.config import ResilienceConfig
-from ..resilience.ledger import ResilienceLedger
 from ..sim import Interrupt, RngStreams, Simulation, TimeSeries, backoff_delay
-from ..workloads import Dataset
 from . import costs as C
 from .config import HadoopConfig, default_config
 from .hdfs import BlockUnavailable, Hdfs
 from .yarn import YarnScheduler
+
+if TYPE_CHECKING:
+    from ..resilience.config import ResilienceConfig
+    from ..workloads import Dataset
 
 #: Concurrent fetch streams per reducer (mapreduce.reduce.shuffle.parallelcopies).
 SHUFFLE_PARALLELISM = 5
@@ -249,6 +249,7 @@ class JobRunner:
         self.resilience_ledger = None
         self._retry_rng = None
         if self.resilience is not None:
+            from ..resilience.ledger import ResilienceLedger
             self.resilience_ledger = ResilienceLedger()
             if self.resilience.retries:
                 self._retry_rng = self.rng.stream("resilience.retry")
@@ -436,6 +437,7 @@ class JobRunner:
 
     def _on_fault_event(self, event: str, node: str, kind: str) -> None:
         """Fault-injector listener: react to node down/up edges."""
+        from ..faults.models import PARTITION_KINDS
         if kind in PARTITION_KINDS:
             self._on_partition_event(event, node, kind)
             return
@@ -485,6 +487,7 @@ class JobRunner:
 
     def _on_partition_event(self, event: str, node: str,
                             kind: str) -> None:
+        from ..faults.models import FaultCause
         if node not in self.yarn.nodes:
             return
         if event == "down":
@@ -509,6 +512,7 @@ class JobRunner:
     def _expire_partitioned(self, spec: JobSpec, state: "_JobState",
                             node: str, kind: str):
         """RM-side conviction of a silent-but-alive node."""
+        from ..faults.models import FaultCause
         faults = self.sim.faults
         if self._phi is not None:
             suspected = yield from self._phi.wait_suspect(
@@ -565,8 +569,7 @@ class JobRunner:
     def _charge_split_brain(self, node: str, seconds: float) -> None:
         if self.durability_ledger is None:
             return
-        server = self.cluster.servers[node]
-        watts = ResilienceLedger.marginal_vcore_watts(server)
+        watts = self.cluster.servers[node].marginal_vcore_watts()
         self.durability_ledger.charge("split_brain", node, seconds, watts)
 
     def _job(self, spec: JobSpec, state: "_JobState",
@@ -729,6 +732,7 @@ class JobRunner:
                 # A *partition* kill is different: the node is alive on
                 # the far side, so the orphaned attempt lives on as a
                 # zombie duplicate until heal-time reconciliation.
+                from ..faults.models import FaultCause, PARTITION_KINDS
                 cause = exc.cause
                 if (isinstance(cause, FaultCause)
                         and cause.kind in PARTITION_KINDS):

@@ -1,18 +1,13 @@
 """Section 4 micro-benchmarks: CPU, memory, storage and network tests."""
 
-from .dhrystone import DhrystoneResult, run_dhrystone
-from .network import (
-    PROTOCOL_EFFICIENCY, IperfResult, PingResult, run_iperf, run_ping,
-)
-from .storage import DdResult, IopingResult, run_dd, run_ioping
-from .sysbench import (
-    CPU_TEST_EVENTS, SysbenchCpuResult, SysbenchMemoryResult,
-    run_sysbench_cpu, run_sysbench_memory,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "CPU_TEST_EVENTS", "DdResult", "DhrystoneResult", "IopingResult",
-    "IperfResult", "PROTOCOL_EFFICIENCY", "PingResult", "SysbenchCpuResult",
-    "SysbenchMemoryResult", "run_dd", "run_dhrystone", "run_ioping",
-    "run_iperf", "run_ping", "run_sysbench_cpu", "run_sysbench_memory",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".dhrystone": ("DhrystoneResult", "run_dhrystone"),
+    ".network": ("PROTOCOL_EFFICIENCY", "IperfResult", "PingResult",
+                 "run_iperf", "run_ping"),
+    ".storage": ("DdResult", "IopingResult", "run_dd", "run_ioping"),
+    ".sysbench": ("CPU_TEST_EVENTS", "SysbenchCpuResult",
+                  "SysbenchMemoryResult", "run_sysbench_cpu",
+                  "run_sysbench_memory"),
+})

@@ -1,13 +1,10 @@
 """Network substrate: fluid flows, topology, and TCP establishment."""
 
-from .flows import Flow, FlowNetwork, Segment
-from .tcp import (
-    SYN_RETRY_DELAYS, ConnectionStats, ConnectTimeout, TcpListener, exchange,
-)
-from .topology import NetworkUnreachable, ROOM_RACKS, TRUNK_BPS, Topology
+from .._exports import lazy_exports
 
-__all__ = [
-    "ConnectTimeout", "ConnectionStats", "Flow", "FlowNetwork",
-    "NetworkUnreachable", "ROOM_RACKS", "SYN_RETRY_DELAYS", "Segment",
-    "TRUNK_BPS", "TcpListener", "Topology", "exchange",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".flows": ("Flow", "FlowNetwork", "Segment"),
+    ".tcp": ("SYN_RETRY_DELAYS", "ConnectionStats", "ConnectTimeout",
+             "TcpListener", "exchange"),
+    ".topology": ("NetworkUnreachable", "ROOM_RACKS", "TRUNK_BPS", "Topology"),
+})

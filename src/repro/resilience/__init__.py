@@ -17,28 +17,14 @@ without this package — the same hard guarantee `repro.trace`,
 `repro.telemetry` and `repro.faults` make.
 """
 
-from .breaker import CircuitBreaker
-from .config import (AdmissionConfig, BreakerConfig, HedgeConfig,
-                     ResilienceConfig, RetryPolicy, SpeculationConfig)
-from .ledger import ResilienceLedger
+from .._exports import lazy_exports
 
-__all__ = [
-    "AdmissionConfig", "BreakerConfig", "CircuitBreaker", "HedgeConfig",
-    "ResilienceArm", "ResilienceConfig", "ResilienceLedger",
-    "ResilienceTaxReport", "RetryPolicy", "SpeculationConfig",
-    "job_gray_plan", "job_resilience_experiment", "web_gray_plan",
-    "web_resilience_experiment",
-]
-
-_REPORT_NAMES = ("ResilienceArm", "ResilienceTaxReport", "job_gray_plan",
-                 "job_resilience_experiment", "web_gray_plan",
-                 "web_resilience_experiment")
-
-
-def __getattr__(name):
-    # Deferred: report builds on repro.web / repro.mapreduce, which
-    # import this package's config and ledger — a cycle if done eagerly.
-    if name in _REPORT_NAMES:
-        from . import report
-        return getattr(report, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".breaker": ("CircuitBreaker",),
+    ".config": ("AdmissionConfig", "BreakerConfig", "HedgeConfig",
+                "ResilienceConfig", "RetryPolicy", "SpeculationConfig"),
+    ".ledger": ("ResilienceLedger",),
+    ".report": ("ResilienceArm", "ResilienceTaxReport", "job_gray_plan",
+                "job_resilience_experiment", "web_gray_plan",
+                "web_resilience_experiment"),
+})

@@ -60,18 +60,8 @@ class ResilienceLedger:
 
     @staticmethod
     def marginal_vcore_watts(server) -> float:
-        """Marginal power of one busy vcore under the linear power model.
-
-        Priced at the CPU's active P-state: wasted seconds on a
-        down-clocked core cost fewer joules per second (they also last
-        longer — the caller bills the stretched duration).
-        """
-        power = server.spec.power
-        watts = (power.max_w - power.min_w) / server.cpu.spec.vcores
-        factor = server.cpu.pstate.busy_w_factor
-        if factor != 1.0:
-            watts *= factor
-        return watts
+        """See :meth:`repro.hardware.Server.marginal_vcore_watts`."""
+        return server.marginal_vcore_watts()
 
     @property
     def total_waste_joules(self) -> float:

@@ -1,14 +1,11 @@
 """From-scratch discrete-event simulation kernel used by all substrates."""
 
-from .errors import EmptySchedule, Interrupt, SimulationError
-from .kernel import AllOf, AnyOf, Event, Process, Simulation, Timeout
-from .monitor import TimeSeries, periodic_sampler
-from .resources import Container, Request, Resource, Store
-from .rng import RngStreams, backoff_delay, derive_seed, heartbeat_jitter
+from .._exports import lazy_exports
 
-__all__ = [
-    "AllOf", "AnyOf", "Container", "EmptySchedule", "Event", "Interrupt",
-    "Process", "Request", "Resource", "RngStreams", "Simulation",
-    "SimulationError", "Store", "TimeSeries", "Timeout", "backoff_delay",
-    "derive_seed", "heartbeat_jitter", "periodic_sampler",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".errors": ("EmptySchedule", "Interrupt", "SimulationError"),
+    ".kernel": ("AllOf", "AnyOf", "Event", "Process", "Simulation", "Timeout"),
+    ".monitor": ("TimeSeries", "periodic_sampler"),
+    ".resources": ("Container", "Request", "Resource", "Store"),
+    ".rng": ("RngStreams", "backoff_delay", "derive_seed", "heartbeat_jitter"),
+})

@@ -563,13 +563,18 @@ class Simulation:
 
         ``until`` may be ``None`` (drain everything), a number (stop when
         the clock reaches it), or an :class:`Event` (stop when it fires and
-        return its value).
+        return its value; a failed event raises its exception, whether it
+        fails during the run or had already failed before it).
         """
         stop_event: Optional[Event] = None
         if until is not None:
             if isinstance(until, Event):
                 stop_event = until
                 if stop_event.callbacks is None:
+                    # Already processed: a failure raises, exactly as
+                    # _stop_callback does when it fails during the run.
+                    if not stop_event._ok:
+                        raise stop_event._value
                     return stop_event._value
                 stop_event.add_callback(self._stop_callback)
             else:

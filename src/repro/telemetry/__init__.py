@@ -26,21 +26,15 @@ Scrapes are pure reads; with no rules attached a monitored run is
 bit-identical to an unmonitored one.
 """
 
-from .export import (load_bundle, render_dashboard, save_bundle,
-                     summary_lines, to_prometheus, write_dashboard,
-                     write_prometheus)
-from .rules import (AbsenceRule, Alert, AlertManager,
-                    CorrelatedSilenceRule, SpreadRule, ThresholdRule,
-                    default_rules)
-from .scrapers import ClusterAgent, NodeAgent, Telemetry
-from .slo import Detection, DetectionReport, SloReport, SloSpec
-from .tsdb import TimeSeriesDB
+from .._exports import lazy_exports
 
-__all__ = [
-    "AbsenceRule", "Alert", "AlertManager", "ClusterAgent",
-    "CorrelatedSilenceRule", "Detection",
-    "DetectionReport", "NodeAgent", "SloReport", "SloSpec", "SpreadRule",
-    "Telemetry", "ThresholdRule", "TimeSeriesDB", "default_rules",
-    "load_bundle", "render_dashboard", "save_bundle", "summary_lines",
-    "to_prometheus", "write_dashboard", "write_prometheus",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".export": ("load_bundle", "render_dashboard", "save_bundle",
+                "summary_lines", "to_prometheus", "write_dashboard",
+                "write_prometheus"),
+    ".rules": ("AbsenceRule", "Alert", "AlertManager", "CorrelatedSilenceRule",
+               "SpreadRule", "ThresholdRule", "default_rules"),
+    ".scrapers": ("ClusterAgent", "NodeAgent", "Telemetry"),
+    ".slo": ("Detection", "DetectionReport", "SloReport", "SloSpec"),
+    ".tsdb": ("TimeSeriesDB",),
+})

@@ -29,20 +29,16 @@ objects are built only when the log is read (iteration,
 exporters, :func:`repro.causality.build_forest`).
 """
 
-from .analysis import (TraceDecomposition, delay_decomposition_from_trace,
-                       span_time_by_name)
-from .context import SpanContext
-from .events import (PHASE_COUNTER, PHASE_INSTANT, PHASE_SPAN, TraceEvent,
-                     TraceLog)
-from .export import read_csv, read_jsonl, to_chrome_trace, \
-    write_chrome_trace, write_csv, write_jsonl
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .spans import Tracer
+from .._exports import lazy_exports
 
-__all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "PHASE_COUNTER",
-    "PHASE_INSTANT", "PHASE_SPAN", "SpanContext", "TraceDecomposition",
-    "TraceEvent", "TraceLog", "Tracer", "delay_decomposition_from_trace",
-    "read_csv", "read_jsonl", "span_time_by_name", "to_chrome_trace",
-    "write_chrome_trace", "write_csv", "write_jsonl",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".analysis": ("TraceDecomposition", "delay_decomposition_from_trace",
+                  "span_time_by_name"),
+    ".context": ("SpanContext",),
+    ".events": ("PHASE_COUNTER", "PHASE_INSTANT", "PHASE_SPAN", "TraceEvent",
+                "TraceLog"),
+    ".export": ("read_csv", "read_jsonl", "to_chrome_trace",
+                "write_chrome_trace", "write_csv", "write_jsonl"),
+    ".metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    ".spans": ("Tracer",),
+})

@@ -1,30 +1,19 @@
 """The Section 5.1 web-service stack: LLMP tiers, httperf, probes."""
 
-from .client import ProbeLog, UrllibProbe, delay_distribution
-from .deployment import (
-    DelayDecomposition, WebServiceDeployment, measure_delay_decomposition,
-)
-from .httperf import HttperfDriver, LevelResult, LevelStats
-from .loadshape import DiurnalShape, FlashCrowd, ShapedLoad
-from .nodes import (
-    CacheNode, CallRecord, DatabaseNode, PortPool, WebServerNode,
-)
-from .rotation import WeightedRotation
-from .params import (
-    COSTS, LIMITS, PER_SERVER_CAPACITY_RPS, ConnectionLimits, ServiceCosts,
-    WebWorkload, mean_reply_bytes, tuned_calls_per_connection,
-    workload_factor,
-)
-from .runner import SweepResult, energy_efficiency_ratio, sweep_concurrency
+from .._exports import lazy_exports
 
-__all__ = [
-    "COSTS", "CacheNode", "CallRecord", "ConnectionLimits",
-    "DatabaseNode", "DelayDecomposition", "DiurnalShape", "FlashCrowd",
-    "HttperfDriver", "LIMITS", "LevelResult", "LevelStats",
-    "PER_SERVER_CAPACITY_RPS", "PortPool", "ProbeLog", "ServiceCosts",
-    "ShapedLoad", "SweepResult", "UrllibProbe", "WebServerNode",
-    "WebServiceDeployment", "WebWorkload", "WeightedRotation",
-    "delay_distribution", "energy_efficiency_ratio", "mean_reply_bytes",
-    "measure_delay_decomposition", "sweep_concurrency",
-    "tuned_calls_per_connection", "workload_factor",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".client": ("ProbeLog", "UrllibProbe", "delay_distribution"),
+    ".deployment": ("DelayDecomposition", "WebServiceDeployment",
+                    "measure_delay_decomposition"),
+    ".httperf": ("HttperfDriver", "LevelResult", "LevelStats"),
+    ".loadshape": ("DiurnalShape", "FlashCrowd", "ShapedLoad"),
+    ".nodes": ("CacheNode", "CallRecord", "DatabaseNode", "PortPool",
+               "WebServerNode"),
+    ".rotation": ("WeightedRotation",),
+    ".params": ("COSTS", "LIMITS", "PER_SERVER_CAPACITY_RPS",
+                "ConnectionLimits", "ServiceCosts", "WebWorkload",
+                "mean_reply_bytes", "tuned_calls_per_connection",
+                "workload_factor"),
+    ".runner": ("SweepResult", "energy_efficiency_ratio", "sweep_concurrency"),
+})

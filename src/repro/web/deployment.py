@@ -11,17 +11,17 @@ restarts its 3-minute tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from ..cluster import web_cluster
 from ..hardware import ServerSpec
-from ..resilience.breaker import CircuitBreaker
-from ..resilience.config import ResilienceConfig
-from ..resilience.ledger import ResilienceLedger
 from ..sim import RngStreams, Simulation
 from . import params as P
 from .httperf import HttperfDriver, LevelResult
 from .nodes import CacheNode, DatabaseNode, WebServerNode
+
+if TYPE_CHECKING:
+    from ..resilience.config import ResilienceConfig
 
 
 class WebServiceDeployment:
@@ -81,6 +81,9 @@ class WebServiceDeployment:
         self.breakers = None
         self._retry_rng = None
         if self.resilience is not None:
+            # The plane's modules load only when it is armed.
+            from ..resilience.breaker import CircuitBreaker
+            from ..resilience.ledger import ResilienceLedger
             self.resilience_ledger = ResilienceLedger()
             self._retry_rng = self.rng.stream("resilience.retry")
             if self.resilience.breakers:
@@ -113,7 +116,7 @@ class WebServiceDeployment:
         crash/power fault is repaired reboots with a clean connection
         table (see :meth:`WebServerNode.reset`).
         """
-        from ..faults import FaultInjector   # deferred: avoids a cycle
+        from ..faults import FaultInjector   # loaded only when armed
         injector = FaultInjector(self.cluster, plan, **kwargs)
         injector.add_listener(self._on_fault_event)
         return injector

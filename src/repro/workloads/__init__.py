@@ -1,14 +1,11 @@
 """Synthetic workload data: text corpus, logs, terasort records, wiki DB."""
 
-from .datasets import Dataset, DatasetFile, split_evenly
-from .loggen import LogGenerator, logcount_dataset
-from .teragen import TeragenGenerator, terasort_dataset
-from .textgen import ZipfTextGenerator, wordcount_dataset
-from .wikidb import TableSpec, WikiDatabase, build_tables, table_weights
+from .._exports import lazy_exports
 
-__all__ = [
-    "Dataset", "DatasetFile", "LogGenerator", "TableSpec",
-    "TeragenGenerator", "WikiDatabase", "ZipfTextGenerator", "build_tables",
-    "logcount_dataset", "split_evenly", "table_weights", "terasort_dataset",
-    "wordcount_dataset",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".datasets": ("Dataset", "DatasetFile", "split_evenly"),
+    ".loggen": ("LogGenerator", "logcount_dataset"),
+    ".teragen": ("TeragenGenerator", "terasort_dataset"),
+    ".textgen": ("ZipfTextGenerator", "wordcount_dataset"),
+    ".wikidb": ("TableSpec", "WikiDatabase", "build_tables", "table_weights"),
+})

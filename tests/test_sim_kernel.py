@@ -131,6 +131,50 @@ def test_run_until_event_never_fires_raises():
         sim.run(until=pending)
 
 
+def _defused_failure(sim):
+    """An event a waiter defuses, failed with ValueError('boom') at t=1."""
+    gate = sim.event()
+
+    def waiter():
+        try:
+            yield gate
+        except ValueError:
+            pass
+
+    def failer():
+        yield sim.timeout(1)
+        gate.fail(ValueError("boom"))
+
+    sim.process(waiter())
+    sim.process(failer())
+    return gate
+
+
+def test_run_until_event_failing_during_the_run_raises():
+    sim = Simulation()
+    gate = _defused_failure(sim)
+    with pytest.raises(ValueError, match="boom"):
+        sim.run(until=gate)
+    assert sim.now == 1
+
+
+def test_run_until_event_that_already_failed_raises():
+    sim = Simulation()
+    gate = _defused_failure(sim)
+    sim.run()
+    assert gate.processed and not gate.ok
+    with pytest.raises(ValueError, match="boom"):
+        sim.run(until=gate)
+    assert sim.now == 1
+
+
+def test_run_until_event_that_already_succeeded_returns_its_value():
+    sim = Simulation()
+    done = sim.timeout(1, value="v")
+    sim.run()
+    assert sim.run(until=done) == "v"
+
+
 def test_process_waits_on_process():
     sim = Simulation()
     log = []
