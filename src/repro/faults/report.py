@@ -212,8 +212,6 @@ def job_kill_experiment(job: str = "wordcount", platform: str = "edison",
         faulted = runner.run(spec, deadline_s=deadline_s)
     except JobFailed:
         completed = False
-    state = runner._active[1] if runner._active is not None else None
-    recovered = state.lost_map_count if state is not None else 0
     if completed and faulted is not None:
         time_over = faulted.seconds / baseline.seconds - 1.0
         energy_over = faulted.joules / baseline.joules - 1.0
@@ -226,6 +224,6 @@ def job_kill_experiment(job: str = "wordcount", platform: str = "edison",
         completed=completed,
         baseline=baseline, faulted=faulted,
         availability=AvailabilityReport.from_injector(injector),
-        recovered_maps=recovered,
+        recovered_maps=runner.counts.lost_map_count,
         time_overhead_fraction=time_over,
         energy_overhead_fraction=energy_over)

@@ -139,8 +139,8 @@ class JobSpec:
             raise ValueError("map_tasks >= 1 and reduce_tasks >= 0 required")
         if self.map_mem_mb < 1 or self.reduce_mem_mb < 1:
             raise ValueError("container memories must be >= 1 MB")
-        if self.output_ratio < 0:
-            raise ValueError("output_ratio must be >= 0")
+        if not 0 <= self.output_ratio < math.inf:   # NaN fails too
+            raise ValueError("output_ratio must be finite and >= 0")
         for rate_field in ("map_failure_rate", "reduce_failure_rate"):
             if not 0 <= getattr(self, rate_field) < 1:
                 raise ValueError(f"{rate_field} must be in [0, 1)")
@@ -163,6 +163,20 @@ class JobSpec:
             return 0.0
         survival = self.dataset.combine_survival if self.combiner else 1.0
         return self.map_output_bytes * survival
+
+
+@dataclass(frozen=True)
+class JobCounts:
+    """Task counts of one job run, as they stood when it ended or failed."""
+
+    maps_done: int
+    reduces_done: int
+    #: Attempts that died: injected failures and node-loss kills.
+    failed_attempts: int
+    #: Completed map outputs invalidated by node loss (re-executed).
+    lost_map_count: int
+    #: Lost map outputs whose re-execution had not finished.
+    pending_recoveries: int
 
 
 @dataclass
@@ -235,9 +249,11 @@ class JobRunner:
                                   master=self.cluster.servers["master"])
         self.meter = self.cluster.attach_meter(interval=1.0)
         self._fault_rng = self.rng.stream("faults")
-        #: (spec, state) of the run in flight — consulted by the
-        #: fault-injector listener for node-loss recovery.
+        #: State of the run in flight under a fault injector — consulted
+        #: by the fault listener for node-loss recovery; None otherwise.
         self._active = None
+        #: :class:`JobCounts` of the last run, set when it ends or fails.
+        self.counts: Optional[JobCounts] = None
         #: Root SpanContext of the running job's causal tree (traced
         #: runs only; set by :meth:`run`).
         self._job_ctx = None
@@ -317,7 +333,7 @@ class JobRunner:
             # Wire failure detection/recovery: node loss blacklists the
             # NodeManager, reclaims its containers and re-executes the
             # completed maps whose output died with it.
-            self._active = (spec, state)
+            self._active = state
             self.sim.faults.add_listener(self._on_fault_event)
         input_files = self._stage_input(spec)
         done = self.sim.process(self._job(spec, state, input_files),
@@ -325,8 +341,16 @@ class JobRunner:
         self.meter.start()
         self.sim.process(self._sampler(state, timeline, sample_interval,
                                        done))
-        self.sim.run(until=self.sim.any_of([done,
-                                            self.sim.timeout(deadline_s)]))
+        try:
+            self.sim.run(until=self.sim.any_of(
+                [done, self.sim.timeout(deadline_s)]))
+        finally:
+            # The job is over: node loss from here on must not re-run
+            # its maps or hold containers for it.
+            self._active = None
+            self.counts = JobCounts(
+                state.maps_done, state.reduces_done, state.failed_attempts,
+                state.lost_map_count, state.pending_recoveries)
         if not done.processed:
             raise RuntimeError(
                 f"job {spec.name!r} still running at the {deadline_s} s "
@@ -447,30 +471,59 @@ class JobRunner:
             self.yarn.mark_node_up(node)
             return
         if node not in self.yarn.nodes or self._active is None:
-            return   # the master or a non-slave; allocation just stalls
-        spec, state = self._active
+            return   # the master, a non-slave or no job in flight
         # Completed map output lived on the node's local disk: gone.
         # Account for it now (so shuffles stop trusting the node) and
         # re-execute once the ResourceManager expires the NodeManager.
-        lost_files, counts = state.lose_node(node)
-        self.sim.process(
-            self._expire_and_recover(spec, state, node, lost_files, counts),
-            name=f"expire-{node}")
+        state = self._active
+        self.sim.process(self._expire(state, node, kind,
+                                      lost=state.lose_node(node)),
+                         name=f"expire-{node}")
 
-    def _expire_and_recover(self, spec: JobSpec, state: "_JobState",
-                            node: str, lost_files: List, counts: bool):
-        """RM-side process: expire a silent NodeManager, re-run its maps."""
-        yield NM_EXPIRY_HEARTBEATS * self.config.heartbeat_s
+    def _expire(self, state: "_JobState", node: str, kind: str,
+                lost: Optional[tuple] = None):
+        """RM-side process: expire a silent NodeManager, re-run its maps.
+
+        A crashed node's map output was written off at the crash
+        instant (``lost``, from :meth:`_JobState.lose_node`).  A
+        partitioned node is alive, so it is convicted first (phi
+        detector when armed, else the fixed liveness window) and only
+        then loses its output and its bound attempts.
+        """
+        from ..faults.models import FaultCause
         faults = self.sim.faults
-        if faults is not None and not faults.is_up(node):
+        if lost is None and self._phi is not None:
+            suspected = yield from self._phi.wait_suspect(
+                node, healthy=lambda: (faults.is_reachable(node)
+                                       and faults.is_up(node)))
+            if not suspected:
+                return
+        else:
+            yield NM_EXPIRY_HEARTBEATS * self.config.heartbeat_s
+        if self._active is None:
+            return   # the job ended inside the window
+        if lost is None:
+            if faults.is_reachable(node):
+                return   # healed inside the liveness window; never expired
+            self.yarn.mark_node_down(node)
+            self._partition_expired.add(node)
+            # This side stops trusting the node's completed map output
+            # (it is unreachable for shuffle) and re-executes on the
+            # majority.
+            lost = state.lose_node(node)
+            for process in faults.bound_processes(node):
+                if process.is_alive:
+                    process.interrupt(FaultCause(kind, node))
+        elif not faults.is_up(node):
             # Still silent after the liveness window: blacklist it.  (If
             # it rebooted in time, its containers are gone regardless.)
             self.yarn.mark_node_down(node)
+        lost_files, counts = lost
         for hdfs_file in lost_files:
             self.sim.process(
-                self._map_task(spec, state, None, state.map_factor,
-                               recovery_from=node, fixed_file=hdfs_file,
-                               counts=counts),
+                self._task(state.spec, state, "map", state.map_factor,
+                           recovery_from=node, fixed_file=hdfs_file,
+                           counts=counts),
                 name=f"remap-{node}")
 
     # -- split-brain: partitions and their reconciliation ------------------
@@ -491,12 +544,9 @@ class JobRunner:
         if node not in self.yarn.nodes:
             return
         if event == "down":
-            if self._active is None:
-                return
-            spec, state = self._active
-            self.sim.process(
-                self._expire_partitioned(spec, state, node, kind),
-                name=f"expire-{node}")
+            if self._active is not None:
+                self.sim.process(self._expire(self._active, node, kind),
+                                 name=f"expire-{node}")
             return
         # Heal: kill duplicate attempts, then re-register the survivor.
         for process, started in self._zombies.pop(node, ()):
@@ -508,36 +558,6 @@ class JobRunner:
             self._partition_expired.discard(node)
             self.yarn.mark_node_up(node)
             self.partition_counters["reregistered"] += 1
-
-    def _expire_partitioned(self, spec: JobSpec, state: "_JobState",
-                            node: str, kind: str):
-        """RM-side conviction of a silent-but-alive node."""
-        from ..faults.models import FaultCause
-        faults = self.sim.faults
-        if self._phi is not None:
-            suspected = yield from self._phi.wait_suspect(
-                node, healthy=lambda: (faults.is_reachable(node)
-                                       and faults.is_up(node)))
-            if not suspected:
-                return
-        else:
-            yield NM_EXPIRY_HEARTBEATS * self.config.heartbeat_s
-        if faults.is_reachable(node):
-            return   # healed inside the liveness window; never expired
-        self.yarn.mark_node_down(node)
-        self._partition_expired.add(node)
-        # This side stops trusting the node's completed map output (it
-        # is unreachable for shuffle) and re-executes on the majority.
-        lost_files, counts = state.lose_node(node)
-        for process in faults.bound_processes(node):
-            if process.is_alive:
-                process.interrupt(FaultCause(kind, node))
-        for hdfs_file in lost_files:
-            self.sim.process(
-                self._map_task(spec, state, None, state.map_factor,
-                               recovery_from=node, fixed_file=hdfs_file,
-                               counts=counts),
-                name=f"remap-{node}")
 
     def _spawn_zombie(self, node: str) -> None:
         """The partitioned side's copy of an interrupted attempt."""
@@ -590,7 +610,8 @@ class JobRunner:
             for i in range(spec.map_tasks):
                 cell = _TaskCell(i, board)
                 proc = self.sim.process(
-                    self._map_task(spec, state, pool, map_factor, cell=cell),
+                    self._task(spec, state, "map", map_factor, pool=pool,
+                               cell=cell),
                     name=f"map-{i}")
                 cell.primary = proc
                 board.cells.append(cell)
@@ -600,7 +621,7 @@ class JobRunner:
                 name="speculation-monitor")
         else:
             maps = [self.sim.process(
-                self._map_task(spec, state, pool, map_factor),
+                self._task(spec, state, "map", map_factor, pool=pool),
                 name=f"map-{i}") for i in range(spec.map_tasks)]
         reduces = []
         if spec.reduce_tasks > 0:
@@ -613,7 +634,7 @@ class JobRunner:
                 1, self.config.node_task_mem_mb // spec.reduce_mem_mb)
             early = min(spec.reduce_tasks, max(1, slots // 2))
             reduces = [self.sim.process(
-                self._reduce_task(spec, state, reduce_factor),
+                self._task(spec, state, "reduce", reduce_factor),
                 name=f"red-{i}") for i in range(early)]
         yield self.sim.all_of(maps)
         if self.sim.faults is not None:
@@ -623,51 +644,54 @@ class JobRunner:
         state.all_maps_done.succeed()
         if spec.reduce_tasks > 0:
             reduces.extend(self.sim.process(
-                self._reduce_task(spec, state, reduce_factor),
+                self._task(spec, state, "reduce", reduce_factor),
                 name=f"red-{i}") for i in range(early, spec.reduce_tasks))
         if reduces:
             yield self.sim.all_of(reduces)
 
-    # -- map side ----------------------------------------------------------
+    # -- tasks: one attempt lifecycle for maps and reduces -----------------
 
-    def _map_task(self, spec: JobSpec, state: "_JobState",
-                  pool: Optional["_InputPool"], factor: float,
-                  recovery_from: Optional[str] = None,
-                  fixed_file=None, counts: bool = True,
-                  cell: Optional[_TaskCell] = None):
-        """One map task: allocate, attempt, retry; record its output.
+    def _task(self, spec: JobSpec, state: "_JobState", kind: str,
+              factor: float, pool: Optional["_InputPool"] = None,
+              recovery_from: Optional[str] = None, fixed_file=None,
+              counts: bool = True, cell: Optional[_TaskCell] = None):
+        """One map or reduce task: allocate, attempt, retry; record it.
 
-        With ``recovery_from`` set this is a re-execution of a map whose
-        completed output died with node ``recovery_from``; the input
-        split is ``fixed_file`` (no locality pool draw) and completion
-        settles the pending recovery instead of advancing the original
-        map counter (unless ``counts``: the phase was still open when
-        the node died, so the counter was decremented and must recover).
+        ``kind`` is ``"map"`` or ``"reduce"``; both share this attempt
+        lifecycle.  A map draws its input split from ``pool`` at its
+        first live grant.  With ``recovery_from`` set it is instead a
+        re-execution of a map whose completed output died with node
+        ``recovery_from``; the input split is ``fixed_file`` and
+        completion settles the pending recovery instead of advancing
+        the original map counter (unless ``counts``: the phase was still
+        open when the node died, so the counter was decremented and
+        must recover).
 
-        With a ``cell`` (speculation enabled), the task publishes its
+        With a ``cell`` (speculation enabled), a map publishes its
         attempt progress there and a speculative twin may race it: the
         first finisher wins, the loser is killed and its joules charged
         to the resilience ledger.
         """
+        is_map = kind == "map"
+        mem_mb = spec.map_mem_mb if is_map else spec.reduce_mem_mb
         hdfs_file = fixed_file
         faults = self.sim.faults
         failures = 0
         launches = 0
-        took_split = recovery_from is not None   # recoveries keep fixed_file
         win_node = None
         out_bytes = 0.0
         while True:
             launches += 1
             if launches > MAX_TASK_LAUNCHES:
                 raise JobFailed(
-                    f"{spec.name}: a map task was relaunched "
+                    f"{spec.name}: a {kind} task was relaunched "
                     f"{MAX_TASK_LAUNCHES} times without completing "
                     f"(nodes keep failing under it)")
             # Containers are requested anonymously and the application
             # master assigns whichever pending split is local to the
             # node that answered — how Hadoop's AM achieves its ~95 %
             # data-locality, and why the paper sees it on both clusters.
-            grant = yield from self.yarn.allocate(spec.map_mem_mb)
+            grant = yield from self.yarn.allocate(mem_mb)
             if faults is not None and not faults.is_up(grant.node):
                 # Granted on a node that died before the NodeManager
                 # expiry window closed; give it back and re-request.
@@ -682,9 +706,9 @@ class JobRunner:
             # Draw the input split at the first grant that survives the
             # liveness check — not the first launch: a grant churned back
             # because its node was dead must not cost the task its split.
-            if not took_split:
-                took_split = True
+            if pool is not None:
                 hdfs_file, local = pool.take(grant.node)
+                pool = None
                 if hdfs_file is not None:
                     state.placed_maps += 1
                     if local:
@@ -703,42 +727,47 @@ class JobRunner:
                 cell.node = grant.node
                 cell.in_attempt = True
             try:
-                out_bytes = yield from self._map_attempt(
-                    spec, grant.node, hdfs_file, factor, ctx=attempt_ctx)
+                if is_map:
+                    out_bytes = yield from self._map_attempt(
+                        spec, grant.node, hdfs_file, factor, ctx=attempt_ctx)
+                else:
+                    yield from self._reduce_attempt(spec, state, grant.node,
+                                                    factor, ctx=attempt_ctx)
             except TaskFailed:
                 state.failed_attempts += 1
-                self._trace_attempt("map", grant.node, attempt_start,
+                self._trace_attempt(kind, grant.node, attempt_start,
                                     launches - 1, ok=False, ctx=attempt_ctx)
                 failures += 1
                 if failures >= MAX_TASK_ATTEMPTS:
                     raise JobFailed(
-                        f"{spec.name}: a map task died "
+                        f"{spec.name}: a {kind} task died "
                         f"{MAX_TASK_ATTEMPTS} times")
                 yield from self._retry_backoff(failures)
                 continue
             except Interrupt as exc:
-                if cell is not None and isinstance(exc.cause, SpeculationWin):
+                cause = exc.cause
+                if isinstance(cause, SpeculationWin):
                     # Lost the race: the twin's output stands, this
                     # attempt's partial work is the price of insurance.
                     self._charge_speculation(grant.node,
                                              self.sim.now - attempt_start)
-                    self._trace_attempt("map", grant.node, attempt_start,
+                    self._trace_attempt(kind, grant.node, attempt_start,
                                         launches - 1, ok=False, killed=True,
                                         lost_race=True, ctx=attempt_ctx)
-                    win_node, out_bytes = exc.cause.node, exc.cause.out_bytes
+                    win_node, out_bytes = cause.node, cause.out_bytes
                     break
                 # The node died under the attempt; the retry allocates
-                # on a surviving node and is not charged as a failure.
-                # A *partition* kill is different: the node is alive on
+                # on a surviving node and is not charged as a failure
+                # (a reduce re-runs whole, shuffle included).  A map's
+                # *partition* kill is different: the node is alive on
                 # the far side, so the orphaned attempt lives on as a
                 # zombie duplicate until heal-time reconciliation.
                 from ..faults.models import FaultCause, PARTITION_KINDS
-                cause = exc.cause
-                if (isinstance(cause, FaultCause)
+                if (is_map and isinstance(cause, FaultCause)
                         and cause.kind in PARTITION_KINDS):
                     self._spawn_zombie(cause.node)
                 state.failed_attempts += 1
-                self._trace_attempt("map", grant.node, attempt_start,
+                self._trace_attempt(kind, grant.node, attempt_start,
                                     launches - 1, ok=False, killed=True,
                                     ctx=attempt_ctx)
                 continue
@@ -753,7 +782,12 @@ class JobRunner:
                 if faults is not None:
                     faults.unbind(grant.node, process)
                 self.yarn.release(grant)
-            self._trace_attempt("map", grant.node, attempt_start,
+            if not is_map:
+                self._trace_attempt(kind, grant.node, attempt_start,
+                                    launches - 1, ok=True, ctx=attempt_ctx)
+                state.reduces_done += 1
+                return
+            self._trace_attempt(kind, grant.node, attempt_start,
                                 launches - 1, ok=True, out_bytes=out_bytes,
                                 ctx=attempt_ctx)
             if cell is not None:
@@ -773,7 +807,6 @@ class JobRunner:
         else:
             state.recovery_completed(self.sim, recovery_from,
                                      win_node, out_bytes, counts)
-        return
 
     def _map_attempt(self, spec: JobSpec, node: str, hdfs_file,
                      factor: float, ctx=None):
@@ -983,61 +1016,6 @@ class JobRunner:
             cell.primary.interrupt(SpeculationWin(grant.node, out_bytes))
 
     # -- reduce side ----------------------------------------------------------
-
-    def _reduce_task(self, spec: JobSpec, state: "_JobState", factor: float):
-        faults = self.sim.faults
-        failures = 0
-        launches = 0
-        while True:
-            launches += 1
-            if launches > MAX_TASK_LAUNCHES:
-                raise JobFailed(
-                    f"{spec.name}: a reduce task was relaunched "
-                    f"{MAX_TASK_LAUNCHES} times without completing "
-                    f"(nodes keep failing under it)")
-            grant = yield from self.yarn.allocate(spec.reduce_mem_mb)
-            if faults is not None and not faults.is_up(grant.node):
-                self.yarn.release(grant)
-                continue
-            attempt_start = self.sim.now
-            process = self.sim.active_process
-            trace = self.sim.trace
-            attempt_ctx = trace.child_context(self._job_ctx) \
-                if trace is not None else None
-            if faults is not None:
-                faults.bind(grant.node, process)
-            try:
-                yield from self._reduce_attempt(spec, state, grant.node,
-                                                factor, ctx=attempt_ctx)
-            except TaskFailed:
-                state.failed_attempts += 1
-                self._trace_attempt("reduce", grant.node, attempt_start,
-                                    launches - 1, ok=False, ctx=attempt_ctx)
-                failures += 1
-                if failures >= MAX_TASK_ATTEMPTS:
-                    raise JobFailed(
-                        f"{spec.name}: a reduce task died "
-                        f"{MAX_TASK_ATTEMPTS} times")
-                yield from self._retry_backoff(failures)
-                continue
-            except Interrupt:
-                # Node loss mid-reduce: the whole attempt (shuffle
-                # included) re-runs on a surviving node, uncharged.
-                state.failed_attempts += 1
-                self._trace_attempt("reduce", grant.node, attempt_start,
-                                    launches - 1, ok=False, killed=True,
-                                    ctx=attempt_ctx)
-                continue
-            except BlockUnavailable as exc:
-                raise JobFailed(f"{spec.name}: {exc}") from exc
-            finally:
-                if faults is not None:
-                    faults.unbind(grant.node, process)
-                self.yarn.release(grant)
-            self._trace_attempt("reduce", grant.node, attempt_start,
-                                launches - 1, ok=True, ctx=attempt_ctx)
-            state.reduces_done += 1
-            return
 
     def _reduce_attempt(self, spec: JobSpec, state: "_JobState",
                         node: str, factor: float, ctx=None):

@@ -1,11 +1,12 @@
-"""YARN resource management: NodeManagers, container allocation, locality.
+"""YARN resource management: NodeManagers and container allocation.
 
 YARN 2.5's DefaultResourceCalculator schedules on *memory only* — which
 is how the paper runs 4 map containers on an Edison's 2 vcores ("two or
 even more containers per vcore sometimes better utilizes CPU").  The
-scheduler assigns requests on NodeManager heartbeats, preferring nodes
-that hold a replica of the task's input (delay scheduling), and records
-the achieved data-locality fraction the paper reports (~95 %).
+scheduler grants anonymous requests on NodeManager heartbeats, on the
+least-loaded node that fits.  Data locality (the paper's ~95 %) is the
+application master's doing: it hands each granted node a split stored
+there (see ``runtime._InputPool``).
 
 Allocation polling is Terasort's largest host cost (hundreds of
 thousands of rounds per job), so one heartbeat round is kept to its
@@ -32,7 +33,6 @@ class ContainerGrant:
 
     node: str
     mem_mb: int
-    local: bool
 
 
 class NodeManager:
@@ -98,11 +98,7 @@ class NodeManager:
 
 
 class YarnScheduler:
-    """FIFO capacity scheduler with heartbeat-paced, locality-aware grants."""
-
-    #: How many heartbeats a request waits for a preferred node before
-    #: accepting any node (YARN's delay-scheduling behaviour).
-    LOCALITY_WAIT_HEARTBEATS = 5
+    """FIFO capacity scheduler with heartbeat-paced grants."""
 
     #: ResourceManager CPU per scheduling round (MI): matching a request
     #: against node reports and updating cluster state.  Negligible on a
@@ -132,76 +128,39 @@ class YarnScheduler:
         self.master = master
         self.nodes: Dict[str, NodeManager] = {
             s.name: NodeManager(s, config.node_task_mem_mb) for s in slaves}
-        self.local_grants = 0
-        self.total_grants = 0
-
-    @property
-    def total_vcores(self) -> int:
-        return self.config.node_vcores * len(self.nodes)
-
-    @property
-    def locality_fraction(self) -> float:
-        if self.total_grants == 0:
-            return 0.0
-        return self.local_grants / self.total_grants
 
     def _try_grant(self, mem_mb: int,
-                   preferred: Sequence[str],
-                   allow_any: bool,
                    avoid: Sequence[str] = ()) -> Optional[ContainerGrant]:
         """Reserve ``mem_mb`` on the least-loaded fitting node, or None.
 
-        A fitting node in ``preferred`` makes the grant local, and it
-        does so before ``avoid`` is applied: a fitting preferred node
-        that is avoided still rules out the fall-back to any node.  On
-        equal free memory the first candidate wins.  One pass over
-        ``preferred`` and, only for the fall-back, one over the nodes;
-        no temporary lists, since this runs once per heartbeat round.
+        Nodes in ``avoid`` are skipped; on equal free memory the first
+        node wins.  One pass and no temporary lists, since this runs
+        once per heartbeat round.
         """
-        nodes = self.nodes
         best = None
         best_name = None
-        local = False
-        for name in preferred:
-            nm = nodes.get(name)
-            if nm is not None and not nm.down and nm.free_mem_mb >= mem_mb:
-                local = True
-                if name not in avoid and (
-                        best is None or nm.free_mem_mb > best.free_mem_mb):
-                    best = nm
-                    best_name = name
-        if not local and allow_any:
-            for name, nm in nodes.items():
-                if (not nm.down and nm.free_mem_mb >= mem_mb
-                        and name not in avoid
-                        and (best is None
-                             or nm.free_mem_mb > best.free_mem_mb)):
-                    best = nm
-                    best_name = name
+        for name, nm in self.nodes.items():
+            if (not nm.down and nm.free_mem_mb >= mem_mb
+                    and name not in avoid
+                    and (best is None or nm.free_mem_mb > best.free_mem_mb)):
+                best = nm
+                best_name = name
         if best is None:
             return None
         best.reserve(mem_mb)
-        if preferred:
-            # The data-locality statistic covers placement-sensitive
-            # requests only (map tasks); reducers have no preference.
-            self.total_grants += 1
-            if local:
-                self.local_grants += 1
-        return ContainerGrant(node=best_name, mem_mb=mem_mb, local=local)
+        return ContainerGrant(node=best_name, mem_mb=mem_mb)
 
     def allocate(self, mem_mb: int,
-                 preferred: Sequence[str] = (),
                  max_heartbeats: Optional[int] = None,
                  avoid: Sequence[str] = ()):
         """Process generator: wait for a container, heartbeat by heartbeat.
 
-        Returns a :class:`ContainerGrant`.  The first heartbeats insist
-        on a preferred (data-local) node; afterwards any node will do.
-        With ``max_heartbeats`` set, the request gives up after that
-        many unsatisfied rounds and returns ``None`` — how speculative
-        attempts avoid camping on a full cluster's queue.  Nodes in
-        ``avoid`` are never granted (a speculative twin must not land
-        beside the straggler it is insuring against).
+        Returns a :class:`ContainerGrant`.  With ``max_heartbeats`` set,
+        the request gives up after that many unsatisfied rounds and
+        returns ``None`` — how speculative attempts avoid camping on a
+        full cluster's queue.  Nodes in ``avoid`` are never granted (a
+        speculative twin must not land beside the straggler it is
+        insuring against).
 
         One round costs three calendar events (the jittered heartbeat
         wait, the master's vCPU grant and its CPU burst; two without a
@@ -213,7 +172,6 @@ class YarnScheduler:
         sim = self.sim
         rng = self.rng
         heartbeat_s = self.config.heartbeat_s
-        locality_wait = self.LOCALITY_WAIT_HEARTBEATS
         try_grant = self._try_grant
         master = self.master
         if master is not None:
@@ -233,14 +191,15 @@ class YarnScheduler:
                 # working set pays a paging penalty on top ("a single
                 # Edison node cannot fulfill resource-intensive tasks").
                 yield from master_cpu.execute(round_mi)
-            allow_any = not preferred or heartbeats >= locality_wait
-            grant = try_grant(mem_mb, preferred, allow_any, avoid)
+            grant = try_grant(mem_mb, avoid)
             if grant is not None:
                 if sim.trace is not None:
+                    # ``local`` stays in the span's schema: every grant
+                    # is anonymous, so it is always False.
                     sim.trace.complete(
                         "container.wait", requested_at, category="yarn",
                         node=grant.node, mem_mb=grant.mem_mb,
-                        local=grant.local, heartbeats=heartbeats)
+                        local=False, heartbeats=heartbeats)
                 return grant
             heartbeats += 1
 

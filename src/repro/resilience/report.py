@@ -293,15 +293,13 @@ def job_resilience_experiment(job: str = "wordcount2",
             report = runner.run(spec, deadline_s=deadline_s)
         except JobFailed:
             completed = False
-        state = runner._active[1] if runner._active is not None else None
         ledger = runner.resilience_ledger
         return ResilienceArm(
             label=label, completed=completed,
             work_done=1.0 if completed else 0.0,
             seconds=report.seconds if report is not None else deadline_s,
             joules=report.joules if report is not None else 0.0,
-            task_failures=(state.failed_attempts
-                           if state is not None else 0),
+            task_failures=runner.counts.failed_attempts,
             counters=dict(ledger.counters) if ledger is not None else {},
             waste_joules=(dict(ledger.waste_joules)
                           if ledger is not None else {}))

@@ -107,39 +107,21 @@ class HttperfDriver:
         if concurrency <= 0 or calls < 1:
             raise ValueError("concurrency must be > 0 and calls >= 1")
         index = 0
-        n = len(self.web_nodes)
+        web_nodes = self.web_nodes
+        clients = self.client_names
+        n = len(web_nodes)
         sim = self.sim
         expovariate = self.rng.expovariate
+        resilient = self.resilience is not None
         while sim._now < until:
             yield expovariate(concurrency)
-            faults = sim.faults
-            if self.resilience is not None:
-                client = self.client_names[index % len(self.client_names)]
-                web, index = self._pick_backend(index)
-                if web is None:
-                    self._count_failed_connection()
-                    continue
-                sim.process(self._resilient_connection(client, web, calls),
-                            name=f"conn-{index}")
-                continue
-            if faults is None:
-                web = self.web_nodes[index % n]
-                client = self.client_names[index % len(self.client_names)]
+            if sim.faults is None and not resilient:
+                web = web_nodes[index % n]
+                client = clients[index % len(clients)]
                 index += 1
             else:
-                # The HAProxy role: health checks pull a backend out of
-                # rotation once its outage exceeds the detection window,
-                # so its share of the load fails over to the survivors.
-                web = None
-                for _ in range(n):
-                    candidate = self.web_nodes[index % n]
-                    client = self.client_names[index % len(self.client_names)]
-                    index += 1
-                    if not faults.detected_down(candidate.server.name):
-                        web = candidate
-                        break
+                client, web, index = self._pick(index)
                 if web is None:
-                    # Every backend is marked down.
                     self._count_failed_connection()
                     continue
             sim.process(self._connection(client, web, calls),
@@ -170,39 +152,47 @@ class HttperfDriver:
             raise ValueError("the shape's peak bound must be > 0")
         bound_cps = peak_rps / calls      # connection-arrival envelope
         index = 0
-        n = len(self.web_nodes)
+        web_nodes = self.web_nodes
+        clients = self.client_names
+        n = len(web_nodes)
         sim = self.sim
         rng = self.rng
         while sim._now < until:
             yield rng.expovariate(bound_cps)
             if rng.random() * peak_rps >= shape.rate(sim._now):
                 continue                  # thinned: candidate rejected
-            faults = sim.faults
             if rotation is not None:
-                client = self.client_names[index % len(self.client_names)]
+                client = clients[index % len(clients)]
                 index += 1
                 web = rotation.pick()
-                if web is None:
-                    self._count_failed_connection()
-                    continue
-            elif faults is None:
-                web = self.web_nodes[index % n]
-                client = self.client_names[index % len(self.client_names)]
+            elif sim.faults is None:
+                web = web_nodes[index % n]
+                client = clients[index % len(clients)]
                 index += 1
             else:
-                web = None
-                for _ in range(n):
-                    candidate = self.web_nodes[index % n]
-                    client = self.client_names[index % len(self.client_names)]
-                    index += 1
-                    if not faults.detected_down(candidate.server.name):
-                        web = candidate
-                        break
-                if web is None:
-                    self._count_failed_connection()
-                    continue
+                client, web, index = self._pick(index)
+            if web is None:
+                self._count_failed_connection()
+                continue
             sim.process(self._connection(client, web, calls),
                         name=f"conn-{index}")
+
+    def _pick(self, index: int):
+        """Health-checked round robin: ``(client, web, next_index)``.
+
+        The HAProxy role: health checks pull a backend out of rotation
+        once its outage exceeds the detection window, so its share of
+        the load fails over to the survivors.  ``web`` is None when
+        every backend is marked down.  The plain driver takes the
+        client host paired with the chosen backend's slot; the
+        resilient one takes the slot's client before the pick.
+        """
+        clients = self.client_names
+        client = clients[index % len(clients)]
+        web, index = self._pick_backend(index)
+        if self.resilience is None:
+            client = clients[(index - 1) % len(clients)]
+        return client, web, index
 
     def _connection(self, client: str, web: WebServerNode, calls: int):
         """One httperf connection: SYN (with retries), then ``calls`` calls.
@@ -212,19 +202,30 @@ class HttperfDriver:
         handshake, and per call a client-side ``call`` child whose
         context rides into :meth:`WebServerNode.handle_call` — the
         request/cache/db spans become its descendants.
+
+        With a :class:`~repro.resilience.ResilienceConfig` the SYN and
+        every call go through the mitigations (:meth:`_establish`,
+        :meth:`_resilient_call`); otherwise both run inline here.
         """
         sim = self.sim
         trace = sim.trace
         conn_ctx = trace.root_context() if trace is not None else None
         start = sim._now
-        attempt = 0
-        while not web.try_accept():
-            if attempt >= len(SYN_RETRY_DELAYS):
+        resilient = self.resilience is not None
+        if resilient:
+            web, attempt = yield from self._establish(web)
+            if web is None:
                 self._count_failed_connection()
                 return
-            yield SYN_RETRY_DELAYS[attempt]
-            attempt += 1
-            self._count_syn_retry()
+        else:
+            attempt = 0
+            while not web.try_accept():
+                if attempt >= len(SYN_RETRY_DELAYS):
+                    self._count_failed_connection()
+                    return
+                yield SYN_RETRY_DELAYS[attempt]
+                attempt += 1
+                self._count_syn_retry()
         web_name = web.server.name
         yield self.topology.rtt(client, web_name)
         connect_delay = sim._now - start
@@ -242,22 +243,30 @@ class HttperfDriver:
                 call_start = sim._now
                 call_ctx = trace.child_context(conn_ctx) \
                     if trace is not None else None
-                yield from message(client, web_name, request_bytes)
-                handler = sim.process(web.handle_call(client, ctx=call_ctx))
-                timer = Timeout(sim, timeout_s)
-                yield AnyOf(sim, [handler, timer])
-                if not handler.processed:
+                if resilient:
+                    record = yield from self._resilient_call(client, web,
+                                                             call_ctx)
+                else:
+                    yield from message(client, web_name, request_bytes)
+                    handler = sim.process(web.handle_call(client,
+                                                          ctx=call_ctx))
+                    timer = Timeout(sim, timeout_s)
+                    yield AnyOf(sim, [handler, timer])
+                    record = None
+                    if handler.processed:
+                        # The race is settled: drop the client-timeout
+                        # timer from the calendar instead of letting every
+                        # completed call leave a dead 10 s entry bloating
+                        # the heap.
+                        timer.cancel()
+                        record = handler.value
+                if record is None:
                     self._count_timeout()
                     if trace is not None:
                         trace.complete("call", call_start, category="web",
                                        node=client, ctx=call_ctx,
                                        aborted="client-timeout")
                     return  # client gave up; server keeps grinding
-                # The race is settled: drop the client-timeout timer
-                # from the calendar instead of letting every completed
-                # call leave a dead 10 s entry bloating the heap.
-                timer.cancel()
-                record = handler.value
                 call_delay = sim._now - call_start
                 if trace is not None:
                     trace.complete("call", call_start, category="web",
@@ -265,7 +274,7 @@ class HttperfDriver:
                                    status=record.status)
                 reported = call_delay + (connect_delay if i == 0 else 0.0)
                 self._count_call(record.ok, call_delay, reported)
-                if record.status == 503:
+                if record.status == 503 and not (resilient and record.shed):
                     return  # the server died; the connection died with it
         finally:
             web.close_connection(epoch)
@@ -312,55 +321,6 @@ class HttperfDriver:
             if breaker is None or breaker.allow():
                 return candidate, index
         return fallback, index
-
-    def _resilient_connection(self, client: str, web: WebServerNode,
-                              calls: int):
-        """One httperf connection with every mitigation armed."""
-        sim = self.sim
-        trace = sim.trace
-        conn_ctx = trace.root_context() if trace is not None else None
-        start = sim._now
-        web, syn_retries = yield from self._establish(web)
-        if web is None:
-            self._count_failed_connection()
-            return
-        web_name = web.server.name
-        yield self.topology.rtt(client, web_name)
-        connect_delay = sim._now - start
-        if trace is not None:
-            trace.complete("connect", start, category="web",
-                           node=web_name, ctx=trace.child_context(conn_ctx),
-                           client=client, syn_retries=syn_retries)
-        self._count_connection()
-        epoch = web.epoch
-        try:
-            for i in range(calls):
-                call_start = sim._now
-                call_ctx = trace.child_context(conn_ctx) \
-                    if trace is not None else None
-                record = yield from self._resilient_call(client, web,
-                                                         call_ctx)
-                if record is None:
-                    self._count_timeout()
-                    if trace is not None:
-                        trace.complete("call", call_start, category="web",
-                                       node=client, ctx=call_ctx,
-                                       aborted="client-timeout")
-                    return  # the client gave up on this call outright
-                call_delay = sim._now - call_start
-                if trace is not None:
-                    trace.complete("call", call_start, category="web",
-                                   node=client, ctx=call_ctx,
-                                   status=record.status)
-                reported = call_delay + (connect_delay if i == 0 else 0.0)
-                self._count_call(record.ok, call_delay, reported)
-                if record.status == 503 and not record.shed:
-                    return  # a server died mid-call; the connection too
-        finally:
-            web.close_connection(epoch)
-            if trace is not None:
-                trace.complete("connection", start, category="web",
-                               node=web_name, ctx=conn_ctx, client=client)
 
     def _establish(self, web: Optional[WebServerNode]):
         """SYN with retries plus breaker-informed backend failover.

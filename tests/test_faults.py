@@ -11,7 +11,7 @@ from repro.faults import (AvailabilityReport, Fault, FaultInjector,
                           FaultPlan, RecurringFault, disk_failure,
                           disk_stall, nic_degrade, node_crash, power_event,
                           single_node_kill, web_kill_experiment)
-from repro.mapreduce import JobRunner, run_job
+from repro.mapreduce import JOB_FACTORIES, JobRunner, run_job
 from repro.mapreduce.runtime import JobFailed
 from repro.sim import Simulation
 from repro.trace import Tracer
@@ -287,14 +287,32 @@ def test_wordcount_survives_losing_a_slave():
     FaultInjector(runner.cluster, single_node_kill("edison-slave-0", 75.0))
     report = runner.run(small_spec())
     assert report.seconds > baseline.seconds     # recovery costs time
-    state = runner._active[1]
-    assert state.lost_map_count > 0              # completed maps were lost
-    assert state.pending_recoveries == 0
-    assert state.reduces_done == small_spec().reduce_tasks
+    counts = runner.counts
+    assert counts.lost_map_count > 0             # completed maps were lost
+    assert counts.pending_recoveries == 0
+    assert counts.reduces_done == small_spec().reduce_tasks
     # Failure detection and recovery are visible in the trace.
     fault_events = [e for e in tracer.log if e.category == "fault"]
     assert any(e.name == "fault.crash" for e in fault_events)
     assert any(e.name == "node.blacklist" for e in tracer.log)
+
+
+def test_finished_job_ignores_later_node_loss():
+    """A crash after the job ended re-runs none of its maps: no remap
+    burns CPU on the survivors and no container stays held."""
+    spec, config = JOB_FACTORIES["wordcount2"]("edison", 4)
+    runner = JobRunner("edison", 4, config=config, seed=5)
+    FaultInjector(runner.cluster, FaultPlan(faults=(
+        node_crash("edison-slave-1", at=1100.0, repair_s=30.0),)))
+    report = runner.run(spec)
+    assert report.seconds < 1100.0
+    busy = [s.cpu.busy_vcore_seconds() for s in runner.slave_servers]
+    runner.sim.run(until=1400.0)
+    assert [s.cpu.busy_vcore_seconds()
+            for s in runner.slave_servers] == busy
+    for nm in runner.yarn.nodes.values():
+        assert nm.free_mem_mb == nm.total_mem_mb
+    assert runner.counts.lost_map_count == 0
 
 
 def test_job_fails_cleanly_when_all_replicas_are_gone():

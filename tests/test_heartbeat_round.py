@@ -21,28 +21,20 @@ from repro.trace import Tracer
 
 # -- oracles: the previous implementations ------------------------------------
 
-def old_try_grant(yarn, mem_mb, preferred, allow_any, avoid=()):
+def old_try_grant(yarn, mem_mb, avoid=()):
     """The list-building ``YarnScheduler._try_grant``."""
-    candidates = [n for n in preferred
-                  if n in yarn.nodes and yarn.nodes[n].can_fit(mem_mb)]
-    local = bool(candidates)
-    if not candidates and allow_any:
-        candidates = [name for name, nm in yarn.nodes.items()
-                      if nm.can_fit(mem_mb)]
+    candidates = [name for name, nm in yarn.nodes.items()
+                  if nm.can_fit(mem_mb)]
     if avoid:
         candidates = [n for n in candidates if n not in avoid]
     if not candidates:
         return None
     name = max(candidates, key=lambda n: yarn.nodes[n].free_mem_mb)
     yarn.nodes[name].reserve(mem_mb)
-    if preferred:
-        yarn.total_grants += 1
-        if local:
-            yarn.local_grants += 1
-    return ContainerGrant(node=name, mem_mb=mem_mb, local=local)
+    return ContainerGrant(node=name, mem_mb=mem_mb)
 
 
-def old_allocate(yarn, mem_mb, preferred=(), max_heartbeats=None, avoid=()):
+def old_allocate(yarn, mem_mb, max_heartbeats=None, avoid=()):
     """The round that re-read every attribute and drew via ``uniform``."""
     heartbeats = 0
     while True:
@@ -52,9 +44,7 @@ def old_allocate(yarn, mem_mb, preferred=(), max_heartbeats=None, avoid=()):
         if yarn.master is not None:
             yield from yarn.master.cpu.execute(
                 yarn.RM_MI_PER_ROUND * yarn._master_penalty())
-        allow_any = (not preferred
-                     or heartbeats >= yarn.LOCALITY_WAIT_HEARTBEATS)
-        grant = old_try_grant(yarn, mem_mb, preferred, allow_any, avoid)
+        grant = old_try_grant(yarn, mem_mb, avoid)
         if grant is not None:
             return grant
         heartbeats += 1
@@ -100,8 +90,7 @@ def _twin_schedulers(slaves):
 
 
 def _state(yarn):
-    return ([(n, nm.down, nm.free_mem_mb) for n, nm in yarn.nodes.items()],
-            yarn.total_grants, yarn.local_grants)
+    return [(n, nm.down, nm.free_mem_mb) for n, nm in yarn.nodes.items()]
 
 
 def test_try_grant_matches_list_based_version():
@@ -111,8 +100,6 @@ def test_try_grant_matches_list_based_version():
     pool = names + ["ghost-a", "ghost-b"]
     outcomes = set()
     for _ in range(3000):
-        for yarn in (old, new):
-            yarn.total_grants = yarn.local_grants = 0
         for name in names:
             down = rng.random() < 0.2
             # Few distinct levels, so ties between candidates are common.
@@ -120,32 +107,27 @@ def test_try_grant_matches_list_based_version():
             for yarn in (old, new):
                 yarn.nodes[name].down = down
                 yarn.nodes[name].free_mem_mb = free
-        preferred = [rng.choice(pool) for _ in range(rng.randrange(4))]
         avoid_names = rng.sample(pool, rng.randrange(3))
         avoid = rng.choice((tuple, set, list))(avoid_names)
-        allow_any = rng.random() < 0.5
         mem_mb = rng.choice((150, 300))
-        expect = old_try_grant(old, mem_mb, preferred, allow_any, avoid)
-        got = new._try_grant(mem_mb, preferred, allow_any, avoid)
-        assert got == expect, (preferred, avoid, allow_any, mem_mb)
+        expect = old_try_grant(old, mem_mb, avoid)
+        got = new._try_grant(mem_mb, avoid)
+        assert got == expect, (avoid, mem_mb)
         assert _state(new) == _state(old)
-        outcomes.add(None if got is None else got.local)
-    # Every branch was exercised: local, fallback and no grant.
-    assert outcomes == {None, True, False}
+        outcomes.add(got is None)
+    # Both branches were exercised: a grant and no grant.
+    assert outcomes == {True, False}
 
 
-def test_try_grant_avoided_local_node_blocks_fallback():
+def test_try_grant_skips_avoided_nodes():
     old, new = _twin_schedulers(slaves=3)
-    first, second, _ = list(new.nodes)
-    got = new._try_grant(150, [first], allow_any=True, avoid={first})
-    assert got is None
-    assert old_try_grant(old, 150, [first], True, {first}) is None
-    # With the preferred node full, the fallback skips the avoided one.
+    first, second, third = list(new.nodes)
+    # With the first node full, the grant skips the avoided second one.
     for yarn in (old, new):
         yarn.nodes[first].free_mem_mb = 0
-    got = new._try_grant(150, [first], allow_any=True, avoid={second})
-    assert got == old_try_grant(old, 150, [first], True, {second})
-    assert got.node not in (first, second) and not got.local
+    got = new._try_grant(150, avoid={second})
+    assert got == old_try_grant(old, 150, {second})
+    assert got.node == third
 
 
 # -- heartbeat_jitter ---------------------------------------------------------
@@ -172,22 +154,18 @@ def _allocation_run(allocate_with):
     yarn = YarnScheduler(sim, cluster.metered_servers,
                          default_config("edison"), random.Random(11),
                          master=cluster.servers["master"])
-    names = list(yarn.nodes)
     log = []
 
-    def task(tag, preferred, max_heartbeats):
-        grant = yield from allocate_with(yarn, 150, preferred,
-                                         max_heartbeats, ())
+    def task(tag, max_heartbeats):
+        grant = yield from allocate_with(yarn, 150, max_heartbeats, ())
         log.append((sim.now, tag, grant))
         if grant is not None:
             yield 20.0 + tag % 3
             yarn.release(grant)
 
-    # Preferences skewed onto two of the three nodes force locality
-    # fall-backs; the capped requests give up while the cluster is full.
+    # The capped requests give up while the cluster is full.
     for tag in range(60):
-        preferred = [names[tag % 2]] if tag % 4 else []
-        sim.process(task(tag, preferred, 2 if tag % 5 == 0 else None))
+        sim.process(task(tag, 2 if tag % 5 == 0 else None))
     sim.run()
     return log, sim.calendar_stats(), yarn.rng.getstate(), _state(yarn)
 

@@ -106,6 +106,14 @@ def test_spec_validation():
         small_spec(output_ratio=-0.1)
 
 
+@pytest.mark.parametrize("ratio", [float("nan"), float("inf")])
+def test_spec_rejects_non_finite_output_ratio(ratio):
+    # NaN would silently write no reduce output; inf would only fail
+    # mid-run, inside the HDFS write pipeline.
+    with pytest.raises(ValueError, match="output_ratio"):
+        small_spec(output_ratio=ratio)
+
+
 def test_map_only_job_supported():
     report = run_job("edison", 4, small_spec(reduce_tasks=0, combiner=False))
     assert report.seconds > 0

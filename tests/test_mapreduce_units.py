@@ -188,39 +188,6 @@ def test_yarn_grants_up_to_node_memory():
     assert len(grants) == 6
 
 
-def test_yarn_prefers_local_nodes():
-    sim, cluster, yarn = make_yarn(slaves=3)
-    preferred = cluster.metered_servers[2].name
-    grants = []
-
-    def task():
-        grant = yield from yarn.allocate(150, preferred=[preferred])
-        grants.append(grant)
-
-    sim.process(task())
-    sim.run()
-    assert grants[0].node == preferred
-    assert grants[0].local
-    assert yarn.locality_fraction == 1.0
-
-
-def test_yarn_falls_back_after_locality_wait():
-    sim, cluster, yarn = make_yarn(slaves=2)
-    busy = cluster.metered_servers[0].name
-    yarn.nodes[busy].reserve(600)        # preferred node is full
-    grants = []
-
-    def task():
-        grant = yield from yarn.allocate(150, preferred=[busy])
-        grants.append((grant.node, sim.now))
-
-    sim.process(task())
-    sim.run()
-    node, when = grants[0]
-    assert node != busy
-    assert when > yarn.LOCALITY_WAIT_HEARTBEATS * 0.3   # waited first
-
-
 def test_yarn_release_restores_memory():
     sim, cluster, yarn = make_yarn(slaves=1)
     nm = yarn.nodes[cluster.metered_servers[0].name]
