@@ -1,11 +1,13 @@
 """Export every figure's data series as CSV for plotting.
 
 Writes one CSV per paper figure into ``figures/`` so any plotting tool
-can redraw them: fig4_7 (throughput/delay/power vs concurrency),
-fig10_11 (delay histograms), fig12_17 (job timelines), fig18_19 (time
-and energy vs cluster size).
+can redraw them: fig2_3 (Sysbench CPU time vs threads), sec42 (memory
+bandwidth by block size and threads), fig4_7 (throughput/delay/power
+vs concurrency), fig5_8 (the load-mix curves), fig6_9 (the heavy
+load), fig10_11 (delay histograms), fig12_17 (job timelines), fig18_19
+(time and energy vs cluster size).
 
-Run:  python scripts/export_figures.py [output_dir]   (~10 minutes)
+Run:  python scripts/export_figures.py [output_dir]   (~12 minutes)
 """
 
 import csv
@@ -13,9 +15,14 @@ import os
 import sys
 
 from repro.core import paperdata as paper
+from repro.core.claims import (HEAVY, PLATFORMS, WEB_DURATION, WEB_MIXES,
+                               sec42_grid)
+from repro.hardware import make_server
 from repro.mapreduce import JOB_FACTORIES, TABLE8_JOBS, run_scaling_grid, \
     run_job
-from repro.web import WebWorkload, delay_distribution, sweep_concurrency
+from repro.microbench import run_sysbench_cpu
+from repro.sim import Simulation
+from repro.web import delay_distribution, sweep_concurrency
 
 
 def write_csv(path, headers, rows):
@@ -26,36 +33,69 @@ def write_csv(path, headers, rows):
     print(f"wrote {path} ({len(rows)} rows)")
 
 
+#: The columns every web sweep's CSV ends with, one row per level.
+LEVEL_COLUMNS = ("concurrency", "rps", "delay_ms", "errors_5xx", "power_w")
+
+
+def level_rows(sweep):
+    return [(level.concurrency, round(level.requests_per_second, 1),
+             round(level.mean_delay_s * 1000, 2), level.error_calls,
+             round(level.mean_power_w, 2)) for level in sweep.levels]
+
+
+def export_fig2_3(outdir):
+    rows = []
+    for platform, spec in PLATFORMS:
+        for threads in paper.S41_SYSBENCH_THREADS:
+            sim = Simulation()
+            result = run_sysbench_cpu(sim, make_server(sim, spec, "s0"),
+                                      threads)
+            rows.append((platform, threads, round(result.total_time_s, 2),
+                         round(result.avg_response_time_s * 1000, 3)))
+    write_csv(os.path.join(outdir, "fig2_3_sysbench_cpu.csv"),
+              ("platform", "threads", "total_s", "response_ms"), rows)
+
+
+def export_sec42(outdir):
+    rows = []
+    for platform, spec in PLATFORMS:
+        rows += [(platform, block, threads, round(rate / 1e9, 3))
+                 for (block, threads), rate in sec42_grid(spec).items()]
+    write_csv(os.path.join(outdir, "sec42_memory_bandwidth.csv"),
+              ("platform", "block_bytes", "threads", "gb_per_s"), rows)
+
+
 def export_fig4_7(outdir):
     rows = []
     for platform, scales in (("edison", ("full", "1/2", "1/4", "1/8")),
                              ("dell", ("full", "1/2"))):
         for scale in scales:
-            sweep = sweep_concurrency(platform, scale, duration=3.0)
-            for level in sweep.levels:
-                rows.append((platform, scale, level.concurrency,
-                             round(level.requests_per_second, 1),
-                             round(level.mean_delay_s * 1000, 2),
-                             level.error_calls,
-                             round(level.mean_power_w, 2)))
+            sweep = sweep_concurrency(platform, scale, duration=WEB_DURATION)
+            rows += [(platform, scale, *row) for row in level_rows(sweep)]
     write_csv(os.path.join(outdir, "fig4_7_web_baseline.csv"),
-              ("platform", "scale", "concurrency", "rps", "delay_ms",
-               "errors_5xx", "power_w"), rows)
+              ("platform", "scale", *LEVEL_COLUMNS), rows)
+
+
+def export_fig5_8(outdir):
+    rows = []
+    for platform, _ in PLATFORMS:
+        for mix, workload in WEB_MIXES.items():
+            sweep = sweep_concurrency(platform, "full", workload,
+                                      levels=(64, 256, 512, 1024),
+                                      duration=WEB_DURATION)
+            rows += [(platform, mix, *row) for row in level_rows(sweep)]
+    write_csv(os.path.join(outdir, "fig5_8_web_load_mix.csv"),
+              ("platform", "mix", *LEVEL_COLUMNS), rows)
 
 
 def export_fig6_9(outdir):
-    heavy = WebWorkload(image_fraction=0.20, cache_hit_ratio=0.93)
     rows = []
-    for platform in ("edison", "dell"):
-        sweep = sweep_concurrency(platform, "full", heavy, duration=3.0)
-        for level in sweep.levels:
-            rows.append((platform, level.concurrency,
-                         round(level.requests_per_second, 1),
-                         round(level.mean_delay_s * 1000, 2),
-                         level.error_calls, round(level.mean_power_w, 2)))
+    for platform, _ in PLATFORMS:
+        sweep = sweep_concurrency(platform, "full", HEAVY,
+                                  duration=WEB_DURATION)
+        rows += [(platform, *row) for row in level_rows(sweep)]
     write_csv(os.path.join(outdir, "fig6_9_web_heavy.csv"),
-              ("platform", "concurrency", "rps", "delay_ms", "errors_5xx",
-               "power_w"), rows)
+              ("platform", *LEVEL_COLUMNS), rows)
 
 
 def export_fig10_11(outdir):
@@ -105,7 +145,10 @@ def export_fig18_19(outdir):
 def main() -> None:
     outdir = sys.argv[1] if len(sys.argv) > 1 else "figures"
     os.makedirs(outdir, exist_ok=True)
+    export_fig2_3(outdir)
+    export_sec42(outdir)
     export_fig4_7(outdir)
+    export_fig5_8(outdir)
     export_fig6_9(outdir)
     export_fig10_11(outdir)
     export_fig12_17(outdir)

@@ -6,8 +6,7 @@ Examples
 
     python -m repro web --platform edison --concurrency 512
     python -m repro job wordcount --platform dell --slaves 2
-    python -m repro table8 --jobs wordcount pi
-    python -m repro table10
+    python -m repro claims T8 T10
     python -m repro microbench
     python -m repro histogram --platform dell
 
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .core.report import format_table
-from .mapreduce.jobs import JOB_NAMES, TABLE8_JOBS
+from .mapreduce.jobs import JOB_NAMES
 
 
 def _load_fault_plan(args):
@@ -533,75 +532,15 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_table2(args) -> int:
-    from .core import paperdata as paper
-    from .core.capacity import replacement_estimate
-    from .core.report import paper_vs_measured
-    from .hardware import DELL_R620, EDISON
-    estimate = replacement_estimate(EDISON, DELL_R620)
-    print(paper_vs_measured(
-        [("by CPU", 12, estimate.by_cpu),
-         ("by RAM", 16, estimate.by_memory),
-         ("by NIC", 10, estimate.by_network),
-         ("required", paper.T2_EDISONS_PER_DELL, estimate.required)],
-        title="Table 2: Edison nodes per Dell R620"))
-    return 0
-
-
-def _cmd_table8(args) -> int:
-    from .core import paperdata as paper
-    from .mapreduce import JOB_FACTORIES, run_job
-    jobs = args.jobs or list(TABLE8_JOBS)
-    rows = []
-    for job in jobs:
-        for platform, slaves in (("edison", 35), ("dell", 2)):
-            spec, config = JOB_FACTORIES[job](platform, slaves)
-            report = run_job(platform, slaves, spec, config=config,
-                             seed=args.seed)
-            published = paper.T8[job][platform][slaves]
-            rows.append((job, f"{platform}-{slaves}",
-                         f"{report.seconds:.0f}s/{report.joules:.0f}J",
-                         f"{published.seconds:.0f}s/{published.joules:.0f}J"))
-    print(format_table(("job", "cluster", "simulated", "paper"), rows,
-                       title="Table 8 (full-scale cells)"))
-    return 0
-
-
-def _cmd_table7(args) -> int:
-    from .core import paperdata as paper
-    from .web import measure_delay_decomposition
-    rows = []
-    for rate, db, cache, total in paper.T7_ROWS:
-        e = measure_delay_decomposition("edison", rate,
-                                        duration=args.duration)
-        d = measure_delay_decomposition("dell", rate, duration=args.duration)
-        rows.append((rate,
-                     f"({e.db_delay_s * 1e3:.2f}, {d.db_delay_s * 1e3:.2f})",
-                     f"({e.cache_delay_s * 1e3:.2f}, "
-                     f"{d.cache_delay_s * 1e3:.2f})",
-                     f"({e.total_delay_s * 1e3:.2f}, "
-                     f"{d.total_delay_s * 1e3:.2f})",
-                     f"({total[0]}, {total[1]})"))
-    print(format_table(
-        ("req/s", "db ms", "cache ms", "total ms", "paper total"),
-        rows, title="Table 7: (Edison, Dell) delay decomposition"))
-    return 0
-
-
-def _cmd_table10(args) -> int:
-    from .core import paperdata as paper
-    from .tco import savings_fraction, table10
-    rows = []
-    for key, values in table10().items():
-        published = paper.T10[key]
-        rows.append((f"{key[0]}/{key[1]}",
-                     f"${values['dell']:.1f} (paper ${published['dell']})",
-                     f"${values['edison']:.1f} "
-                     f"(paper ${published['edison']})",
-                     f"{savings_fraction(values) * 100:.0f}%"))
-    print(format_table(("scenario", "Dell", "Edison", "savings"), rows,
-                       title="Table 10: 3-year TCO"))
-    return 0
+def _cmd_claims(args) -> int:
+    from .core import claims
+    try:
+        selected = claims.select(args.ids)
+    except ValueError as exc:
+        raise SystemExit(f"repro: error: {exc}")
+    results = claims.check(selected)
+    print(claims.render(results))
+    return 0 if all(r.ok for r in results) else 1
 
 
 def _cmd_histogram(args) -> int:
@@ -801,16 +740,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also write the report as JSON to PATH")
         cmd.set_defaults(func=_cmd_sweep)
 
-    sub.add_parser("table2", help="capacity estimate") \
-        .set_defaults(func=_cmd_table2)
-    t7 = sub.add_parser("table7", help="delay decomposition")
-    t7.add_argument("--duration", type=float, default=3.0)
-    t7.set_defaults(func=_cmd_table7)
-    t8 = sub.add_parser("table8", help="full-scale Table 8 cells")
-    t8.add_argument("--jobs", nargs="*", choices=TABLE8_JOBS)
-    t8.set_defaults(func=_cmd_table8)
-    sub.add_parser("table10", help="TCO comparison") \
-        .set_defaults(func=_cmd_table10)
+    claims = sub.add_parser(
+        "claims", help="check the paper's claims against their bounds "
+                       "(exit 1 if any row is out of bounds)")
+    claims.add_argument("ids", nargs="*", metavar="ID-PREFIX",
+                        help="only ids starting with these dot-separated "
+                             "parts, e.g. T3 S4.2 T8.pi (default: all)")
+    claims.set_defaults(func=_cmd_claims)
 
     hist = sub.add_parser("histogram", help="Figure 10/11 delay histogram")
     hist.add_argument("--platform", choices=("edison", "dell"),

@@ -59,11 +59,6 @@ def relative_error(measured: float, expected: float) -> float:
     return (measured - expected) / expected
 
 
-def within_band(measured: float, expected: float, tolerance: float) -> bool:
-    """True when ``measured`` is within ±tolerance of ``expected``."""
-    return abs(relative_error(measured, expected)) <= tolerance
-
-
 def nearest_rank_p95(samples: Sequence[float]) -> Optional[float]:
     """Nearest-rank 95th percentile, or ``None`` with no samples."""
     if not samples:

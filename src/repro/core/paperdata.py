@@ -2,9 +2,9 @@
 
 This module is the single source of truth for the published measurements
 of Zhao et al. (PVLDB 9(9), 2016).  Hardware profiles consume the
-Section 3/4 capacities, the benchmark harness prints these next to our
-simulated results, and ``EXPERIMENTS.md`` is generated from the same
-values — so a calibration drift cannot hide.
+Section 3/4 capacities, and the claims table (``core.claims``) checks
+every simulated result against these values in CI and renders
+``EXPERIMENTS.md`` from them — so a calibration drift cannot hide.
 
 Naming: ``T`` = table, ``F`` = figure, ``S`` = section of the paper.
 """
@@ -29,8 +29,13 @@ DELL_CORE_HZ = 2e9
 DELL_RAM_BYTES = 16 * 1024 ** 3
 DELL_NIC_BPS = 1e9                         # 1 Gb/s
 
-#: Table 2 bottom row: max(12, 16, 10) Edisons replace one R620.
-T2_EDISONS_PER_DELL = 16
+#: Table 2: Edisons needed to match one R620's CPU, RAM and NIC capacity.
+T2_EDISONS_BY_CPU = 12
+T2_EDISONS_BY_RAM = 16
+T2_EDISONS_BY_NIC = 10
+#: Table 2 bottom row: the largest of the three.
+T2_EDISONS_PER_DELL = max(T2_EDISONS_BY_CPU, T2_EDISONS_BY_RAM,
+                          T2_EDISONS_BY_NIC)
 
 # ---------------------------------------------------------------------------
 # Table 3 — measured power (watts)
@@ -72,7 +77,6 @@ S42_EDISON_MEM_BW = 2.2e9
 S42_SATURATION_BLOCK = 256 * 1024          # transfer saturates >= 256 KiB
 S42_EDISON_SATURATION_THREADS = 2
 S42_DELL_SATURATION_THREADS = 12
-S42_BLOCK_SIZES = tuple(2 ** k * 1024 for k in range(0, 11))  # 4 KB..1 MB ->
 S42_BLOCK_SIZES = (4096, 16384, 65536, 262144, 1048576)
 S42_THREAD_COUNTS = (1, 2, 4, 8, 16)
 
@@ -90,6 +94,8 @@ T5_DELL = MappingProxyType({
     "read_bps": 86.1e6, "buffered_read_bps": 3.1e9,
     "write_latency_s": 5.04e-3, "read_latency_s": 0.829e-3,
 })
+#: Table 5: the Dell's direct writes are ~5.3x faster than the Edison's.
+T5_WRITE_RATIO = T5_DELL["write_bps"] / T5_EDISON["write_bps"]
 
 # ---------------------------------------------------------------------------
 # Section 4.4 — network
@@ -110,6 +116,8 @@ S44_RTT_S = MappingProxyType({
     ("dell", "edison"): 0.8e-3,
     ("edison", "edison"): 1.3e-3,
 })
+#: The 10x gap between the two NICs' line rates.
+S44_NIC_GAP = DELL_NIC_BPS / EDISON_NIC_BPS
 
 # ---------------------------------------------------------------------------
 # Section 5.1 — web service workload
@@ -137,6 +145,9 @@ S51_PEAK_RPS_LIGHT = 6800.0                # Fig 4, full scale, approx.
 S51_HEAVY_TO_LIGHT_RPS = 0.85              # Fig 6 vs Fig 4
 S51_EDISON_POWER_RANGE_W = (56.0, 58.0)    # Fig 4 green line
 S51_DELL_POWER_RANGE_W = (170.0, 200.0)
+#: Fig 4's cluster power lines, read as the middle of each band (57/185 W).
+S51_EDISON_POWER_W = sum(S51_EDISON_POWER_RANGE_W) / 2
+S51_DELL_POWER_W = sum(S51_DELL_POWER_RANGE_W) / 2
 S51_ENERGY_EFFICIENCY_RATIO = 3.5          # headline result
 
 #: Peak-throughput per-server utilisation, 20 % images (Section 5.1.2).
@@ -159,6 +170,11 @@ T7_ROWS = (
 
 #: Figure 11 — Dell delay histogram spikes (s); SYN retransmission backoff.
 F11_DELAY_SPIKES_S = (1.0, 3.0, 7.0)
+#: Figures 10/11 — share of response delays above 0.9 s at ~6000 req/s,
+#: read off the histograms: ~1 % on Edison, ~30 % (the SYN-backoff
+#: spikes) on Dell.
+F10_EDISON_ABOVE_0_9S = 0.01
+F11_DELL_ABOVE_0_9S = 0.30
 
 # ---------------------------------------------------------------------------
 # Section 5.2 — MapReduce
@@ -259,6 +275,17 @@ S52_EFFICIENCY_GAINS = MappingProxyType({
     "logcount2": 1.447, "pi": 1 / 1.233, "terasort": 1.32,
 })
 
+#: Figures 13/16 — wordcount2 (combined inputs) cuts the full-scale
+#: wordcount time by 41 % on Edison and 69 % on Dell (Table 8's cells).
+S52_WORDCOUNT2_TIME_CUT = MappingProxyType({
+    platform: 1 - (T8["wordcount2"][platform][slaves].seconds
+                   / T8["wordcount"][platform][slaves].seconds)
+    for platform, slaves in (("edison", 35), ("dell", 2))})
+
+#: Figures 14/17 — the Dell cluster finishes pi ~4x sooner (Table 8).
+S52_PI_EDISON_OVER_DELL_TIME = (T8["pi"]["edison"][35].seconds
+                                / T8["pi"]["dell"][2].seconds)
+
 #: Section 5.3 — mean speed-up per cluster-size doubling.
 S53_EDISON_MEAN_SPEEDUP = 1.90
 S53_DELL_MEAN_SPEEDUP = 2.07
@@ -282,3 +309,5 @@ T10 = MappingProxyType({
     ("bigdata", "low"): {"dell": 5348.2, "edison": 4352.4},
     ("bigdata", "high"): {"dell": 5495.0, "edison": 4352.4},
 })
+#: Section 6: the Edison cluster saves up to 47 % of the 3-year TCO.
+T10_BEST_SAVINGS = 0.47

@@ -1,9 +1,4 @@
-"""Plain-text tables and series dumps for the benchmark harness.
-
-Every benchmark prints the paper's value beside the simulated one in a
-fixed-width table, so a calibration drift is visible in the bench
-output itself.
-"""
+"""Plain-text tables and series dumps for the CLI and the claims table."""
 
 from __future__ import annotations
 
@@ -11,8 +6,8 @@ from typing import List, Optional, Sequence, Tuple
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
-                 title: Optional[str] = None) -> str:
-    """Render a fixed-width text table."""
+                 title: Optional[str] = None, markdown: bool = False) -> str:
+    """Render a fixed-width text table, or an aligned Markdown one."""
     if not headers:
         raise ValueError("need at least one column")
     cells = [[str(c) for c in row] for row in rows]
@@ -26,11 +21,14 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
     lines: List[str] = []
     if title:
         lines.append(title)
-    sep = "-+-".join("-" * w for w in widths)
-    lines.append(" | ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    lines.append(sep)
-    for row in cells:
-        lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
+    def line(row: Sequence[str]) -> str:
+        text = " | ".join(c.ljust(w) for c, w in zip(row, widths))
+        return f"| {text} |" if markdown else text
+
+    lines.append(line(headers))
+    lines.append("|" + "|".join("-" * (w + 2) for w in widths) + "|"
+                 if markdown else "-+-".join("-" * w for w in widths))
+    lines.extend(line(row) for row in cells)
     return "\n".join(lines)
 
 
@@ -48,15 +46,3 @@ def format_series(name: str,
     body = "  ".join(f"{x:g}:{y:g}" for x, y in points)
     return f"{name} [{x_label} -> {y_label}] {body}"
 
-
-def paper_vs_measured(rows: Sequence[Tuple[str, float, float]],
-                      title: str, unit: str = "") -> str:
-    """A three-column comparison table with relative error."""
-    table_rows = []
-    for label, paper_value, measured in rows:
-        err = (measured - paper_value) / paper_value * 100 \
-            if paper_value else float("nan")
-        table_rows.append((label, f"{paper_value:g}{unit}",
-                           f"{measured:g}{unit}", f"{err:+.1f}%"))
-    return format_table(("case", "paper", "simulated", "error"),
-                        table_rows, title=title)

@@ -11,17 +11,17 @@ def test_parser_requires_command():
 
 
 def test_table2_command(capsys):
-    assert main(["table2"]) == 0
+    assert main(["claims", "T2"]) == 0
     out = capsys.readouterr().out
     assert "Table 2" in out
-    assert "16" in out
+    assert "T2.required | 16" in out
 
 
 def test_table10_command(capsys):
-    assert main(["table10"]) == 0
+    assert main(["claims", "T10"]) == 0
     out = capsys.readouterr().out
-    assert "web/low" in out
-    assert "savings" in out
+    assert "T10.web.low.dell_usd" in out
+    assert "T10.best_saving_pct" in out
 
 
 def test_web_command_small_scale(capsys):
@@ -52,7 +52,7 @@ def test_histogram_command(capsys):
 
 
 def test_seed_flag_changes_nothing_structural(capsys):
-    assert main(["--seed", "7", "table2"]) == 0
+    assert main(["--seed", "7", "claims", "T2"]) == 0
     assert "Table 2" in capsys.readouterr().out
 
 

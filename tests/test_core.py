@@ -6,9 +6,9 @@ from repro.core import paperdata as paper
 from repro.core.capacity import replacement_estimate
 from repro.core.metrics import (
     efficiency_ratio, mean_speedup_across_jobs, relative_error,
-    speedup_per_doubling, within_band, work_done_per_joule,
+    speedup_per_doubling, work_done_per_joule,
 )
-from repro.core.report import format_series, format_table, paper_vs_measured
+from repro.core.report import format_series, format_table
 from repro.hardware import DELL_R620, EDISON
 
 
@@ -59,8 +59,6 @@ def test_mean_speedup_requires_jobs():
 
 def test_relative_error_and_band():
     assert relative_error(110, 100) == pytest.approx(0.10)
-    assert within_band(110, 100, 0.10)
-    assert not within_band(120, 100, 0.10)
     with pytest.raises(ValueError):
         relative_error(1, 0)
 
@@ -74,6 +72,12 @@ def test_format_table_alignment():
     assert "a" in lines[1] and "bb" in lines[1]
     widths = {len(line) for line in lines[1:]}
     assert len(widths) == 1          # all rows equally wide
+
+
+def test_format_table_markdown():
+    text = format_table(("a", "bb"), [("xyz", 1)], markdown=True)
+    assert text.splitlines() == ["| a   | bb |", "|-----|----|",
+                                 "| xyz | 1  |"]
 
 
 def test_format_table_validation():
@@ -91,11 +95,6 @@ def test_format_series_subsamples():
     assert "99:9801" in text
     with pytest.raises(ValueError):
         format_series("s", pairs, max_points=1)
-
-
-def test_paper_vs_measured_shows_error():
-    text = paper_vs_measured([("x", 100.0, 110.0)], title="cmp")
-    assert "+10.0%" in text
 
 
 # -- capacity -------------------------------------------------------------------
