@@ -4,13 +4,13 @@
 One runner for the six opt-in planes — resilience, autoscale, carbon,
 dvfs, durability and causality.  Each plane is checked in two steps:
 
-1. **Off-path fidelity** — every "off" variant the plane lists must
-   give identical fidelity digests, and they must equal the committed
+1. **Off-path fidelity** — with the plane off (``None`` is off) its
+   fidelity digests must equal the committed
    ``experiments/<plane>_baseline.json`` float-for-float (``--update``
-   rewrites the baseline instead).  The variants are ``None`` and the
-   plane's ``disabled()`` config; for carbon a plain run and one with an
-   idle empty-plan FaultInjector; for causality an untraced and a
-   traced run.  A plane must be invisible until armed.
+   rewrites the baseline instead).  Carbon and causality also run a
+   second variant that must agree with the first: a plain run and one
+   with an idle empty-plan FaultInjector for carbon, an untraced and a
+   traced run for causality.  A plane must be invisible until armed.
 
 2. **Acceptance** — the plane's committed seeded experiment must clear
    the bar its ``accept_*`` function states.  The reports land in
@@ -27,7 +27,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -297,18 +297,17 @@ def dvfs_digests(dvfs):
 
 def render_governed_dashboard(plan, out_dir: str) -> None:
     """One governed diurnal day, dashboarded with its scorecards."""
-    from repro.dvfs import DvfsConfig, attach_web, measure_proportionality
+    from repro.dvfs import attach_web, measure_proportionality
     from repro.telemetry import Telemetry, write_dashboard
     from repro.web import WebServiceDeployment
 
     shape_name = "diurnal" if "diurnal" in plan.shapes \
         else next(iter(plan.shapes))
-    ondemand = DvfsConfig(enabled=True, governor=plan.ondemand)
     deployment = WebServiceDeployment("edison", plan.scale("edison"),
                                       seed=plan.seed)
     telemetry = Telemetry()
     telemetry.attach_web(deployment, until=plan.duration_s)
-    attach_web(deployment, ondemand, until=plan.duration_s)
+    attach_web(deployment, plan.ondemand, until=plan.duration_s)
     deployment.run_shaped(plan.shapes[shape_name], plan.duration_s,
                           calls=plan.calls)
     bundle = telemetry.bundle(meta={"experiment": "dvfs",
@@ -318,7 +317,7 @@ def render_governed_dashboard(plan, out_dir: str) -> None:
             measure_proportionality("edison", scale=plan.scale("edison"),
                                     dvfs=dvfs, seed=plan.seed,
                                     calls=plan.calls).to_dict()
-            for dvfs in (None, ondemand)]}
+            for dvfs in (None, plan.ondemand)]}
     path = artifact_path(out_dir, "dvfs_dashboard.html")
     write_dashboard(bundle, path)
     print(f"  artifact -> {path}")
@@ -583,68 +582,44 @@ class Plane:
 
     #: What the off-path step proves, for its heading.
     invisible: str
-    #: The "off" variants; the first one's digests are the baseline's.
-    variants: Tuple
     #: ``variant -> digests``, float-for-float comparable.
     digests: Callable[[object], Dict]
-    #: Digest key (``None``: all of them) -> text of the check that
-    #: every variant agrees on it.
-    same: Dict[Optional[str], str]
-    #: Text of the check against the committed baseline.
-    baseline: str
     #: ``(args, first variant's digests)``: the acceptance checks.
     accept: Callable[[argparse.Namespace, Dict], None]
-
-
-OFF_PATH = "off-path digests match the committed baseline"
+    #: Text of the check against the committed baseline.
+    baseline: str = "off-path digests match the committed baseline"
+    #: The "off" variants; the first one's digests are the baseline's.
+    variants: Tuple = (None,)
+    #: Digest key (``None``: all of them) -> text of the check that
+    #: every variant agrees on it.
+    same: Dict[Optional[str], str] = field(default_factory=dict)
 
 
 def planes() -> Dict[str, Plane]:
     """Every plane's smoke, built afresh for one run."""
-    from repro.autoscale import AutoscaleConfig
-    from repro.durability import DurabilityConfig
-    from repro.dvfs import DvfsConfig
-    from repro.resilience import ResilienceConfig
-
     traced = {}
     return {
-        "resilience": Plane(
-            "resilience package must be invisible",
-            (None, ResilienceConfig.disabled()), resilience_digests,
-            {None: "resilience=None and ResilienceConfig.disabled() are "
-                   "bit-identical"},
-            OFF_PATH, accept_resilience),
-        "autoscale": Plane(
-            "autoscale package must be invisible",
-            (None, AutoscaleConfig.disabled()), autoscale_digests,
-            {None: "autoscale=None and AutoscaleConfig.disabled() are "
-                   "bit-identical"},
-            OFF_PATH, accept_autoscale),
+        "resilience": Plane("resilience package must be invisible",
+                            resilience_digests, accept_resilience),
+        "autoscale": Plane("autoscale package must be invisible",
+                           autoscale_digests, accept_autoscale),
         "carbon": Plane(
-            "carbon plane must be invisible",
-            (False, True), carbon_digests,
-            {None: "an idle empty-plan FaultInjector moves no float"},
+            "carbon plane must be invisible", carbon_digests, accept_carbon,
             "plain-run digests match the committed baseline",
-            accept_carbon),
-        "dvfs": Plane(
-            "P-state tables must be invisible",
-            (None, DvfsConfig.disabled()), dvfs_digests,
-            {None: "dvfs=None and DvfsConfig.disabled() are bit-identical"},
-            OFF_PATH, accept_dvfs),
-        "durability": Plane(
-            "no detector/monitor/ledger until armed",
-            (None, DurabilityConfig.disabled()), durability_digests,
-            {None: "durability=None and DurabilityConfig.disabled() are "
-                   "bit-identical"},
-            OFF_PATH, accept_durability),
+            (False, True),
+            {None: "an idle empty-plan FaultInjector moves no float"}),
+        "dvfs": Plane("P-state tables must be invisible", dvfs_digests,
+                      accept_dvfs),
+        "durability": Plane("no detector/monitor/ledger until armed",
+                            durability_digests, accept_durability),
         "causality": Plane(
-            "tracing must be invisible",
-            (None, traced), causality_digests,
+            "tracing must be invisible", causality_digests,
+            lambda args, plain: accept_causality(args, traced),
+            "untraced digests match the committed baseline",
+            (None, traced),
             {"web": "traced web level is bit-identical to the untraced run",
              "job": f"traced {CAUSALITY_JOB} job is bit-identical to the "
-                    "untraced run"},
-            "untraced digests match the committed baseline",
-            lambda args, plain: accept_causality(args, traced)),
+                    "untraced run"}),
     }
 
 

@@ -14,8 +14,9 @@ Quick start::
     result = deployment.run_level(concurrency=512, duration=3.0)
     print(result.requests_per_second, result.mean_power_w)
 
-See README.md for the architecture tour and benchmarks/ for the
-table/figure reproductions.
+See README.md for the architecture tour; ``python -m repro claims``
+checks every table and figure the paper prints against the claims
+table in ``core/claims.py``.
 """
 
 from ._exports import lazy_exports

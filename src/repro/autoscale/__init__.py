@@ -11,9 +11,9 @@ a heterogeneous Edison/R620 pool behind capacity-weighted routing.
 Every joule elasticity costs (boot energy, drained-but-idle watts) is
 itemised by a ledger and charged against the SLO error budget.
 
-Everything is strictly opt-in.  With autoscaling disabled (the
-default) no controller, ledger or extra process exists and every run
-is bit-identical to a build without this package — the same hard
+Everything is strictly opt-in.  ``None`` is off (the default): no
+controller, ledger or extra process exists and every run is
+bit-identical to a build without this package — the same hard
 guarantee `repro.trace`, `repro.telemetry`, `repro.faults` and
 `repro.resilience` make.
 """

@@ -2,12 +2,11 @@
 
 Frozen dataclasses with validation, mirroring
 :mod:`repro.resilience.config`: a config can be hashed into an
-experiment manifest, serialised into the committed day plan, and an
-``enabled=False`` :class:`AutoscaleConfig` (the default) is the
-explicit "static fleet" marker — with it, constructing a hybrid
-deployment wires no controller, spawns no processes and draws no
-random numbers, keeping runs bit-identical to a build without this
-package.
+experiment manifest and serialised into the committed day plan.
+``None`` is off (a static fleet): constructing a hybrid deployment
+wires no controller, spawns no processes and draws no random numbers,
+keeping runs bit-identical to a build without this package.  An
+:class:`AutoscaleConfig` arms the whole control plane.
 """
 
 from __future__ import annotations
@@ -90,25 +89,17 @@ class ActuationConfig(Record):
 
 @dataclass(frozen=True)
 class AutoscaleConfig(Record):
-    """Top-level switch; off by default (static fleet, bit-identical)."""
+    """The whole control plane: policy plus actuation."""
 
-    enabled: bool = False
     policy: PolicyConfig = decoded(PolicyConfig.from_dict,
                                    default_factory=PolicyConfig)
     actuation: ActuationConfig = decoded(ActuationConfig.from_dict,
                                          default_factory=ActuationConfig)
 
     @classmethod
-    def disabled(cls) -> "AutoscaleConfig":
-        """The explicit static-fleet marker."""
-        return cls(enabled=False)
-
-    @classmethod
     def reactive(cls, **overrides) -> "AutoscaleConfig":
-        return cls(enabled=True,
-                   policy=PolicyConfig(kind="reactive", **overrides))
+        return cls(policy=PolicyConfig(kind="reactive", **overrides))
 
     @classmethod
     def predictive(cls, **overrides) -> "AutoscaleConfig":
-        return cls(enabled=True,
-                   policy=PolicyConfig(kind="predictive", **overrides))
+        return cls(policy=PolicyConfig(kind="predictive", **overrides))

@@ -32,8 +32,6 @@ class AutoscaleController:
     def __init__(self, sim, telemetry, pool: FleetPool,
                  actuator: FleetActuator, config: AutoscaleConfig,
                  ledger: AutoscaleLedger):
-        if not config.enabled:
-            raise ValueError("refusing to build a disabled controller")
         if telemetry is None:
             raise ValueError("the controller needs an attached Telemetry "
                              "(it scrapes the TSDB, not the nodes)")

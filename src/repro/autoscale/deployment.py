@@ -4,10 +4,10 @@ A :class:`HybridWebDeployment` is the autoscaled analogue of
 :class:`repro.web.WebServiceDeployment`: one fresh simulation holding
 a :func:`~repro.cluster.hybrid_web_cluster`, per-platform service
 costs and connection limits on each web node, a capacity-weighted LB
-rotation, and — when an enabled :class:`AutoscaleConfig` is passed —
-the full control plane (pool, actuator, controller, ledger).
+rotation, and — when an :class:`AutoscaleConfig` is passed — the full
+control plane (pool, actuator, controller, ledger).
 
-With autoscaling disabled (the default) nothing control-plane-shaped
+With ``autoscale=None`` (the default) nothing control-plane-shaped
 is constructed: the deployment is just a static heterogeneous fleet
 behind weighted routing, and two runs with the same seed are
 bit-identical whether or not this module ever existed.
@@ -86,10 +86,9 @@ class HybridWebDeployment:
             for web in self.web_nodes])
         self._reserve_memory()
         self.meter = self.cluster.attach_meter(interval=0.25)
-        # Strictly opt-in, like resilience: a disabled config leaves
-        # no controller, no ledger, no extra processes, no RNG draws.
-        self.autoscale = (autoscale if autoscale is not None
-                          and autoscale.enabled else None)
+        # Strictly opt-in, like resilience: None leaves no controller,
+        # no ledger, no extra processes, no RNG draws.
+        self.autoscale = autoscale
         self.ledger: Optional[AutoscaleLedger] = None
         self.controller: Optional[AutoscaleController] = None
         self.actuator: Optional[FleetActuator] = None
@@ -144,8 +143,7 @@ class HybridWebDeployment:
         chosen had it been watching all along, not with everything on.
         """
         if self.autoscale is None:
-            raise RuntimeError("this deployment has no enabled "
-                               "AutoscaleConfig")
+            raise RuntimeError("this deployment has no AutoscaleConfig")
         if self.controller is not None:
             raise RuntimeError("the autoscaler is already prepared")
         injector = self._ensure_injector()
@@ -173,9 +171,9 @@ class HybridWebDeployment:
                 collect_delays: bool = False) -> LevelResult:
         """Drive one shaped day through the weighted rotation.
 
-        With an enabled config the autoscaler is prepared first (sized
-        to the shape's opening rate) unless :meth:`prepare_autoscaler`
-        was already called explicitly.  Requires attached telemetry
+        With a config the autoscaler is prepared first (sized to the
+        shape's opening rate) unless :meth:`prepare_autoscaler` was
+        already called explicitly.  Requires attached telemetry
         when autoscaling — the controller reads the TSDB, nothing else.
         """
         if self.autoscale is not None and self.controller is None:

@@ -56,8 +56,6 @@ class DayPlan(Record):
             raise ValueError("duration_s must be > 0")
         if self.calls < 1:
             raise ValueError("calls must be >= 1")
-        if not self.autoscale.enabled:
-            raise ValueError("the hybrid arm needs an enabled autoscaler")
 
 
 @dataclass(frozen=True)

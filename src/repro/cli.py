@@ -134,9 +134,8 @@ def _export_metrics(tracer, args) -> None:
 def _make_resilience(args):
     """A stock ResilienceConfig when ``--resilience`` was given, else None.
 
-    None (not a disabled config) keeps the run on the bit-identical
-    historical path; the stock config enables every mitigation with
-    its defaults.
+    None keeps the run on the bit-identical historical path; the stock
+    config arms every mitigation with its defaults.
     """
     if not getattr(args, "resilience", False):
         return None

@@ -23,10 +23,10 @@ micro-server enclosures from big boxes — *network partitions*:
   committed durability day reproduces why rack-aware r=2 is the knee
   on the Edison cluster.
 
-Everything is strictly opt-in.  With durability disabled (the
-default) no detector, feeder, monitor, ledger or sampler exists and
-every run is bit-identical to a build without this package — the same
-hard guarantee `repro.trace`, `repro.telemetry`, `repro.faults`,
+Everything is strictly opt-in.  ``None`` is off (the default): no
+detector, feeder, monitor, ledger or sampler exists and every run is
+bit-identical to a build without this package — the same hard
+guarantee `repro.trace`, `repro.telemetry`, `repro.faults`,
 `repro.resilience`, `repro.autoscale`, `repro.carbon` and
 `repro.dvfs` make.
 """

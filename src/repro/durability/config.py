@@ -1,11 +1,10 @@
 """Knobs for the durability plane.
 
 Frozen dataclasses with validation, mirroring :mod:`repro.dvfs.config`:
-a config can be serialised into the committed durability day, and an
-``enabled=False`` :class:`DurabilityConfig` (the default) is the
-explicit "PR-9 behaviour" marker — with it, no phi detector, heartbeat
-feeder, repair monitor, ledger or sampler exists, keeping runs
-bit-identical to a build without this package.
+a config can be serialised into the committed durability day.  ``None``
+is off — no phi detector, heartbeat feeder, repair monitor, ledger or
+sampler exists, keeping runs bit-identical to a build without this
+package; a :class:`DurabilityConfig` arms the whole plane.
 """
 
 from __future__ import annotations
@@ -23,11 +22,9 @@ class PhiConfig(Record):
     "the odds this silence is ordinary jitter are 1 in 10^8".
     ``heartbeat_s`` is the NodeManager heartbeat period the seeded
     feeder streams jitter around; ``window`` and ``min_std_s`` bound
-    the inter-arrival history the detector fits.  ``enabled=False``
-    falls back to YARN's fixed heartbeat-count expiry.
+    the inter-arrival history the detector fits.
     """
 
-    enabled: bool = True
     threshold: float = 8.0
     window: int = 64
     min_std_s: float = 0.05
@@ -46,21 +43,16 @@ class PhiConfig(Record):
 class RepairConfig(Record):
     """The NameNode-style re-replication loop's knobs.
 
-    ``confirm_s`` is the fixed loss-confirmation window used when no
-    phi detector is armed (``dfs.namenode.heartbeat.recheck`` in
-    spirit); ``throttle_bps`` caps aggregate repair traffic like
+    ``throttle_bps`` caps aggregate repair traffic like
     ``dfs.datanode.balance.bandwidthPerSec``; ``max_streams`` bounds
-    concurrent block copies.
+    concurrent block copies.  Loss is confirmed by the plane's phi
+    detector.
     """
 
-    enabled: bool = True
-    confirm_s: float = 2.0
     throttle_bps: float = 200e6
     max_streams: int = 2
 
     def __post_init__(self):
-        if self.confirm_s < 0:
-            raise ValueError("confirm_s must be >= 0")
         if self.throttle_bps <= 0:
             raise ValueError("throttle_bps must be > 0")
         if self.max_streams < 1:
@@ -69,9 +61,8 @@ class RepairConfig(Record):
 
 @dataclass(frozen=True)
 class DurabilityConfig(Record):
-    """Top-level switch; off by default (bit-identical to PR 9)."""
+    """The whole plane: phi detection, repair, ledger and sampler."""
 
-    enabled: bool = False
     rack_aware: bool = False
     phi: PhiConfig = decoded(PhiConfig.from_dict, default_factory=PhiConfig)
     repair: RepairConfig = decoded(RepairConfig.from_dict,
@@ -81,14 +72,3 @@ class DurabilityConfig(Record):
     def __post_init__(self):
         if self.sample_interval_s <= 0:
             raise ValueError("sample_interval_s must be > 0")
-
-    @classmethod
-    def disabled(cls) -> "DurabilityConfig":
-        """The explicit everything-off marker."""
-        return cls(enabled=False)
-
-    @classmethod
-    def full(cls, rack_aware: bool = True, **overrides
-             ) -> "DurabilityConfig":
-        """Phi detection + repair + ledger, the whole plane."""
-        return cls(enabled=True, rack_aware=rack_aware, **overrides)

@@ -1,9 +1,9 @@
 """Wiring the durability plane onto a MapReduce run.
 
-:func:`attach_job` is the one integration point callers need.  With a
-``None`` or disabled config it returns ``None`` without touching the
-runner — the bit-identity contract every opt-in package here makes.
-Enabled, it arms (in dependency order):
+:func:`attach_job` is the one integration point callers need.  With
+``None`` it returns ``None`` without touching the runner — the
+bit-identity contract every opt-in package here makes.  A config arms
+(in dependency order):
 
 1. **rack-aware placement** — flips the HDFS default-placement flag
    *before* any input is staged, so the committed day's placement arms
@@ -55,9 +55,9 @@ def attach_job(runner, config: Optional[DurabilityConfig], *,
     Must be called *before* :meth:`~repro.mapreduce.JobRunner.run`
     stages input — placement policy is decided at write time.  Returns
     the armed :class:`DurabilityLedger`, or ``None`` when ``config`` is
-    ``None``/disabled (in which case the runner is untouched).
+    ``None`` (in which case the runner is untouched).
     """
-    if config is None or not config.enabled:
+    if config is None:
         return None
     if runner.hdfs.files:
         raise RuntimeError("attach the durability plane before staging "
@@ -68,25 +68,20 @@ def attach_job(runner, config: Optional[DurabilityConfig], *,
                               telemetry=telemetry,
                               sample_interval_s=config.sample_interval_s)
     runner.durability_ledger = ledger
-    detector = None
-    if config.phi.enabled:
-        detector = PhiAccrualDetector(
-            runner.sim, threshold=config.phi.threshold,
-            window=config.phi.window, min_std_s=config.phi.min_std_s,
-            expected_s=config.phi.heartbeat_s)
-        runner._phi = detector
-        for server in runner.slave_servers:
-            node = server.name
-            rng = runner.rng.stream(f"durability.phi.{node}")
-            runner.sim.process(
-                _heartbeat_feeder(runner.sim, detector, node, rng,
-                                  config.phi.heartbeat_s, until),
-                name=f"heartbeat-{node}")
-    if config.repair.enabled:
-        runner.hdfs.enable_repair(
-            confirm_s=config.repair.confirm_s,
-            throttle_bps=config.repair.throttle_bps,
-            max_streams=config.repair.max_streams,
-            ledger=ledger, detector=detector)
+    detector = PhiAccrualDetector(
+        runner.sim, threshold=config.phi.threshold,
+        window=config.phi.window, min_std_s=config.phi.min_std_s,
+        expected_s=config.phi.heartbeat_s)
+    runner._phi = detector
+    for server in runner.slave_servers:
+        node = server.name
+        rng = runner.rng.stream(f"durability.phi.{node}")
+        runner.sim.process(
+            _heartbeat_feeder(runner.sim, detector, node, rng,
+                              config.phi.heartbeat_s, until),
+            name=f"heartbeat-{node}")
+    runner.hdfs.enable_repair(throttle_bps=config.repair.throttle_bps,
+                              max_streams=config.repair.max_streams,
+                              ledger=ledger, detector=detector)
     runner.sim.process(ledger.run(until), name="durability-ledger")
     return ledger

@@ -91,10 +91,9 @@ class DurabilityPlan(Record):
         return FaultPlan(faults=resolved, recurring=self.faults.recurring)
 
     def config(self, rack_aware: bool) -> DurabilityConfig:
-        return DurabilityConfig(
-            enabled=True, rack_aware=rack_aware, phi=self.phi,
-            repair=self.repair,
-            sample_interval_s=self.sample_interval_s)
+        return DurabilityConfig(rack_aware=rack_aware, phi=self.phi,
+                                repair=self.repair,
+                                sample_interval_s=self.sample_interval_s)
 
 
 @dataclass(frozen=True)

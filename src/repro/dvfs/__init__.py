@@ -12,8 +12,8 @@ energy-proportionality scorecard that ladders a deployment from 10 %
 to 100 % load to report dynamic range, proportionality gap and work
 per joule.
 
-Everything is strictly opt-in.  With DVFS disabled (the default) no
-plane, governor or extra process exists and every run is bit-identical
+Everything is strictly opt-in.  With no :class:`DvfsConfig` (``None``,
+the default) no plane, governor or extra process exists and every run is bit-identical
 to a build without this package — the same hard guarantee
 `repro.trace`, `repro.telemetry`, `repro.faults`, `repro.resilience`,
 `repro.autoscale` and `repro.carbon` make.
@@ -22,7 +22,7 @@ to a build without this package — the same hard guarantee
 from .._exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
-    ".config": ("GOVERNOR_KINDS", "DvfsConfig", "GovernorConfig"),
+    ".config": ("GOVERNOR_KINDS", "DvfsConfig"),
     ".governor": ("OndemandGovernor", "PerformanceGovernor",
                   "PowersaveGovernor", "make_governor"),
     ".plane": ("DvfsPlane", "attach_job", "attach_web"),

@@ -1,25 +1,25 @@
 """Knobs for the DVFS plane.
 
-Frozen dataclasses with validation, mirroring
+A frozen dataclass with validation, mirroring
 :mod:`repro.autoscale.config`: a config can be serialised into the
-committed sweep plan, and an ``enabled=False`` :class:`DvfsConfig`
-(the default) is the explicit "nominal frequency" marker — with it, no
-plane is constructed, no process spawned, no P-state touched, keeping
-runs bit-identical to a build without this package.
+committed sweep plan.  ``None`` is off — no plane is constructed, no
+process spawned, no P-state touched, keeping runs bit-identical to a
+build without this package; a :class:`DvfsConfig` arms the plane with
+the governor it names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.records import Record, decoded
+from ..core.records import Record
 
 #: The governors this package implements, in the cpufreq tradition.
 GOVERNOR_KINDS = ("performance", "powersave", "ondemand")
 
 
 @dataclass(frozen=True)
-class GovernorConfig(Record):
+class DvfsConfig(Record):
     """One frequency policy's knobs.
 
     The static governors (``performance``, ``powersave``) pin every
@@ -53,30 +53,3 @@ class GovernorConfig(Record):
             raise ValueError("need 0 <= down_threshold < up_threshold <= 1")
         if self.metric_window_s <= 0:
             raise ValueError("metric_window_s must be > 0")
-
-
-@dataclass(frozen=True)
-class DvfsConfig(Record):
-    """Top-level switch; off by default (nominal P0, bit-identical)."""
-
-    enabled: bool = False
-    governor: GovernorConfig = decoded(GovernorConfig.from_dict,
-                                       default_factory=GovernorConfig)
-
-    @classmethod
-    def disabled(cls) -> "DvfsConfig":
-        """The explicit nominal-frequency marker."""
-        return cls(enabled=False)
-
-    @classmethod
-    def performance(cls) -> "DvfsConfig":
-        return cls(enabled=True, governor=GovernorConfig(kind="performance"))
-
-    @classmethod
-    def powersave(cls) -> "DvfsConfig":
-        return cls(enabled=True, governor=GovernorConfig(kind="powersave"))
-
-    @classmethod
-    def ondemand(cls, **overrides) -> "DvfsConfig":
-        return cls(enabled=True,
-                   governor=GovernorConfig(kind="ondemand", **overrides))

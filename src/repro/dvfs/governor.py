@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .config import GovernorConfig
+from .config import DvfsConfig
 
 
 class PerformanceGovernor:
@@ -58,7 +58,7 @@ class OndemandGovernor:
     kind = "ondemand"
     static = False
 
-    def __init__(self, config: GovernorConfig):
+    def __init__(self, config: DvfsConfig):
         self.config = config
 
     def initial_index(self, n_states: int) -> int:
@@ -75,7 +75,7 @@ class OndemandGovernor:
         return None
 
 
-def make_governor(config: GovernorConfig):
+def make_governor(config: DvfsConfig):
     """Build the governor ``config.kind`` names."""
     if config.kind == "performance":
         return PerformanceGovernor()

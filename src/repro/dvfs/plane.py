@@ -24,8 +24,8 @@ Every transition does four things at one instant:
    (:data:`~repro.causality.energy.PSTATE_EVENT`) for the causal
    tooling.
 
-With :class:`~repro.dvfs.config.DvfsConfig` disabled (the default) no
-plane exists and runs are bit-identical to a build without this
+With no :class:`~repro.dvfs.config.DvfsConfig` (``None``) no plane
+exists and runs are bit-identical to a build without this
 package.
 """
 
@@ -43,14 +43,12 @@ class DvfsPlane:
 
     def __init__(self, sim, servers, config: DvfsConfig,
                  telemetry=None, meter=None):
-        if not config.enabled:
-            raise ValueError("refusing to build a disabled DVFS plane")
         self.sim = sim
         self.servers = list(servers)
         if not self.servers:
             raise ValueError("the DVFS plane needs at least one server")
         self.config = config
-        self.governor = make_governor(config.governor)
+        self.governor = make_governor(config)
         if not self.governor.static and telemetry is None:
             raise ValueError("the ondemand governor needs an attached "
                              "Telemetry (it reads the TSDB, not the nodes)")
@@ -73,7 +71,7 @@ class DvfsPlane:
             self.sim.process(self._run(until), name="dvfs-governor")
 
     def _run(self, until: Optional[float]):
-        interval = self.config.governor.sampling_interval_s
+        interval = self.config.sampling_interval_s
         while until is None or self.sim.now + interval <= until:
             yield self.sim.timeout(interval)
             self.evaluate()
@@ -84,7 +82,7 @@ class DvfsPlane:
         """Decide and actuate every governed node once."""
         self.counters["evals"] += 1
         db = self.telemetry.db
-        window = self.config.governor.metric_window_s
+        window = self.config.metric_window_s
         now = self.sim.now
         for server in self.servers:
             utilization = db.avg_over_time("node_cpu_utilization",
@@ -145,7 +143,7 @@ class DvfsPlane:
 
     def summary(self, until: float) -> Dict[str, object]:
         return {
-            "governor": self.config.governor.kind,
+            "governor": self.config.kind,
             "counters": dict(self.counters),
             "residency_s": {k: round(v, 6)
                             for k, v in sorted(self.residency_s(until).items())},
@@ -160,13 +158,13 @@ def attach_web(deployment, config: Optional[DvfsConfig], *,
     """Govern a web deployment's metered servers, or do nothing.
 
     The one integration point callers need: with ``config`` ``None``
-    or disabled this returns ``None`` without touching the deployment
-    (the bit-identity contract); enabled, it builds and starts a plane
+    this returns ``None`` without touching the deployment (the
+    bit-identity contract); otherwise it builds and starts a plane
     over the metered (web + cache) servers.  ``telemetry`` defaults to
     whatever monitoring plane is already attached to the deployment —
     the ondemand governor requires one.
     """
-    if config is None or not config.enabled:
+    if config is None:
         return None
     if telemetry is None:
         telemetry = getattr(deployment, "telemetry", None)
@@ -186,7 +184,7 @@ def attach_job(runner, config: Optional[DvfsConfig], *,
     metered slaves (the unmetered master keeps nominal frequency, as
     the paper excludes it from energy accounting on both platforms).
     """
-    if config is None or not config.enabled:
+    if config is None:
         return None
     plane = DvfsPlane(runner.sim, runner.cluster.metered_servers,
                       config, telemetry=telemetry, meter=runner.meter)

@@ -19,7 +19,7 @@ from typing import List, Mapping, Optional, Tuple
 from ..core.metrics import nearest_rank_p95
 from ..core.records import Record, decoded, find, keyed, many
 from ..web.loadshape import ShapedLoad
-from .config import DvfsConfig, GovernorConfig
+from .config import DvfsConfig
 from .scorecard import DVFS_SEED, ProportionalityScorecard
 
 #: Sweep axes: every governor against every platform and shape.
@@ -39,9 +39,8 @@ class DvfsPlan(Record):
     calls: int = 5
     edison_scale: str = "1/8"
     dell_scale: str = "1/2"
-    ondemand: GovernorConfig = decoded(
-        GovernorConfig.from_dict,
-        default_factory=lambda: GovernorConfig(kind="ondemand"))
+    ondemand: DvfsConfig = decoded(DvfsConfig.from_dict,
+                                   default_factory=DvfsConfig)
 
     def __post_init__(self):
         if not self.shapes:
@@ -60,9 +59,8 @@ class DvfsPlan(Record):
 
     def config(self, governor: str) -> DvfsConfig:
         if governor == "ondemand":
-            return DvfsConfig(enabled=True, governor=self.ondemand)
-        return DvfsConfig(enabled=True,
-                          governor=GovernorConfig(kind=governor))
+            return self.ondemand
+        return DvfsConfig(kind=governor)
 
 
 @dataclass(frozen=True)
@@ -232,8 +230,7 @@ def dvfs_experiment(plan: DvfsPlan,
                 platform, scale=plan.scale(platform), dvfs=dvfs,
                 seed=plan.seed, calls=plan.calls)
             for platform in platforms
-            for dvfs in (None,
-                         DvfsConfig(enabled=True, governor=plan.ondemand)))
+            for dvfs in (None, plan.ondemand))
     shape_names = ", ".join(plan.shapes)
     return DvfsReport(
         plan_name=plan.name,

@@ -132,7 +132,7 @@ def measure_proportionality(platform: str, scale: str = "1/8",
 
     Each rung is a fresh :class:`~repro.web.WebServiceDeployment`
     served at a flat ``fraction * target_rps()`` rate for
-    ``duration_s`` simulated seconds.  Passing an enabled
+    ``duration_s`` simulated seconds.  Passing a
     :class:`~repro.dvfs.config.DvfsConfig` attaches a telemetry plane
     and a :class:`~repro.dvfs.plane.DvfsPlane` over the metered
     servers, so the ladder measures the governed fleet; without one
@@ -147,7 +147,6 @@ def measure_proportionality(platform: str, scale: str = "1/8",
         raise ValueError("duration_s must exceed warmup_s")
     if not fractions:
         raise ValueError("need at least one load fraction")
-    enabled = dvfs is not None and dvfs.enabled
     points = []
     for fraction in fractions:
         if not 0.0 < fraction <= 1.0:
@@ -155,7 +154,7 @@ def measure_proportionality(platform: str, scale: str = "1/8",
                              f"got {fraction}")
         deployment = WebServiceDeployment(platform, scale, seed=seed)
         rate = fraction * deployment.target_rps()
-        if enabled:
+        if dvfs is not None:
             telemetry = Telemetry()
             telemetry.attach_web(deployment, until=duration_s)
             plane = DvfsPlane(deployment.sim,
@@ -174,5 +173,5 @@ def measure_proportionality(platform: str, scale: str = "1/8",
         idle_w = deployment.cluster.idle_watts()
     return ProportionalityScorecard(
         platform=platform, scale=scale,
-        governor=dvfs.governor.kind if enabled else "nominal",
+        governor="nominal" if dvfs is None else dvfs.kind,
         idle_w=idle_w, points=tuple(points))

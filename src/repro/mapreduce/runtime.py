@@ -257,18 +257,16 @@ class JobRunner:
         #: Root SpanContext of the running job's causal tree (traced
         #: runs only; set by :meth:`run`).
         self._job_ctx = None
-        # Resilience is strictly opt-in: with it off (or a disabled
-        # config), nothing below exists — no extra RNG stream, no
-        # ledger, no monitor process — so runs stay bit-identical.
-        self.resilience = (resilience if resilience is not None
-                           and resilience.any_enabled else None)
+        # Resilience is strictly opt-in: with None, nothing below
+        # exists — no extra RNG stream, no ledger, no monitor process —
+        # so runs stay bit-identical.
+        self.resilience = resilience
         self.resilience_ledger = None
         self._retry_rng = None
         if self.resilience is not None:
             from ..resilience.ledger import ResilienceLedger
             self.resilience_ledger = ResilienceLedger()
-            if self.resilience.retries:
-                self._retry_rng = self.rng.stream("resilience.retry")
+            self._retry_rng = self.rng.stream("resilience.retry")
         # Partition-tolerance state (plain containers: no RNG, no
         # processes — a run that never partitions is bit-identical).
         # The phi detector and ledger are armed by repro.durability's
@@ -604,7 +602,7 @@ class JobRunner:
         # Application-master spin-up + job initialisation lead.
         yield C.ALLOC_LEAD_S[self.platform]
         pool = _InputPool(input_files, self.rng.stream("am"))
-        if self.resilience is not None and self.resilience.speculation:
+        if self.resilience is not None:
             board = _SpecBoard()
             maps = []
             for i in range(spec.map_tasks):
@@ -667,7 +665,7 @@ class JobRunner:
         open when the node died, so the counter was decremented and
         must recover).
 
-        With a ``cell`` (speculation enabled), a map publishes its
+        With a ``cell`` (resilience armed), a map publishes its
         attempt progress there and a speculative twin may race it: the
         first finisher wins, the loser is killed and its joules charged
         to the resilience ledger.

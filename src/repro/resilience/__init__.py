@@ -11,8 +11,8 @@ capped-backoff retries and queue-depth load shedding for the web tier
 duplicated or discarded byte of work in joules, so the paper's
 work-done-per-joule metric can be quoted *net of the resilience tax*.
 
-Everything here is strictly opt-in.  With no :class:`ResilienceConfig`
-attached (or a disabled one), every run is bit-identical to a build
+Everything here is strictly opt-in.  ``None`` is off: with no
+:class:`ResilienceConfig` attached every run is bit-identical to a build
 without this package — the same hard guarantee `repro.trace`,
 `repro.telemetry` and `repro.faults` make.
 """

@@ -1,10 +1,9 @@
 """Knobs for every mitigation, grouped per mechanism.
 
 Everything is a frozen dataclass so a config can be hashed into an
-experiment manifest, and every mechanism can be switched off
-independently — an all-defaults :class:`ResilienceConfig` enables the
-full suite, ``ResilienceConfig.disabled()`` is the explicit "none"
-marker used by paired tax experiments.
+experiment manifest.  ``None`` is off — the unmitigated arm of a paired
+tax experiment; a :class:`ResilienceConfig` arms every mechanism, each
+tuned by its own record.
 
 The defaults are deliberately conservative: LATE's 1.5x-the-median
 straggler rule, a two-wide speculation pool, a single hedge per request
@@ -105,7 +104,6 @@ class BreakerConfig:
 class HedgeConfig:
     """Request hedging: duplicate a call that outlives the trigger."""
 
-    enabled: bool = True
     trigger_s: float = 0.75
 
     def __post_init__(self):
@@ -133,26 +131,10 @@ class AdmissionConfig:
 
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Top-level switchboard; each mechanism toggles independently."""
+    """Every mechanism's knobs; passing one arms them all."""
 
-    speculation: bool = True
-    retries: bool = True
-    breakers: bool = True
-    hedging: bool = True
-    shedding: bool = True
     speculation_cfg: SpeculationConfig = field(default_factory=SpeculationConfig)
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
     breaker_cfg: BreakerConfig = field(default_factory=BreakerConfig)
     hedge_cfg: HedgeConfig = field(default_factory=HedgeConfig)
     admission_cfg: AdmissionConfig = field(default_factory=AdmissionConfig)
-
-    @property
-    def any_enabled(self) -> bool:
-        return (self.speculation or self.retries or self.breakers
-                or self.hedging or self.shedding)
-
-    @classmethod
-    def disabled(cls) -> "ResilienceConfig":
-        """Every mechanism off — the unmitigated arm of a tax experiment."""
-        return cls(speculation=False, retries=False, breakers=False,
-                   hedging=False, shedding=False)

@@ -75,8 +75,7 @@ class WebServiceDeployment:
         self.last_driver: Optional[HttperfDriver] = None
         # Resilience is strictly opt-in; with it off nothing below
         # exists and runs stay bit-identical to the historical path.
-        self.resilience = (resilience if resilience is not None
-                           and resilience.any_enabled else None)
+        self.resilience = resilience
         self.resilience_ledger = None
         self.breakers = None
         self._retry_rng = None
@@ -86,12 +85,10 @@ class WebServiceDeployment:
             from ..resilience.ledger import ResilienceLedger
             self.resilience_ledger = ResilienceLedger()
             self._retry_rng = self.rng.stream("resilience.retry")
-            if self.resilience.breakers:
-                self.breakers = {
-                    w.server.name: CircuitBreaker(
-                        self.sim, w.server.name,
-                        self.resilience.breaker_cfg)
-                    for w in self.web_nodes}
+            self.breakers = {
+                w.server.name: CircuitBreaker(self.sim, w.server.name,
+                                              self.resilience.breaker_cfg)
+                for w in self.web_nodes}
             for web in self.web_nodes:
                 web.enable_resilience(self.resilience,
                                       self.resilience_ledger)
@@ -185,7 +182,7 @@ class WebServiceDeployment:
         self.sim.run(until=duration)
         window = duration - warmup
         stats = driver.stats
-        if self.resilience_ledger is not None and self.breakers is not None:
+        if self.resilience_ledger is not None:
             self.resilience_ledger.counters["breaker_opens"] = sum(
                 b.open_count for b in self.breakers.values())
         if self.telemetry is not None:

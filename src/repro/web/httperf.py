@@ -286,7 +286,7 @@ class HttperfDriver:
     #
     # Active only with a ResilienceConfig: the balancer role grows a
     # per-backend circuit breaker, SYN failover, capped-backoff call
-    # retries and optional hedging.  Calls retried or hedged away from
+    # retries and hedging.  Calls retried or hedged away from
     # the connection's backend are re-dispatched as fresh legs to the
     # alternate node (HAProxy redispatch), not new client connections.
 
@@ -359,9 +359,8 @@ class HttperfDriver:
         (shed, overloaded, dead backend) retry after seeded backoff,
         redispatched to a different backend when one exists.
         """
-        cfg = self.resilience
-        policy = cfg.retry_policy
-        budget = policy.max_retries if cfg.retries else 0
+        policy = self.resilience.retry_policy
+        budget = policy.max_retries
         backend = web
         record = None
         for attempt in range(budget + 1):
@@ -393,7 +392,7 @@ class HttperfDriver:
         return record
 
     def _race(self, client: str, primary: WebServerNode, ctx=None):
-        """One call attempt, optionally hedged: first OK answer wins.
+        """One call attempt, hedged: first OK answer wins.
 
         A duplicate leg launches on another backend once the primary
         outlives the hedge trigger.  Losing legs are not cancelled (a
@@ -403,11 +402,8 @@ class HttperfDriver:
         ``(None, None)`` on client timeout.
         """
         sim = self.sim
-        cfg = self.resilience
         deadline = Timeout(sim, self.workload.client_timeout_s)
-        hedge_timer = None
-        if cfg.hedging and cfg.hedge_cfg.enabled:
-            hedge_timer = Timeout(sim, cfg.hedge_cfg.trigger_s)
+        hedge_timer = Timeout(sim, self.resilience.hedge_cfg.trigger_s)
         yield from self.topology.message(
             client, primary.server.name, self.workload.request_bytes)
         legs = [(primary, sim.process(primary.handle_call(client, ctx=ctx)))]

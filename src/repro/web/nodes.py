@@ -169,10 +169,9 @@ class WebServerNode:
         """
         self.resilience = config
         self.resilience_ledger = ledger
-        if config.shedding:
-            self._shed_threshold = max(1, int(
-                self.limits.call_queue_limit
-                * config.admission_cfg.queue_fraction))
+        self._shed_threshold = max(1, int(
+            self.limits.call_queue_limit
+            * config.admission_cfg.queue_fraction))
 
     # -- connection admission -------------------------------------------
 

@@ -78,8 +78,6 @@ def test_autoscale_config_roundtrip():
                                      lookahead_s=9.0, headroom=1.2)
     again = AutoscaleConfig.from_dict(cfg.to_dict())
     assert again == cfg
-    assert AutoscaleConfig.from_dict(
-        AutoscaleConfig.disabled().to_dict()) == AutoscaleConfig.disabled()
 
 
 # -- pool planning ------------------------------------------------------------
@@ -308,9 +306,6 @@ def test_hybrid_deployment_static_by_default():
     assert deployment.controller is None
     assert deployment.ledger is None
     assert deployment.target_rps() > 0
-    # Disabled config is indistinguishable from no config.
-    disabled = small_hybrid(autoscale=AutoscaleConfig.disabled())
-    assert disabled.controller is None and disabled.ledger is None
 
 
 # -- actuation ordering -------------------------------------------------------
@@ -437,7 +432,7 @@ def test_controller_requires_telemetry_and_enabled_config():
         deployment.prepare_autoscaler(initial_rps=10.0)   # no telemetry
     static = small_hybrid()
     with pytest.raises(RuntimeError):
-        static.prepare_autoscaler(initial_rps=10.0)       # not enabled
+        static.prepare_autoscaler(initial_rps=10.0)       # no config
 
 
 # -- end-to-end days ----------------------------------------------------------
@@ -451,15 +446,6 @@ def test_static_shaped_day_runs_and_counts():
     assert level.ok_calls > 0
     assert level.concurrency == 0
     assert level.window_s == pytest.approx(8.0)
-
-
-def test_hybrid_day_off_path_is_bit_identical():
-    def digest(autoscale):
-        deployment = small_hybrid(autoscale=autoscale)
-        level = deployment.run_day(DAY, 8.0, calls=4)
-        return asdict(level), deployment.meter.energy_joules()
-
-    assert digest(None) == digest(AutoscaleConfig.disabled())
 
 
 def test_autoscaled_hybrid_day_saves_energy():

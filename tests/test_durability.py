@@ -46,12 +46,9 @@ def test_config_validation():
 
 
 def test_config_roundtrip_and_markers():
-    config = DurabilityConfig.full(rack_aware=True)
-    assert config.enabled and config.rack_aware
+    config = DurabilityConfig(rack_aware=True)
     again = DurabilityConfig.from_dict(config.to_dict())
     assert again == config
-    assert not DurabilityConfig.disabled().enabled
-    assert not DurabilityConfig().enabled      # off is the default
 
 
 # -- rack-aware placement -----------------------------------------------------
@@ -445,7 +442,6 @@ def test_attach_job_off_is_a_no_op():
     spec, config = JOB_FACTORIES["wordcount2"]("dell", 4)
     runner = JobRunner("dell", 4, config=config, seed=1, racks=2)
     assert attach_job(runner, None) is None
-    assert attach_job(runner, DurabilityConfig.disabled()) is None
     assert runner.durability_ledger is None
     assert runner._phi is None
     assert runner.hdfs.monitor is None
@@ -457,7 +453,7 @@ def test_attach_job_arms_the_whole_plane():
     spec, config = JOB_FACTORIES["wordcount2"]("dell", 4)
     runner = JobRunner("dell", 4, config=config, seed=1, racks=2)
     FaultInjector(runner.cluster)
-    ledger = attach_job(runner, DurabilityConfig.full())
+    ledger = attach_job(runner, DurabilityConfig(rack_aware=True))
     assert ledger is runner.durability_ledger
     assert runner._phi is not None
     assert runner.hdfs.monitor is not None
@@ -475,7 +471,7 @@ def test_attach_job_after_staging_is_rejected():
     runner = JobRunner("dell", 4, config=config, seed=1, racks=2)
     runner.hdfs.stage_file("too-late", 1 << 20)
     with pytest.raises(RuntimeError):
-        attach_job(runner, DurabilityConfig.full())
+        attach_job(runner, DurabilityConfig(rack_aware=True))
 
 
 # -- the plan and the report --------------------------------------------------

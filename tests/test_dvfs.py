@@ -9,12 +9,11 @@ throttles, and restore bit-exactly.
 """
 
 import random
-from dataclasses import asdict
 
 import pytest
 
 from repro.dvfs import (
-    DvfsConfig, DvfsPlane, GovernorConfig, LoadPoint, OndemandGovernor,
+    DvfsConfig, DvfsPlane, LoadPoint, OndemandGovernor,
     PerformanceGovernor, PowersaveGovernor, ProportionalityScorecard,
     attach_job, attach_web, make_governor, measure_proportionality,
 )
@@ -173,7 +172,7 @@ def test_static_governor_decisions():
 
 
 def test_ondemand_governor_decisions():
-    governor = OndemandGovernor(GovernorConfig(kind="ondemand"))
+    governor = OndemandGovernor(DvfsConfig(kind="ondemand"))
     assert governor.initial_index(4) == 0      # cold fleet at nominal
     # At/above the up threshold: jump straight to P0.
     assert governor.decide(0.80, 2, 4) == 0
@@ -187,55 +186,38 @@ def test_ondemand_governor_decisions():
 
 
 def test_make_governor_and_config_validation():
-    assert make_governor(GovernorConfig(kind="performance")).static
-    assert not make_governor(GovernorConfig(kind="ondemand")).static
+    assert make_governor(DvfsConfig(kind="performance")).static
+    assert not make_governor(DvfsConfig(kind="ondemand")).static
     with pytest.raises(ValueError):
-        GovernorConfig(kind="conservative")
+        DvfsConfig(kind="conservative")
     with pytest.raises(ValueError):
-        GovernorConfig(sampling_interval_s=0.0)
+        DvfsConfig(sampling_interval_s=0.0)
     with pytest.raises(ValueError):
-        GovernorConfig(up_threshold=0.5, down_threshold=0.5)
+        DvfsConfig(up_threshold=0.5, down_threshold=0.5)
     with pytest.raises(ValueError):
-        GovernorConfig(metric_window_s=-1.0)
+        DvfsConfig(metric_window_s=-1.0)
 
 
 def test_dvfs_config_roundtrip():
-    config = DvfsConfig.ondemand(sampling_interval_s=0.25,
-                                 up_threshold=0.9)
+    config = DvfsConfig(sampling_interval_s=0.25, up_threshold=0.9)
     again = DvfsConfig.from_dict(config.to_dict())
     assert again == config
-    assert not DvfsConfig.disabled().enabled
-    assert DvfsConfig.performance().governor.kind == "performance"
-    assert DvfsConfig.powersave().governor.kind == "powersave"
 
 
 # -- the plane ----------------------------------------------------------------
 
-def test_attach_helpers_are_noops_when_disabled():
+def test_attach_helpers_are_noops_when_off():
     from repro.mapreduce import JOB_FACTORIES, JobRunner
     from repro.web import WebServiceDeployment
 
     deployment = WebServiceDeployment("edison", "1/8", seed=41)
     assert attach_web(deployment, None) is None
-    assert attach_web(deployment, DvfsConfig.disabled()) is None
     spec, config = JOB_FACTORIES["wordcount2"]("edison", 4)
     runner = JobRunner("edison", 4, config=config, seed=41)
     assert attach_job(runner, None) is None
-    assert attach_job(runner, DvfsConfig.disabled()) is None
     # Nothing armed: every CPU still parked at P0.
     assert all(s.cpu.pstate_index == 0
                for s in deployment.cluster.metered_servers)
-
-
-def test_disabled_dvfs_is_bit_identical():
-    from repro.web import WebServiceDeployment
-
-    def run(dvfs):
-        deployment = WebServiceDeployment("edison", "1/8", seed=41)
-        assert attach_web(deployment, dvfs, until=2.0) is None
-        return asdict(deployment.run_level(12, duration=2.0, warmup=0.5))
-
-    assert run(None) == run(DvfsConfig.disabled())
 
 
 def test_plane_refuses_bad_construction():
@@ -243,21 +225,18 @@ def test_plane_refuses_bad_construction():
 
     deployment = WebServiceDeployment("edison", "1/8", seed=41)
     with pytest.raises(ValueError):
-        DvfsPlane(deployment.sim, deployment.cluster.metered_servers,
-                  DvfsConfig.disabled())
-    with pytest.raises(ValueError):
-        DvfsPlane(deployment.sim, [], DvfsConfig.performance())
+        DvfsPlane(deployment.sim, [], DvfsConfig(kind="performance"))
     with pytest.raises(ValueError):
         # ondemand reads the TSDB; without telemetry there is none.
         DvfsPlane(deployment.sim, deployment.cluster.metered_servers,
-                  DvfsConfig.ondemand())
+                  DvfsConfig())
 
 
 def test_powersave_plane_parks_the_fleet_deep():
     from repro.web import WebServiceDeployment
 
     deployment = WebServiceDeployment("edison", "1/8", seed=41)
-    plane = attach_web(deployment, DvfsConfig.powersave(), until=2.0)
+    plane = attach_web(deployment, DvfsConfig(kind="powersave"), until=2.0)
     servers = deployment.cluster.metered_servers
     deepest = len(servers[0].cpu.spec.pstates) - 1
     assert all(s.cpu.pstate_index == deepest for s in servers)
@@ -282,7 +261,7 @@ def test_ondemand_plane_downclocks_an_underloaded_fleet():
                                           fromlist=["Tracer"]).Tracer())
     telemetry = Telemetry()
     telemetry.attach_web(deployment, until=6.0)
-    plane = attach_web(deployment, DvfsConfig.ondemand(), until=6.0)
+    plane = attach_web(deployment, DvfsConfig(), until=6.0)
     rate = 0.15 * deployment.target_rps()
     shape = ShapedLoad(DiurnalShape(base_rps=rate, peak_rps=rate,
                                     period_s=6.0))
@@ -400,7 +379,7 @@ def test_committed_plan_roundtrips():
         DvfsPlan(name="bad", shapes={}, duration_s=10.0)
     with pytest.raises(ValueError):
         DvfsPlan(name="bad", shapes=plan.shapes, duration_s=10.0,
-                 ondemand=GovernorConfig(kind="performance"))
+                 ondemand=DvfsConfig(kind="performance"))
 
 
 def test_tiny_sweep_runs_end_to_end():

@@ -160,7 +160,7 @@ def test_cli_parser_loads_no_simulation_module():
         import contextlib, io, json, sys
         from repro.cli import build_parser
         for argv in (["--help"], ["job", "--help"], ["web", "--help"],
-                     ["table8", "--help"], ["dvfs", "--help"]):
+                     ["claims", "--help"], ["dvfs", "--help"]):
             with contextlib.redirect_stdout(io.StringIO()):
                 try:
                     build_parser().parse_args(argv)

@@ -107,7 +107,7 @@ def job_failure_rates():
 
 def job_failure_rates_retries():
     return _job(small_spec(map_failure_rate=0.2, reduce_failure_rate=0.3),
-                resilience=ResilienceConfig(speculation=False), traced=True)
+                resilience=ResilienceConfig(), traced=True)
 
 
 def job_crash():
@@ -386,11 +386,11 @@ EXPECTED = {
     },
     'job_failure_rates_retries': {
         'outcome': {
-            'seconds': 232.89156104399856,
-            'joules': 1406.0436255799902,
+            'seconds': 233.2836089111394,
+            'joules': 1409.1904651211796,
             'locality': 1.0,
         },
-        'processed': 1754,
+        'processed': 1953,
         'ledger': {
             'counters': {
                 'breaker_opens': 0,
@@ -398,16 +398,16 @@ EXPECTED = {
                 'hedges': 0,
                 'retries': 7,
                 'sheds': 0,
-                'speculative_abandoned': 0,
-                'speculative_kills': 0,
-                'speculative_launches': 0,
+                'speculative_abandoned': 1,
+                'speculative_kills': 1,
+                'speculative_launches': 3,
                 'speculative_wins': 0,
             },
             'waste_joules': {
                 'hedge': 0.0,
                 'retry': 0.0,
                 'shed': 0.0,
-                'speculation': 0.0,
+                'speculation': 1.8798064018926801,
             },
         },
         'partition': {
@@ -416,19 +416,20 @@ EXPECTED = {
             'reregistered': 0,
         },
         'trace': {
-            'events': 3487,
+            'events': 3546,
             'spans': {
-                'container.release:None': 27,
-                'container.wait:None': 27,
+                'container.release:None': 28,
+                'container.wait:None': 28,
                 'hdfs-read:None': 21,
                 'job:None': 1,
-                'map-attempt:False': 5,
+                'map-attempt:False': 6,
                 'map-attempt:True': 16,
                 'reduce-attempt:False': 2,
                 'reduce-attempt:True': 4,
                 'shuffle:None': 6,
+                'speculation.launch:None': 3,
             },
-            'sha256': '92bf282a910c0d3fd146838921943a1419396e46f3411051a96bb4fb8f023c79',
+            'sha256': 'be0df96fe3419c1fc46b03cc23c2abb13582aa1c4d92b90590cb536ec35f8e08',
         },
     },
     'job_partition': {

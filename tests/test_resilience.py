@@ -7,7 +7,6 @@ retry budget past the kernel table."""
 
 import json
 import os
-from dataclasses import asdict
 
 import pytest
 
@@ -116,16 +115,6 @@ def test_breaker_slow_success_counts_as_failure():
 def test_config_validation_rejects_bad_knobs(factory, kwargs):
     with pytest.raises(ValueError):
         factory(**kwargs)
-
-
-def test_disabled_config_switches_every_mechanism_off():
-    assert ResilienceConfig().any_enabled
-    off = ResilienceConfig.disabled()
-    assert not off.any_enabled
-    assert not (off.speculation or off.retries or off.breakers
-                or off.hedging or off.shedding)
-    assert ResilienceConfig(speculation=False, retries=False, breakers=False,
-                            hedging=False).any_enabled   # shedding remains
 
 
 # -- the energy ledger --------------------------------------------------------
@@ -337,19 +326,6 @@ def test_telemetry_note_client_outcomes():
     assert telemetry.slo_report().client_failures == 3
     with pytest.raises(ValueError):
         telemetry.note_client_outcomes(timeouts=-1)
-
-
-# -- off-path bit-identity ----------------------------------------------------
-
-def test_resilience_off_is_bit_identical():
-    """resilience=None and ResilienceConfig.disabled() must not perturb
-    a run in any way — same seed, float-identical level results."""
-    def run(resilience):
-        deployment = WebServiceDeployment("edison", "1/8", seed=11,
-                                          resilience=resilience)
-        return asdict(deployment.run_level(16, duration=2.0, warmup=0.5))
-
-    assert run(None) == run(ResilienceConfig.disabled())
 
 
 # -- the committed gray-failure plans -----------------------------------------
