@@ -4,7 +4,8 @@
 One runner for the six opt-in planes — resilience, autoscale, carbon,
 dvfs, durability and causality.  Each plane is checked in two steps:
 
-1. **Off-path fidelity** — with the plane off (``None`` is off) its
+1. **Off-path fidelity** — with the plane off (``None`` is off, or
+   ``False`` for resilience and autoscale, which a bool arms) its
    fidelity digests must equal the committed
    ``experiments/<plane>_baseline.json`` float-for-float (``--update``
    rewrites the baseline instead).  Carbon and causality also run a
@@ -248,7 +249,7 @@ def accept_carbon(args, plain) -> None:
               "plain runs")
 
     for platform, _ in CARBON_FLEETS:
-        dominating = report.dominating_policies(platform)
+        dominating = report.dominating_policies[platform]
         check(bool(dominating),
               f"a policy beats no-wait on grams at 0 misses on "
               f"{platform} ({', '.join(dominating) or 'none'})")
@@ -271,9 +272,9 @@ def accept_carbon(args, plain) -> None:
 
 def dvfs_digests(dvfs):
     """One fixed-rate web level, one shaped day, one MapReduce job —
-    through the same attach helpers the armed path uses, so "off"
-    exercises the real integration."""
-    from repro.dvfs import DVFS_SEED, attach_job, attach_web
+    the web runs through the same attach helper the armed path uses,
+    so "off" exercises the real integration."""
+    from repro.dvfs import DVFS_SEED, attach_web
     from repro.mapreduce import JOB_FACTORIES, JobRunner
     from repro.web import DiurnalShape, ShapedLoad, WebServiceDeployment
 
@@ -289,7 +290,6 @@ def dvfs_digests(dvfs):
 
     spec, config = JOB_FACTORIES["wordcount2"]("edison", 8)
     runner = JobRunner("edison", 8, config=config, seed=DVFS_SEED)
-    assert attach_job(runner, dvfs) is None
     return {"level": asdict(level),
             "shaped": asdict(shaped_level),
             "job": job_digest(runner.run(spec))}
@@ -307,7 +307,8 @@ def render_governed_dashboard(plan, out_dir: str) -> None:
                                       seed=plan.seed)
     telemetry = Telemetry()
     telemetry.attach_web(deployment, until=plan.duration_s)
-    attach_web(deployment, plan.ondemand, until=plan.duration_s)
+    ondemand = plan.config("ondemand")
+    attach_web(deployment, ondemand, until=plan.duration_s)
     deployment.run_shaped(plan.shapes[shape_name], plan.duration_s,
                           calls=plan.calls)
     bundle = telemetry.bundle(meta={"experiment": "dvfs",
@@ -317,7 +318,7 @@ def render_governed_dashboard(plan, out_dir: str) -> None:
             measure_proportionality("edison", scale=plan.scale("edison"),
                                     dvfs=dvfs, seed=plan.seed,
                                     calls=plan.calls).to_dict()
-            for dvfs in (None, plan.ondemand)]}
+            for dvfs in (None, ondemand)]}
     path = artifact_path(out_dir, "dvfs_dashboard.html")
     write_dashboard(bundle, path)
     print(f"  artifact -> {path}")
@@ -428,7 +429,7 @@ def accept_durability(args, plain) -> None:
     for line in report.lines():
         print("  " + line)
 
-    check(report.knee("edison") == 2,
+    check(report.knee["edison"] == 2,
           "rack-aware r=2 is the durability knee on Edison")
     r2 = report.arm("edison", True, 2)
     check(r2.blocks_lost == 0 and not r2.job_failed,
@@ -589,6 +590,7 @@ class Plane:
     #: Text of the check against the committed baseline.
     baseline: str = "off-path digests match the committed baseline"
     #: The "off" variants; the first one's digests are the baseline's.
+    #: ``None`` for a plane a config arms, ``False`` for one a bool arms.
     variants: Tuple = (None,)
     #: Digest key (``None``: all of them) -> text of the check that
     #: every variant agrees on it.
@@ -600,9 +602,11 @@ def planes() -> Dict[str, Plane]:
     traced = {}
     return {
         "resilience": Plane("resilience package must be invisible",
-                            resilience_digests, accept_resilience),
+                            resilience_digests, accept_resilience,
+                            variants=(False,)),
         "autoscale": Plane("autoscale package must be invisible",
-                           autoscale_digests, accept_autoscale),
+                           autoscale_digests, accept_autoscale,
+                           variants=(False,)),
         "carbon": Plane(
             "carbon plane must be invisible", carbon_digests, accept_carbon,
             "plain-run digests match the committed baseline",

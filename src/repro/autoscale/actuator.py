@@ -4,38 +4,43 @@ Power-off is a three-step goodbye, in the only safe order:
 
 1. **deregister** — the node leaves the LB rotation immediately, so no
    new connection lands on it;
-2. **drain** — in-flight connections finish naturally, polled until
-   the count hits zero or the drain timeout gives up (a draining node
-   burns idle-ish watts the whole time — the ledger itemises them);
+2. **drain** — in-flight connections finish naturally, polled every
+   :data:`DRAIN_POLL_S` until the count hits zero or
+   :data:`DRAIN_TIMEOUT_S` gives up (a draining node burns idle-ish
+   watts the whole time — the ledger itemises them);
 3. **suspend** — the fault plane's admin power-off: 0 W, bound
    processes interrupted with the same machinery a power fault uses,
    scrapers stop sampling it.
 
 Power-on is the mirror: admin boot (idle draw, not serving) for the
-platform's boot delay, then power-on and *re*-registration — capacity
-is only advertised once it can actually answer.
+platform's boot delay (:data:`repro.hardware.profiles.BOOT_S`), then
+power-on and *re*-registration — capacity is only advertised once it
+can actually answer.
 """
 
 from __future__ import annotations
 
-from .config import ActuationConfig
+from ..hardware.profiles import BOOT_S
 from .ledger import AutoscaleLedger
 from .pool import ACTIVE, BOOTING, DRAINING, OFF, PoolNode
+
+#: How often a draining node's connection count is polled, and how long
+#: the drain may take before stragglers are cut off.
+DRAIN_POLL_S = 0.5
+DRAIN_TIMEOUT_S = 10.0
 
 
 class FleetActuator:
     """Executes boot and drain sequences for one pool."""
 
-    def __init__(self, sim, injector, rotation, cfg: ActuationConfig,
-                 ledger: AutoscaleLedger):
+    def __init__(self, sim, injector, rotation, ledger: AutoscaleLedger):
         self.sim = sim
         self.injector = injector
         self.rotation = rotation
-        self.cfg = cfg
         self.ledger = ledger
 
     def boot_seconds(self, node: PoolNode) -> float:
-        return self.cfg.boot_s.get(node.platform, 0.0)
+        return BOOT_S.get(node.platform, 0.0)
 
     # -- power on ---------------------------------------------------------
 
@@ -73,9 +78,9 @@ class FleetActuator:
 
     def _drain(self, node: PoolNode):
         start = self.sim.now
-        deadline = start + self.cfg.drain_timeout_s
+        deadline = start + DRAIN_TIMEOUT_S
         while node.web.established > 0 and self.sim.now < deadline:
-            yield self.sim.timeout(self.cfg.drain_poll_s)
+            yield self.sim.timeout(DRAIN_POLL_S)
         if node.web.established > 0:
             # Stragglers are cut off; their calls die with the same 503
             # a crashed server would give.  Real drains do exactly this.

@@ -4,10 +4,10 @@ A :class:`HybridWebDeployment` is the autoscaled analogue of
 :class:`repro.web.WebServiceDeployment`: one fresh simulation holding
 a :func:`~repro.cluster.hybrid_web_cluster`, per-platform service
 costs and connection limits on each web node, a capacity-weighted LB
-rotation, and — when an :class:`AutoscaleConfig` is passed — the full
-control plane (pool, actuator, controller, ledger).
+rotation, and — with ``autoscale=True`` — the full control plane
+(pool, actuator, controller, ledger).
 
-With ``autoscale=None`` (the default) nothing control-plane-shaped
+With ``autoscale=False`` (the default) nothing control-plane-shaped
 is constructed: the deployment is just a static heterogeneous fleet
 behind weighted routing, and two runs with the same seed are
 bit-identical whether or not this module ever existed.
@@ -21,14 +21,14 @@ from ..cluster import hybrid_web_cluster
 from ..hardware import ServerSpec
 from ..sim import RngStreams, Simulation
 from ..web import params as P
-from ..web.deployment import run_shaped
+from ..web.deployment import WebServiceDeployment, run_shaped
 from ..web.httperf import HttperfDriver, LevelResult
 from ..web.nodes import CacheNode, DatabaseNode, WebServerNode
 from ..web.rotation import WeightedRotation
 from .actuator import FleetActuator
-from .config import AutoscaleConfig
 from .controller import AutoscaleController
 from .ledger import AutoscaleLedger
+from .policy import TARGET_UTILIZATION
 from .pool import ACTIVE, OFF, FleetPool, PoolNode
 
 
@@ -39,7 +39,7 @@ class HybridWebDeployment:
                  cache: int = 3,
                  workload: Optional[P.WebWorkload] = None,
                  seed: int = 20160901,
-                 autoscale: Optional[AutoscaleConfig] = None,
+                 autoscale: bool = False,
                  edison_spec: Optional[ServerSpec] = None,
                  trace=None):
         self.platform = "hybrid"
@@ -86,13 +86,13 @@ class HybridWebDeployment:
             for web in self.web_nodes])
         self._reserve_memory()
         self.meter = self.cluster.attach_meter(interval=0.25)
-        # Strictly opt-in, like resilience: None leaves no controller,
+        # Strictly opt-in, like resilience: False leaves no controller,
         # no ledger, no extra processes, no RNG draws.
         self.autoscale = autoscale
         self.ledger: Optional[AutoscaleLedger] = None
         self.controller: Optional[AutoscaleController] = None
         self.actuator: Optional[FleetActuator] = None
-        if self.autoscale is not None:
+        if self.autoscale:
             self.ledger = AutoscaleLedger()
 
     def _reserve_memory(self) -> None:
@@ -105,15 +105,9 @@ class HybridWebDeployment:
             node.server.memory.reserve(
                 frac * node.server.memory.capacity_bytes)
 
-    # -- fault plumbing (same contract as WebServiceDeployment) -----------
+    # -- fault plumbing (the same recovery rule as WebServiceDeployment) --
 
-    def _on_fault_event(self, event: str, node: str, kind: str) -> None:
-        if event != "up" or kind not in ("crash", "power", "admin"):
-            return
-        for web in self.web_nodes:
-            if web.server.name == node:
-                web.reset()
-                return
+    _on_fault_event = WebServiceDeployment._on_fault_event
 
     def _ensure_injector(self):
         """The actuator needs ``sim.faults``; attach an empty one."""
@@ -142,17 +136,15 @@ class HybridWebDeployment:
         begins — the day starts with the fleet the policy would have
         chosen had it been watching all along, not with everything on.
         """
-        if self.autoscale is None:
-            raise RuntimeError("this deployment has no AutoscaleConfig")
+        if not self.autoscale:
+            raise RuntimeError("this deployment is not autoscaled")
         if self.controller is not None:
             raise RuntimeError("the autoscaler is already prepared")
         injector = self._ensure_injector()
         self.actuator = FleetActuator(self.sim, injector, self.rotation,
-                                      self.autoscale.actuation, self.ledger)
-        policy = self.autoscale.policy
+                                      self.ledger)
         wanted = {node.name for node in self.pool.plan_active_set(
-            initial_rps / policy.target_utilization,
-            self.autoscale.actuation.min_active)}
+            initial_rps / TARGET_UTILIZATION)}
         for node in self.pool.nodes:
             if node.name not in wanted:
                 node.state = OFF
@@ -161,8 +153,7 @@ class HybridWebDeployment:
             else:
                 node.state = ACTIVE
         self.controller = AutoscaleController(
-            self.sim, self.telemetry, self.pool, self.actuator,
-            self.autoscale, self.ledger)
+            self.sim, self.telemetry, self.pool, self.actuator, self.ledger)
         self.controller.start(until=until)
         return self.controller
 
@@ -171,12 +162,12 @@ class HybridWebDeployment:
                 collect_delays: bool = False) -> LevelResult:
         """Drive one shaped day through the weighted rotation.
 
-        With a config the autoscaler is prepared first (sized to the
+        When autoscaled, the autoscaler is prepared first (sized to the
         shape's opening rate) unless :meth:`prepare_autoscaler` was
         already called explicitly.  Requires attached telemetry
         when autoscaling — the controller reads the TSDB, nothing else.
         """
-        if self.autoscale is not None and self.controller is None:
+        if self.autoscale and self.controller is None:
             self.prepare_autoscaler(shape.rate(0.0), until=duration)
         return run_shaped(self, shape, duration, warmup=warmup,
                           calls=calls, rotation=self.rotation,

@@ -25,7 +25,6 @@ from ..core.metrics import nearest_rank_p95
 from ..core.records import Record, decoded, find, many
 from ..tco.model import amortized_hardware_usd, energy_cost_usd
 from ..web.loadshape import ShapedLoad
-from .config import AutoscaleConfig
 from .deployment import HybridWebDeployment
 
 #: Seed of the committed day (CI smoke + docs), same spirit as
@@ -47,9 +46,6 @@ class DayPlan(Record):
     hybrid_edison_web: int = 6
     hybrid_dell_web: int = 1
     hybrid_cache: int = 3
-    autoscale: AutoscaleConfig = decoded(
-        AutoscaleConfig.from_dict,
-        default_factory=lambda: AutoscaleConfig.predictive())
 
     def __post_init__(self):
         if self.duration_s <= 0:
@@ -242,7 +238,7 @@ def autoscale_experiment(plan: DayPlan, trace=None) -> AutoscaleReport:
             edison_web=plan.hybrid_edison_web,
             dell_web=plan.hybrid_dell_web,
             cache=plan.hybrid_cache, seed=plan.seed,
-            autoscale=plan.autoscale, trace=trace)
+            autoscale=True, trace=trace)
         telemetry = Telemetry()
         telemetry.attach_web(deployment, until=plan.duration_s)
         level = deployment.run_day(plan.shape, plan.duration_s,

@@ -7,7 +7,10 @@ MapReduce jobs gain release times and deadlines; and four policies —
 no-wait, EDD, threshold-waiting, suspend-resume (parking the whole
 fleet in the PR 6 admin power states mid-run) — are priced against
 each other in grams of CO2, dollars, wait hours and deadline misses,
-on both the Edison and R620 clusters.
+on both the Edison and R620 clusters.  A plan names its arms by policy
+kind alone; the threshold percentile, the deadline guard, the
+governor's tick and the platforms' boot times are constants beside the
+code that reads them.
 
 Everything is strictly opt-in.  The scheduler is a *front end*: jobs
 submitted outside it never see a deferral queue, a governor or an
@@ -23,8 +26,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".governor": ("CarbonGovernor",),
     ".jobspec": ("CARBON_JOB_KINDS", "CarbonJobSpec"),
     ".ledger": ("CarbonLedger", "GovernorAction", "JobRecord", "grid_impact"),
-    ".policy": ("POLICY_KINDS", "EddPolicy", "NoWaitPolicy", "PolicySpec",
-                "SchedulingPolicy", "SuspendResumePolicy",
+    ".policy": ("POLICY_KINDS", "SAFETY", "THRESHOLD_PCT", "EddPolicy",
+                "NoWaitPolicy", "SchedulingPolicy", "SuspendResumePolicy",
                 "ThresholdWaitPolicy", "make_policy"),
     ".scheduler": ("CarbonScheduler", "run_policy_day"),
     ".trace": ("SignalTrace", "evening_peak_price", "solar_dip_intensity"),

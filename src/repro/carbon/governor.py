@@ -1,13 +1,13 @@
 """The suspend-resume governor: parking a running cluster mid-job.
 
 One in-simulation process per governed run.  Every
-``check_interval_s`` it reads the day's intensity trace at the job's
+:data:`CHECK_INTERVAL_S` it reads the day's intensity trace at the job's
 *day* clock (run offset + local sim time) and flips the whole slave
 fleet between service and the PR 6 admin power states through
 :meth:`JobRunner.suspend_workers` / :meth:`JobRunner.resume_workers`.
 
 Suspension time is budgeted, not optimistic: the job's deadline slack
-beyond ``safety * estimate`` is the total the governor may spend
+beyond ``SAFETY * estimate`` is the total the governor may spend
 parked (boot time included), so a governed run can wait out a dirty
 grid but cannot talk itself into a deadline miss.  Every flip is
 timestamped into the :class:`~repro.carbon.ledger.CarbonLedger`'s
@@ -16,9 +16,13 @@ action log.
 
 from __future__ import annotations
 
+from ..hardware.profiles import BOOT_S
 from .jobspec import CarbonJobSpec
-from .policy import SuspendResumePolicy
+from .policy import SAFETY, SuspendResumePolicy
 from .trace import SignalTrace
+
+#: Seconds between the governor's intensity checks.
+CHECK_INTERVAL_S = 20.0
 
 
 class CarbonGovernor:
@@ -33,12 +37,10 @@ class CarbonGovernor:
         self.intensity = intensity
         self.start_day_s = start_day_s
         self.ledger = ledger
-        self.boot_s = policy.boot_s(runner.platform)
-        spec = policy.spec
-        self.check_interval_s = spec.check_interval_s
+        self.boot_s = BOOT_S.get(runner.platform, 0.0)
         #: Total seconds the governor may keep the fleet parked.
         self.budget_s = max(0.0, (job.deadline_s - start_day_s)
-                            - spec.safety * job.estimate(runner.platform))
+                            - SAFETY * job.estimate(runner.platform))
         self.suspensions = 0
         self.suspended_s = 0.0
         self._suspended = False
@@ -57,9 +59,9 @@ class CarbonGovernor:
         """Process generator: tick, compare, flip."""
         # A suspend must be worth its boot: require budget for the
         # reboot plus at least one parked interval before committing.
-        min_park = self.boot_s + 2 * self.check_interval_s
+        min_park = self.boot_s + 2 * CHECK_INTERVAL_S
         while True:
-            yield self.check_interval_s
+            yield CHECK_INTERVAL_S
             if not self._suspended:
                 if self._dirty() and self.budget_s >= min_park:
                     self.runner.suspend_workers()
@@ -68,8 +70,8 @@ class CarbonGovernor:
                     self._log("suspend")
                 continue
             # Parked: the tick itself consumes budget.
-            self.budget_s -= self.check_interval_s
-            self.suspended_s += self.check_interval_s
+            self.budget_s -= CHECK_INTERVAL_S
+            self.suspended_s += CHECK_INTERVAL_S
             if not self._dirty() or self.budget_s <= min_park:
                 self.budget_s -= self.boot_s
                 self.suspended_s += self.boot_s

@@ -11,70 +11,41 @@ start:
 * **edd** — earliest-deadline-first packing.  Same grams, but the
   deadline-safe ordering the waiting policies build on.
 * **threshold** — EDD order, but hold a job until grid intensity dips
-  to the day's ``threshold_pct`` percentile, never waiting past
-  ``deadline - safety * estimate``.
+  to the day's :data:`THRESHOLD_PCT` percentile, never waiting past
+  ``deadline - SAFETY * estimate``.
 * **suspend-resume** — start at release, but let a
   :class:`~repro.carbon.governor.CarbonGovernor` park the whole fleet
   (YARN blacklist + admin power-off) while intensity spikes, within
   the job's deadline slack.
 
-A :class:`PolicySpec` is the serialisable knob set (one per arm in the
-committed plan); :func:`make_policy` instantiates the behaviour.
+The committed plan names its arms by kind; :func:`make_policy`
+instantiates the behaviour.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Mapping, Optional
+from typing import List
 
-from ..autoscale.config import DEFAULT_BOOT_S
-from ..core.records import Record
 from .jobspec import CarbonJobSpec
 from .trace import SignalTrace
 
 POLICY_KINDS = ("no-wait", "edd", "threshold", "suspend-resume")
 
-
-@dataclass(frozen=True)
-class PolicySpec(Record):
-    """Serialisable configuration of one scheduling arm."""
-
-    kind: str = "no-wait"
-    #: Intensity percentile above which work is deferred / suspended.
-    threshold_pct: float = 60.0
-    #: Deadline guard: never defer past ``deadline - safety * est``.
-    safety: float = 1.2
-    #: Governor tick (suspend-resume only).
-    check_interval_s: float = 20.0
-    #: Reboot wall-time per platform after an admin power-off.
-    boot_s: Mapping[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_BOOT_S))
-
-    def __post_init__(self):
-        if self.kind not in POLICY_KINDS:
-            raise ValueError(f"unknown policy kind {self.kind!r} "
-                             f"(have {POLICY_KINDS})")
-        if not 0 <= self.threshold_pct <= 100:
-            raise ValueError("threshold_pct must be in [0, 100]")
-        if self.safety < 1.0:
-            raise ValueError("safety must be >= 1 (estimates are not "
-                             "promises)")
-        if self.check_interval_s <= 0:
-            raise ValueError("check_interval_s must be > 0")
-        for platform, boot in self.boot_s.items():
-            if boot < 0:
-                raise ValueError(f"boot_s[{platform!r}] must be >= 0")
+#: Intensity percentile above which work is deferred / suspended.
+THRESHOLD_PCT = 40.0
+#: Deadline guard: never defer past ``deadline - SAFETY * estimate``
+#: (estimates are not promises).
+SAFETY = 1.2
 
 
 class SchedulingPolicy:
     """Pick-next and earliest-start for the deferral queue."""
 
-    def __init__(self, spec: PolicySpec, intensity: SignalTrace):
-        self.spec = spec
+    def __init__(self, intensity: SignalTrace):
         self.intensity = intensity
-        #: The day's intensity value at the configured percentile —
+        #: The day's intensity value at :data:`THRESHOLD_PCT` —
         #: computed once so every decision uses the same bar.
-        self.threshold = intensity.percentile(spec.threshold_pct)
+        self.threshold = intensity.percentile(THRESHOLD_PCT)
 
     def pick(self, released: List[CarbonJobSpec]) -> CarbonJobSpec:
         """Which released job runs next.  Default: FIFO."""
@@ -108,7 +79,7 @@ class ThresholdWaitPolicy(EddPolicy):
 
     def earliest_start(self, job: CarbonJobSpec, now: float,
                        platform: str) -> float:
-        latest = job.deadline_s - self.spec.safety * job.estimate(platform)
+        latest = job.deadline_s - SAFETY * job.estimate(platform)
         if now >= latest or self.intensity.at(now) <= self.threshold:
             return now
         dip = self.intensity.next_at_or_below(
@@ -124,9 +95,6 @@ class SuspendResumePolicy(EddPolicy):
     def governed(self) -> bool:
         return True
 
-    def boot_s(self, platform: str) -> float:
-        return self.spec.boot_s.get(platform, 0.0)
-
 
 _POLICIES = {
     "no-wait": NoWaitPolicy,
@@ -136,8 +104,9 @@ _POLICIES = {
 }
 
 
-def make_policy(spec: PolicySpec, intensity: SignalTrace,
-                kind: Optional[str] = None) -> SchedulingPolicy:
-    """Instantiate the behaviour for ``spec`` (or an explicit kind)."""
-    return _POLICIES[kind if kind is not None else spec.kind](
-        spec, intensity)
+def make_policy(kind: str, intensity: SignalTrace) -> SchedulingPolicy:
+    """Instantiate the policy ``kind`` names."""
+    if kind not in _POLICIES:
+        raise ValueError(f"unknown policy kind {kind!r} "
+                         f"(have {POLICY_KINDS})")
+    return _POLICIES[kind](intensity)

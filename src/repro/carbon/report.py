@@ -20,7 +20,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from ..core.records import Record, decoded, find, many
 from .jobspec import CarbonJobSpec
 from .ledger import CarbonLedger
-from .policy import POLICY_KINDS, PolicySpec
+from .policy import POLICY_KINDS
 from .scheduler import CarbonScheduler
 from .trace import SignalTrace
 
@@ -47,10 +47,8 @@ class CarbonDayPlan(Record):
     price: SignalTrace = decoded(SignalTrace.from_dict)
     slaves: Mapping[str, int] = field(
         default_factory=lambda: {"edison": 4, "dell": 2})
-    policies: Tuple[PolicySpec, ...] = decoded(
-        many(PolicySpec.from_dict),
-        default_factory=lambda: tuple(PolicySpec(kind=k)
-                                      for k in POLICY_KINDS))
+    #: Policy kind names, one arm each per platform.
+    policies: Tuple[str, ...] = decoded(tuple, default=POLICY_KINDS)
     jobs: Tuple[CarbonJobSpec, ...] = decoded(many(CarbonJobSpec.from_dict),
                                               kw_only=True)
 
@@ -61,9 +59,12 @@ class CarbonDayPlan(Record):
             raise ValueError("a day needs at least one job")
         if not self.policies:
             raise ValueError("a day needs at least one policy arm")
-        kinds = [p.kind for p in self.policies]
-        if len(set(kinds)) != len(kinds):
+        if len(set(self.policies)) != len(self.policies):
             raise ValueError("duplicate policy kinds in one plan")
+        for kind in self.policies:
+            if kind not in POLICY_KINDS:
+                raise ValueError(f"unknown policy kind {kind!r} "
+                                 f"(have {POLICY_KINDS})")
         for platform in PLATFORMS:
             if self.slaves.get(platform, 0) < 1:
                 raise ValueError(f"need slaves[{platform!r}] >= 1")
@@ -111,6 +112,8 @@ class CarbonArm(Record):
 class CarbonReport(Record):
     """All arms side by side, with the dominance and platform verdicts."""
 
+    derived = ("dominating_policies", "platform_delta")
+
     plan_name: str
     detail: str
     arms: Tuple[CarbonArm, ...] = decoded(many(CarbonArm.from_dict))
@@ -132,14 +135,19 @@ class CarbonReport(Record):
                 seen.append(arm.policy)
         return seen
 
-    def dominating_policies(self, platform: str) -> List[str]:
-        """Policies that beat no-wait on grams at zero deadline misses."""
-        base = self.arm("no-wait", platform)
-        return [arm.policy for arm in self.arms
-                if arm.platform == platform
-                and arm.policy != "no-wait"
-                and arm.deadline_misses == 0
-                and arm.grams_co2 < base.grams_co2]
+    @property
+    def dominating_policies(self) -> Dict[str, List[str]]:
+        """Per platform, the policies that beat no-wait on grams at
+        zero deadline misses."""
+        out = {}
+        for platform in self.platforms():
+            base = self.arm("no-wait", platform)
+            out[platform] = [arm.policy for arm in self.arms
+                             if arm.platform == platform
+                             and arm.policy != "no-wait"
+                             and arm.deadline_misses == 0
+                             and arm.grams_co2 < base.grams_co2]
+        return out
 
     def best_arm(self, platform: str) -> CarbonArm:
         """Lowest-gram arm with zero misses (no-wait included)."""
@@ -178,13 +186,6 @@ class CarbonReport(Record):
                 "edison_grams_saved": self.grams_saved("edison"),
                 "dell_grams_saved": self.grams_saved("dell")}
 
-    def to_dict(self) -> Dict:
-        return super().to_dict() | {
-            "dominating_policies": {
-                platform: self.dominating_policies(platform)
-                for platform in self.platforms()},
-            "platform_delta": self.platform_delta()}
-
     def lines(self) -> List[str]:
         """The four-policy table per platform, CLI/docs-ready."""
         out = [f"Carbon day — {self.plan_name} ({self.detail})"]
@@ -204,7 +205,7 @@ class CarbonReport(Record):
             row("wait", lambda a: f"{a.wait_hours * 60:.1f} min")
             row("deadline misses", lambda a: f"{a.deadline_misses}")
             row("suspensions", lambda a: f"{a.suspensions}")
-            dominating = self.dominating_policies(platform)
+            dominating = self.dominating_policies[platform]
             best = self.best_arm(platform)
             saved = self.grams_saved(platform)
             base = self.arm("no-wait", platform)
@@ -240,8 +241,7 @@ def carbon_experiment(plan: CarbonDayPlan) -> CarbonReport:
                 platform, plan.slaves[platform], policy,
                 plan.intensity, plan.price, seed=plan.seed)
             ledger = scheduler.run_day(list(plan.jobs))
-            arms.append(CarbonArm.from_ledger(policy.kind, platform,
-                                              ledger))
+            arms.append(CarbonArm.from_ledger(policy, platform, ledger))
     mean_i = plan.intensity.mean()
     return CarbonReport(
         plan_name=plan.name,

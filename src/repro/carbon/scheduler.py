@@ -26,14 +26,14 @@ from ..mapreduce.runtime import JobRunner
 from .governor import CarbonGovernor
 from .jobspec import CarbonJobSpec
 from .ledger import CarbonLedger, JobRecord, grid_impact
-from .policy import PolicySpec, SchedulingPolicy, make_policy
+from .policy import SchedulingPolicy, make_policy
 from .trace import SignalTrace
 
 
 class CarbonScheduler:
     """Run one day of deferrable jobs under one policy on one platform."""
 
-    def __init__(self, platform: str, slaves: int, policy: PolicySpec,
+    def __init__(self, platform: str, slaves: int, policy: str,
                  intensity: SignalTrace, price: SignalTrace,
                  seed: int = 20160901):
         if slaves < 1:
@@ -95,16 +95,11 @@ class CarbonScheduler:
         return ledger
 
 
-def run_policy_day(platform: str, slaves: int, policy: PolicySpec,
+def run_policy_day(platform: str, slaves: int, policy: str,
                    jobs: List[CarbonJobSpec], intensity: SignalTrace,
-                   price: SignalTrace, seed: int = 20160901,
-                   kind: Optional[str] = None) -> CarbonLedger:
-    """Convenience wrapper: one (platform, policy) arm, one ledger."""
-    if kind is not None:
-        policy = PolicySpec(kind=kind, threshold_pct=policy.threshold_pct,
-                            safety=policy.safety,
-                            check_interval_s=policy.check_interval_s,
-                            boot_s=dict(policy.boot_s))
+                   price: SignalTrace,
+                   seed: int = 20160901) -> CarbonLedger:
+    """Convenience wrapper: one (platform, policy kind) arm, one ledger."""
     scheduler = CarbonScheduler(platform, slaves, policy, intensity,
                                 price, seed=seed)
     return scheduler.run_day(jobs)

@@ -131,18 +131,6 @@ def _export_metrics(tracer, args) -> None:
     print(f"metrics: {len(snapshot)} instruments -> {path}")
 
 
-def _make_resilience(args):
-    """A stock ResilienceConfig when ``--resilience`` was given, else None.
-
-    None keeps the run on the bit-identical historical path; the stock
-    config arms every mitigation with its defaults.
-    """
-    if not getattr(args, "resilience", False):
-        return None
-    from .resilience import ResilienceConfig
-    return ResilienceConfig()
-
-
 def _print_resilience(thing) -> None:
     """One activity line when a run's resilience ledger saw any action."""
     ledger = getattr(thing, "resilience_ledger", None)
@@ -189,7 +177,7 @@ def _cmd_web(args) -> int:
     plan = _load_fault_plan(args)
     deployment = WebServiceDeployment(args.platform, args.scale, workload,
                                       seed=args.seed, trace=tracer,
-                                      resilience=_make_resilience(args))
+                                      resilience=args.resilience)
     if telemetry is not None:
         telemetry.attach_web(deployment)
     injector = deployment.attach_faults(plan) if plan is not None else None
@@ -223,7 +211,7 @@ def _cmd_job(args) -> int:
     plan = _load_fault_plan(args)
     runner = JobRunner(args.platform, args.slaves, config=config,
                        seed=args.seed, trace=tracer,
-                       resilience=_make_resilience(args))
+                       resilience=args.resilience)
     if telemetry is not None:
         telemetry.attach_job(runner)
     injector = None
@@ -260,7 +248,7 @@ def _cmd_chaos_web(args) -> int:
         plan=plan, concurrency=args.concurrency, duration=args.duration,
         warmup=args.duration / 4, kill_at=args.kill_at,
         repair_s=args.repair_after, seed=args.seed, trace=tracer,
-        telemetry=telemetry, resilience=_make_resilience(args))
+        telemetry=telemetry, resilience=args.resilience)
     _export_trace(tracer, args)
     _export_telemetry(telemetry, args)
     base, fault = result.baseline, result.faulted
@@ -297,7 +285,7 @@ def _cmd_chaos_job(args) -> int:
         job=args.name, platform=args.platform, slaves=args.slaves,
         victim=args.victim, plan=plan, kill_at=args.kill_at,
         repair_s=args.repair_after, seed=args.seed, trace=tracer,
-        telemetry=telemetry, resilience=_make_resilience(args))
+        telemetry=telemetry, resilience=args.resilience)
     _export_trace(tracer, args)
     _export_telemetry(telemetry, args)
     rows = [("baseline", f"{result.baseline.seconds:.0f}s / "

@@ -9,9 +9,11 @@ hand-writing ``to_dict``/``from_dict``/``save``/``load``:
   order, then the derived values the class names in ``derived``;
   nested records, mappings and sequences become plain JSON data;
 * :meth:`Record.from_dict` rebuilds nested values with the decoder a
-  field declares through :func:`decoded`, ignores unknown keys, falls
-  back to field defaults and raises :class:`ValueError` naming the class
-  and the field when a required one is missing;
+  field declares through :func:`decoded`, skips the ``derived`` names
+  :meth:`Record.to_dict` emitted, falls back to field defaults and
+  raises :class:`ValueError` naming the class and the key when a
+  required field is missing or a key is neither a field nor derived (a
+  stale plan carrying a deleted knob fails loudly);
 * :meth:`Record.save`/:meth:`Record.load` write and read JSON with
   ``indent=1`` and a trailing newline — the committed plans' format.
 
@@ -85,6 +87,11 @@ class Record:
             decode = f.metadata.get("decode")
             value = data[f.name]
             kwargs[f.name] = value if decode is None else decode(value)
+        if len(kwargs) < len(data):
+            for key in data:
+                if key not in kwargs and key not in cls.derived:
+                    raise ValueError(f"{cls.__name__}: unknown key "
+                                     f"{key!r}")
         return cls(**kwargs)
 
     def save(self, path: str) -> None:

@@ -28,15 +28,17 @@ detector, feeder, monitor, ledger or sampler exists and every run is
 bit-identical to a build without this package — the same hard
 guarantee `repro.trace`, `repro.telemetry`, `repro.faults`,
 `repro.resilience`, `repro.autoscale`, `repro.carbon` and
-`repro.dvfs` make.
+`repro.dvfs` make.  A :class:`DurabilityConfig` arms the whole plane;
+its one field, ``rack_aware``, is the only choice the committed day
+varies — the detector, repair loop and census run at their stock
+values.
 """
 
 from .._exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
-    ".config": ("DurabilityConfig", "PhiConfig", "RepairConfig"),
     ".ledger": ("DurabilityLedger",),
-    ".plane": ("attach_job",),
+    ".plane": ("DurabilityConfig", "attach_job"),
     ".report": ("DAY_SEED", "DurabilityArm", "DurabilityPlan",
                 "DurabilityReport", "durability_experiment"),
 })

@@ -4,10 +4,10 @@ One :class:`DurabilityLedger` watches a run's HDFS block map and bills
 everything the cluster does to keep *data* alive rather than compute:
 
 * a seeded-cadence **sampler** walks the NameNode block census every
-  ``sample_interval_s``, recording blocks-at-risk series (optionally
-  into the telemetry TSDB), integrating *time under-replicated* and
-  *time unavailable* in block-seconds, and asserting the conservation
-  invariant ``created == live + lost`` at every sample point;
+  ``sample_interval_s``, recording blocks-at-risk series, integrating
+  *time under-replicated* and *time unavailable* in block-seconds, and
+  asserting the conservation invariant ``created == live + lost`` at
+  every sample point;
 * **loss events** are stamped the instant the census first sees a
   block with no intact copy anywhere — the moment durability, not
   availability, failed;
@@ -34,13 +34,11 @@ CATEGORIES = ("re_replication", "split_brain")
 class DurabilityLedger:
     """Durability accounting for one simulated run."""
 
-    def __init__(self, sim, hdfs, telemetry=None,
-                 sample_interval_s: float = 1.0):
+    def __init__(self, sim, hdfs, sample_interval_s: float = 1.0):
         if sample_interval_s <= 0:
             raise ValueError("sample_interval_s must be > 0")
         self.sim = sim
         self.hdfs = hdfs
-        self.telemetry = telemetry
         self.sample_interval_s = sample_interval_s
         self.joules: Dict[str, float] = {c: 0.0 for c in CATEGORIES}
         self.node_joules: Dict[str, float] = {}
@@ -123,14 +121,6 @@ class DurabilityLedger:
                 self.sim.trace.instant(
                     "hdfs.data_loss", category="durability",
                     blocks=len(fresh), block_ids=sorted(fresh))
-        if self.telemetry is not None:
-            db = self.telemetry.db
-            db.record(now, "hdfs_blocks_under_replicated",
-                      float(health["under_replicated"]))
-            db.record(now, "hdfs_blocks_unavailable",
-                      float(health["unavailable"]))
-            db.record(now, "hdfs_blocks_lost",
-                      float(health["blocks_lost"]))
         return health
 
     def run(self, until: Optional[float] = None):

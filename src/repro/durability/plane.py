@@ -15,23 +15,39 @@ bit-identity contract every opt-in package here makes.  A config arms
    (``durability.phi.<node>``), which skip a beat whenever the node is
    down *or severed* — exactly the signal a partition corrupts;
 3. **the repair loop** — :meth:`~repro.mapreduce.hdfs.Hdfs.enable_repair`
-   with the config's throttle, billing the ledger per block copy;
+   with its stock throttle, billing the ledger per block copy;
 4. **the ledger and its census sampler** — the run's durability bill
    and blocks-at-risk record.
+
+The detector, the repair loop and the sampler run at their
+constructors' defaults (phi threshold 8 over a 64-beat window, a
+200 MB/s repair throttle with two streams, a 1 s census); only the
+placement policy is a choice a committed experiment varies.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
+from ..core.records import Record
 from ..faults.phi import PhiAccrualDetector
 from ..sim.rng import heartbeat_jitter
-from .config import DurabilityConfig
 from .ledger import DurabilityLedger
 
+#: NodeManager heartbeat period the seeded feeders jitter around; the
+#: phi detector's default prior inter-arrival is the same 1 s.
+HEARTBEAT_S = 1.0
 
-def _heartbeat_feeder(sim, detector, node: str, rng, base_s: float,
-                      until: Optional[float]):
+
+@dataclass(frozen=True)
+class DurabilityConfig(Record):
+    """What a durability arm chooses: rack-aware or oblivious placement."""
+
+    rack_aware: bool = False
+
+
+def _heartbeat_feeder(sim, detector, node: str, rng):
     """Process generator: one NodeManager's heartbeat stream.
 
     Beats arrive with seeded jitter so the detector has a real
@@ -39,17 +55,16 @@ def _heartbeat_feeder(sim, detector, node: str, rng, base_s: float,
     delayed) while the node is down or unreachable — silence is the
     only way the RM side learns anything is wrong.
     """
-    while until is None or sim.now <= until:
-        yield heartbeat_jitter(rng, base_s, low=0.9, high=1.1)
+    while True:
+        yield heartbeat_jitter(rng, HEARTBEAT_S, low=0.9, high=1.1)
         faults = sim.faults
         if faults is None or (faults.is_up(node)
                               and faults.is_reachable(node)):
             detector.beat(node)
 
 
-def attach_job(runner, config: Optional[DurabilityConfig], *,
-               telemetry=None,
-               until: Optional[float] = None) -> Optional[DurabilityLedger]:
+def attach_job(runner, config: Optional[DurabilityConfig]
+               ) -> Optional[DurabilityLedger]:
     """Arm the durability plane on a JobRunner, or do nothing.
 
     Must be called *before* :meth:`~repro.mapreduce.JobRunner.run`
@@ -64,24 +79,16 @@ def attach_job(runner, config: Optional[DurabilityConfig], *,
                            "input: placement policy is decided at write "
                            "time")
     runner.hdfs.rack_aware = config.rack_aware
-    ledger = DurabilityLedger(runner.sim, runner.hdfs,
-                              telemetry=telemetry,
-                              sample_interval_s=config.sample_interval_s)
+    ledger = DurabilityLedger(runner.sim, runner.hdfs)
     runner.durability_ledger = ledger
-    detector = PhiAccrualDetector(
-        runner.sim, threshold=config.phi.threshold,
-        window=config.phi.window, min_std_s=config.phi.min_std_s,
-        expected_s=config.phi.heartbeat_s)
+    detector = PhiAccrualDetector(runner.sim)
     runner._phi = detector
     for server in runner.slave_servers:
         node = server.name
         rng = runner.rng.stream(f"durability.phi.{node}")
         runner.sim.process(
-            _heartbeat_feeder(runner.sim, detector, node, rng,
-                              config.phi.heartbeat_s, until),
+            _heartbeat_feeder(runner.sim, detector, node, rng),
             name=f"heartbeat-{node}")
-    runner.hdfs.enable_repair(throttle_bps=config.repair.throttle_bps,
-                              max_streams=config.repair.max_streams,
-                              ledger=ledger, detector=detector)
-    runner.sim.process(ledger.run(until), name="durability-ledger")
+    runner.hdfs.enable_repair(ledger=ledger, detector=detector)
+    runner.sim.process(ledger.run(), name="durability-ledger")
     return ledger

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.records import Record, decoded, find, many
 from ..faults.models import PARTITION_KINDS, FaultPlan
-from .config import DurabilityConfig, PhiConfig, RepairConfig
+from .plane import DurabilityConfig
 
 #: Seed of the committed durability day (the date this day was cut).
 DAY_SEED = 20260809
@@ -55,10 +55,6 @@ class DurabilityPlan(Record):
     settle_s: float = 30.0
     seed: int = DAY_SEED
     detection_s: float = 0.25
-    phi: PhiConfig = decoded(PhiConfig.from_dict, default_factory=PhiConfig)
-    repair: RepairConfig = decoded(RepairConfig.from_dict,
-                                   default_factory=RepairConfig)
-    sample_interval_s: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "replications",
@@ -76,8 +72,6 @@ class DurabilityPlan(Record):
             raise ValueError("replication cannot exceed slave count")
         if self.settle_s < 0 or self.detection_s < 0:
             raise ValueError("settle_s and detection_s must be >= 0")
-        if self.sample_interval_s <= 0:
-            raise ValueError("sample_interval_s must be > 0")
 
     def faults_for(self, platform: str) -> FaultPlan:
         """The committed faults with ``{platform}`` names resolved."""
@@ -91,9 +85,7 @@ class DurabilityPlan(Record):
         return FaultPlan(faults=resolved, recurring=self.faults.recurring)
 
     def config(self, rack_aware: bool) -> DurabilityConfig:
-        return DurabilityConfig(rack_aware=rack_aware, phi=self.phi,
-                                repair=self.repair,
-                                sample_interval_s=self.sample_interval_s)
+        return DurabilityConfig(rack_aware=rack_aware)
 
 
 @dataclass(frozen=True)
@@ -152,6 +144,8 @@ class DurabilityArm(Record):
 class DurabilityReport(Record):
     """The whole day, every arm, plus the knee verdict."""
 
+    derived = ("knee", "partition_downtime_clean")
+
     plan_name: str
     detail: str
     arms: Tuple[DurabilityArm, ...] = decoded(many(DurabilityArm.from_dict))
@@ -166,13 +160,18 @@ class DurabilityReport(Record):
     def control(self, platform: str) -> DurabilityArm:
         return find(self.controls, platform=platform)
 
-    def knee(self, platform: str) -> Optional[int]:
-        """Smallest rack-aware replication that lost nothing all day."""
-        for r in sorted({a.replication for a in self.arms
-                         if a.platform == platform and a.rack_aware}):
-            if self.arm(platform, True, r).durable:
-                return r
-        return None
+    @property
+    def knee(self) -> Dict[str, Optional[int]]:
+        """Per platform, the smallest rack-aware replication that lost
+        nothing all day (None when none survived)."""
+        out: Dict[str, Optional[int]] = {}
+        for platform in sorted({a.platform for a in self.arms}):
+            out[platform] = next(
+                (r for r in sorted({a.replication for a in self.arms
+                                    if a.platform == platform
+                                    and a.rack_aware})
+                 if self.arm(platform, True, r).durable), None)
+        return out
 
     def partition_downtime_clean(self, tol_s: float = 1e-6) -> bool:
         """Partitions add unreachable-seconds but zero downtime.
@@ -188,19 +187,13 @@ class DurabilityReport(Record):
                 return False
         return True
 
-    def to_dict(self) -> Dict:
-        return super().to_dict() | {
-            "knee": {p: self.knee(p) for p in
-                     sorted({a.platform for a in self.arms})},
-            "partition_downtime_clean": self.partition_downtime_clean()}
-
     def lines(self) -> List[str]:
         out = [f"Durability day — {self.plan_name} ({self.detail})"]
         out.append(f"  {'arm':30s} {'job':>7s} {'energy':>9s} "
                    f"{'lost':>5s} {'risk b·s':>9s} {'repairs':>8s} "
                    f"{'repair J':>9s} {'zombie J':>9s}")
         for arm in (*self.arms, *self.controls):
-            job = "FAIL" if arm.job_failed else f"{arm.job_seconds:.0f} s"
+            job = "failed" if arm.job_failed else f"{arm.job_seconds:.0f} s"
             out.append(
                 f"  {arm.label:30s} {job:>7s} {arm.joules:>7.0f} J "
                 f"{arm.blocks_lost:>5d} "
@@ -208,8 +201,7 @@ class DurabilityReport(Record):
                 f"{arm.repairs_completed:>8d} "
                 f"{arm.re_replication_j:>9.1f} "
                 f"{arm.split_brain_j:>9.1f}")
-        for platform in sorted({a.platform for a in self.arms}):
-            knee = self.knee(platform)
+        for platform, knee in self.knee.items():
             r1 = None
             try:
                 r1 = self.arm(platform, True, 1)

@@ -13,19 +13,22 @@ to 100 % load to report dynamic range, proportionality gap and work
 per joule.
 
 Everything is strictly opt-in.  With no :class:`DvfsConfig` (``None``,
-the default) no plane, governor or extra process exists and every run is bit-identical
-to a build without this package — the same hard guarantee
-`repro.trace`, `repro.telemetry`, `repro.faults`, `repro.resilience`,
-`repro.autoscale` and `repro.carbon` make.
+the default) no plane, governor or extra process exists and every run
+is bit-identical to a build without this package — the same hard
+guarantee `repro.trace`, `repro.telemetry`, `repro.faults`,
+`repro.resilience`, `repro.autoscale` and `repro.carbon` make.  A
+:class:`DvfsConfig` names the governor, the one choice the committed
+sweep varies; the ondemand tick, window and thresholds are constants
+beside the code that reads them.
 """
 
 from .._exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
-    ".config": ("GOVERNOR_KINDS", "DvfsConfig"),
-    ".governor": ("OndemandGovernor", "PerformanceGovernor",
-                  "PowersaveGovernor", "make_governor"),
-    ".plane": ("DvfsPlane", "attach_job", "attach_web"),
+    ".governor": ("GOVERNOR_KINDS", "DvfsConfig", "OndemandGovernor",
+                  "PerformanceGovernor", "PowersaveGovernor",
+                  "make_governor"),
+    ".plane": ("DvfsPlane", "attach_web"),
     ".scorecard": ("DVFS_SEED", "LOAD_FRACTIONS", "LoadPoint",
                    "ProportionalityScorecard", "measure_proportionality"),
     ".report": ("DvfsArm", "DvfsPlan", "DvfsReport", "dvfs_experiment"),

@@ -10,9 +10,41 @@ stay deterministic, stateless and trivially testable.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
-from .config import DvfsConfig
+from ..core.records import Record
+
+#: The governors this package implements, in the cpufreq tradition.
+GOVERNOR_KINDS = ("performance", "powersave", "ondemand")
+
+#: ``ondemand`` jumps to P0 at or above this windowed utilisation...
+UP_THRESHOLD = 0.80
+#: ...and steps down one state at or below this one.  The hold band
+#: must be wide enough that a down-step cannot immediately re-trigger
+#: the up rule: stepping down one state divides measurable utilisation
+#: by that state's frequency ratio, so stability needs
+#: ``DOWN_THRESHOLD / step_ratio < UP_THRESHOLD`` (0.30 / 0.375 with
+#: the committed P-state tables).
+DOWN_THRESHOLD = 0.30
+
+
+@dataclass(frozen=True)
+class DvfsConfig(Record):
+    """What a DVFS arm chooses: the governor ``kind``.
+
+    The static governors (``performance``, ``powersave``) pin every
+    governed CPU to one end of its P-state table.  ``ondemand``
+    re-evaluates each node on the plane's sampling tick against its
+    telemetry-scraped CPU utilisation, with the thresholds above.
+    """
+
+    kind: str = "ondemand"
+
+    def __post_init__(self):
+        if self.kind not in GOVERNOR_KINDS:
+            raise ValueError(f"unknown governor kind {self.kind!r}; "
+                             f"choose from {GOVERNOR_KINDS}")
 
 
 class PerformanceGovernor:
@@ -58,9 +90,6 @@ class OndemandGovernor:
     kind = "ondemand"
     static = False
 
-    def __init__(self, config: DvfsConfig):
-        self.config = config
-
     def initial_index(self, n_states: int) -> int:
         # Start at nominal: a cold fleet must serve its first burst at
         # full speed; the governor earns the down-clocks afterwards.
@@ -68,19 +97,15 @@ class OndemandGovernor:
 
     def decide(self, utilization: float, index: int,
                n_states: int) -> Optional[int]:
-        if utilization >= self.config.up_threshold:
+        if utilization >= UP_THRESHOLD:
             return 0 if index != 0 else None
-        if utilization <= self.config.down_threshold:
+        if utilization <= DOWN_THRESHOLD:
             return index + 1 if index + 1 < n_states else None
         return None
 
 
 def make_governor(config: DvfsConfig):
     """Build the governor ``config.kind`` names."""
-    if config.kind == "performance":
-        return PerformanceGovernor()
-    if config.kind == "powersave":
-        return PowersaveGovernor()
-    if config.kind == "ondemand":
-        return OndemandGovernor(config)
-    raise ValueError(f"unknown governor kind {config.kind!r}")
+    return {"performance": PerformanceGovernor,
+            "powersave": PowersaveGovernor,
+            "ondemand": OndemandGovernor}[config.kind]()

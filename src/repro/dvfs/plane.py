@@ -24,7 +24,7 @@ Every transition does four things at one instant:
    (:data:`~repro.causality.energy.PSTATE_EVENT`) for the causal
    tooling.
 
-With no :class:`~repro.dvfs.config.DvfsConfig` (``None``) no plane
+With no :class:`~repro.dvfs.governor.DvfsConfig` (``None``) no plane
 exists and runs are bit-identical to a build without this
 package.
 """
@@ -34,8 +34,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..causality.energy import PSTATE_EVENT
-from .config import DvfsConfig
-from .governor import make_governor
+from .governor import DvfsConfig, make_governor
+
+#: The ondemand loop's tick, and the window its utilisation is
+#: averaged over.
+SAMPLING_INTERVAL_S = 0.5
+METRIC_WINDOW_S = 1.0
 
 
 class DvfsPlane:
@@ -71,7 +75,7 @@ class DvfsPlane:
             self.sim.process(self._run(until), name="dvfs-governor")
 
     def _run(self, until: Optional[float]):
-        interval = self.config.sampling_interval_s
+        interval = SAMPLING_INTERVAL_S
         while until is None or self.sim.now + interval <= until:
             yield self.sim.timeout(interval)
             self.evaluate()
@@ -82,12 +86,11 @@ class DvfsPlane:
         """Decide and actuate every governed node once."""
         self.counters["evals"] += 1
         db = self.telemetry.db
-        window = self.config.metric_window_s
         now = self.sim.now
         for server in self.servers:
-            utilization = db.avg_over_time("node_cpu_utilization",
-                                           window_s=window, now=now,
-                                           node=server.name)
+            utilization = db.avg_over_time(
+                "node_cpu_utilization", window_s=METRIC_WINDOW_S, now=now,
+                node=server.name)
             if utilization is None:
                 continue        # not scraped yet (or node is down)
             target = self.governor.decide(utilization,
@@ -174,19 +177,3 @@ def attach_web(deployment, config: Optional[DvfsConfig], *,
     plane.start(until=until)
     return plane
 
-
-def attach_job(runner, config: Optional[DvfsConfig], *,
-               until: Optional[float] = None,
-               telemetry=None) -> Optional[DvfsPlane]:
-    """Govern a MapReduce runner's slave nodes, or do nothing.
-
-    Same contract as :func:`attach_web`; the governed set is the
-    metered slaves (the unmetered master keeps nominal frequency, as
-    the paper excludes it from energy accounting on both platforms).
-    """
-    if config is None:
-        return None
-    plane = DvfsPlane(runner.sim, runner.cluster.metered_servers,
-                      config, telemetry=telemetry, meter=runner.meter)
-    plane.start(until=until)
-    return plane

@@ -19,7 +19,7 @@ from typing import List, Mapping, Optional, Tuple
 from ..core.metrics import nearest_rank_p95
 from ..core.records import Record, decoded, find, keyed, many
 from ..web.loadshape import ShapedLoad
-from .config import DvfsConfig
+from .governor import DvfsConfig
 from .scorecard import DVFS_SEED, ProportionalityScorecard
 
 #: Sweep axes: every governor against every platform and shape.
@@ -39,8 +39,6 @@ class DvfsPlan(Record):
     calls: int = 5
     edison_scale: str = "1/8"
     dell_scale: str = "1/2"
-    ondemand: DvfsConfig = decoded(DvfsConfig.from_dict,
-                                   default_factory=DvfsConfig)
 
     def __post_init__(self):
         if not self.shapes:
@@ -49,17 +47,12 @@ class DvfsPlan(Record):
             raise ValueError("duration_s must be > 0")
         if self.calls < 1:
             raise ValueError("calls must be >= 1")
-        if self.ondemand.kind != "ondemand":
-            raise ValueError("the plan's ondemand knobs must configure "
-                             "an ondemand governor")
 
     def scale(self, platform: str) -> str:
         return self.edison_scale if platform == "edison" \
             else self.dell_scale
 
     def config(self, governor: str) -> DvfsConfig:
-        if governor == "ondemand":
-            return self.ondemand
         return DvfsConfig(kind=governor)
 
 
@@ -212,7 +205,7 @@ def dvfs_experiment(plan: DvfsPlan,
     """Run the committed sweep and return every arm plus scorecards.
 
     Scorecards ladder each platform twice — nominal hardware and the
-    plan's ondemand governor — so the dashboard can show how much of
+    ondemand governor — so the dashboard can show how much of
     the proportionality gap frequency scaling recovers.
     """
     from .scorecard import measure_proportionality
@@ -230,7 +223,7 @@ def dvfs_experiment(plan: DvfsPlan,
                 platform, scale=plan.scale(platform), dvfs=dvfs,
                 seed=plan.seed, calls=plan.calls)
             for platform in platforms
-            for dvfs in (None, plan.ondemand))
+            for dvfs in (None, plan.config("ondemand")))
     shape_names = ", ".join(plan.shapes)
     return DvfsReport(
         plan_name=plan.name,

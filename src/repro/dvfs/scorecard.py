@@ -133,7 +133,7 @@ def measure_proportionality(platform: str, scale: str = "1/8",
     Each rung is a fresh :class:`~repro.web.WebServiceDeployment`
     served at a flat ``fraction * target_rps()`` rate for
     ``duration_s`` simulated seconds.  Passing a
-    :class:`~repro.dvfs.config.DvfsConfig` attaches a telemetry plane
+    :class:`~repro.dvfs.governor.DvfsConfig` attaches a telemetry plane
     and a :class:`~repro.dvfs.plane.DvfsPlane` over the metered
     servers, so the ladder measures the governed fleet; without one
     the ladder measures the nominal hardware.

@@ -96,7 +96,7 @@ def web_kill_experiment(platform: str = "edison", scale: str = "full",
                         seed: int = 20160901,
                         detection_s: float = 0.25,
                         trace=None, telemetry=None,
-                        resilience=None) -> WebChaosResult:
+                        resilience: bool = False) -> WebChaosResult:
     """Run one concurrency level twice: fault-free, then under ``plan``.
 
     Without an explicit ``plan``, ``victim`` (default: the first web
@@ -105,9 +105,9 @@ def web_kill_experiment(platform: str = "edison", scale: str = "full",
     the only difference is the injected faults.  A
     :class:`repro.telemetry.Telemetry` passed as ``telemetry`` monitors
     the faulted run (the one whose detection latency is interesting).
-    A :class:`repro.resilience.ResilienceConfig` passed as
-    ``resilience`` arms the *faulted* run only — the baseline stays the
-    clean, unmitigated twin the overheads are measured against.
+    ``resilience=True`` arms the *faulted* run only — the baseline
+    stays the clean, unmitigated twin the overheads are measured
+    against.
     """
     from ..web import WebServiceDeployment   # deferred: import cycle
     baseline_dep = WebServiceDeployment(platform, scale, seed=seed)
@@ -184,14 +184,14 @@ def job_kill_experiment(job: str = "wordcount", platform: str = "edison",
                         detection_s: float = 0.25,
                         deadline_s: float = 100_000.0,
                         trace=None, telemetry=None,
-                        resilience=None) -> JobChaosResult:
+                        resilience: bool = False) -> JobChaosResult:
     """Run one Table 8 job twice: fault-free, then under ``plan``.
 
     Without an explicit ``plan``, ``victim`` (default: the first slave)
     crashes at ``kill_at`` and is repaired after ``repair_s`` (default:
     never within the run).  ``telemetry`` monitors the faulted run;
-    a ``resilience`` config arms the faulted run only, leaving the
-    baseline as the clean twin.
+    ``resilience=True`` arms the faulted run only, leaving the baseline
+    as the clean twin.
     """
     from ..mapreduce import JOB_FACTORIES, JobRunner  # deferred: cycle
     from ..mapreduce.runtime import JobFailed

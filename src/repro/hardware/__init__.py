@@ -7,8 +7,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".memory": ("Memory", "MemorySpec"),
     ".nic": ("Nic", "NicSpec"),
     ".power": ("DEFAULT_WEIGHTS", "PowerSpec", "cluster_power"),
-    ".profiles": ("DELL_R620", "EDISON", "EDISON_INTEGRATED_NIC", "PROFILES",
-                  "make_server"),
+    ".profiles": ("BOOT_S", "DELL_R620", "EDISON", "EDISON_INTEGRATED_NIC",
+                  "PROFILES", "make_server"),
     ".server": ("Server", "ServerSpec"),
     ".storage": ("Storage", "StorageSpec"),
 })

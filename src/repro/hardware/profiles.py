@@ -110,6 +110,14 @@ DELL_R620 = ServerSpec(
 
 PROFILES = {"edison": EDISON, "dell": DELL_R620}
 
+#: Seconds from an admin power-on until a platform serves again.  The
+#: Edison runs Yocto off flash and is up in single-digit seconds; an
+#: R620 POSTs its way through iDRAC, RAID and PXE for tens of seconds.
+#: Scaled to the compressed simulated days the same way the port-pool
+#: constants are.  Read by the autoscaler's boots and carbon's
+#: suspend-resume governor.
+BOOT_S = {"edison": 8.0, "dell": 15.0}
+
 
 def make_server(sim: Simulation, spec: ServerSpec, name: str) -> Server:
     """Instantiate one server of the given profile inside ``sim``."""

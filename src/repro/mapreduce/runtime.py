@@ -36,7 +36,6 @@ from .hdfs import BlockUnavailable, Hdfs
 from .yarn import YarnScheduler
 
 if TYPE_CHECKING:
-    from ..resilience.config import ResilienceConfig
     from ..workloads import Dataset
 
 #: Concurrent fetch streams per reducer (mapreduce.reduce.shuffle.parallelcopies).
@@ -60,6 +59,19 @@ MAX_TASK_LAUNCHES = 25
 #: Hadoop default is a 10-minute liveness window; scaled to the
 #: simulation's second-scale heartbeats.)
 NM_EXPIRY_HEARTBEATS = 2
+
+# LATE-style speculation (resilience only).  Every SPECULATION_CHECK_S
+# the monitor flags an attempt as a straggler once its elapsed time
+# exceeds LATE_FACTOR x the median completed attempt (the cost-model
+# estimate until LATE_MIN_COMPLETED have finished); at most
+# SPECULATION_MAX_OUTSTANDING twins run at once, and a twin gives up
+# on a container after SPECULATION_GRANT_HEARTBEATS heartbeat rounds
+# so speculation never starves first attempts.
+SPECULATION_CHECK_S = 2.0
+LATE_FACTOR = 1.5
+LATE_MIN_COMPLETED = 3
+SPECULATION_MAX_OUTSTANDING = 2
+SPECULATION_GRANT_HEARTBEATS = 10
 
 
 class TaskFailed(Exception):
@@ -223,7 +235,7 @@ class JobRunner:
                  edison_spec: Optional[ServerSpec] = None,
                  master_spec: Optional[ServerSpec] = None,
                  trace=None,
-                 resilience: Optional[ResilienceConfig] = None,
+                 resilience: bool = False,
                  racks: int = 0):
         self.platform = platform
         self.slaves = slaves
@@ -257,13 +269,13 @@ class JobRunner:
         #: Root SpanContext of the running job's causal tree (traced
         #: runs only; set by :meth:`run`).
         self._job_ctx = None
-        # Resilience is strictly opt-in: with None, nothing below
+        # Resilience is strictly opt-in: with False, nothing below
         # exists — no extra RNG stream, no ledger, no monitor process —
         # so runs stay bit-identical.
         self.resilience = resilience
         self.resilience_ledger = None
         self._retry_rng = None
-        if self.resilience is not None:
+        if self.resilience:
             from ..resilience.ledger import ResilienceLedger
             self.resilience_ledger = ResilienceLedger()
             self._retry_rng = self.rng.stream("resilience.retry")
@@ -602,7 +614,7 @@ class JobRunner:
         # Application-master spin-up + job initialisation lead.
         yield C.ALLOC_LEAD_S[self.platform]
         pool = _InputPool(input_files, self.rng.stream("am"))
-        if self.resilience is not None:
+        if self.resilience:
             board = _SpecBoard()
             maps = []
             for i in range(spec.map_tasks):
@@ -855,11 +867,8 @@ class JobRunner:
         """
         if self._retry_rng is None:
             return
-        policy = self.resilience.retry_policy
         self.resilience_ledger.count("retries")
-        yield backoff_delay(self._retry_rng, failures - 1,
-                            policy.backoff_base_s, policy.backoff_cap_s,
-                            policy.jitter)
+        yield backoff_delay(self._retry_rng, failures - 1)
 
     def _charge_speculation(self, node: str, seconds: float) -> None:
         """Bill a killed attempt's partial work to the resilience ledger."""
@@ -897,23 +906,22 @@ class JobRunner:
                              board: _SpecBoard, factor: float):
         """Job-wide straggler scan, LATE-style.
 
-        Every ``check_interval_s`` the monitor compares each running
-        attempt's elapsed time against ``late_factor`` times the median
-        completed-attempt duration (cost-model estimate until
-        ``min_completed`` attempts exist) and launches capped
+        Every :data:`SPECULATION_CHECK_S` the monitor compares each
+        running attempt's elapsed time against :data:`LATE_FACTOR` times
+        the median completed-attempt duration (cost-model estimate until
+        :data:`LATE_MIN_COMPLETED` attempts exist) and launches capped
         speculative twins for the laggards.
         """
-        cfg = self.resilience.speculation_cfg
         estimate = self._estimate_map_s(spec, factor)
         while not state.all_maps_done.triggered:
-            yield cfg.check_interval_s
+            yield SPECULATION_CHECK_S
             if state.all_maps_done.triggered:
                 return
-            if len(board.durations) >= cfg.min_completed:
+            if len(board.durations) >= LATE_MIN_COMPLETED:
                 baseline = statistics.median(board.durations)
             else:
                 baseline = estimate
-            threshold = cfg.late_factor * baseline
+            threshold = LATE_FACTOR * baseline
             outstanding = sum(
                 1 for c in board.cells
                 if c.spec_process is not None and c.spec_process.is_alive)
@@ -930,7 +938,7 @@ class JobRunner:
                  and now - c.started_at > threshold),
                 key=lambda c: now - c.started_at, reverse=True)
             for cell in laggards:
-                if outstanding >= cfg.max_outstanding:
+                if outstanding >= SPECULATION_MAX_OUTSTANDING:
                     break
                 cell.speculated = True
                 outstanding += 1
@@ -955,13 +963,12 @@ class JobRunner:
         starves first attempts on a full cluster.
         """
         ledger = self.resilience_ledger
-        cfg = self.resilience.speculation_cfg
         faults = self.sim.faults
         avoid = (cell.node,) if cell.node is not None else ()
         try:
             grant = yield from self.yarn.allocate(
                 spec.map_mem_mb,
-                max_heartbeats=cfg.allocation_heartbeats,
+                max_heartbeats=SPECULATION_GRANT_HEARTBEATS,
                 avoid=avoid)
         except Interrupt:
             return                       # killed while still queueing: free
@@ -1264,7 +1271,7 @@ def run_job(platform: str, slaves: int, spec: JobSpec,
             edison_spec: Optional[ServerSpec] = None,
             master_spec: Optional[ServerSpec] = None,
             deadline_s: float = 100_000.0, trace=None,
-            resilience: Optional[ResilienceConfig] = None) -> JobReport:
+            resilience: bool = False) -> JobReport:
     """Convenience wrapper: build a fresh cluster and run one job."""
     runner = JobRunner(platform, slaves, config=config, seed=seed,
                        edison_spec=edison_spec, master_spec=master_spec,

@@ -2,8 +2,7 @@
 
 Two paired experiments run the *same* seeded gray-failure plan twice —
 once with every mitigation off (the historical, bit-identical path) and
-once with a :class:`~repro.resilience.ResilienceConfig` armed — and
-report both arms side by side:
+once with ``resilience=True`` — and report both arms side by side:
 
 * :func:`web_resilience_experiment` — a throttled/lossy/crashing web
   tier under steady load.  The unmitigated arm piles calls onto the
@@ -30,7 +29,6 @@ from typing import List, Mapping, Optional, Sequence
 from ..core.records import Record, decoded
 from ..faults.models import (FaultPlan, cpu_throttle, node_crash,
                              packet_loss)
-from .config import ResilienceConfig
 
 #: Seed of the committed gray-failure experiment (CI smoke + docs).
 GRAY_SEED = 42
@@ -215,20 +213,17 @@ def web_resilience_experiment(platform: str = "edison", scale: str = "1/4",
                               duration: float = 30.0, warmup: float = 1.0,
                               seed: int = GRAY_SEED,
                               plan: Optional[FaultPlan] = None,
-                              config: Optional[ResilienceConfig] = None,
                               trace=None) -> ResilienceTaxReport:
     """Run the committed web gray plan twice and report the tax.
 
     Both arms share the seed, the plan and the offered load; the only
-    difference is the :class:`ResilienceConfig`.  Telemetry rides along
+    difference is whether resilience is armed.  Telemetry rides along
     on each arm for the SLO verdicts (its attachment is bit-neutral).
     """
     from ..telemetry import Telemetry     # deferred: import cycle
     from ..web import WebServiceDeployment
-    if config is None:
-        config = ResilienceConfig()
 
-    def arm(label: str, resilience: Optional[ResilienceConfig]):
+    def arm(label: str, resilience: bool):
         deployment = WebServiceDeployment(platform, scale, seed=seed,
                                           resilience=resilience,
                                           trace=trace)
@@ -254,8 +249,8 @@ def web_resilience_experiment(platform: str = "edison", scale: str = "1/4",
             waste_joules=(dict(ledger.waste_joules)
                           if ledger is not None else {}))
 
-    unmitigated = arm("unmitigated", None)
-    mitigated = arm("mitigated", config)
+    unmitigated = arm("unmitigated", False)
+    mitigated = arm("mitigated", True)
     return ResilienceTaxReport(kind="web", platform=platform,
                                detail=f"scale {scale}, "
                                       f"{concurrency} conn/s",
@@ -270,17 +265,14 @@ def job_resilience_experiment(job: str = "wordcount2",
                               platform: str = "edison", slaves: int = 8,
                               seed: int = GRAY_SEED,
                               plan: Optional[FaultPlan] = None,
-                              config: Optional[ResilienceConfig] = None,
                               deadline_s: float = 100_000.0,
                               trace=None) -> ResilienceTaxReport:
     """Run one Table 8 job under the gray plan, with and without LATE."""
     from ..faults import FaultInjector    # deferred: import cycle
     from ..mapreduce import JOB_FACTORIES, JobRunner
     from ..mapreduce.runtime import JobFailed
-    if config is None:
-        config = ResilienceConfig()
 
-    def arm(label: str, resilience: Optional[ResilienceConfig]):
+    def arm(label: str, resilience: bool):
         spec, hadoop_config = JOB_FACTORIES[job](platform, slaves)
         runner = JobRunner(platform, slaves, config=hadoop_config,
                            seed=seed, resilience=resilience, trace=trace)
@@ -304,8 +296,8 @@ def job_resilience_experiment(job: str = "wordcount2",
             waste_joules=(dict(ledger.waste_joules)
                           if ledger is not None else {}))
 
-    unmitigated = arm("unmitigated", None)
-    mitigated = arm("mitigated", config)
+    unmitigated = arm("unmitigated", False)
+    mitigated = arm("mitigated", True)
     return ResilienceTaxReport(kind="job", platform=platform,
                                detail=f"{job}, {slaves} slaves",
                                unmitigated=unmitigated,

@@ -40,14 +40,16 @@ def heartbeat_jitter(rng: random.Random, base_s: float,
     return (low + (high - low) * rng.random()) * base_s
 
 
-def backoff_delay(rng: random.Random, attempt: int, base_s: float,
-                  cap_s: float, jitter: float = 0.5) -> float:
+def backoff_delay(rng: random.Random, attempt: int, base_s: float = 0.05,
+                  cap_s: float = 1.0, jitter: float = 0.5) -> float:
     """Capped exponential backoff with seeded jitter.
 
     Attempt ``n`` (0-based) waits ``min(cap_s, base_s * 2**n)`` scaled
     by a uniform factor in ``[1 - jitter, 1]`` drawn from ``rng`` — the
     "decorrelated enough" jitter that keeps retry herds from
-    re-synchronising while staying reproducible from the run seed.
+    re-synchronising while staying reproducible from the run seed.  The
+    defaults (50 ms doubling to a 1 s cap, half-width jitter) are the
+    resilience plane's retries, web calls and MapReduce attempts alike.
     """
     if attempt < 0:
         raise ValueError("attempt must be >= 0")

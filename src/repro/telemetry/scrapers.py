@@ -121,7 +121,7 @@ class NodeAgent:
         db.record(now, "web_requests_total", float(self._record_index),
                   node=node)
         db.record(now, "web_errors_total", float(self._errors), node=node)
-        if web.resilience is not None:
+        if web.resilience_ledger is not None:
             db.record(now, "web_shed_total", float(web.shed_calls),
                       node=node)
         if delays:

@@ -11,7 +11,7 @@ restarts its 3-minute tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
 from ..cluster import web_cluster
 from ..hardware import ServerSpec
@@ -19,9 +19,6 @@ from ..sim import RngStreams, Simulation
 from . import params as P
 from .httperf import HttperfDriver, LevelResult
 from .nodes import CacheNode, DatabaseNode, WebServerNode
-
-if TYPE_CHECKING:
-    from ..resilience.config import ResilienceConfig
 
 
 class WebServiceDeployment:
@@ -33,7 +30,7 @@ class WebServiceDeployment:
                  edison_spec: Optional[ServerSpec] = None,
                  limits: Optional[P.ConnectionLimits] = None,
                  trace=None,
-                 resilience: Optional[ResilienceConfig] = None):
+                 resilience: bool = False):
         if platform not in P.COSTS:
             raise ValueError(f"unknown platform {platform!r}")
         self.platform = platform
@@ -79,19 +76,17 @@ class WebServiceDeployment:
         self.resilience_ledger = None
         self.breakers = None
         self._retry_rng = None
-        if self.resilience is not None:
+        if self.resilience:
             # The plane's modules load only when it is armed.
             from ..resilience.breaker import CircuitBreaker
             from ..resilience.ledger import ResilienceLedger
             self.resilience_ledger = ResilienceLedger()
             self._retry_rng = self.rng.stream("resilience.retry")
             self.breakers = {
-                w.server.name: CircuitBreaker(self.sim, w.server.name,
-                                              self.resilience.breaker_cfg)
+                w.server.name: CircuitBreaker(self.sim, w.server.name)
                 for w in self.web_nodes}
             for web in self.web_nodes:
-                web.enable_resilience(self.resilience,
-                                      self.resilience_ledger)
+                web.enable_resilience(self.resilience_ledger)
         self._reserve_memory()
         self.meter = self.cluster.attach_meter(interval=0.25)
 
@@ -119,6 +114,10 @@ class WebServiceDeployment:
         return injector
 
     def _on_fault_event(self, event: str, node: str, kind: str) -> None:
+        """The recovery rule every web deployment shares.
+
+        The autoscale package's hybrid deployment reuses this method.
+        """
         # "admin" is the autoscaler's deliberate suspend/resume: a node
         # coming back from it reboots with a clean connection table
         # exactly like one repaired after a crash or power fault.  A

@@ -17,6 +17,11 @@ from ..sim import AnyOf, Timeout, backoff_delay
 from . import params as P
 from .nodes import SYN_RETRY_DELAYS, WebServerNode
 
+#: Resilient path: a failed call is retried at most this many times...
+MAX_CALL_RETRIES = 2
+#: ...and a call still unanswered after this many seconds is hedged.
+HEDGE_TRIGGER_S = 0.75
+
 
 @dataclass
 class LevelStats:
@@ -76,7 +81,7 @@ class HttperfDriver:
     def __init__(self, sim, topology, web_nodes: List[WebServerNode],
                  client_names: List[str], workload: P.WebWorkload, rng,
                  collect_after: float = 0.0,
-                 resilience=None, ledger=None, retry_rng=None,
+                 resilience: bool = False, ledger=None, retry_rng=None,
                  breakers=None, collect_delays: bool = False):
         if not web_nodes or not client_names:
             raise ValueError("need web nodes and client hosts")
@@ -88,8 +93,8 @@ class HttperfDriver:
         self.rng = rng
         self.collect_after = collect_after
         self.stats = LevelStats()
-        # -- resilience (all None/off on the historical path) ------------
-        #: :class:`repro.resilience.ResilienceConfig` or None.
+        # -- resilience (all off/None on the historical path) ------------
+        #: True arms the mitigations; the three below then all exist.
         self.resilience = resilience
         #: :class:`repro.resilience.ResilienceLedger` metering waste.
         self.ledger = ledger
@@ -112,7 +117,7 @@ class HttperfDriver:
         n = len(web_nodes)
         sim = self.sim
         expovariate = self.rng.expovariate
-        resilient = self.resilience is not None
+        resilient = self.resilience
         while sim._now < until:
             yield expovariate(concurrency)
             if sim.faults is None and not resilient:
@@ -190,7 +195,7 @@ class HttperfDriver:
         clients = self.client_names
         client = clients[index % len(clients)]
         web, index = self._pick_backend(index)
-        if self.resilience is None:
+        if not self.resilience:
             client = clients[(index - 1) % len(clients)]
         return client, web, index
 
@@ -203,15 +208,15 @@ class HttperfDriver:
         context rides into :meth:`WebServerNode.handle_call` — the
         request/cache/db spans become its descendants.
 
-        With a :class:`~repro.resilience.ResilienceConfig` the SYN and
-        every call go through the mitigations (:meth:`_establish`,
-        :meth:`_resilient_call`); otherwise both run inline here.
+        With resilience armed the SYN and every call go through the
+        mitigations (:meth:`_establish`, :meth:`_resilient_call`);
+        otherwise both run inline here.
         """
         sim = self.sim
         trace = sim.trace
         conn_ctx = trace.root_context() if trace is not None else None
         start = sim._now
-        resilient = self.resilience is not None
+        resilient = self.resilience
         if resilient:
             web, attempt = yield from self._establish(web)
             if web is None:
@@ -284,7 +289,7 @@ class HttperfDriver:
 
     # -- the resilient path ------------------------------------------------
     #
-    # Active only with a ResilienceConfig: the balancer role grows a
+    # Active only with resilience armed: the balancer role grows a
     # per-backend circuit breaker, SYN failover, capped-backoff call
     # retries and hedging.  Calls retried or hedged away from
     # the connection's backend are re-dispatched as fresh legs to the
@@ -335,18 +340,14 @@ class HttperfDriver:
             if web is not None:
                 if web.try_accept():
                     return web, attempt
-                breaker = self._breaker(web)
-                if breaker is not None:
-                    breaker.record_failure()
+                self.breakers[web.server.name].record_failure()
             if attempt >= len(SYN_RETRY_DELAYS):
                 return None, attempt
             alternate, self._rr = self._pick_backend(self._rr, exclude=web)
             if alternate is not None and alternate is not web:
                 if alternate.try_accept():
                     return alternate, attempt
-                breaker = self._breaker(alternate)
-                if breaker is not None:
-                    breaker.record_failure()
+                self.breakers[alternate.server.name].record_failure()
             yield SYN_RETRY_DELAYS[attempt]
             attempt += 1
             self._count_syn_retry()
@@ -359,13 +360,10 @@ class HttperfDriver:
         (shed, overloaded, dead backend) retry after seeded backoff,
         redispatched to a different backend when one exists.
         """
-        policy = self.resilience.retry_policy
-        budget = policy.max_retries
         backend = web
         record = None
-        for attempt in range(budget + 1):
-            breaker = self._breaker(backend)
-            if breaker is not None and not breaker.allow():
+        for attempt in range(MAX_CALL_RETRIES + 1):
+            if not self.breakers[backend.server.name].allow():
                 # The target's breaker is open (and this call did not
                 # win the half-open probe slot): route the call to a
                 # healthy backend instead of burning an attempt on a
@@ -378,13 +376,10 @@ class HttperfDriver:
             record, served_by = yield from self._race(client, backend, ctx)
             if record is None:
                 return None
-            if record.ok or attempt >= budget:
+            if record.ok or attempt >= MAX_CALL_RETRIES:
                 return record
-            if self.ledger is not None:
-                self.ledger.count("retries")
-            yield backoff_delay(self.retry_rng, attempt,
-                                policy.backoff_base_s,
-                                policy.backoff_cap_s, policy.jitter)
+            self.ledger.count("retries")
+            yield backoff_delay(self.retry_rng, attempt)
             alternate, self._rr = self._pick_backend(
                 self._rr, exclude=served_by)
             if alternate is not None:
@@ -403,7 +398,7 @@ class HttperfDriver:
         """
         sim = self.sim
         deadline = Timeout(sim, self.workload.client_timeout_s)
-        hedge_timer = Timeout(sim, self.resilience.hedge_cfg.trigger_s)
+        hedge_timer = Timeout(sim, HEDGE_TRIGGER_S)
         yield from self.topology.message(
             client, primary.server.name, self.workload.request_bytes)
         legs = [(primary, sim.process(primary.handle_call(client, ctx=ctx)))]
@@ -415,20 +410,19 @@ class HttperfDriver:
                     continue
                 settled.add(process)
                 rec = process.value
-                breaker = self._breaker(backend)
+                breaker = self.breakers[backend.server.name]
                 if rec.ok:
-                    if breaker is not None:
-                        # Latency-aware: a slow 200 counts against the
-                        # backend (gray failures answer late, not 500).
-                        breaker.record_success(rec.total_s)
-                    if backend is not primary and self.ledger is not None:
+                    # Latency-aware: a slow 200 counts against the
+                    # backend (gray failures answer late, not 500).
+                    breaker.record_success(rec.total_s)
+                    if backend is not primary:
                         self.ledger.count("hedge_wins")
                     self._reap_losers(legs, process)
                     deadline.cancel()
                     if hedge_timer is not None:
                         hedge_timer.cancel()
                     return rec, backend
-                if breaker is not None and not rec.shed:
+                if not rec.shed:
                     # A shed is deliberate backpressure ("busy right
                     # now"), not backend sickness; counting it would
                     # cascade-trip every survivor under redirect load.
@@ -450,8 +444,7 @@ class HttperfDriver:
                 alternate, self._rr = self._pick_backend(
                     self._rr, exclude=primary)
                 if alternate is not None:
-                    if self.ledger is not None:
-                        self.ledger.count("hedges")
+                    self.ledger.count("hedges")
                     if sim.trace is not None:
                         sim.trace.instant("hedge.launch",
                                           category="resilience",
@@ -485,8 +478,6 @@ class HttperfDriver:
         energy is already accounted as useful work.
         """
         yield process
-        if self.ledger is None:
-            return
         record = process.value
         seconds = record.cpu_s if record is not None else 0.0
         self.ledger.charge("hedge", backend.server.name, seconds,

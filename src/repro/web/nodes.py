@@ -21,6 +21,12 @@ from . import params as P
 #: Client-kernel SYN retransmission schedule (1 s, then 2 s, then 4 s).
 SYN_RETRY_DELAYS = (1.0, 2.0, 4.0)
 
+#: Admission control (resilience only) sheds new calls beyond this
+#: fraction of the overload limit (``call_queue_limit``) — high enough
+#: that redispatched and hedged bursts on the healthy survivors do not
+#: themselves trigger shedding.
+SHED_QUEUE_FRACTION = 0.75
+
 
 @dataclass(slots=True)
 class CallRecord:
@@ -152,26 +158,23 @@ class WebServerNode:
         self.record_log_enabled = True
         # Resilience (opt-in via enable_resilience; all None/zero keeps
         # the node bit-identical to a build without the feature).
-        self.resilience = None
         self.resilience_ledger = None
         self.shed_calls = 0
         self._shed_threshold: Optional[int] = None
 
     # -- resilience ------------------------------------------------------
 
-    def enable_resilience(self, config, ledger) -> None:
+    def enable_resilience(self, ledger) -> None:
         """Arm admission control (queue-depth load shedding).
 
-        Beyond ``queue_fraction`` of the overload limit, new calls get
-        a cheap 503 fast-fail instead of queueing toward the client's
-        timeout — the shed reply costs microseconds of CPU where a
-        queued call would hold a worker for seconds.
+        Beyond :data:`SHED_QUEUE_FRACTION` of the overload limit, new
+        calls get a cheap 503 fast-fail instead of queueing toward the
+        client's timeout — the shed reply costs microseconds of CPU
+        where a queued call would hold a worker for seconds.
         """
-        self.resilience = config
         self.resilience_ledger = ledger
         self._shed_threshold = max(1, int(
-            self.limits.call_queue_limit
-            * config.admission_cfg.queue_fraction))
+            self.limits.call_queue_limit * SHED_QUEUE_FRACTION))
 
     # -- connection admission -------------------------------------------
 
@@ -261,7 +264,7 @@ class WebServerNode:
         cpu_execute = self.server.cpu.execute
         message = self.topology.message
         costs = self.costs
-        track_cpu = self.resilience is not None
+        track_cpu = self.resilience_ledger is not None
         busy_time = self.server.cpu.busy_time
         if faults is not None:
             faults.bind(name, process)
@@ -383,12 +386,11 @@ class WebServerNode:
         record.shed = True
         record.status = 503
         ledger = self.resilience_ledger
-        if ledger is not None:
-            ledger.count("sheds")
-            ledger.charge(
-                "shed", self.server.name,
-                self.server.cpu.busy_time(self.costs.error_mi),
-                ledger.marginal_vcore_watts(self.server))
+        ledger.count("sheds")
+        ledger.charge(
+            "shed", self.server.name,
+            self.server.cpu.busy_time(self.costs.error_mi),
+            ledger.marginal_vcore_watts(self.server))
         yield from self.server.cpu.execute(self.costs.error_mi)
         yield from self.topology.message(
             self.server.name, client_name, P.ERROR_REPLY_BYTES)

@@ -5,12 +5,14 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.autoscale import (ACTIVE, BOOTING, DRAINING, OFF, ActuationConfig,
-                             AutoscaleConfig, AutoscaleLedger, FleetActuator,
-                             FleetPool, HybridWebDeployment, PolicyConfig,
-                             PoolNode, PredictivePolicy, ReactivePolicy,
-                             make_policy)
+from repro.autoscale import (ACTIVE, BOOTING, DRAINING, OFF, AutoscaleLedger,
+                             FleetActuator, FleetPool, HybridWebDeployment,
+                             PoolNode, PredictivePolicy)
+from repro.autoscale.policy import (COOLDOWN_S, HIGH_UTILIZATION, HISTORY_S,
+                                    LOW_UTILIZATION, TARGET_UTILIZATION)
 from repro.cluster import hybrid_web_cluster
+from repro.faults import FaultInjector, FaultPlan
+from repro.faults.models import node_set_partition
 from repro.sim import Simulation
 from repro.telemetry import Telemetry
 from repro.web import (DiurnalShape, FlashCrowd, ShapedLoad,
@@ -47,37 +49,15 @@ def small_hybrid(**kwargs):
     return HybridWebDeployment(**kwargs)
 
 
-# -- config -------------------------------------------------------------------
+# -- policy constants ---------------------------------------------------------
 
 def test_policy_config_validation():
-    with pytest.raises(ValueError):
-        PolicyConfig(kind="psychic")
-    with pytest.raises(ValueError):
-        PolicyConfig(low_utilization=0.8, high_utilization=0.4)
-    with pytest.raises(ValueError):
-        PolicyConfig(target_utilization=0.9)      # outside the band
-    with pytest.raises(ValueError):
-        PolicyConfig(eval_interval_s=0.0)
-    with pytest.raises(ValueError):
-        PolicyConfig(headroom=0.5)
-
-
-def test_actuation_config_validation():
-    with pytest.raises(ValueError):
-        ActuationConfig(boot_s={"edison": -1.0})
-    with pytest.raises(ValueError):
-        ActuationConfig(min_active=0)
-    with pytest.raises(ValueError):
-        ActuationConfig(drain_poll_s=0.0)
-
-
-def test_autoscale_config_roundtrip():
-    cfg = AutoscaleConfig.predictive(target_utilization=0.5,
-                                     low_utilization=0.3,
-                                     high_utilization=0.7,
-                                     lookahead_s=9.0, headroom=1.2)
-    again = AutoscaleConfig.from_dict(cfg.to_dict())
-    assert again == cfg
+    # The hysteresis only holds if the target sits strictly inside the
+    # band: a target at or past an edge leaves every resized fleet
+    # outside the band, so the next tick would act again.
+    assert 0.0 <= LOW_UTILIZATION < TARGET_UTILIZATION < HIGH_UTILIZATION
+    assert HIGH_UTILIZATION <= 1.0
+    assert COOLDOWN_S >= 0.0 and HISTORY_S > 0.0
 
 
 # -- pool planning ------------------------------------------------------------
@@ -123,12 +103,8 @@ def test_pool_validation():
 
 # -- policies -----------------------------------------------------------------
 
-BAND = PolicyConfig(target_utilization=0.6, low_utilization=0.4,
-                    high_utilization=0.8, cooldown_s=10.0)
-
-
 def test_reactive_holds_inside_hysteresis_band():
-    policy = ReactivePolicy(BAND)
+    policy = PredictivePolicy()      # no lookahead: purely reactive
     # 60/100 = 0.6 utilisation: inside the band, hold.
     assert policy.decide(0.0, 60.0, 100.0) is None
     assert policy.decide(0.0, 79.9, 100.0) is None
@@ -136,7 +112,7 @@ def test_reactive_holds_inside_hysteresis_band():
 
 
 def test_reactive_scales_up_without_cooldown():
-    policy = ReactivePolicy(BAND)
+    policy = PredictivePolicy()      # no lookahead: purely reactive
     # Two consecutive breaches seconds apart both act: scale-up is
     # never cooldown-gated.
     assert policy.decide(0.0, 90.0, 100.0) == pytest.approx(150.0)
@@ -144,25 +120,22 @@ def test_reactive_scales_up_without_cooldown():
 
 
 def test_reactive_scale_down_respects_cooldown():
-    policy = ReactivePolicy(BAND)
+    policy = PredictivePolicy()      # no lookahead: purely reactive
     assert policy.decide(0.0, 90.0, 100.0) is not None     # scale up
     # Utilisation collapses immediately: the down-scale must wait out
-    # the cooldown from that last action.
+    # the 12 s cooldown from that last action.
     assert policy.decide(2.0, 10.0, 100.0) is None
-    assert policy.decide(9.0, 10.0, 100.0) is None
-    assert policy.decide(10.0, 12.0, 100.0) == pytest.approx(20.0)
+    assert policy.decide(11.0, 10.0, 100.0) is None
+    assert policy.decide(12.0, 12.0, 100.0) == pytest.approx(20.0)
 
 
 def test_reactive_boots_an_empty_fleet():
-    policy = ReactivePolicy(BAND)
+    policy = PredictivePolicy()      # no lookahead: purely reactive
     assert policy.decide(0.0, 30.0, 0.0) == pytest.approx(50.0)
 
 
 def test_predictive_lookahead_adds_demand_on_ramps():
-    cfg = PolicyConfig(kind="predictive", target_utilization=0.6,
-                       low_utilization=0.4, high_utilization=0.8,
-                       history_s=30.0)
-    policy = PredictivePolicy(cfg, default_lookahead_s=10.0)
+    policy = PredictivePolicy(lookahead_s=10.0)
     # A clean 5 rps/s ramp: slope is exact, so the demand signal runs
     # one lookahead (50 rps) ahead of the measured rate.
     for t in range(5):
@@ -170,27 +143,18 @@ def test_predictive_lookahead_adds_demand_on_ramps():
     assert demand == pytest.approx(120.0 + 50.0)
     # Declines are never extrapolated: demand floors at the measured
     # rate instead of shedding on a forecast.
-    policy2 = PredictivePolicy(cfg, default_lookahead_s=10.0)
+    policy2 = PredictivePolicy(lookahead_s=10.0)
     for t in range(5):
         demand = policy2.demand_rps(float(t), 200.0 - 5.0 * t)
     assert demand == pytest.approx(180.0)
 
 
-def test_predictive_history_trimmed_and_cfg_lookahead_wins():
-    cfg = PolicyConfig(kind="predictive", history_s=3.0, lookahead_s=7.0)
-    policy = PredictivePolicy(cfg, default_lookahead_s=99.0)
-    assert policy.lookahead_s == 7.0
-    for t in range(10):
+def test_predictive_history_trimmed_to_its_window():
+    policy = PredictivePolicy(lookahead_s=7.0)
+    for t in range(60):
         policy.demand_rps(float(t), 10.0)
-    assert all(t >= 9.0 - 3.0 for t, _ in policy.history)
-
-
-def test_make_policy_dispatch():
-    assert isinstance(make_policy(PolicyConfig(kind="reactive")),
-                      ReactivePolicy)
-    predictive = make_policy(PolicyConfig(kind="predictive"), 4.0)
-    assert isinstance(predictive, PredictivePolicy)
-    assert predictive.lookahead_s == 4.0
+    assert all(t >= 59.0 - HISTORY_S for t, _ in policy.history)
+    assert policy.history[0][0] == 59.0 - HISTORY_S
 
 
 # -- weighted rotation --------------------------------------------------------
@@ -308,6 +272,20 @@ def test_hybrid_deployment_static_by_default():
     assert deployment.target_rps() > 0
 
 
+def test_hybrid_node_resets_when_a_partition_heals():
+    deployment = small_hybrid()
+    FaultInjector(deployment.cluster, FaultPlan(faults=(
+        node_set_partition(["web-0"], at=1.0, duration=2.0),)))
+    deployment._ensure_injector()        # wires the recovery rule
+    web = deployment.web_nodes[0]
+    web.established = 3                  # clients long since gave up
+    epoch = web.epoch
+    deployment.sim.run(until=2.0)
+    assert (web.epoch, web.established) == (epoch, 3)    # still severed
+    deployment.sim.run(until=4.0)
+    assert (web.epoch, web.established) == (epoch + 1, 0)
+
+
 # -- actuation ordering -------------------------------------------------------
 
 def drive(deployment):
@@ -315,7 +293,7 @@ def drive(deployment):
     injector = deployment._ensure_injector()
     ledger = AutoscaleLedger()
     actuator = FleetActuator(deployment.sim, injector, deployment.rotation,
-                             ActuationConfig(), ledger)
+                             ledger)
     return injector, ledger, actuator
 
 
@@ -402,7 +380,7 @@ def test_suspended_node_draws_zero_watts_and_vanishes_from_scrapes():
 # -- the closed loop ----------------------------------------------------------
 
 def test_controller_scales_up_from_tsdb_signal():
-    deployment = small_hybrid(autoscale=AutoscaleConfig.reactive())
+    deployment = small_hybrid(autoscale=True)
     telemetry = Telemetry()
     deployment.telemetry = telemetry     # controller reads only the TSDB
     controller = deployment.prepare_autoscaler(initial_rps=100.0)
@@ -427,12 +405,12 @@ def test_controller_scales_up_from_tsdb_signal():
 
 
 def test_controller_requires_telemetry_and_enabled_config():
-    deployment = small_hybrid(autoscale=AutoscaleConfig.reactive())
+    deployment = small_hybrid(autoscale=True)
     with pytest.raises(ValueError):
         deployment.prepare_autoscaler(initial_rps=10.0)   # no telemetry
     static = small_hybrid()
     with pytest.raises(RuntimeError):
-        static.prepare_autoscaler(initial_rps=10.0)       # no config
+        static.prepare_autoscaler(initial_rps=10.0)       # not autoscaled
 
 
 # -- end-to-end days ----------------------------------------------------------
@@ -448,18 +426,24 @@ def test_static_shaped_day_runs_and_counts():
     assert level.window_s == pytest.approx(8.0)
 
 
+#: The stock policy looks one Dell boot plus one tick (17 s) ahead, so
+#: a ramp as steep as DAY's reads as a reason to wake the Dell; a
+#: one-minute period is slow enough for it.
+SLOW_DAY = ShapedLoad(DiurnalShape(base_rps=40.0, peak_rps=240.0,
+                                   period_s=60.0))
+
+
 def test_autoscaled_hybrid_day_saves_energy():
     def run(autoscale):
         deployment = small_hybrid(autoscale=autoscale)
-        if autoscale is not None:
+        if autoscale:
             telemetry = Telemetry()
-            telemetry.attach_web(deployment, until=20.0)
-        level = deployment.run_day(DAY, 20.0, calls=4)
+            telemetry.attach_web(deployment, until=40.0)
+        level = deployment.run_day(SLOW_DAY, 40.0, calls=4)
         return deployment, level
 
-    static, static_level = run(None)
-    scaled, scaled_level = run(AutoscaleConfig.reactive(
-        eval_interval_s=1.0, metric_window_s=3.0, cooldown_s=4.0))
+    static, static_level = run(False)
+    scaled, scaled_level = run(True)
     # The autoscaler parked the Dell (3550 rps of capacity nobody
     # needed at <= 240 rps) and served the day on Edisons.
     assert scaled.ledger.counters["evals"] > 0
@@ -472,7 +456,7 @@ def test_autoscaled_hybrid_day_saves_energy():
 
 def test_autoscaled_day_is_deterministic():
     def run():
-        deployment = small_hybrid(autoscale=AutoscaleConfig.reactive())
+        deployment = small_hybrid(autoscale=True)
         telemetry = Telemetry()
         telemetry.attach_web(deployment, until=12.0)
         level = deployment.run_day(DAY, 12.0, calls=4)

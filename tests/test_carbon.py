@@ -1,12 +1,13 @@
 """Tests for repro.carbon: grid traces, deferral policies, the
 suspend-resume governor, and the committed eight-arm day."""
 
+import dataclasses
 import os
 
 import pytest
 
 from repro.carbon import (CarbonDayPlan, CarbonJobSpec, CarbonScheduler,
-                          PolicySpec, SignalTrace, carbon_experiment,
+                          SignalTrace, carbon_experiment,
                           evening_peak_price, grid_impact, make_policy,
                           run_policy_day, solar_dip_intensity)
 from repro.energy import GridImpact
@@ -138,23 +139,24 @@ def test_jobspec_roundtrip():
 # -- policies -----------------------------------------------------------------
 
 def test_policy_spec_validation():
-    with pytest.raises(ValueError):
-        PolicySpec(kind="psychic")
-    with pytest.raises(ValueError):
-        PolicySpec(threshold_pct=101.0)
-    with pytest.raises(ValueError):
-        PolicySpec(safety=0.5)
-    with pytest.raises(ValueError):
-        PolicySpec(check_interval_s=0.0)
+    # A policy is named by its kind alone; unknown kinds fail loudly,
+    # both when built and when a plan lists them.
+    with pytest.raises(ValueError, match="psychic"):
+        make_policy("psychic", flat_trace(100.0))
+    plan = CarbonDayPlan.load(PLAN_PATH)
+    with pytest.raises(ValueError, match="psychic"):
+        dataclasses.replace(plan, policies=("edd", "psychic"))
+    with pytest.raises(ValueError, match="duplicate"):
+        dataclasses.replace(plan, policies=("edd", "edd"))
 
 
 def test_edd_picks_earliest_deadline():
-    policy = make_policy(PolicySpec(kind="edd"), flat_trace(100.0))
+    policy = make_policy("edd", flat_trace(100.0))
     late = tiny_job("late", release=0.0, deadline=5000.0)
     soon = tiny_job("soon", release=10.0, deadline=3000.0)
     assert policy.pick([late, soon]) is soon
     # no-wait ignores deadlines: FIFO at release.
-    fifo = make_policy(PolicySpec(kind="no-wait"), flat_trace(100.0))
+    fifo = make_policy("no-wait", flat_trace(100.0))
     assert fifo.pick([late, soon]) is late
 
 
@@ -162,8 +164,7 @@ def test_threshold_policy_waits_for_the_dip():
     intensity = SignalTrace("x", "gCO2/kWh",
                             points=((0.0, 500.0), (1000.0, 100.0)),
                             period_s=DAY)
-    policy = make_policy(PolicySpec(kind="threshold", threshold_pct=40.0),
-                         intensity)
+    policy = make_policy("threshold", intensity)
     job = tiny_job(release=0.0, deadline=6000.0)
     start = policy.earliest_start(job, 0.0, "edison")
     assert start == pytest.approx(1000.0, abs=31.0)   # waits for the dip
@@ -175,7 +176,7 @@ def test_threshold_policy_waits_for_the_dip():
         <= 700.0 - 1.2 * 165.0
     # No dip inside the guard: waiting buys nothing, start now.
     dirty = SignalTrace("x", "gCO2/kWh", points=((0.0, 500.0),))
-    stuck = make_policy(PolicySpec(kind="threshold"), dirty)
+    stuck = make_policy("threshold", dirty)
     assert stuck.earliest_start(job, 123.0, "edison") == 123.0
 
 
@@ -260,7 +261,7 @@ def test_no_wait_arm_is_bit_identical_to_plain_runs():
     spec, config = job.build("edison")
     plain = JobRunner("edison", 4, config=config, seed=123).run(spec)
     ledger = run_policy_day(
-        "edison", 4, PolicySpec(kind="no-wait"), [job],
+        "edison", 4, "no-wait", [job],
         solar_dip_intensity(DAY), evening_peak_price(DAY), seed=123)
     record = ledger.records[0]
     assert record.start_s == 50.0                 # at release, not before
@@ -274,8 +275,8 @@ def test_threshold_arm_defers_into_the_dip_and_meets_deadlines():
     jobs = [tiny_job("a", release=600.0, deadline=6000.0),
             tiny_job("b", release=900.0, deadline=6000.0)]
     scheduler = CarbonScheduler(
-        "edison", 4, PolicySpec(kind="threshold", threshold_pct=40.0),
-        intensity, evening_peak_price(DAY), seed=123)
+        "edison", 4, "threshold", intensity, evening_peak_price(DAY),
+        seed=123)
     ledger = scheduler.run_day(jobs)
     threshold = intensity.percentile(40.0)
     for record in ledger.records:
@@ -289,9 +290,7 @@ def test_suspend_resume_arm_parks_and_still_meets_deadlines():
     intensity = solar_dip_intensity(DAY)
     job = tiny_job(release=600.0, deadline=6000.0)
     ledger = run_policy_day(
-        "edison", 4,
-        PolicySpec(kind="suspend-resume", threshold_pct=40.0),
-        [job], intensity, evening_peak_price(DAY), seed=123)
+        "edison", 4, "suspend-resume", [job], intensity, evening_peak_price(DAY), seed=123)
     record = ledger.records[0]
     assert record.suspensions >= 1
     assert record.suspended_s > 0
@@ -313,7 +312,7 @@ def committed_report():
 def test_committed_day_loads_and_roundtrips():
     # The byte-for-byte round trip is test_records.py's, for every day.
     plan = CarbonDayPlan.load(PLAN_PATH)
-    assert {p.kind for p in plan.policies} == {
+    assert set(plan.policies) == {
         "no-wait", "edd", "threshold", "suspend-resume"}
     assert {j.kind for j in plan.jobs} == {"terasort-mini", "wikidb-scan"}
 
@@ -323,7 +322,7 @@ def test_committed_day_headline(committed_report):
     beats no-wait on grams CO2 at zero deadline misses."""
     _, report = committed_report
     for platform in ("edison", "dell"):
-        dominating = report.dominating_policies(platform)
+        dominating = report.dominating_policies[platform]
         assert set(dominating) & {"threshold", "suspend-resume"}, platform
         for policy in dominating:
             arm = report.arm(policy, platform)

@@ -113,7 +113,7 @@ def test_dvfs_command_runs_a_tiny_sweep(tmp_path, capsys):
 def test_carbon_command_runs_a_tiny_day(tmp_path, capsys):
     import json
 
-    from repro.carbon import (CarbonDayPlan, CarbonJobSpec, PolicySpec,
+    from repro.carbon import (CarbonDayPlan, CarbonJobSpec,
                               evening_peak_price, solar_dip_intensity)
 
     plan = CarbonDayPlan(
@@ -123,8 +123,7 @@ def test_carbon_command_runs_a_tiny_day(tmp_path, capsys):
         jobs=(CarbonJobSpec("ts", "terasort-mini", 300.0, 6000.0,
                             est_s={"edison": 400.0, "dell": 80.0}),),
         slaves={"edison": 2, "dell": 1},
-        policies=(PolicySpec(kind="no-wait"),
-                  PolicySpec(kind="threshold", threshold_pct=40.0)))
+        policies=("no-wait", "threshold"))
     plan_path = tmp_path / "day.json"
     plan.save(str(plan_path))
     json_path = tmp_path / "report.json"

@@ -9,8 +9,7 @@ import pytest
 from repro.cluster.builders import hadoop_cluster
 from repro.durability import (DurabilityArm, DurabilityConfig,
                               DurabilityLedger, DurabilityPlan,
-                              DurabilityReport, PhiConfig, RepairConfig,
-                              attach_job)
+                              DurabilityReport, attach_job)
 from repro.faults import (FaultInjector, FaultPlan, disk_failure,
                           node_crash, rack_partition, switch_down)
 from repro.mapreduce.hdfs import BlockUnavailable, Hdfs, HdfsBlock
@@ -33,16 +32,14 @@ def hdfs_fixture(slaves=4, replication=2, rack_aware=False, racks=2,
 # -- config -------------------------------------------------------------------
 
 def test_config_validation():
+    # The plane runs the repair loop at its stock throttle; the loop
+    # itself still rejects a bad one.
+    _, _, _, hdfs = hdfs_fixture()
     with pytest.raises(ValueError):
-        PhiConfig(threshold=0.0)
+        hdfs.enable_repair(throttle_bps=0.0)
     with pytest.raises(ValueError):
-        PhiConfig(window=1)
-    with pytest.raises(ValueError):
-        RepairConfig(throttle_bps=0.0)
-    with pytest.raises(ValueError):
-        RepairConfig(max_streams=0)
-    with pytest.raises(ValueError):
-        DurabilityConfig(sample_interval_s=0.0)
+        hdfs.enable_repair(max_streams=0)
+    assert hdfs.monitor is None
 
 
 def test_config_roundtrip_and_markers():
@@ -527,7 +524,7 @@ def test_report_knee_and_downtime_check():
     controls = (synthetic_arm(replication=3, control=True,
                               joules=900.0),)
     report = DurabilityReport("day", "detail", arms, controls)
-    assert report.knee("edison") == 2
+    assert report.knee == {"edison": 2}
     assert report.partition_downtime_clean()
     assert not report.arm("edison", True, 1).durable
     assert report.arm("edison", True, 2).durable
@@ -557,7 +554,10 @@ def test_report_roundtrip_and_lines():
     assert again.control("edison").control
     text = "\n".join(report.lines())
     assert "verdict [edison]: r=2 rack-aware is the knee" in text
-    assert "FAIL" in text              # the r=1 arm's job column
+    assert "failed" in text            # the r=1 arm's job column
+    # The smoke prints these lines among its ok/FAIL check lines; a
+    # failed job must not read as a failed check.
+    assert "FAIL" not in text
     assert "zero downtime (clean)" in text
 
 

@@ -22,7 +22,6 @@ from repro.faults.models import (cpu_throttle, node_crash, packet_loss,
                                  rack_partition)
 from repro.mapreduce import JOB_FACTORIES, JobRunner
 from repro.mapreduce.runtime import JobFailed
-from repro.resilience import ResilienceConfig
 from repro.trace import Tracer
 from repro.web import WebServiceDeployment
 from repro.web.params import WebWorkload
@@ -62,7 +61,7 @@ def _ledger(ledger):
 
 # -- MapReduce ----------------------------------------------------------------
 
-def _job(spec, faults=(), resilience=None, traced=False, platform="edison",
+def _job(spec, faults=(), resilience=False, traced=False, platform="edison",
          slaves=4, seed=5, racks=0, config=None):
     tracer = Tracer() if traced else None
     runner = JobRunner(platform, slaves, config=config, seed=seed,
@@ -97,7 +96,7 @@ def job_traced():
 
 def job_speculation():
     return _job(small_spec(), faults=_straggler(),
-                resilience=ResilienceConfig(), traced=True)
+                resilience=True, traced=True)
 
 
 def job_failure_rates():
@@ -107,7 +106,7 @@ def job_failure_rates():
 
 def job_failure_rates_retries():
     return _job(small_spec(map_failure_rate=0.2, reduce_failure_rate=0.3),
-                resilience=ResilienceConfig(), traced=True)
+                resilience=True, traced=True)
 
 
 def job_crash():
@@ -127,7 +126,7 @@ def job_crash_speculation():
     return _job(small_spec(),
                 faults=_straggler() + [node_crash("edison-slave-1", at=40.0,
                                                   repair_s=30.0)],
-                resilience=ResilienceConfig(), traced=True)
+                resilience=True, traced=True)
 
 
 def job_partition():
@@ -141,7 +140,7 @@ def job_partition():
 
 # -- web ------------------------------------------------------------------------
 
-def _web(faults=(), resilience=None, traced=False, concurrency=24,
+def _web(faults=(), resilience=False, traced=False, concurrency=24,
          duration=3.0, warmup=0.5, shaped=None, rotation=False,
          client_timeout_s=None):
     tracer = Tracer() if traced else None
@@ -207,7 +206,7 @@ def web_overload():
 
 def web_overload_resilient():
     return _web(concurrency=300, duration=2.5, client_timeout_s=0.3,
-                resilience=ResilienceConfig())
+                resilience=True)
 
 
 def web_blackout():
@@ -220,11 +219,11 @@ def web_gray():
 
 def web_gray_resilient():
     return _web(faults=_gray(), concurrency=48,
-                resilience=ResilienceConfig(), traced=True)
+                resilience=True, traced=True)
 
 
 def web_blackout_resilient():
-    return _web(faults=_blackout(), resilience=ResilienceConfig(),
+    return _web(faults=_blackout(), resilience=True,
                 traced=True)
 
 

@@ -347,8 +347,7 @@ def test_heartbeat_feeder_goes_silent_while_severed():
     FaultInjector(cluster, plan)
     detector = PhiAccrualDetector(sim)
     rng = RngStreams(1).stream("phi")
-    sim.process(_heartbeat_feeder(sim, detector, "edison-slave-0", rng,
-                                  1.0, until=16.0))
+    sim.process(_heartbeat_feeder(sim, detector, "edison-slave-0", rng))
     phis = {}
 
     def probe():
@@ -358,7 +357,7 @@ def test_heartbeat_feeder_goes_silent_while_severed():
         phis["after"] = detector.phi("edison-slave-0")
 
     sim.process(probe())
-    sim.run()
+    sim.run(until=16.0)
     # Five seconds of dropped beats look exactly like death...
     assert phis["mid"] >= detector.threshold
     # ...and the healed node's resumed beats clear the suspicion.

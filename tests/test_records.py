@@ -68,10 +68,42 @@ def test_from_dict_inverts_to_dict_through_json():
     assert Tree.from_dict(json.loads(json.dumps(tree.to_dict()))) == tree
 
 
-def test_from_dict_ignores_unknown_keys_and_uses_defaults():
-    tree = Tree.from_dict({"name": "t", "root": {"value": 1.0},
-                           "bogus": 7})
+def test_from_dict_rejects_unknown_keys_and_uses_defaults():
+    tree = Tree.from_dict({"name": "t", "root": {"value": 1.0}})
     assert tree == Tree(name="t", root=Leaf(1.0))
+    # Derived names are what to_dict emitted, so they load back.
+    assert Tree.from_dict({"name": "t", "root": {"value": 1.0,
+                                                  "double": 2.0},
+                           "size": 1}) == tree
+    with pytest.raises(ValueError, match="Tree: unknown key 'bogus'"):
+        Tree.from_dict({"name": "t", "root": {"value": 1.0}, "bogus": 7})
+    with pytest.raises(ValueError, match="Leaf: unknown key 'bogus'"):
+        Tree.from_dict({"name": "t", "root": {"value": 1.0, "bogus": 7}})
+
+
+def test_a_stale_plan_with_a_deleted_knob_fails_loudly():
+    from repro.durability import DurabilityPlan
+    # durability_day.json as committed before its detector, repair and
+    # census knobs became constants.
+    stale = {
+        "name": "durability-day-v1",
+        "faults": {"faults": [{"kind": "disk_fail",
+                               "node": "{platform}-slave-2", "at": 36.0}],
+                   "recurring": []},
+        "slaves": 8, "racks": 2, "job": "wordcount2",
+        "replications": [1, 2, 3], "settle_s": 30.0, "seed": 20260809,
+        "detection_s": 0.25,
+        "phi": {"threshold": 8.0, "window": 64, "min_std_s": 0.05,
+                "heartbeat_s": 1.0},
+        "repair": {"throttle_bps": 200000000.0, "max_streams": 2},
+        "sample_interval_s": 1.0,
+    }
+    with pytest.raises(ValueError,
+                       match="DurabilityPlan: unknown key 'phi'"):
+        DurabilityPlan.from_dict(stale)
+    for key in ("phi", "repair", "sample_interval_s"):
+        del stale[key]
+    assert DurabilityPlan.from_dict(stale).detection_s == 0.25
 
 
 def test_from_dict_names_the_class_and_the_missing_field():
