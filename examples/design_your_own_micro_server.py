@@ -19,8 +19,7 @@ Run:  python examples/design_your_own_micro_server.py
 
 from dataclasses import replace
 
-from repro import DELL_R620, EDISON, EDISON_INTEGRATED_NIC, JOB_FACTORIES, \
-    run_job
+from repro import EDISON, EDISON_INTEGRATED_NIC, JOB_FACTORIES, run_job
 from repro.core.report import format_table
 from repro.hardware import CpuSpec, PowerSpec
 

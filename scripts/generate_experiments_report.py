@@ -56,11 +56,13 @@ Known deviations (and why they are accepted):
   at saturation, neither of which the fluid models capture; the
   qualitative ordering (smaller cluster -> slower, sometimes cheaper in
   energy) is preserved.
-* Edison cache-fetch delay at intermediate request rates (Table 7,
-  1920-3840 req/s) grows more slowly than the paper's measurement; the
-  blow-up at the top rate is reproduced.  The paper's own mid-rate
-  growth starts at ~25 % cluster utilisation, which no open queueing
-  model reproduces without an additional contention source.
+* Edison cache-fetch delay (Table 7) grows far more slowly than the
+  paper's measurement, and its blow-up is *not* reproduced: it stays
+  at about 6-7 ms from 480 to 3840 req/s, where the paper climbs from
+  4.6 to 105 ms, and reaches about 28 ms at 7680 req/s against the
+  paper's 212 ms (-87 %).  The paper's own growth starts at
+  ~25 % cluster utilisation, which no open queueing model reproduces
+  without an additional contention source.
 * Dell MapReduce energies sit ~5-20 % below the paper (the component
   power blend under-credits IO-phase draw on the Xeon); who-wins and
   the efficiency factors are unaffected.'''
@@ -122,10 +124,11 @@ The paper's Section 5.2 chose HDFS replication 2 on the 35-node
 Edison cluster because sensor-class nodes drop out routinely; the
 implicit claim is that losing one node is a *marginal* event.
 `repro.faults` makes that claim measurable: a seeded fault plan kills
-nodes, cuts their power, degrades NICs or fails disks mid-run, the
-YARN/HDFS/web layers detect and recover, and the chaos runs below
-compare against bit-identical fault-free twins (an attached injector
-with an empty plan changes nothing — asserted by tests, like tracing).
+nodes, throttles CPUs, drops packets, partitions racks or fails disks
+mid-run, the YARN/HDFS/web layers detect and recover, and the chaos
+runs below compare against bit-identical fault-free twins (an attached
+injector with an empty plan changes nothing — asserted by tests, like
+tracing).
 
 ```bash
 python -m repro chaos web --platform edison --concurrency 2048

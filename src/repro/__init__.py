@@ -27,7 +27,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".cluster": ("Cluster", "dell_cluster", "edison_cluster", "hadoop_cluster",
                  "web_cluster"),
     ".core": ("paperdata",),
-    ".energy": ("EnergyReport", "PowerMeter", "work_done_per_joule"),
+    ".core.metrics": ("work_done_per_joule",),
+    ".energy": ("PowerMeter",),
     ".faults": ("FaultInjector", "FaultPlan", "job_kill_experiment",
                 "single_node_kill", "web_kill_experiment"),
     ".hardware": ("DELL_R620", "EDISON", "EDISON_INTEGRATED_NIC", "Server",

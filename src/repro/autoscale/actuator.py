@@ -9,7 +9,7 @@ Power-off is a three-step goodbye, in the only safe order:
    :data:`DRAIN_TIMEOUT_S` gives up (a draining node burns idle-ish
    watts the whole time — the ledger itemises them);
 3. **suspend** — the fault plane's admin power-off: 0 W, bound
-   processes interrupted with the same machinery a power fault uses,
+   processes interrupted with the same machinery a crash uses,
    scrapers stop sampling it.
 
 Power-on is the mirror: admin boot (idle draw, not serving) for the

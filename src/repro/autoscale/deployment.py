@@ -1,11 +1,11 @@
 """The mixed Edison/R620 web testbed under autoscaler management.
 
-A :class:`HybridWebDeployment` is the autoscaled analogue of
-:class:`repro.web.WebServiceDeployment`: one fresh simulation holding
-a :func:`~repro.cluster.hybrid_web_cluster`, per-platform service
-costs and connection limits on each web node, a capacity-weighted LB
-rotation, and — with ``autoscale=True`` — the full control plane
-(pool, actuator, controller, ledger).
+A :class:`HybridWebDeployment` is a
+:class:`repro.web.WebServiceDeployment` over a
+:func:`~repro.cluster.hybrid_web_cluster` (each node wired from its
+own platform's service costs, connection limits and memory footprint)
+plus a capacity-weighted LB rotation and — with ``autoscale=True`` —
+the full control plane (pool, actuator, controller, ledger).
 
 With ``autoscale=False`` (the default) nothing control-plane-shaped
 is constructed: the deployment is just a static heterogeneous fleet
@@ -15,15 +15,13 @@ bit-identical whether or not this module ever existed.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..cluster import hybrid_web_cluster
 from ..hardware import ServerSpec
-from ..sim import RngStreams, Simulation
 from ..web import params as P
-from ..web.deployment import WebServiceDeployment, run_shaped
-from ..web.httperf import HttperfDriver, LevelResult
-from ..web.nodes import CacheNode, DatabaseNode, WebServerNode
+from ..web.deployment import WebServiceDeployment
+from ..web.httperf import LevelResult
 from ..web.rotation import WeightedRotation
 from .actuator import FleetActuator
 from .controller import AutoscaleController
@@ -32,7 +30,7 @@ from .policy import TARGET_UTILIZATION
 from .pool import ACTIVE, OFF, FleetPool, PoolNode
 
 
-class HybridWebDeployment:
+class HybridWebDeployment(WebServiceDeployment):
     """Edisons and R620s in one rotation, optionally autoscaled."""
 
     def __init__(self, edison_web: int = 6, dell_web: int = 1,
@@ -42,38 +40,9 @@ class HybridWebDeployment:
                  autoscale: bool = False,
                  edison_spec: Optional[ServerSpec] = None,
                  trace=None):
-        self.platform = "hybrid"
-        self.scale = f"{edison_web}e+{dell_web}d"
-        self.workload = workload if workload is not None else P.WebWorkload()
-        self.sim = Simulation(trace=trace)
-        self.rng = RngStreams(seed)
-        kwargs = {}
-        if edison_spec is not None:
-            kwargs["edison_spec"] = edison_spec
-        self.cluster = hybrid_web_cluster(self.sim, edison_web, dell_web,
-                                          cache, **kwargs)
-        topo = self.cluster.topology
-        self.db_nodes: List[DatabaseNode] = [
-            DatabaseNode(self.cluster.servers[f"db-{i}"],
-                         self.rng.stream(f"db-{i}"))
-            for i in range(2)
-        ]
-        cache_servers = [s for n, s in self.cluster.servers.items()
-                         if n.startswith("cache-")]
-        self.cache_nodes: List[CacheNode] = [CacheNode(s)
-                                             for s in cache_servers]
-        web_servers = [s for n, s in self.cluster.servers.items()
-                       if n.startswith("web-")]
-        self.web_nodes: List[WebServerNode] = [
-            WebServerNode(self.sim, s, topo, P.COSTS[s.platform],
-                          P.LIMITS[s.platform], self.workload,
-                          self.rng.stream(f"web-{i}"),
-                          self.cache_nodes, self.db_nodes)
-            for i, s in enumerate(web_servers)
-        ]
-        self.client_names = [f"client-{i}" for i in range(8)]
-        self.telemetry = None
-        self.last_driver: Optional[HttperfDriver] = None
+        self._fleet = (edison_web, dell_web, cache)
+        super().__init__("hybrid", f"{edison_web}e+{dell_web}d", workload,
+                         seed=seed, edison_spec=edison_spec, trace=trace)
         # The weighted rotation: every backend registered at its
         # platform's tuned capacity, so the Dell takes ~12x an
         # Edison's share instead of an equal one.
@@ -84,8 +53,6 @@ class HybridWebDeployment:
         self.pool = FleetPool([
             PoolNode(web, P.PER_SERVER_CAPACITY_RPS[web.server.platform])
             for web in self.web_nodes])
-        self._reserve_memory()
-        self.meter = self.cluster.attach_meter(interval=0.25)
         # Strictly opt-in, like resilience: False leaves no controller,
         # no ledger, no extra processes, no RNG draws.
         self.autoscale = autoscale
@@ -95,19 +62,10 @@ class HybridWebDeployment:
         if self.autoscale:
             self.ledger = AutoscaleLedger()
 
-    def _reserve_memory(self) -> None:
-        for node in self.web_nodes:
-            frac = P.MEMORY_RESERVATION[(node.server.platform, "web")]
-            node.server.memory.reserve(
-                frac * node.server.memory.capacity_bytes)
-        for node in self.cache_nodes:
-            frac = P.MEMORY_RESERVATION[(node.server.platform, "cache")]
-            node.server.memory.reserve(
-                frac * node.server.memory.capacity_bytes)
+    def _build_cluster(self, **kwargs):
+        return hybrid_web_cluster(self.sim, *self._fleet, **kwargs)
 
-    # -- fault plumbing (the same recovery rule as WebServiceDeployment) --
-
-    _on_fault_event = WebServiceDeployment._on_fault_event
+    # -- fault plumbing ----------------------------------------------------
 
     def _ensure_injector(self):
         """The actuator needs ``sim.faults``; attach an empty one."""
@@ -169,6 +127,6 @@ class HybridWebDeployment:
         """
         if self.autoscale and self.controller is None:
             self.prepare_autoscaler(shape.rate(0.0), until=duration)
-        return run_shaped(self, shape, duration, warmup=warmup,
-                          calls=calls, rotation=self.rotation,
-                          collect_delays=collect_delays)
+        return self.run_shaped(shape, duration, warmup=warmup,
+                               calls=calls, rotation=self.rotation,
+                               collect_delays=collect_delays)

@@ -70,13 +70,3 @@ class AutoscaleLedger:
     def to_scaling_costs(self) -> OverheadJoules:
         return OverheadJoules({"boot": self.boot_joules,
                                "drain": self.drain_joules})
-
-    def summary(self) -> Dict[str, object]:
-        return {
-            "counters": dict(self.counters),
-            "boot_joules": round(self.boot_joules, 6),
-            "drain_joules": round(self.drain_joules, 6),
-            "node_joules": {k: round(v, 6)
-                            for k, v in sorted(self.node_joules.items())},
-            "actions": [a.to_dict() for a in self.actions],
-        }

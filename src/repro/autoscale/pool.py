@@ -87,12 +87,6 @@ class FleetPool:
     def total_capacity_rps(self) -> float:
         return sum(n.capacity_rps for n in self.nodes)
 
-    def count(self, state: str) -> int:
-        return sum(1 for n in self.nodes if n.state == state)
-
-    def states(self) -> Dict[str, str]:
-        return {n.name: n.state for n in self.nodes}
-
     # -- planning ---------------------------------------------------------
 
     def plan_active_set(self, desired_rps: float,

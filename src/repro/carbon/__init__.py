@@ -29,8 +29,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".policy": ("POLICY_KINDS", "SAFETY", "THRESHOLD_PCT", "EddPolicy",
                 "NoWaitPolicy", "SchedulingPolicy", "SuspendResumePolicy",
                 "ThresholdWaitPolicy", "make_policy"),
-    ".scheduler": ("CarbonScheduler", "run_policy_day"),
-    ".trace": ("SignalTrace", "evening_peak_price", "solar_dip_intensity"),
+    ".scheduler": ("CarbonScheduler",),
+    ".trace": ("SignalTrace",),
     ".report": ("CarbonArm", "CarbonDayPlan", "CarbonReport", "DAY_SEED",
                 "PLATFORMS", "carbon_experiment"),
 })

@@ -26,7 +26,6 @@ from ..mapreduce.jobs.terasort import MAP_MEM, REDUCE_MEM, TERASORT_COSTS
 from ..mapreduce.runtime import JobSpec
 from ..workloads import terasort_dataset
 from ..workloads.datasets import Dataset, split_evenly
-from ..workloads.wikidb import MEAN_TEXT_ROW_BYTES
 
 
 def _terasort_mini(platform: str) -> Tuple[JobSpec, HadoopConfig]:
@@ -39,6 +38,10 @@ def _terasort_mini(platform: str) -> Tuple[JobSpec, HadoopConfig]:
         dataset=dataset, combiner=False, output_ratio=1.0)
     return spec, default_config(platform)
 
+
+#: Mean size of one wiki text row: the statistic of the paper's 20 GB
+#: wikipedia + image database that the scan's record count follows.
+MEAN_TEXT_ROW_BYTES = 1_200
 
 #: Scan/aggregate cost surface: map-dominant, cheap reduce, and the
 #: same per-platform JVM factor TeraSort calibrated.
@@ -110,7 +113,3 @@ class CarbonJobSpec(Record):
             raise KeyError(f"no runtime estimate for {platform!r} on "
                            f"job {self.name!r}")
         return self.est_s[platform]
-
-    def slack_s(self, platform: str) -> float:
-        """Deadline slack beyond the estimated runtime."""
-        return (self.deadline_s - self.release_s) - self.estimate(platform)

@@ -12,7 +12,7 @@ by where the day they landed — that difference is the whole subsystem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from ..core.records import Record
 from ..energy.account import GridImpact
@@ -122,21 +122,3 @@ class CarbonLedger:
     @property
     def suspended_s(self) -> float:
         return sum(r.suspended_s for r in self.records)
-
-    def to_grid_impact(self) -> GridImpact:
-        return GridImpact(grams_co2=self.grams_co2,
-                          energy_usd=self.energy_usd)
-
-    def summary(self) -> Dict[str, object]:
-        return {
-            "jobs": len(self.records),
-            "joules": round(self.joules, 6),
-            "grams_co2": round(self.grams_co2, 6),
-            "energy_usd": round(self.energy_usd, 8),
-            "wait_hours": round(self.wait_hours, 6),
-            "deadline_misses": self.deadline_misses,
-            "suspensions": self.suspensions,
-            "suspended_s": round(self.suspended_s, 3),
-            "records": [r.to_dict() for r in self.records],
-            "actions": [a.to_dict() for a in self.actions],
-        }

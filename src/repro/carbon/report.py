@@ -90,10 +90,6 @@ class CarbonArm(Record):
     records: Tuple[Dict, ...] = decoded(tuple, default_factory=tuple)
     actions: Tuple[Dict, ...] = decoded(tuple, default_factory=tuple)
 
-    @property
-    def label(self) -> str:
-        return f"{self.policy}/{self.platform}"
-
     @classmethod
     def from_ledger(cls, policy: str, platform: str,
                     ledger: CarbonLedger) -> "CarbonArm":
@@ -126,13 +122,6 @@ class CarbonReport(Record):
         for arm in self.arms:
             if arm.platform not in seen:
                 seen.append(arm.platform)
-        return seen
-
-    def policies(self) -> List[str]:
-        seen: List[str] = []
-        for arm in self.arms:
-            if arm.policy not in seen:
-                seen.append(arm.policy)
         return seen
 
     @property

@@ -93,13 +93,3 @@ class CarbonScheduler:
             pending.remove(job)
             now = record.end_s
         return ledger
-
-
-def run_policy_day(platform: str, slaves: int, policy: str,
-                   jobs: List[CarbonJobSpec], intensity: SignalTrace,
-                   price: SignalTrace,
-                   seed: int = 20160901) -> CarbonLedger:
-    """Convenience wrapper: one (platform, policy kind) arm, one ledger."""
-    scheduler = CarbonScheduler(platform, slaves, policy, intensity,
-                                price, seed=seed)
-    return scheduler.run_day(jobs)

@@ -163,41 +163,3 @@ class SignalTrace(Record):
         n = max(2, int(math.ceil((end - start) / step_s)))
         return sum(self.at(start + (end - start) * i / n)
                    for i in range(n)) / n
-
-
-# -- synthetic shapes -----------------------------------------------------
-
-
-def solar_dip_intensity(day_s: float, high: float = 520.0,
-                        dip: float = 160.0, peak: float = 560.0
-                        ) -> SignalTrace:
-    """A classic duck-curve day in gCO2/kWh.
-
-    Carbon-heavy morning, a deep midday solar dip, then the evening
-    ramp when the sun sets into peak demand — the shape that makes
-    *when* a deferrable job runs worth grams.
-    """
-    if day_s <= 0:
-        raise ValueError("day_s must be > 0")
-    frac = [(0.00, high * 0.92), (0.15, high), (0.30, (high + dip) / 2),
-            (0.40, dip), (0.60, dip * 1.25), (0.72, (high + peak) / 2),
-            (0.82, peak), (0.95, high * 0.9)]
-    return SignalTrace(
-        name="solar-dip", unit="gCO2/kWh",
-        points=tuple((f * day_s, v) for f, v in frac),
-        interpolation="step", period_s=day_s)
-
-
-def evening_peak_price(day_s: float, off_peak: float = 0.08,
-                       shoulder: float = 0.12, peak: float = 0.26
-                       ) -> SignalTrace:
-    """A three-band time-of-use tariff in $/kWh with an evening peak."""
-    if day_s <= 0:
-        raise ValueError("day_s must be > 0")
-    if not 0 <= off_peak <= shoulder <= peak:
-        raise ValueError("need 0 <= off_peak <= shoulder <= peak")
-    points = ((0.0, off_peak), (0.30 * day_s, shoulder),
-              (0.70 * day_s, peak), (0.90 * day_s, shoulder))
-    return SignalTrace(name="evening-peak", unit="usd/kWh",
-                       points=points, interpolation="step",
-                       period_s=day_s)

@@ -30,7 +30,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".critical": ("CriticalPath", "Segment", "critical_path",
                   "decomposition_from_critical_paths", "self_times"),
     ".energy": ("EnergyAttribution", "NodeEnergy", "attribute_energy",
-                "node_power_samples", "pstate_transitions"),
+                "node_power_samples"),
     ".exemplars": ("Exemplar", "ExemplarStore"),
     ".flame": ("collapse", "energy_stacks", "latency_stacks", "render_html",
                "write_collapsed", "write_flame_html"),

@@ -55,10 +55,6 @@ class CriticalPath:
     root: SpanNode
     segments: List[Segment]
 
-    @property
-    def total_s(self) -> float:
-        return self.root.dur
-
     def by_name(self) -> Dict[str, float]:
         """Seconds attributed to each span name along the path."""
         totals: Dict[str, float] = {}

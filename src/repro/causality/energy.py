@@ -40,23 +40,6 @@ NODE_POWER_SUFFIX = ".node_power_w"
 PSTATE_EVENT = "dvfs.pstate"
 
 
-def pstate_transitions(log: Iterable) -> Dict[str, List[Tuple[float, int]]]:
-    """Per-node ``(t, pstate_index)`` transition marks from the trace.
-
-    Empty for runs without a DVFS governor; used by the DVFS report and
-    tests to check that per-span attribution brackets every transition
-    with a metered power edge.
-    """
-    marks: Dict[str, List[Tuple[float, int]]] = {}
-    for event in log:
-        if event.name == PSTATE_EVENT and event.node:
-            marks.setdefault(event.node, []).append(
-                (event.ts, int(event.attrs.get("index", 0))))
-    for series in marks.values():
-        series.sort(key=lambda ti: ti[0])
-    return marks
-
-
 @dataclass
 class NodeEnergy:
     """Energy account of one metered node over the trace window."""
@@ -108,10 +91,6 @@ class EnergyAttribution:
                 if trace_id is not None:
                     totals[trace_id] = totals.get(trace_id, 0.0) + joules
         return totals
-
-    def total_metered_j(self) -> float:
-        return sum(acct.metered_j for acct in self.nodes.values())
-
 
 def node_power_samples(log: Iterable) -> Dict[str, List[Tuple[float, float]]]:
     """Per-node (t, watts) samples from the meter's trace counters."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import html
 import zlib
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .critical import self_times
 from .forest import SpanForest, SpanNode
@@ -192,12 +192,3 @@ def energy_stacks(forest: SpanForest,
                   by_span: Dict[int, float]) -> Dict[str, int]:
     """Collapsed stacks weighted by attributed joules (µJ)."""
     return collapse(forest, weights=by_span, scale=ENERGY_SCALE)
-
-
-def flame_tuple(forest: SpanForest,
-                by_span: Optional[Dict[int, float]] = None
-                ) -> Tuple[Dict[str, int], str]:
-    """(stacks, unit) for either flavor — convenience for the CLI."""
-    if by_span is None:
-        return latency_stacks(forest), "µs"
-    return energy_stacks(forest, by_span), "µJ"

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional
 
-from ..trace.events import TraceEvent, TraceLog
+from ..trace.events import TraceEvent
 
 
 @dataclass
@@ -69,11 +69,6 @@ class SpanNode:
         for child in self.children:
             yield from child.walk()
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"SpanNode({self.name!r}, span={self.span_id}, "
-                f"children={len(self.children)})")
-
-
 @dataclass
 class SpanForest:
     """Every causal tree recovered from one trace log."""
@@ -87,13 +82,6 @@ class SpanForest:
     def walk(self) -> Iterator[SpanNode]:
         for root in self.roots:
             yield from root.walk()
-
-    def tree(self, trace_id: int) -> Optional[SpanNode]:
-        """The true root (parent_id 0) of one trace, if present."""
-        for root in self.roots:
-            if root.trace_id == trace_id and root.parent_id == 0:
-                return root
-        return None
 
     def trees(self) -> Dict[int, List[SpanNode]]:
         """Roots grouped by trace_id (orphaned subtrees included)."""
@@ -112,11 +100,6 @@ class SpanForest:
                 break
             path.append(node)
         return path
-
-    def spans(self, name: Optional[str] = None) -> List[SpanNode]:
-        """All nodes in the forest, optionally filtered by span name."""
-        return [n for n in self.walk() if name is None or n.name == name]
-
 
 def build_forest(log: Iterable[TraceEvent],
                  categories: Optional[Iterable[str]] = None) -> SpanForest:

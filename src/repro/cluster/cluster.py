@@ -58,10 +58,6 @@ class Cluster:
     def metered_servers(self) -> List[Server]:
         return [self.servers[name] for name in self.metered_names]
 
-    def by_platform(self, platform: str) -> List[Server]:
-        """All servers of one platform, in insertion order."""
-        return [s for s in self.servers.values() if s.platform == platform]
-
     # -- metering ---------------------------------------------------------
 
     def attach_meter(self, interval: float = 1.0,

@@ -23,7 +23,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from . import paperdata as paper
 from .capacity import replacement_estimate
-from .metrics import relative_error
+from .metrics import efficiency_ratio, relative_error
 from .report import format_table
 from ..cluster import Cluster, dell_cluster, edison_cluster
 from ..energy import PowerMeter
@@ -354,8 +354,8 @@ def table8() -> Scalars:
             for size, report in grid.reports[job].items():
                 out[f"{job}.{name}.{size}.seconds"] = report.seconds
                 out[f"{job}.{name}.{size}.joules"] = report.joules
-        out[f"{job}.gain"] = out[f"{job}.dell.2.joules"] \
-            / out[f"{job}.edison.35.joules"]
+        out[f"{job}.gain"] = efficiency_ratio(
+            out[f"{job}.edison.35.joules"], out[f"{job}.dell.2.joules"])
     out["edison.speedup"] = grids["edison"].mean_speedup()
     out["dell.speedup"] = grids["dell"].mean_speedup()
     out["dell_over_edison"] = out["dell.speedup"] / out["edison.speedup"]
@@ -607,7 +607,8 @@ def _claims() -> Iterable[Claim]:
         for leg, published, pcts in zip(("db", "cache", "total"), legs,
                                         _T7_PCT[rate]):
             for i, (name, _) in enumerate(PLATFORMS):
-                yield near(f"{rate}.{name}.{leg}_ms", published[i], pcts[i])
+                yield near(f"{rate}.{name}.{leg}_ms", published[i], pcts[i],
+                           lo=0.0)
     yield band("min_total_gap", _above(3.0), INF)
     yield band("min_db_gap", _above(2.0), INF)
     yield band("dell.max_total_ms", -INF, _below(10.0))

@@ -228,12 +228,6 @@ class JobResult:
     seconds: float
     joules: float
 
-    @property
-    def watts(self) -> float:
-        """Mean cluster power during the job."""
-        return self.joules / self.seconds
-
-
 #: Table 8 — execution time and energy under different cluster sizes.
 #: job -> platform -> cluster size -> JobResult.
 T8 = MappingProxyType({

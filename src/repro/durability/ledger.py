@@ -141,20 +141,3 @@ class DurabilityLedger:
 
     def to_repair_costs(self) -> OverheadJoules:
         return OverheadJoules(self.joules)
-
-    def summary(self) -> Dict[str, object]:
-        return {
-            "joules": {k: round(v, 6) for k, v in self.joules.items()},
-            "node_joules": {k: round(v, 6)
-                            for k, v in sorted(self.node_joules.items())},
-            "repairs": self.repairs,
-            "repair_bytes": self.repair_bytes,
-            "samples": len(self.samples),
-            "under_replicated_block_s":
-                round(self.under_replicated_block_s, 6),
-            "unavailable_block_s": round(self.unavailable_block_s, 6),
-            "max_under_replicated": self.max_under_replicated,
-            "blocks_lost": self.blocks_lost,
-            "loss_events": list(self.loss_events),
-            "conservation_violations": self.conservation_violations,
-        }

@@ -157,9 +157,6 @@ class DurabilityReport(Record):
         return find(self.arms, platform=platform, rack_aware=rack_aware,
                     replication=replication)
 
-    def control(self, platform: str) -> DurabilityArm:
-        return find(self.controls, platform=platform)
-
     @property
     def knee(self) -> Dict[str, Optional[int]]:
         """Per platform, the smallest rack-aware replication that lost

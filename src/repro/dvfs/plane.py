@@ -144,17 +144,6 @@ class DvfsPlane:
             out[name] = out.get(name, 0.0) + max(0.0, until - t_prev)
         return out
 
-    def summary(self, until: float) -> Dict[str, object]:
-        return {
-            "governor": self.config.kind,
-            "counters": dict(self.counters),
-            "residency_s": {k: round(v, 6)
-                            for k, v in sorted(self.residency_s(until).items())},
-            "transitions": {node: len(log)
-                            for node, log in sorted(self.transitions.items())},
-        }
-
-
 def attach_web(deployment, config: Optional[DvfsConfig], *,
                until: Optional[float] = None,
                telemetry=None) -> Optional[DvfsPlane]:

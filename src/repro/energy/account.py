@@ -1,37 +1,9 @@
-"""Energy accounting and the paper's headline metric: work-done-per-joule."""
+"""Energy accounting: a plane's overhead joules and a run's grid impact."""
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """Result of metering one workload run."""
-
-    seconds: float
-    joules: float
-    work_units: float = 1.0
-    work_name: str = "jobs"
-
-    def __post_init__(self):
-        if self.seconds <= 0:
-            raise ValueError("seconds must be > 0")
-        if self.joules < 0:
-            raise ValueError("joules must be >= 0")
-
-    @property
-    def mean_watts(self) -> float:
-        """Average power over the run."""
-        return self.joules / self.seconds
-
-    @property
-    def work_per_joule(self) -> float:
-        """The paper's metric: useful work per joule of energy."""
-        if self.joules == 0:
-            return float("inf")
-        return self.work_units / self.joules
 
 
 class OverheadJoules(Mapping):
@@ -62,9 +34,6 @@ class OverheadJoules(Mapping):
     def __len__(self) -> int:
         return len(self._joules)
 
-    def __repr__(self) -> str:
-        return f"OverheadJoules({self._joules!r})"
-
     @property
     def total_j(self) -> float:
         return sum(self._joules.values())
@@ -90,20 +59,3 @@ class GridImpact:
     def __add__(self, other: "GridImpact") -> "GridImpact":
         return GridImpact(grams_co2=self.grams_co2 + other.grams_co2,
                           energy_usd=self.energy_usd + other.energy_usd)
-
-
-def work_done_per_joule(work_units: float, joules: float) -> float:
-    """Work-done-per-joule for ``work_units`` of work costing ``joules``."""
-    if joules <= 0:
-        raise ValueError("joules must be > 0")
-    return work_units / joules
-
-
-def efficiency_gain(contender: EnergyReport, baseline: EnergyReport) -> float:
-    """How many times more work-per-joule ``contender`` achieves.
-
-    With equal work on both sides this reduces to the energy ratio
-    ``baseline.joules / contender.joules``, which is how the paper
-    compares fixed-size MapReduce jobs.
-    """
-    return contender.work_per_joule / baseline.work_per_joule

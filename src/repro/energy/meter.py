@@ -65,7 +65,7 @@ class PowerMeter:
         for server in self.servers:
             utilization = server.utilization_window()
             if faults is not None:
-                # Crashed nodes draw idle power, unpowered ones nothing
+                # Crashed nodes draw idle power, powered-off ones nothing
                 # (identical to the plain formula while the node is up).
                 node_w = faults.node_watts(server, utilization)
             else:

@@ -4,9 +4,9 @@ The subsystem has three parts, mirroring how chaos tooling is layered on
 a real cluster:
 
 * :mod:`repro.faults.models` — *what* can go wrong: node crashes,
-  power events, NIC degradation, disk stalls and disk failures, each
-  either scheduled one-shot or drawn from a seeded exponential
-  MTBF/MTTR process, validated up front.
+  disk failures, CPU throttling, packet loss and rack partitions, each
+  either scheduled one-shot or (crashes and the gray kinds) drawn from
+  a seeded exponential MTBF/MTTR process, validated up front.
 * :mod:`repro.faults.injector` — *making* it go wrong: a
   :class:`FaultInjector` attached to a cluster runs each fault as a
   simulation process, interrupts the victim's active work through the
@@ -27,10 +27,9 @@ from .._exports import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".models": ("Fault", "FaultCause", "FaultPlan", "GRAY_KINDS",
                 "NODE_DOWN_KINDS", "PARTITION_KINDS", "RecurringFault",
-                "cpu_throttle", "disk_failure", "disk_stall", "nic_degrade",
-                "node_crash", "node_set_partition", "packet_loss",
-                "power_event", "rack_partition", "single_node_kill",
-                "switch_down"),
+                "cpu_throttle", "disk_failure", "node_crash",
+                "node_set_partition", "packet_loss", "rack_partition",
+                "single_node_kill", "switch_down"),
     ".injector": ("FaultInjector", "FaultRecord"),
     ".phi": ("PhiAccrualDetector",),
     ".report": ("AvailabilityReport", "JobChaosResult", "WebChaosResult",

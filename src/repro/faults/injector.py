@@ -62,14 +62,12 @@ class _NodeStatus:
     power meter) sees one coherent answer.
     """
 
-    __slots__ = ("down_tokens", "unpowered_tokens", "down_since",
-                 "last_down_at", "downtime_s", "disk_failed",
-                 "admin_off", "admin_booting", "unreachable_tokens",
-                 "unreachable_since", "unreachable_s")
+    __slots__ = ("down_tokens", "down_since", "last_down_at",
+                 "downtime_s", "disk_failed", "admin_off", "admin_booting",
+                 "unreachable_tokens", "unreachable_since", "unreachable_s")
 
     def __init__(self):
         self.down_tokens = 0
-        self.unpowered_tokens = 0
         self.down_since: Optional[float] = None
         self.last_down_at = -math.inf
         self.downtime_s = 0.0
@@ -127,7 +125,6 @@ class FaultInjector:
         self._listeners: List[FaultListener] = []
         self._nic_base: Dict[str, tuple] = {}
         self._nic_factors: Dict[str, List[float]] = {}
-        self._stall_factors: Dict[str, List[float]] = {}
         self._throttle_factors: Dict[str, List[float]] = {}
         self.records: List[FaultRecord] = []
         self._rng = RngStreams(seed)
@@ -142,7 +139,7 @@ class FaultInjector:
     # -- status queries (pure lookups; safe on every hot path) -----------
 
     def is_up(self, node: str) -> bool:
-        """True unless the node is currently crashed or unpowered."""
+        """True unless the node is crashed or administratively off."""
         status = self.status.get(node)
         return status is None or status.up
 
@@ -191,14 +188,14 @@ class FaultInjector:
         """Wall power of ``server`` right now, fault state included.
 
         Crashed nodes draw idle power (the paper's meters would keep
-        counting a hung Edison), unpowered nodes draw nothing — keeping
-        work-done-per-joule honest under faults.  An up node is priced
-        at its CPU's active P-state.
+        counting a hung Edison), administratively powered-off nodes draw
+        nothing — keeping work-done-per-joule honest under faults.  An
+        up node is priced at its CPU's active P-state.
         """
         status = self.status.get(server.name)
         if status is None or status.up:
             return server.spec.power.power(utilization, server.cpu.pstate)
-        if status.unpowered_tokens > 0 or status.admin_off:
+        if status.admin_off:
             return 0.0
         # Crashed-but-powered, or administratively booting: idle draw.
         return server.spec.power.min_w
@@ -365,14 +362,10 @@ class FaultInjector:
         if trace is not None:
             trace.instant(f"fault.{fault.kind}", category="fault",
                           node=fault.node)
-        if fault.kind in ("crash", "power"):
+        if fault.kind == "crash":
             yield from self._apply_node_down(fault, record)
         elif fault.kind in PARTITION_KINDS:
             yield from self._apply_partition(fault, record)
-        elif fault.kind == "nic":
-            yield from self._apply_nic(fault, record)
-        elif fault.kind == "disk_stall":
-            yield from self._apply_disk_stall(fault, record)
         elif fault.kind == "cpu_throttle":
             yield from self._apply_cpu_throttle(fault, record)
         elif fault.kind == "packet_loss":
@@ -391,8 +384,6 @@ class FaultInjector:
         status = self.status[fault.node]
         first = status.down_tokens == 0
         status.down_tokens += 1
-        if fault.kind == "power":
-            status.unpowered_tokens += 1
         if first:
             status.down_since = self.sim.now
             status.last_down_at = self.sim.now
@@ -405,11 +396,6 @@ class FaultInjector:
                 if process.is_alive:
                     process.interrupt(FaultCause(fault.kind, fault.node))
         yield self.sim.timeout(fault.duration)
-        if fault.kind == "power":
-            # Power is back; the node reboots at idle draw before serving.
-            status.unpowered_tokens -= 1
-            if fault.reboot_s > 0:
-                yield self.sim.timeout(fault.reboot_s)
         status.down_tokens -= 1
         if status.down_tokens == 0:
             status.downtime_s += self.sim.now - status.down_since
@@ -476,21 +462,6 @@ class FaultInjector:
         rx.capacity_Bps = base_rx * scale if factors else base_rx
         self.cluster.topology.network.rescale()
 
-    def _apply_nic(self, fault: Fault, record: FaultRecord):
-        if fault.node not in self._nic_base:
-            tx, rx = self._nic_segments(fault.node)
-            self._nic_base[fault.node] = (tx.capacity_Bps, rx.capacity_Bps)
-        self._nic_factors.setdefault(fault.node, []).append(fault.factor)
-        self._rescale_nic(fault.node)
-        yield self.sim.timeout(fault.duration)
-        self._nic_factors[fault.node].remove(fault.factor)
-        self._rescale_nic(fault.node)
-        record.end = self.sim.now
-        if self.sim.trace is not None:
-            self.sim.trace.complete("fault.nic", record.start,
-                                    category="fault", node=fault.node,
-                                    factor=fault.factor)
-
     def _apply_cpu_throttle(self, fault: Fault, record: FaultRecord):
         cpu = self.cluster.servers[fault.node].cpu
         throttles = self._throttle_factors.setdefault(fault.node, [])
@@ -518,9 +489,9 @@ class FaultInjector:
 
     def _apply_packet_loss(self, fault: Fault, record: FaultRecord):
         # Goodput under loss rate p is (1 - p) of line rate (every lost
-        # packet is retransmitted), so packet loss rides the same
-        # capacity-scaling stack as nic degradation — the two compose
-        # multiplicatively and unwind to the bit-exact base rate.
+        # packet is retransmitted), so packet loss scales the NIC's
+        # segments: overlapping losses compose multiplicatively and
+        # unwind to the bit-exact base rate.
         if fault.node not in self._nic_base:
             tx, rx = self._nic_segments(fault.node)
             self._nic_base[fault.node] = (tx.capacity_Bps, rx.capacity_Bps)
@@ -535,17 +506,3 @@ class FaultInjector:
             self.sim.trace.complete("fault.packet_loss", record.start,
                                     category="fault", node=fault.node,
                                     loss=fault.loss)
-
-    def _apply_disk_stall(self, fault: Fault, record: FaultRecord):
-        server = self.cluster.servers[fault.node]
-        stalls = self._stall_factors.setdefault(fault.node, [])
-        stalls.append(fault.slowdown)
-        server.storage.slowdown = max(stalls)
-        yield self.sim.timeout(fault.duration)
-        stalls.remove(fault.slowdown)
-        server.storage.slowdown = max(stalls) if stalls else 1.0
-        record.end = self.sim.now
-        if self.sim.trace is not None:
-            self.sim.trace.complete("fault.disk_stall", record.start,
-                                    category="fault", node=fault.node,
-                                    slowdown=fault.slowdown)

@@ -9,25 +9,14 @@ validation happens at construction: a bad plan fails before the
 simulation burns any time.
 
 The kinds model the failure classes the SBC-cluster literature reports
-for sensor-class hardware (node dropouts first, then flaky NICs and SD
-cards):
+for sensor-class hardware (node dropouts first, then flaky links, hot
+CPUs, dead SD cards and severed racks):
 
 ``crash``
     The node halts at ``at`` and is back ``duration`` seconds later
     (operator reboot / watchdog).  Running work on it dies; while down
     the node still draws idle power (it sits in the bootloader or at a
     login prompt) — the honest accounting for work-per-joule.
-``power``
-    Supply loss: like ``crash`` but the node draws *zero* watts for
-    ``duration`` seconds, then takes ``reboot_s`` at idle power before
-    serving again.
-``nic``
-    The NIC degrades to ``factor`` of line rate for ``duration``
-    seconds (flapping autonegotiation, duplex mismatch).  Nothing dies;
-    everything gets slower.
-``disk_stall``
-    Device I/O takes ``slowdown``× longer for ``duration`` seconds
-    (SD-card garbage collection, controller resets).
 ``disk_fail``
     The disk dies at ``at`` and every HDFS replica on it is lost for
     good (no re-replication is modelled).  Reads fall back to surviving
@@ -41,7 +30,7 @@ cards):
     The NIC loses a fraction ``loss`` of packets for ``duration``
     seconds; retransmissions inflate every effective transfer time by
     ``1 / (1 - loss)`` (goodput shrinks to ``1 - loss`` of line rate).
-    Stacks multiplicatively with ``nic`` degradation on the same link.
+    Overlapping losses on the same link stack multiplicatively.
 ``partition``
     A network cut: the named rack (or an explicit node set) is severed
     from the rest of the cluster for ``duration`` seconds.  Nothing
@@ -62,15 +51,15 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 #: The recognised fault kinds.
-FAULT_KINDS = ("crash", "power", "nic", "disk_stall", "disk_fail",
-               "cpu_throttle", "packet_loss", "partition", "switch_down")
+FAULT_KINDS = ("crash", "disk_fail", "cpu_throttle", "packet_loss",
+               "partition", "switch_down")
 
 #: The *gray* kinds: the node stays "up" to every health check while
 #: quietly running slow — exactly the failures mitigation exists for.
-GRAY_KINDS = ("cpu_throttle", "packet_loss", "nic", "disk_stall")
+GRAY_KINDS = ("cpu_throttle", "packet_loss")
 
 #: Kinds that take a node out of service entirely (kill its processes).
-NODE_DOWN_KINDS = ("crash", "power")
+NODE_DOWN_KINDS = ("crash",)
 
 #: Kinds that sever connectivity without killing anything: the victims
 #: stay *up* but become *unreachable* — the down/unreachable distinction
@@ -85,10 +74,6 @@ class FaultCause:
     kind: str
     node: str
 
-    def __str__(self) -> str:
-        return f"{self.kind} on {self.node}"
-
-
 @dataclass(frozen=True)
 class Fault:
     """One scheduled fault on one node.  Use the constructor helpers."""
@@ -98,13 +83,8 @@ class Fault:
     at: float
     #: Seconds until repair; ``inf`` means permanent (disk_fail only).
     duration: float = math.inf
-    #: Extra idle-power reboot time after a ``power`` outage ends.
-    reboot_s: float = 0.0
-    #: Remaining fraction of NIC line rate during a ``nic`` fault, or of
-    #: DMIPS during a ``cpu_throttle`` fault.
+    #: Remaining fraction of DMIPS during a ``cpu_throttle`` fault.
     factor: float = 1.0
-    #: I/O time multiplier during a ``disk_stall`` fault.
-    slowdown: float = 1.0
     #: Fraction of packets lost during a ``packet_loss`` fault.
     loss: float = 0.0
     #: Rack severed by a ``partition``/``switch_down`` fault (resolved
@@ -125,8 +105,6 @@ class Fault:
             raise ValueError("fault onset time must be >= 0")
         if self.duration <= 0:
             raise ValueError("fault duration must be > 0")
-        if self.reboot_s < 0:
-            raise ValueError("reboot_s must be >= 0")
         if math.isinf(self.duration) and self.kind != "disk_fail":
             raise ValueError(f"only disk_fail may be permanent; "
                              f"{self.kind} needs a finite duration")
@@ -139,29 +117,19 @@ class Fault:
                                  "use partition for arbitrary node sets")
         elif self.rack or self.nodes:
             raise ValueError(f"rack/nodes only apply to {PARTITION_KINDS}")
-        if self.kind == "nic" and not 0 < self.factor <= 1:
-            # factor 0 would wedge in-flight store-and-forward messages
-            # whose serialisation time is already committed.
-            raise ValueError("nic factor must be in (0, 1]")
-        if self.kind == "disk_stall" and self.slowdown < 1:
-            raise ValueError("disk_stall slowdown must be >= 1")
         if self.kind == "cpu_throttle" and not 0 < self.factor <= 1:
             raise ValueError("cpu_throttle factor must be in (0, 1]")
         if self.kind == "packet_loss" and not 0 < self.loss < 1:
-            # loss 1 would starve the link outright — that's a nic/crash
-            # fault, not a gray one.
+            # loss 1 would starve the link outright — that's a crash or
+            # a partition, not a gray fault.
             raise ValueError("packet_loss loss must be in (0, 1)")
 
     def to_dict(self) -> Dict:
         out: Dict = {"kind": self.kind, "node": self.node, "at": self.at}
         if not math.isinf(self.duration):
             out["duration"] = self.duration
-        if self.reboot_s:
-            out["reboot_s"] = self.reboot_s
-        if self.kind in ("nic", "cpu_throttle"):
+        if self.kind == "cpu_throttle":
             out["factor"] = self.factor
-        if self.kind == "disk_stall":
-            out["slowdown"] = self.slowdown
         if self.kind == "packet_loss":
             out["loss"] = self.loss
         if self.rack:
@@ -174,27 +142,6 @@ class Fault:
 def node_crash(node: str, at: float, repair_s: float) -> Fault:
     """The node halts at ``at`` and serves again ``repair_s`` later."""
     return Fault(kind="crash", node=node, at=at, duration=repair_s)
-
-
-def power_event(node: str, at: float, outage_s: float,
-                reboot_s: float = 30.0) -> Fault:
-    """Supply loss: 0 W for ``outage_s``, then ``reboot_s`` at idle."""
-    return Fault(kind="power", node=node, at=at, duration=outage_s,
-                 reboot_s=reboot_s)
-
-
-def nic_degrade(node: str, at: float, duration: float,
-                factor: float) -> Fault:
-    """NIC drops to ``factor`` of line rate for ``duration`` seconds."""
-    return Fault(kind="nic", node=node, at=at, duration=duration,
-                 factor=factor)
-
-
-def disk_stall(node: str, at: float, duration: float,
-               slowdown: float) -> Fault:
-    """Device I/O takes ``slowdown``× longer for ``duration`` seconds."""
-    return Fault(kind="disk_stall", node=node, at=at, duration=duration,
-                 slowdown=slowdown)
 
 
 def disk_failure(node: str, at: float) -> Fault:
@@ -252,9 +199,7 @@ class RecurringFault:
     mttr_s: float
     #: No fault fires before this time (let the system warm up).
     start: float = 0.0
-    reboot_s: float = 0.0
     factor: float = 0.5
-    slowdown: float = 10.0
     loss: float = 0.1
 
     def __post_init__(self):
@@ -274,27 +219,20 @@ class RecurringFault:
             raise ValueError("start must be >= 0")
         # Re-use Fault's kind-parameter validation.
         Fault(kind=self.kind, node=self.node, at=self.start, duration=1.0,
-              reboot_s=self.reboot_s, factor=self.factor,
-              slowdown=self.slowdown, loss=self.loss)
+              factor=self.factor, loss=self.loss)
 
     def make_fault(self, at: float, duration: float) -> Fault:
         """One concrete outage of this process."""
         return Fault(kind=self.kind, node=self.node, at=at,
-                     duration=duration, reboot_s=self.reboot_s,
-                     factor=self.factor, slowdown=self.slowdown,
-                     loss=self.loss)
+                     duration=duration, factor=self.factor, loss=self.loss)
 
     def to_dict(self) -> Dict:
         out: Dict = {"kind": self.kind, "node": self.node,
                      "mtbf_s": self.mtbf_s, "mttr_s": self.mttr_s}
         if self.start:
             out["start"] = self.start
-        if self.reboot_s:
-            out["reboot_s"] = self.reboot_s
-        if self.kind in ("nic", "cpu_throttle"):
+        if self.kind == "cpu_throttle":
             out["factor"] = self.factor
-        if self.kind == "disk_stall":
-            out["slowdown"] = self.slowdown
         if self.kind == "packet_loss":
             out["loss"] = self.loss
         return out

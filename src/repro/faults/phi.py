@@ -109,9 +109,6 @@ class PhiAccrualDetector:
             return PHI_CAP
         return min(PHI_CAP, -math.log10(p_later))
 
-    def is_suspect(self, node: str, now: Optional[float] = None) -> bool:
-        return self.phi(node, now) >= self.threshold
-
     def silence_for_suspicion(self, node: str) -> float:
         """Seconds of silence after the last beat at which ``phi``
         crosses the threshold — phi is monotone in silence, so a short

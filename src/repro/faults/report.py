@@ -125,7 +125,7 @@ def web_kill_experiment(platform: str = "edison", scale: str = "full",
     window = duration - warmup
     down_in_window = 0.0
     for record in injector.records:
-        if record.kind not in ("crash", "power"):
+        if record.kind != "crash":
             continue
         end = record.end if record.end is not None else duration
         down_in_window += max(

@@ -6,7 +6,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".cpu": ("NOMINAL_PSTATE", "Cpu", "CpuSpec", "PState", "derive_pstates"),
     ".memory": ("Memory", "MemorySpec"),
     ".nic": ("Nic", "NicSpec"),
-    ".power": ("DEFAULT_WEIGHTS", "PowerSpec", "cluster_power"),
+    ".power": ("DEFAULT_WEIGHTS", "PowerSpec"),
     ".profiles": ("BOOT_S", "DELL_R620", "EDISON", "EDISON_INTEGRATED_NIC",
                   "PROFILES", "make_server"),
     ".server": ("Server", "ServerSpec"),

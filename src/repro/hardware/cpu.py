@@ -202,19 +202,6 @@ class Cpu:
         return work_mi / (self.spec.vcore_dmips * self.throttle
                           * self._dvfs_factor)
 
-    def rate_for(self, active_vcores: int) -> float:
-        """Per-vcore DMIPS when ``active_vcores`` are busy.
-
-        While no core runs both of its hardware threads, each thread
-        gets its full single-thread speed; once threads start doubling
-        up, per-thread speed drops to the SMT-degraded rate.  This is
-        why Dhrystone (one thread) sees 11383 DMIPS on the Dell while
-        the fully loaded machine sustains only ~100x an Edison.
-        """
-        if active_vcores <= self.spec.cores:
-            return self.spec.dmips_per_thread
-        return self.spec.vcore_dmips
-
     def execute(self, work_mi: float):
         """Process generator: queue for a vcore, run ``work_mi``, release.
 
@@ -227,8 +214,9 @@ class Cpu:
         # try/finally rather than the context-manager sugar: execute()
         # runs once per simulated CPU burst, and __enter__/__exit__ are
         # two extra calls per burst for the same release-on-interrupt
-        # guarantee.  rate_for() is likewise inlined against the live
-        # holder count.
+        # guarantee.  The per-vcore rate is read against the live
+        # holder count: full single-thread speed while no core runs
+        # both of its hardware threads, the SMT-degraded rate after.
         vcores = self.vcores
         grant = Request(vcores)
         try:

@@ -48,12 +48,6 @@ class Nic:
     def total_bytes(self) -> float:
         return self.bytes_sent + self.bytes_received
 
-    def transfer_time(self, nbytes: float) -> float:
-        """Seconds to move ``nbytes`` at full line rate (no contention)."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be >= 0")
-        return nbytes / self.spec.bytes_per_second
-
     def utilization(self) -> float:
         """Instantaneous share of line rate claimed by in-flight transfers."""
         return min(1.0, self.active_rate_Bps / self.spec.bytes_per_second)

@@ -15,7 +15,7 @@ adapter-power ablation can swap it for an integrated 0.1 W port.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from typing import Mapping
 
 #: Default blend of component activities into effective utilisation.
 #: CPU dominates; the blend is jointly calibrated against the paper's
@@ -118,8 +118,3 @@ class PowerSpec:
     def with_adapter(self, adapter_w: float) -> "PowerSpec":
         """The same server with a different constant adapter power."""
         return PowerSpec(self.idle_w, self.busy_w, adapter_w, dict(self.weights))
-
-
-def cluster_power(per_node_watts: Dict[str, float]) -> float:
-    """Sum per-node wall power into a cluster reading (PDU view)."""
-    return sum(per_node_watts.values())

@@ -118,6 +118,3 @@ class Server:
         if factor != 1.0:
             watts *= factor
         return watts
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Server {self.name} ({self.platform})>"

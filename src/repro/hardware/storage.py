@@ -62,9 +62,6 @@ class Storage:
         self.channel = Resource(sim, capacity=1, name=f"{name}.channel")
         self.bytes_read = 0.0
         self.bytes_written = 0.0
-        #: Fault-injection multiplier on device time (1.0 = healthy).
-        #: Set by repro.faults during a disk_stall window.
-        self.slowdown = 1.0
         # (op, buffered) -> rate and op -> latency, flattened so the
         # per-request path skips io_time()'s string dispatch.
         self._rates = {("read", False): spec.read_bps,
@@ -91,11 +88,8 @@ class Storage:
         grant = Request(channel)
         try:
             yield grant
-            device_s = (self._latencies[op]
-                        + nbytes / self._rates[op, buffered])
-            if self.slowdown != 1.0:   # exact no-op when healthy
-                device_s *= self.slowdown
-            yield device_s
+            yield (self._latencies[op]
+                   + nbytes / self._rates[op, buffered])
         finally:
             channel.release(grant)
         if op == "read":

@@ -153,9 +153,6 @@ class Hdfs:
 
     # -- I/O ----------------------------------------------------------------
 
-    def is_local(self, node: str, block: HdfsBlock) -> bool:
-        return node in block.replicas
-
     def _alive(self, name: str) -> bool:
         faults = self.sim.faults
         return (faults is None
@@ -372,8 +369,7 @@ class ReplicationMonitor:
     """
 
     #: Fault kinds whose ``down`` edge can cost replicas.
-    LOSS_KINDS = ("crash", "power", "partition", "switch_down",
-                  "disk_fail")
+    LOSS_KINDS = ("crash", "partition", "switch_down", "disk_fail")
 
     def __init__(self, hdfs: Hdfs, confirm_s: float = 2.0,
                  throttle_bps: float = 200e6, max_streams: int = 2,

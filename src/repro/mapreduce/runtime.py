@@ -220,10 +220,6 @@ class JobReport:
     def mean_watts(self) -> float:
         return self.joules / self.seconds
 
-    @property
-    def work_per_joule(self) -> float:
-        """Jobs per joule — the paper's comparison metric."""
-        return 1.0 / self.joules
 
 
 class JobRunner:
@@ -475,7 +471,7 @@ class JobRunner:
         if kind in PARTITION_KINDS:
             self._on_partition_event(event, node, kind)
             return
-        if kind not in ("crash", "power"):
+        if kind != "crash":
             return
         if event == "up":
             self.yarn.mark_node_up(node)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 from ..core import paperdata as paper
 from ..core.metrics import mean_speedup_across_jobs
@@ -25,10 +25,6 @@ class ScalingGrid:
 
     def times(self, job: str) -> Dict[int, float]:
         return {size: report.seconds
-                for size, report in self.reports[job].items()}
-
-    def energies(self, job: str) -> Dict[int, float]:
-        return {size: report.joules
                 for size, report in self.reports[job].items()}
 
     def mean_speedup(self) -> float:
@@ -71,15 +67,3 @@ def paper_mean_speedup(platform: str) -> float:
     """S5.3's published mean speed-up recomputed from Table 8."""
     return mean_speedup_across_jobs(
         {job: paper_times(job, platform) for job in TABLE8_JOBS})
-
-
-def efficiency_table(edison: ScalingGrid,
-                     dell: ScalingGrid) -> Dict[str, Tuple[float, float]]:
-    """Per-job (simulated, paper) full-scale energy-efficiency gains."""
-    gains = {}
-    for job in TABLE8_JOBS:
-        simulated = dell.reports[job][2].joules / edison.reports[job][35].joules
-        published = (paper.T8[job]["dell"][2].joules
-                     / paper.T8[job]["edison"][35].joules)
-        gains[job] = (simulated, published)
-    return gains

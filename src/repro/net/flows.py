@@ -101,14 +101,6 @@ class FlowNetwork:
         self._reallocate()
         return done
 
-    def transfer(self, segments: List[Segment], nbytes: float):
-        """Process-generator convenience wrapper around :meth:`start_flow`."""
-        yield self.start_flow(segments, nbytes)
-
-    @property
-    def active_count(self) -> int:
-        return len(self.flows)
-
     def rescale(self) -> None:
         """Recompute fair shares after a segment capacity change.
 

@@ -96,9 +96,6 @@ class Topology:
         self._rx[server.name] = Segment(
             f"{server.name}.rx", line_Bps, nic=server.nic, nic_direction="rx")
 
-    def server(self, name: str) -> Server:
-        return self._servers[name]
-
     def nic_segments(self, name: str):
         """The (tx, rx) segment pair of one server's NIC.
 
@@ -250,10 +247,6 @@ class Topology:
         path = self.path(src, dst)
         if path:
             yield self.network.start_flow(path, nbytes)
-
-    def transfer_event(self, src: str, dst: str, nbytes: float):
-        """Event-returning variant (no latency term) for composition."""
-        return self.network.start_flow(self.path(src, dst), nbytes)
 
     def message(self, src: str, dst: str, nbytes: float):
         """Process generator: send one request/reply-sized message.

@@ -69,15 +69,3 @@ class ResilienceLedger:
 
     def to_mitigation_costs(self) -> OverheadJoules:
         return OverheadJoules(self.waste_joules)
-
-    def summary(self) -> Dict[str, object]:
-        return {
-            "counters": dict(self.counters),
-            "waste_joules": {k: round(v, 6)
-                             for k, v in self.waste_joules.items()},
-            "waste_seconds": {k: round(v, 6)
-                              for k, v in self.waste_seconds.items()},
-            "node_joules": {k: round(v, 6)
-                            for k, v in sorted(self.node_joules.items())},
-            "total_waste_joules": round(self.total_waste_joules, 6),
-        }

@@ -29,9 +29,8 @@ bit-identical to an unmonitored one.
 from .._exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
-    ".export": ("load_bundle", "render_dashboard", "save_bundle",
-                "summary_lines", "to_prometheus", "write_dashboard",
-                "write_prometheus"),
+    ".export": ("load_bundle", "render_dashboard", "summary_lines",
+                "to_prometheus", "write_dashboard", "write_prometheus"),
     ".rules": ("AbsenceRule", "Alert", "AlertManager", "CorrelatedSilenceRule",
                "SpreadRule", "ThresholdRule", "default_rules"),
     ".scrapers": ("ClusterAgent", "NodeAgent", "Telemetry"),

@@ -27,14 +27,8 @@ _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 _SPARK_W, _SPARK_H = 160, 28
 
 
-def save_bundle(bundle: Dict, path: str) -> None:
-    """Write a telemetry bundle as JSON."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(bundle, handle, indent=1)
-
-
 def load_bundle(path: str) -> Dict:
-    """Load a telemetry bundle written by :func:`save_bundle`."""
+    """Load a telemetry bundle written by :meth:`Telemetry.save`."""
     with open(path, "r", encoding="utf-8") as handle:
         bundle = json.load(handle)
     if not isinstance(bundle, dict) or "series" not in bundle:

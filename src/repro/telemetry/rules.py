@@ -14,7 +14,7 @@ kept in the history.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .tsdb import TimeSeriesDB
@@ -256,12 +256,6 @@ class AlertManager:
         """Alerts currently firing."""
         return [a for a in self.history if a.active]
 
-    def firings(self, rule: Optional[str] = None) -> List[Alert]:
-        """All alerts of ``rule`` (or all rules), fired order."""
-        if rule is None:
-            return list(self.history)
-        return [a for a in self.history if a.rule == rule]
-
     # -- evaluation ------------------------------------------------------
 
     def evaluate(self, now: float) -> List[Alert]:
@@ -317,7 +311,7 @@ def default_rules(scrape_interval: float = 0.25,
                   partitions: bool = False) -> List:
     """The stock rule set the CLI attaches with ``--telemetry``.
 
-    * ``node_silent`` — a node agent missed ~2.5 scrapes (crash/power).
+    * ``node_silent`` — a node agent missed ~2.5 scrapes (a crash).
     * ``nodes_unreachable`` — several agents went silent *together*
       (rack/trunk partition symptom); only with ``partitions=True``, so
       runs that never sever anything keep their alert history (and

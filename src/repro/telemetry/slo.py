@@ -14,7 +14,7 @@ Two reports close the observability loop:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..faults.models import NODE_DOWN_KINDS, PARTITION_KINDS

@@ -4,15 +4,15 @@ The monitoring plane's database: every scraped sample lands here as a
 ``(metric name, label set)`` series backed by the same
 :class:`~repro.sim.TimeSeries` the power meter records into, so the
 analytics the meter already had (trapezoidal integration, windowed
-means) and the new query helpers (``rate()``, ``avg_over_time()``,
-aligned resampling) apply uniformly.  Retention bounds memory per
-series the way a production TSDB's retention window does, so week-long
-simulated runs cannot exhaust the host.
+means) and the query helpers (``rate()``, ``avg_over_time()``) apply
+uniformly.  Retention bounds memory per series the way a production
+TSDB's retention window does, so week-long simulated runs cannot
+exhaust the host.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..sim import TimeSeries
 
@@ -47,10 +47,6 @@ class TimeSeriesDB:
 
     def __len__(self) -> int:
         return len(self._series)
-
-    def __iter__(self) -> Iterator[Tuple[str, Dict[str, str], TimeSeries]]:
-        for (name, key), series in self._series.items():
-            yield name, dict(key), series
 
     # -- write side ------------------------------------------------------
 
@@ -119,13 +115,6 @@ class TimeSeriesDB:
         if series is None or not series.times:
             return None
         return series.avg_over_time(window_s=window_s, now=now)
-
-    def aligned(self, name: str, step: float, **labels: object
-                ) -> List[Tuple[Dict[str, str], TimeSeries]]:
-        """Every series of ``name`` resampled onto the same step grid."""
-        return [(found_labels, series.resample(step))
-                for found_labels, series in self.select(name, **labels)
-                if series.times]
 
     # -- (de)serialisation ----------------------------------------------
 

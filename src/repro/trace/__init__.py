@@ -32,8 +32,7 @@ exporters, :func:`repro.causality.build_forest`).
 from .._exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
-    ".analysis": ("TraceDecomposition", "delay_decomposition_from_trace",
-                  "span_time_by_name"),
+    ".analysis": ("TraceDecomposition", "delay_decomposition_from_trace"),
     ".context": ("SpanContext",),
     ".events": ("PHASE_COUNTER", "PHASE_INSTANT", "PHASE_SPAN", "TraceEvent",
                 "TraceLog"),

@@ -71,14 +71,3 @@ def delay_decomposition_from_trace(log: TraceLog,
         total_delay_s=sum(requests[r] for r in counted) / len(counted),
         connect_delay_s=(sum(connects) / len(connects) if connects else 0.0),
     )
-
-
-def span_time_by_name(log: TraceLog, category: str) -> Dict[str, float]:
-    """Total simulated seconds spent inside each span name of a category.
-
-    The profiling view: where does simulated time go inside a layer?
-    """
-    totals: Dict[str, float] = {}
-    for event in log.spans(category=category):
-        totals[event.name] = totals.get(event.name, 0.0) + event.dur
-    return totals

@@ -21,8 +21,7 @@ import csv
 import json
 from typing import Dict, List
 
-from .events import (PHASE_COUNTER, PHASE_INSTANT, PHASE_SPAN, TraceEvent,
-                     TraceLog)
+from .events import PHASE_COUNTER, PHASE_SPAN, TraceEvent, TraceLog
 
 #: Chrome trace timestamps are microseconds; the simulation runs in seconds.
 _US = 1e6

@@ -11,7 +11,7 @@ within ±4 % of the exact order statistic.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Tuple
 
 
 class Counter:
@@ -143,12 +143,6 @@ class Histogram:
                            high, self._max)
         raise AssertionError("unreachable: rank exceeds total count")
 
-    def buckets(self) -> List[Tuple[float, float, int]]:
-        """Non-empty buckets as ``(low, high, count)`` tuples."""
-        return [(*self._bounds(i), c)
-                for i, c in sorted(self._counts.items())]
-
-
 class MetricsRegistry:
     """Named get-or-create registry of counters, gauges and histograms."""
 
@@ -181,11 +175,6 @@ class MetricsRegistry:
                 f"floor={hist.floor}; asked for growth={growth}, "
                 f"floor={floor}")
         return hist
-
-    def __iter__(self) -> Iterator[str]:
-        yield from self._counters
-        yield from self._gauges
-        yield from self._histograms
 
     def snapshot(self, percentiles: Tuple[float, ...] = (50.0, 95.0)) -> Dict:
         """All metric values as one JSON-friendly dict."""

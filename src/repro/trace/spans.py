@@ -8,19 +8,13 @@ that simulation then reaches the tracer as ``sim.trace`` — instrumented
 code guards with ``if sim.trace is not None`` so a run without tracing
 pays nothing beyond that None-check.
 
-Spans may be emitted two ways:
-
-* ``tracer.complete(name, start)`` — record a span retroactively from a
-  start time the caller noted; the cheapest form, used on hot paths
-  which already track start times for their own statistics.
-* ``with tracer.span(name, node=...):`` — a context manager for process
-  generators; nesting is tracked per simulated process, so concurrently
-  interleaved processes do not corrupt each other's span stacks.
+Spans are emitted retroactively with ``tracer.complete(name, start)``
+from a start time the caller noted — the cheapest form, since the hot
+paths already track start times for their own statistics.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from .context import SpanContext
@@ -70,8 +64,6 @@ class Tracer:
         self._next_id = 0
         # Span name -> its ("<name>.count", "<name>.duration_s") pair.
         self._span_metrics: Dict[str, Tuple[Counter, Histogram]] = {}
-        # Per-process span stacks: active-process id -> [span ids].
-        self._stacks: Dict[int, list] = {}
 
     # -- binding ---------------------------------------------------------
 
@@ -80,11 +72,6 @@ class Tracer:
         if self._sim is not _UNBOUND and self._sim is not sim:
             raise RuntimeError("tracer is already bound to another simulation")
         self._sim = sim
-
-    @property
-    def now(self) -> float:
-        """Current simulated time (0.0 while unbound)."""
-        return self._sim._now
 
     def next_id(self) -> int:
         """A fresh tracer-unique integer id (for correlating spans)."""
@@ -104,10 +91,6 @@ class Tracer:
             return self.root_context()
         return SpanContext(trace_id=parent.trace_id, span_id=self.next_id(),
                            parent_id=parent.span_id)
-
-    def enabled_for(self, category: str) -> bool:
-        """True when the log would keep events of ``category``."""
-        return self.log.accepts(category)
 
     # -- emission --------------------------------------------------------
 
@@ -157,51 +140,3 @@ class Tracer:
         else:
             self.log._record(start, category, name, node, attrs, PHASE_SPAN,
                              dur, ctx.trace_id, ctx.span_id, ctx.parent_id)
-
-    @contextmanager
-    def span(self, name: str, category: str = "span", node: str = "",
-             **attrs: Any):
-        """Context manager emitting a complete span around its body.
-
-        Usable inside process generators around ``yield from`` blocks::
-
-            with tracer.span("shuffle", node=node):
-                yield from self._shuffle(...)
-
-        Nesting depth and parentage are tracked per simulated process
-        (keyed on the simulation's active process), so interleaved
-        processes keep independent stacks.  Yields the span id.
-
-        The emitted span carries a full :class:`SpanContext` (nested
-        spans share the outermost span's trace_id).  When the body is
-        torn down by a kernel interrupt or an abandoned generator, the
-        span still closes — tagged ``aborted`` with the interrupt's
-        fault kind — so critical-path walks never see dangling spans.
-        """
-        start = self._sim._now
-        process = self._sim.active_process
-        key = id(process) if process is not None else 0
-        stack = self._stacks.setdefault(key, [])
-        parent: Optional[SpanContext] = stack[-1] if stack else None
-        ctx = self.child_context(parent)
-        stack.append(ctx)
-        try:
-            yield ctx.span_id
-        except BaseException as exc:
-            cause = getattr(exc, "cause", None)
-            if cause is not None:
-                attrs["aborted"] = getattr(cause, "kind", None) \
-                    or type(cause).__name__
-            elif isinstance(exc, GeneratorExit):
-                attrs["aborted"] = "abandoned"
-            raise
-        finally:
-            stack.pop()
-            if not stack:
-                self._stacks.pop(key, None)
-            attrs["span_id"] = ctx.span_id
-            attrs["depth"] = len(stack)
-            if parent is not None:
-                attrs["parent"] = parent.span_id
-            self.complete(name, start, category=category, node=node,
-                          ctx=ctx, **attrs)

@@ -31,8 +31,6 @@ class WebServiceDeployment:
                  limits: Optional[P.ConnectionLimits] = None,
                  trace=None,
                  resilience: bool = False):
-        if platform not in P.COSTS:
-            raise ValueError(f"unknown platform {platform!r}")
         self.platform = platform
         self.scale = scale
         self.workload = workload if workload is not None else P.WebWorkload()
@@ -41,10 +39,8 @@ class WebServiceDeployment:
         kwargs = {}
         if edison_spec is not None:
             kwargs["edison_spec"] = edison_spec
-        self.cluster = web_cluster(self.sim, platform, scale, **kwargs)
+        self.cluster = self._build_cluster(**kwargs)
         topo = self.cluster.topology
-        costs = P.COSTS[platform]
-        node_limits = limits if limits is not None else P.LIMITS[platform]
         self.db_nodes: List[DatabaseNode] = [
             DatabaseNode(self.cluster.servers[f"db-{i}"],
                          self.rng.stream(f"db-{i}"))
@@ -56,8 +52,13 @@ class WebServiceDeployment:
                                              for s in cache_servers]
         web_servers = [s for n, s in self.cluster.servers.items()
                        if n.startswith("web-")]
+        # Each node is wired from its own server's platform, so one
+        # rotation can mix Edisons and R620s (the autoscale package's
+        # hybrid fleet); ``limits`` overrides every node's.
         self.web_nodes: List[WebServerNode] = [
-            WebServerNode(self.sim, s, topo, costs, node_limits,
+            WebServerNode(self.sim, s, topo, P.COSTS[s.spec.platform],
+                          limits if limits is not None
+                          else P.LIMITS[s.spec.platform],
                           self.workload, self.rng.stream(f"web-{i}"),
                           self.cache_nodes, self.db_nodes)
             for i, s in enumerate(web_servers)
@@ -87,17 +88,18 @@ class WebServiceDeployment:
                 for w in self.web_nodes}
             for web in self.web_nodes:
                 web.enable_resilience(self.resilience_ledger)
-        self._reserve_memory()
+        # Pin the steady-state RAM footprints from Section 5.1.2.
+        for role, nodes in (("web", self.web_nodes),
+                            ("cache", self.cache_nodes)):
+            for node in nodes:
+                server = node.server
+                frac = P.MEMORY_RESERVATION[(server.spec.platform, role)]
+                server.memory.reserve(frac * server.memory.capacity_bytes)
         self.meter = self.cluster.attach_meter(interval=0.25)
 
-    def _reserve_memory(self) -> None:
-        """Pin the steady-state RAM footprints from Section 5.1.2."""
-        for node in self.web_nodes:
-            frac = P.MEMORY_RESERVATION[(self.platform, "web")]
-            node.server.memory.reserve(frac * node.server.memory.capacity_bytes)
-        for node in self.cache_nodes:
-            frac = P.MEMORY_RESERVATION[(self.platform, "cache")]
-            node.server.memory.reserve(frac * node.server.memory.capacity_bytes)
+    def _build_cluster(self, **kwargs):
+        """The Table 6 layout for this platform and scale."""
+        return web_cluster(self.sim, self.platform, self.scale, **kwargs)
 
     # -- fault injection ---------------------------------------------------
 
@@ -105,8 +107,8 @@ class WebServiceDeployment:
         """Attach a :class:`repro.faults.FaultInjector` running ``plan``.
 
         Also wires the deployment's recovery hook: a web server whose
-        crash/power fault is repaired reboots with a clean connection
-        table (see :meth:`WebServerNode.reset`).
+        crash is repaired reboots with a clean connection table (see
+        :meth:`WebServerNode.reset`).
         """
         from ..faults import FaultInjector   # loaded only when armed
         injector = FaultInjector(self.cluster, plan, **kwargs)
@@ -114,18 +116,15 @@ class WebServiceDeployment:
         return injector
 
     def _on_fault_event(self, event: str, node: str, kind: str) -> None:
-        """The recovery rule every web deployment shares.
-
-        The autoscale package's hybrid deployment reuses this method.
-        """
+        """The recovery rule every web deployment shares."""
         # "admin" is the autoscaler's deliberate suspend/resume: a node
         # coming back from it reboots with a clean connection table
-        # exactly like one repaired after a crash or power fault.  A
-        # healed partition gets the same reset: clients abandoned every
-        # connection into the black hole long ago, so the server's
-        # half of the table is stale fiction, not state worth keeping.
-        if event != "up" or kind not in ("crash", "power", "admin",
-                                         "partition", "switch_down"):
+        # exactly like one repaired after a crash.  A healed partition
+        # gets the same reset: clients abandoned every connection into
+        # the black hole long ago, so the server's half of the table is
+        # stale fiction, not state worth keeping.
+        if event != "up" or kind not in ("crash", "admin", "partition",
+                                         "switch_down"):
             return
         for web in self.web_nodes:
             if web.server.name == node:
@@ -219,12 +218,54 @@ class WebServiceDeployment:
         The static arms of the autoscaling experiment run through
         here: same deployment, same backends, but arrivals follow the
         diurnal + flash-crowd rate function instead of one fixed
-        concurrency.  The reported ``concurrency`` is 0 (there is no
-        single level).
+        concurrency, through ``rotation`` when one is given (the
+        hybrid fleet's weighted balancer).  The reported
+        ``concurrency`` is 0 (there is no single level).  The
+        resilient driver options deliberately stay off here: shaped
+        days measure provisioning, not gray-failure mitigation.
         """
-        return run_shaped(self, shape, duration, warmup=warmup,
-                          calls=calls, rotation=rotation,
-                          collect_delays=collect_delays)
+        if duration <= warmup:
+            raise ValueError("duration must exceed warmup")
+        sim = self.sim
+        if sim.faults is not None:
+            sim.faults.add_listener(self._on_fault_event)
+        driver = HttperfDriver(
+            sim, self.cluster.topology, self.web_nodes,
+            self.client_names, self.workload,
+            self.rng.stream("arrivals"), collect_after=warmup,
+            collect_delays=collect_delays)
+        self.last_driver = driver
+        sim.process(driver.generate_shaped(shape, calls, until=duration,
+                                           rotation=rotation))
+        self.meter.start(until=duration)
+        sim.run(until=duration)
+        stats = driver.stats
+        if self.telemetry is not None:
+            # Abandoned calls *and* connections that never established
+            # (SYN retries exhausted) are user-visible outages no server
+            # log sees; both charge the availability SLO.
+            self.telemetry.note_client_outcomes(
+                timeouts=stats.timeout_calls,
+                give_ups=stats.failed_connections)
+        counted = max(1, stats.ok_calls)
+        power_samples = [v for t, v in self.meter.series.pairs()
+                         if t >= warmup]
+        mean_power = (sum(power_samples) / len(power_samples)
+                      if power_samples else self.cluster.idle_watts())
+        return LevelResult(
+            platform=self.platform,
+            concurrency=0,
+            calls_per_connection=calls,
+            window_s=duration - warmup,
+            ok_calls=stats.ok_calls,
+            error_calls=stats.error_calls,
+            timeout_calls=stats.timeout_calls,
+            failed_connections=stats.failed_connections,
+            connections=stats.connections,
+            syn_retries=stats.syn_retries,
+            mean_delay_s=stats.delay_sum_s / counted,
+            mean_power_w=mean_power,
+        )
 
     # -- web-server-side logs (Table 7) --------------------------------------
 
@@ -234,62 +275,6 @@ class WebServiceDeployment:
         for node in self.web_nodes:
             records.extend(r for r in node.records if r.start >= after)
         return records
-
-
-def run_shaped(deployment, shape, duration: float, warmup: float = 0.0,
-               calls: int = 5, rotation=None,
-               collect_delays: bool = False) -> LevelResult:
-    """Run one shaped day against any web-style deployment.
-
-    Duck-typed over the deployment surface (``sim``, ``cluster``,
-    ``web_nodes``, ``client_names``, ``workload``, ``rng``, ``meter``,
-    ``telemetry``) so :class:`WebServiceDeployment` and the autoscale
-    package's hybrid deployment share one code path.  The resilient
-    driver options deliberately stay off here: shaped days measure
-    provisioning, not gray-failure mitigation.
-    """
-    if duration <= warmup:
-        raise ValueError("duration must exceed warmup")
-    sim = deployment.sim
-    if sim.faults is not None:
-        sim.faults.add_listener(deployment._on_fault_event)
-    driver = HttperfDriver(
-        sim, deployment.cluster.topology, deployment.web_nodes,
-        deployment.client_names, deployment.workload,
-        deployment.rng.stream("arrivals"), collect_after=warmup,
-        collect_delays=collect_delays)
-    deployment.last_driver = driver
-    sim.process(driver.generate_shaped(shape, calls, until=duration,
-                                       rotation=rotation))
-    deployment.meter.start(until=duration)
-    sim.run(until=duration)
-    stats = driver.stats
-    if deployment.telemetry is not None:
-        # Abandoned calls *and* connections that never established
-        # (SYN retries exhausted) are user-visible outages no server
-        # log sees; both charge the availability SLO.
-        deployment.telemetry.note_client_outcomes(
-            timeouts=stats.timeout_calls,
-            give_ups=stats.failed_connections)
-    counted = max(1, stats.ok_calls)
-    power_samples = [v for t, v in deployment.meter.series.pairs()
-                     if t >= warmup]
-    mean_power = (sum(power_samples) / len(power_samples)
-                  if power_samples else deployment.cluster.idle_watts())
-    return LevelResult(
-        platform=deployment.platform,
-        concurrency=0,
-        calls_per_connection=calls,
-        window_s=duration - warmup,
-        ok_calls=stats.ok_calls,
-        error_calls=stats.error_calls,
-        timeout_calls=stats.timeout_calls,
-        failed_connections=stats.failed_connections,
-        connections=stats.connections,
-        syn_retries=stats.syn_retries,
-        mean_delay_s=stats.delay_sum_s / counted,
-        mean_power_w=mean_power,
-    )
 
 
 @dataclass(frozen=True)

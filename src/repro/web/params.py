@@ -177,7 +177,3 @@ class WebWorkload:
             raise ValueError("image_fraction must be in [0, 1]")
         if not 0 <= self.cache_hit_ratio <= 1:
             raise ValueError("cache_hit_ratio must be in [0, 1]")
-
-    @property
-    def mean_reply_bytes(self) -> float:
-        return mean_reply_bytes(self.image_fraction)

@@ -18,7 +18,7 @@ detection window are skipped.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 
 class _Entry:
@@ -62,13 +62,6 @@ class WeightedRotation:
 
     def in_rotation(self, name: str) -> bool:
         return self._entries[name].in_rotation
-
-    def backends(self) -> List:
-        """Every registered backend node, in registration order."""
-        return [e.web for e in self._entries.values()]
-
-    def active_names(self) -> List[str]:
-        return [n for n, e in self._entries.items() if e.in_rotation]
 
     def total_active_weight(self) -> float:
         faults = self.sim.faults

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..core import paperdata as paper
+from ..core.metrics import work_done_per_joule
 from ..hardware import ServerSpec
 from . import params as P
 from .deployment import WebServiceDeployment
@@ -67,6 +68,7 @@ def sweep_concurrency(platform: str, scale: str = "full",
 
 def energy_efficiency_ratio(edison: SweepResult, dell: SweepResult) -> float:
     """Peak requests-per-joule ratio, Edison over Dell (the 3.5x claim)."""
-    edison_rpj = edison.peak_rps() / edison.mean_power_at_peak()
-    dell_rpj = dell.peak_rps() / dell.mean_power_at_peak()
+    edison_rpj = work_done_per_joule(edison.peak_rps(),
+                                     edison.mean_power_at_peak())
+    dell_rpj = work_done_per_joule(dell.peak_rps(), dell.mean_power_at_peak())
     return edison_rpj / dell_rpj

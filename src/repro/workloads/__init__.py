@@ -1,4 +1,4 @@
-"""Synthetic workload data: text corpus, logs, terasort records, wiki DB."""
+"""Synthetic workload data: text corpus, logs and terasort records."""
 
 from .._exports import lazy_exports
 
@@ -7,5 +7,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".loggen": ("LogGenerator", "logcount_dataset"),
     ".teragen": ("TeragenGenerator", "terasort_dataset"),
     ".textgen": ("ZipfTextGenerator", "wordcount_dataset"),
-    ".wikidb": ("TableSpec", "WikiDatabase", "build_tables", "table_weights"),
 })

@@ -386,7 +386,8 @@ def test_controller_scales_up_from_tsdb_signal():
     controller = deployment.prepare_autoscaler(initial_rps=100.0)
     pool = deployment.pool
     # One Edison covers 100/0.6 rps; the rest were parked pre-run.
-    assert pool.states() == {"web-0": ACTIVE, "web-1": OFF, "web-2": OFF}
+    assert [pool.by_name[n].state for n in ("web-0", "web-1", "web-2")] \
+        == [ACTIVE, OFF, OFF]
     assert not deployment.rotation.in_rotation("web-1")
     # Synthesise a hot request counter for the surviving node: ~290
     # rps, utilisation ~0.98 over 295 rps capacity.
@@ -447,7 +448,7 @@ def test_autoscaled_hybrid_day_saves_energy():
     # The autoscaler parked the Dell (3550 rps of capacity nobody
     # needed at <= 240 rps) and served the day on Edisons.
     assert scaled.ledger.counters["evals"] > 0
-    assert scaled.pool.states()["web-2"] == OFF
+    assert scaled.pool.by_name["web-2"].state == OFF
     assert scaled.meter.energy_joules() < static.meter.energy_joules()
     # It still served the same day's offered load.
     assert scaled_level.ok_calls > 0.95 * static_level.ok_calls
@@ -460,7 +461,10 @@ def test_autoscaled_day_is_deterministic():
         telemetry = Telemetry()
         telemetry.attach_web(deployment, until=12.0)
         level = deployment.run_day(DAY, 12.0, calls=4)
+        ledger = deployment.ledger
         return (asdict(level), deployment.meter.energy_joules(),
-                deployment.ledger.summary())
+                dict(ledger.counters), ledger.boot_joules,
+                ledger.drain_joules, dict(ledger.node_joules),
+                [a.to_dict() for a in ledger.actions])
 
     assert run() == run()

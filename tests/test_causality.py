@@ -82,7 +82,7 @@ def test_build_forest_links_children_and_orphans():
     forest = build_forest(log)
     assert [r.name for r in forest.roots] == ["root", "lost"]
     assert [o.name for o in forest.orphans] == ["lost"]
-    root = forest.tree(1)
+    root = forest.roots[0]
     assert [c.span_id for c in root.children] == [2, 3]
     assert [n.name for n in root.walk()] == ["root", "child", "leaf",
                                              "child"]
@@ -93,7 +93,7 @@ def test_real_web_run_yields_causal_trees():
     log, _ = traced_web_run()
     forest = build_forest(log)
     assert forest.roots
-    requests = forest.spans("request")
+    requests = [n for n in forest.walk() if n.name == "request"]
     assert requests
     # Every request span links upward: call -> connection when the
     # connection closed inside the run, or to an orphaned call root.
@@ -121,7 +121,7 @@ def test_critical_path_partitions_wall_time():
     log.append(span(3.0, 4.0, "b", span_id=3, parent_id=1, trace_id=1))
     log.append(span(2.0, 1.0, "a1", span_id=4, parent_id=2, trace_id=1))
     forest = build_forest(log)
-    path = critical_path(forest.tree(1))
+    path = critical_path(forest.roots[0])
     # Segments tile [0, 10) exactly, in order.
     segs = sorted(path.segments, key=lambda s: s.start)
     assert segs[0].start == 0.0 and segs[-1].end == 10.0

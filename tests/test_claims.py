@@ -24,6 +24,14 @@ def test_every_claim_has_a_non_empty_interval_and_a_known_cell():
         assert claim.cell in claims.CELLS, claim.id
 
 
+def test_no_bound_admits_a_negative_value():
+    # Every claims quantity is a delay, time, energy, cost, ratio or
+    # count, so a finite lower edge below zero admits a value that
+    # cannot happen.
+    for claim in claims.CLAIMS:
+        assert not (math.isfinite(claim.lo) and claim.lo < 0), claim.id
+
+
 @pytest.mark.parametrize("cell", QUICK_CELLS)
 def test_every_claim_names_a_key_its_cell_returns(cell):
     returned = set(claims.CELLS[cell]())

@@ -113,8 +113,8 @@ def test_dvfs_command_runs_a_tiny_sweep(tmp_path, capsys):
 def test_carbon_command_runs_a_tiny_day(tmp_path, capsys):
     import json
 
-    from repro.carbon import (CarbonDayPlan, CarbonJobSpec,
-                              evening_peak_price, solar_dip_intensity)
+    from repro.carbon import CarbonDayPlan, CarbonJobSpec
+    from tests.test_carbon import evening_peak_price, solar_dip_intensity
 
     plan = CarbonDayPlan(
         name="tiny-day", day_s=7200.0,

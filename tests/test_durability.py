@@ -1,12 +1,12 @@
 """Tests for repro.durability: rack-aware placement, the repair loop,
 block conservation, the ledger and the committed day's report."""
 
-import dataclasses
 import random
 
 import pytest
 
 from repro.cluster.builders import hadoop_cluster
+from repro.core.records import find
 from repro.durability import (DurabilityArm, DurabilityConfig,
                               DurabilityLedger, DurabilityPlan,
                               DurabilityReport, attach_job)
@@ -404,9 +404,8 @@ def test_ledger_integrates_under_replication_over_time():
         pytest.approx(4.0 * len(held), abs=2.0 * len(held))
     assert ledger.max_under_replicated == len(held)
     assert ledger.blocks_lost == 0        # the bytes survived the crash
-    summary = ledger.summary()
-    assert summary["samples"] > 5
-    assert summary["conservation_violations"] == 0
+    assert len(ledger.samples) > 5
+    assert ledger.conservation_violations == 0
 
 
 def test_marginal_io_watts_follows_the_power_weights():
@@ -531,7 +530,7 @@ def test_report_knee_and_downtime_check():
     with pytest.raises(KeyError):
         report.arm("edison", False, 2)
     with pytest.raises(KeyError):
-        report.control("dell")
+        find(report.controls, platform="dell")
     # A fault arm that books downtime the control never saw is a leak.
     leaky = (arms[0], arms[1],
              synthetic_arm(replication=3, downtime_s=5.0))
@@ -551,7 +550,7 @@ def test_report_roundtrip_and_lines():
     assert data["partition_downtime_clean"] is True
     again = DurabilityReport.from_dict(data)
     assert again.arm("edison", True, 2).repairs_completed == 4
-    assert again.control("edison").control
+    assert find(again.controls, platform="edison").control
     text = "\n".join(report.lines())
     assert "verdict [edison]: r=2 rack-aware is the knee" in text
     assert "failed" in text            # the r=1 arm's job column

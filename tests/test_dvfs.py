@@ -8,8 +8,6 @@ shrink busy watts by ``f**2``, compose multiplicatively with thermal
 throttles, and restore bit-exactly.
 """
 
-import random
-
 import pytest
 
 from repro.dvfs import (
@@ -235,8 +233,7 @@ def test_powersave_plane_parks_the_fleet_deep():
     deployment.run_level(12, duration=2.0, warmup=0.5)
     residency = plane.residency_s(2.0)
     assert residency[f"P{deepest}"] == pytest.approx(2.0 * len(servers))
-    summary = plane.summary(2.0)
-    assert summary["governor"] == "powersave"
+    assert plane.config.kind == "powersave"
     with pytest.raises(RuntimeError):
         plane.start()               # double start
 
@@ -268,9 +265,10 @@ def test_ondemand_plane_downclocks_an_underloaded_fleet():
     assert logged == plane.counters["transitions"]
     assert telemetry.db.select("cpu_pstate"), \
         "governor decisions must land in the TSDB"
-    from repro.causality import pstate_transitions
-    marks = pstate_transitions(deployment.sim.trace.log)
-    assert sum(len(m) for m in marks.values()) == logged
+    from repro.causality.energy import PSTATE_EVENT
+    marks = [e for e in deployment.sim.trace.log
+             if e.name == PSTATE_EVENT and e.node]
+    assert len(marks) == logged
 
 
 # -- the scorecard ------------------------------------------------------------

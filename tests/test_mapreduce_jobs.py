@@ -5,8 +5,6 @@ use small clusters and scaled-down datasets to stay fast while checking
 the mechanisms (phases, combiner, locality, energy accounting, tuning).
 """
 
-from dataclasses import replace
-
 import pytest
 
 from repro.core import paperdata as paper

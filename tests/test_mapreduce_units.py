@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.cluster import hadoop_cluster
-from repro.core import paperdata as paper
 from repro.mapreduce import HadoopConfig, Hdfs, YarnScheduler, default_config
 from repro.mapreduce.costs import DENSITY_BETA, JobCosts, effective_factor
 from repro.sim import Simulation

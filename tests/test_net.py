@@ -1,4 +1,4 @@
-"""Unit tests for the network substrate (flows, topology, TCP)."""
+"""Unit tests for the network substrate (flows and topology)."""
 
 import random
 
@@ -7,10 +7,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.cluster.builders import hadoop_cluster
 from repro.hardware import DELL_R620, EDISON
-from repro.net import (
-    ConnectTimeout, FlowNetwork, Segment, TcpListener, Topology,
-)
-from repro.net.flows import Flow
+from repro.net import FlowNetwork, Segment
 from repro.sim import Simulation
 
 
@@ -278,86 +275,3 @@ def test_duplicate_server_name_rejected():
     cluster.add(EDISON, "x")
     with pytest.raises(ValueError):
         cluster.add(EDISON, "x")
-
-
-# -- TcpListener --------------------------------------------------------------
-
-def test_tcp_connect_succeeds_with_free_slot():
-    sim = Simulation()
-    listener = TcpListener(sim, "web", max_connections=2)
-    results = []
-
-    def client():
-        request, stats = yield from listener.connect(rtt=0.001)
-        results.append(stats)
-        listener.close(request)
-
-    sim.process(client())
-    sim.run()
-    assert results[0].syn_retries == 0
-    assert results[0].connect_delay == pytest.approx(0.001)
-    assert listener.accepted == 1
-
-
-def test_tcp_backlog_overflow_causes_retry_spikes():
-    """Blocked SYNs retry at +1 s / +3 s cumulative — Figure 11's spikes."""
-    sim = Simulation()
-    listener = TcpListener(sim, "web", max_connections=1, syn_backlog=1)
-    delays = []
-
-    def holder():
-        request, _ = yield from listener.connect(rtt=0)
-        yield sim.timeout(2.5)
-        listener.close(request)
-
-    def filler():
-        # Occupies the single backlog slot until the holder releases.
-        request, _ = yield from listener.connect(rtt=0)
-        listener.close(request)
-
-    def victim():
-        yield sim.timeout(0.001)  # arrive after backlog is full
-        request, stats = yield from listener.connect(rtt=0)
-        delays.append((stats.syn_retries, round(stats.connect_delay, 3)))
-        listener.close(request)
-
-    sim.process(holder())
-    sim.process(filler())
-    sim.process(victim())
-    sim.run()
-    retries, delay = delays[0]
-    assert retries >= 1
-    assert delay >= 1.0  # at least one 1-second SYN retransmission
-
-
-def test_tcp_connect_times_out_after_retries():
-    sim = Simulation()
-    listener = TcpListener(sim, "web", max_connections=1, syn_backlog=1)
-    outcome = []
-
-    def holder():
-        yield from listener.connect(rtt=0)  # never closed
-
-    def filler():
-        yield from listener.connect(rtt=0)
-
-    def victim():
-        yield sim.timeout(0.001)
-        try:
-            yield from listener.connect(rtt=0, max_retries=2)
-        except ConnectTimeout:
-            outcome.append(sim.now)
-
-    sim.process(holder())
-    sim.process(filler())
-    sim.process(victim())
-    sim.run()
-    # Dropped at t~0, retried after 1 s and 2 s, then gave up: t ~ 3.001.
-    assert outcome and outcome[0] == pytest.approx(3.001)
-    assert listener.syn_drops >= 3
-
-
-def test_tcp_listener_validation():
-    sim = Simulation()
-    with pytest.raises(ValueError):
-        TcpListener(sim, "bad", max_connections=0)

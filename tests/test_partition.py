@@ -7,8 +7,8 @@ import pytest
 
 from repro.cluster.builders import hadoop_cluster
 from repro.faults import (FaultInjector, FaultPlan, PhiAccrualDetector,
-                          node_crash, node_set_partition, power_event,
-                          rack_partition, switch_down)
+                          node_crash, node_set_partition, rack_partition,
+                          switch_down)
 from repro.net import NetworkUnreachable
 from repro.sim import Simulation
 
@@ -262,7 +262,6 @@ def test_phi_rises_with_silence():
         detector.beat("n", at=float(t))
     assert detector.phi("n", now=19.2) < 1.0
     assert detector.phi("n", now=30.0) >= detector.threshold
-    assert detector.is_suspect("n", now=30.0)
     # A node never heard from carries no suspicion at all.
     assert detector.phi("ghost") == 0.0
 
@@ -429,7 +428,7 @@ def test_heal_before_expiry_never_convicts():
 # -- property: overlapping faults never corrupt the books ---------------------
 
 def test_overlapping_fault_soup_keeps_accounting_sane():
-    """Seeded random plans of crashes, power events, partitions and
+    """Seeded random plans of crashes, partitions and
     admin park/resume cycles: downtime and unreachable time are never
     negative, fault records are written exactly once per fault and all
     closed, and no node ends the day stuck down or severed."""
@@ -444,11 +443,8 @@ def test_overlapping_fault_soup_keeps_accounting_sane():
             at = rng.uniform(0.0, 10.0)
             duration = rng.uniform(0.5, 8.0)
             roll = rng.random()
-            if roll < 0.3:
+            if roll < 0.5:
                 faults.append(node_crash(node, at=at, repair_s=duration))
-            elif roll < 0.5:
-                faults.append(power_event(node, at=at, outage_s=duration,
-                                          reboot_s=0.5))
             elif roll < 0.75:
                 faults.append(rack_partition(
                     f"edison-rack-{rng.randrange(2)}", at=at,
@@ -483,7 +479,6 @@ def test_overlapping_fault_soup_keeps_accounting_sane():
             status = injector.status[node]
             assert status.up, f"{node} stuck down (trial {trial})"
             assert status.down_tokens == 0
-            assert status.unpowered_tokens == 0
             assert status.unreachable_tokens == 0
             assert status.down_since is None
             assert status.unreachable_since is None

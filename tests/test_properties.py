@@ -125,7 +125,7 @@ def test_all_flows_complete_and_account_bytes(flow_specs):
         total += nbytes
     sim.run()
     assert all(e.triggered for e in events)
-    assert net.active_count == 0
+    assert not net.flows
     # Lower bound: everything through one segment at its capacity.
     assert sim.now * 4 * 1e6 >= total * 0.999
 

@@ -32,8 +32,7 @@ def test_run_scaling_grid_small():
     assert set(grid.reports["pi"]) == {4, 8}
     times = grid.times("pi")
     assert times[8] < times[4]
-    energies = grid.energies("pi")
-    assert all(value > 0 for value in energies.values())
+    assert all(report.joules > 0 for report in grid.reports["pi"].values())
     assert 1.2 < grid.mean_speedup() < 2.5
 
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.sim import (
-    EmptySchedule, Event, Interrupt, Resource, Simulation, SimulationError,
+    EmptySchedule, Interrupt, Resource, Simulation, SimulationError,
 )
 
 

@@ -7,8 +7,8 @@ import pytest
 from repro.telemetry import (AbsenceRule, Alert, AlertManager, DetectionReport,
                              SloReport, SloSpec, SpreadRule, Telemetry,
                              ThresholdRule, TimeSeriesDB, default_rules,
-                             load_bundle, render_dashboard, save_bundle,
-                             summary_lines, to_prometheus)
+                             load_bundle, render_dashboard, summary_lines,
+                             to_prometheus)
 from repro.web import WebServiceDeployment
 
 
@@ -66,18 +66,6 @@ def test_db_dict_roundtrip():
     clone = TimeSeriesDB.from_dicts(db.to_dicts())
     assert clone.last("cpu", node="a") == (0.5, 0.75)
     assert len(clone) == len(db)
-
-
-def test_db_aligned_resamples_every_series():
-    db = TimeSeriesDB()
-    db.record(0.1, "cpu", 1.0, node="a")
-    db.record(1.9, "cpu", 2.0, node="a")
-    db.record(0.3, "cpu", 5.0, node="b")
-    db.record(1.7, "cpu", 6.0, node="b")
-    grids = db.aligned("cpu", step=0.5)
-    assert len(grids) == 2
-    for _labels, series in grids:
-        assert all(abs(t / 0.5 - round(t / 0.5)) < 1e-9 for t in series.times)
 
 
 # -- rules --------------------------------------------------------------------
@@ -277,7 +265,7 @@ def test_bundle_roundtrip_and_prometheus(tmp_path):
     telemetry, _deployment = monitored_web_run()
     bundle = telemetry.bundle(meta={"note": "test"})
     path = str(tmp_path / "tele.json")
-    save_bundle(bundle, path)
+    telemetry.save(path, meta={"note": "test"})
     loaded = load_bundle(path)
     assert loaded["meta"]["note"] == "test"
     assert loaded["meta"]["kind"] == "web"

@@ -170,7 +170,7 @@ def test_node_silent_alert_resolves_after_repair():
 
 
 def test_detection_report_survives_bundle_roundtrip(tmp_path):
-    from repro.telemetry import DetectionReport, load_bundle, save_bundle
+    from repro.telemetry import DetectionReport, load_bundle
     telemetry, _tracer, _victim, _report = crashed_job_run()
     path = str(tmp_path / "bundle.json")
     telemetry.save(path)

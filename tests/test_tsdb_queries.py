@@ -108,8 +108,8 @@ def test_resample_after_retention_trim_does_not_raise():
     db = TimeSeriesDB(retention_samples=5)
     for i in range(50):
         db.record(0.3 + i * 0.7, "cpu", float(i), node="a")
-    [(labels, resampled)] = db.aligned("cpu", step=1.0, node="a")
     series = db.series("cpu", node="a")
+    resampled = series.resample(1.0)
     assert resampled.times[0] >= series.times[0] - 1e-9
     assert all(math.isclose(t, round(t)) for t in resampled.times)
 
@@ -137,8 +137,8 @@ def test_resample_randomised_retention_boundaries_never_raise():
             t += rng.uniform(0.05, 1.5)
             db.record(t, "sig", rng.uniform(0.0, 100.0))
         step = rng.choice([0.25, 0.5, 1.0, 2.0])
-        [(_labels, out)] = db.aligned("sig", step=step)
         series = db.series("sig")
+        out = series.resample(step)
         assert len(out.times) == len(out.values)
         if not out.times:
             # Legitimate: the retained span holds no multiple of step.

@@ -52,7 +52,7 @@ def test_webworkload_defaults_and_validation():
     workload = WebWorkload()
     assert workload.cache_hit_ratio == 0.93
     assert workload.image_fraction == 0.0
-    assert workload.mean_reply_bytes == pytest.approx(1500)
+    assert mean_reply_bytes(workload.image_fraction) == pytest.approx(1500)
     with pytest.raises(ValueError):
         WebWorkload(image_fraction=2.0)
     with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from repro.web import (
     PortPool, WebServiceDeployment, WebWorkload, delay_distribution,
     measure_delay_decomposition,
 )
-from repro.web import params as P
 
 
 # -- PortPool -----------------------------------------------------------------

@@ -4,11 +4,9 @@ import pytest
 
 from repro.core import paperdata as paper
 from repro.workloads import (
-    Dataset, LogGenerator, TeragenGenerator, WikiDatabase,
-    ZipfTextGenerator, build_tables, logcount_dataset, split_evenly,
-    table_weights, terasort_dataset, wordcount_dataset,
+    Dataset, LogGenerator, TeragenGenerator, ZipfTextGenerator,
+    logcount_dataset, split_evenly, terasort_dataset, wordcount_dataset,
 )
-from repro.workloads.datasets import DatasetFile
 
 
 def test_split_evenly_preserves_total():
@@ -103,30 +101,3 @@ def test_teragen_records_fixed_width():
     keys = [TeragenGenerator.key_of(r) for r in records]
     assert all(len(k) == 10 for k in keys)
     assert TeragenGenerator(seed=2).records(20) == records
-
-
-def test_wiki_tables_match_paper_shape():
-    tables = build_tables()
-    assert len(tables) == 15
-    image = [t for t in tables if t.is_image]
-    assert len(image) == 4
-    total = sum(t.rows * t.mean_row_bytes for t in tables)
-    assert total == pytest.approx(20e9, rel=0.01)
-
-
-def test_table_weights_control_image_fraction():
-    tables = build_tables()
-    weights = table_weights(0.2, tables)
-    image_weight = sum(w for w, t in zip(weights, tables) if t.is_image)
-    assert image_weight == pytest.approx(0.2)
-    assert sum(weights) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        table_weights(1.5, tables)
-
-
-def test_wiki_rows_deterministic():
-    db = WikiDatabase(seed=11)
-    table = db.tables[0]
-    assert db.row_bytes(table, 5) == WikiDatabase(seed=11).row_bytes(table, 5)
-    payload = db.row_payload(table, 5)
-    assert len(payload) == db.row_bytes(table, 5)
