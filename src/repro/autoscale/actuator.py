@@ -61,7 +61,7 @@ class FleetActuator:
         self.injector.admin_power_on(node.name)
         node.state = ACTIVE
         self.rotation.set_in_rotation(node.name, True)
-        self.ledger.charge_boot(node.name, boot_s, node.idle_watts)
+        self.ledger.charge("boot", boot_s, node.idle_watts)
         self.ledger.log(self.sim.now, "serve", node.name)
 
     # -- power off --------------------------------------------------------
@@ -87,6 +87,5 @@ class FleetActuator:
             self.ledger.count("drain_timeouts")
         self.injector.admin_power_off(node.name)
         node.state = OFF
-        self.ledger.charge_drain(node.name, self.sim.now - start,
-                                 node.idle_watts)
+        self.ledger.charge("drain", self.sim.now - start, node.idle_watts)
         self.ledger.log(self.sim.now, "off", node.name)

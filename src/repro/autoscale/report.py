@@ -210,8 +210,8 @@ def _build_arm(label: str, deployment, telemetry, level,
         hardware_usd=amortized_hardware_usd(
             _fleet_cost_usd(deployment.cluster), duration),
         energy_usd=energy_cost_usd(joules),
-        boot_j=ledger.boot_joules if ledger is not None else 0.0,
-        drain_j=ledger.drain_joules if ledger is not None else 0.0,
+        boot_j=ledger.joules["boot"] if ledger is not None else 0.0,
+        drain_j=ledger.joules["drain"] if ledger is not None else 0.0,
         counters=dict(ledger.counters) if ledger is not None else {},
         actions=tuple(a.to_dict() for a in ledger.actions)
         if ledger is not None else ())

@@ -18,10 +18,10 @@ micro-server enclosures from big boxes — *network partitions*:
   detects under-replication on confirmed loss and re-replicates over
   the real ToR/trunk topology through a bandwidth throttle;
 * the :class:`DurabilityLedger` bills it all — blocks-at-risk series,
-  time-under-replicated integrals, data-loss events, repair and
-  split-brain joules (:class:`repro.energy.OverheadJoules`) — and the
-  committed durability day reproduces why rack-aware r=2 is the knee
-  on the Edison cluster.
+  time-under-replicated integrals, data-loss events, and repair and
+  split-brain joules charged as :class:`repro.energy.OverheadLedger`
+  categories — and the committed durability day reproduces why
+  rack-aware r=2 is the knee on the Edison cluster.
 
 Everything is strictly opt-in.  ``None`` is off (the default): no
 detector, feeder, monitor, ledger or sampler exists and every run is

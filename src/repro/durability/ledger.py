@@ -3,8 +3,8 @@
 One :class:`DurabilityLedger` watches a run's HDFS block map and bills
 everything the cluster does to keep *data* alive rather than compute:
 
-* a seeded-cadence **sampler** walks the NameNode block census every
-  ``sample_interval_s``, recording blocks-at-risk series, integrating
+* a **sampler** walks the NameNode block census every
+  ``SAMPLE_INTERVAL_S``, recording blocks-at-risk series, integrating
   *time under-replicated* and *time unavailable* in block-seconds, and
   asserting the conservation invariant ``created == live + lost`` at
   every sample point;
@@ -14,8 +14,9 @@ everything the cluster does to keep *data* alive rather than compute:
 * **repair joules** arrive from the
   :class:`~repro.mapreduce.hdfs.ReplicationMonitor` per completed
   block copy (disk + wire activity on both ends), and **split-brain
-  joules** from the job runner per zombie attempt killed at heal, so
-  the run's :class:`~repro.energy.OverheadJoules` breakdown is exact.
+  joules** from the job runner per zombie attempt killed at heal; both
+  are categories of the ledger's
+  :class:`~repro.energy.account.OverheadLedger` ``joules``.
 
 The ledger spawns nothing and draws no RNG at construction; the
 sampler process is started by :func:`repro.durability.attach_job`.
@@ -25,24 +26,21 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..energy import OverheadJoules
+from ..energy.account import OverheadLedger
 
-#: Ledger categories, the keys of :meth:`DurabilityLedger.to_repair_costs`.
+#: Ledger categories, the keys of :attr:`DurabilityLedger.joules`.
 CATEGORIES = ("re_replication", "split_brain")
+#: Seconds between two block censuses.
+SAMPLE_INTERVAL_S = 1.0
 
 
-class DurabilityLedger:
+class DurabilityLedger(OverheadLedger):
     """Durability accounting for one simulated run."""
 
-    def __init__(self, sim, hdfs, sample_interval_s: float = 1.0):
-        if sample_interval_s <= 0:
-            raise ValueError("sample_interval_s must be > 0")
+    def __init__(self, sim, hdfs):
+        super().__init__(CATEGORIES)
         self.sim = sim
         self.hdfs = hdfs
-        self.sample_interval_s = sample_interval_s
-        self.joules: Dict[str, float] = {c: 0.0 for c in CATEGORIES}
-        self.node_joules: Dict[str, float] = {}
-        self.repairs = 0
         self.repair_bytes = 0.0
         #: ``(t, under_replicated, unavailable, lost)`` per sample.
         self.samples: List[tuple] = []
@@ -57,40 +55,15 @@ class DurabilityLedger:
 
     # -- energy attribution ----------------------------------------------
 
-    @staticmethod
-    def marginal_io_watts(server) -> float:
-        """Marginal power of pegged disk + NIC under the linear model.
-
-        The component weights say how much of the idle-to-busy power
-        swing storage and wire activity can claim; a repair stream
-        drives both on whichever end it touches.
-        """
-        power = server.spec.power
-        weights = power.weights
-        return ((power.busy_w - power.idle_w)
-                * (weights["disk"] + weights["net"]))
-
-    def charge(self, category: str, node: str, seconds: float,
-               watts: float) -> None:
-        """Attribute ``seconds`` of durability work on ``node``."""
-        if category not in self.joules:
-            raise ValueError(f"unknown ledger category {category!r}")
-        if seconds < 0 or watts < 0:
-            raise ValueError("seconds and watts must be >= 0")
-        joules = seconds * watts
-        self.joules[category] += joules
-        self.node_joules[node] = self.node_joules.get(node, 0.0) + joules
-
-    def on_repair(self, block, source: str, target: str,
-                  seconds: float, nbytes: float) -> None:
+    def on_repair(self, source: str, target: str, seconds: float,
+                  nbytes: float) -> None:
         """One block copy completed: bill both ends of the stream."""
-        self.repairs += 1
         self.repair_bytes += nbytes
         datanodes = self.hdfs.datanodes
-        self.charge("re_replication", source, seconds,
-                    self.marginal_io_watts(datanodes[source]))
-        self.charge("re_replication", target, seconds,
-                    self.marginal_io_watts(datanodes[target]))
+        self.charge("re_replication", seconds,
+                    datanodes[source].marginal_io_watts())
+        self.charge("re_replication", seconds,
+                    datanodes[target].marginal_io_watts())
 
     # -- the census sampler ----------------------------------------------
 
@@ -124,20 +97,13 @@ class DurabilityLedger:
         return health
 
     def run(self, until: Optional[float] = None):
-        """Process generator: census every ``sample_interval_s``."""
+        """Process generator: census every ``SAMPLE_INTERVAL_S``."""
         while until is None or self.sim.now <= until:
             self.sample()
-            yield self.sim.timeout(self.sample_interval_s)
+            yield self.sim.timeout(SAMPLE_INTERVAL_S)
 
     # -- results ----------------------------------------------------------
 
     @property
     def blocks_lost(self) -> int:
         return len(self._known_lost)
-
-    @property
-    def total_joules(self) -> float:
-        return sum(self.joules.values())
-
-    def to_repair_costs(self) -> OverheadJoules:
-        return OverheadJoules(self.joules)

@@ -19,10 +19,10 @@ bit-identity contract every opt-in package here makes.  A config arms
 4. **the ledger and its census sampler** — the run's durability bill
    and blocks-at-risk record.
 
-The detector, the repair loop and the sampler run at their
-constructors' defaults (phi threshold 8 over a 64-beat window, a
-200 MB/s repair throttle with two streams, a 1 s census); only the
-placement policy is a choice a committed experiment varies.
+The detector, the repair loop and the sampler run at their stock
+values (phi threshold 8 over a 64-beat window, a 200 MB/s repair
+throttle with two streams, a 1 s census); only the placement policy is
+a choice a committed experiment varies.
 """
 
 from __future__ import annotations

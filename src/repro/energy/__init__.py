@@ -3,6 +3,6 @@
 from .._exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
-    ".account": ("GridImpact", "OverheadJoules"),
+    ".account": ("GridImpact", "OverheadLedger"),
     ".meter": ("PowerMeter",),
 })

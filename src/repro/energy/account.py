@@ -1,42 +1,47 @@
-"""Energy accounting: a plane's overhead joules and a run's grid impact."""
+"""Energy accounting: the planes' overhead ledger and a run's grid impact."""
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from typing import Dict, Iterable
 
 
-class OverheadJoules(Mapping):
+class OverheadLedger:
     """Joules a plane spent keeping the cluster going, not working.
 
-    A read-only mapping of category to non-negative joules, filled in by
-    a plane's ledger: the resilience ledger's mitigation waste (killed
-    speculative attempts, losing hedge legs, shed replies, retries), the
-    autoscale ledger's elasticity bill (boot and drain idle draw) and
-    the durability ledger's repair bill (re-replication copies,
-    split-brain zombie attempts).  Every category lands in the meter's
-    total; breaking it out is what makes the overhead visible instead
-    of smeared into the run's energy.
+    The resilience plane's mitigation waste (killed speculative
+    attempts, losing hedge legs, shed replies), the autoscale plane's
+    elasticity bill (boot and drain idle draw) and the durability
+    plane's repair bill (re-replication copies, split-brain zombie
+    attempts) are all charged here, by category, at the busy-minus-idle
+    slope of the component the work ran on (see
+    :meth:`repro.hardware.Server.marginal_vcore_watts` and
+    :meth:`~repro.hardware.Server.marginal_io_watts`).  Every charged
+    joule is also in the meter's total; the ledger names which of them
+    bought no work.  ``joules`` and ``counters`` hold the names given at
+    construction, in that order, and no others.
     """
 
-    def __init__(self, joules: Mapping[str, float]):
-        for name, value in joules.items():
-            if value < 0:
-                raise ValueError(f"{name} joules must be >= 0")
-        self._joules = dict(joules)
+    def __init__(self, categories: Iterable[str],
+                 counters: Iterable[str] = ()):
+        self.joules: Dict[str, float] = dict.fromkeys(categories, 0.0)
+        self.counters: Dict[str, int] = dict.fromkeys(counters, 0)
 
-    def __getitem__(self, name: str) -> float:
-        return self._joules[name]
+    def charge(self, category: str, seconds: float, watts: float) -> None:
+        """Attribute ``seconds`` of overhead work at ``watts``."""
+        if category not in self.joules:
+            raise ValueError(f"unknown ledger category {category!r}")
+        if seconds < 0 or watts < 0:
+            raise ValueError("seconds and watts must be >= 0")
+        self.joules[category] += seconds * watts
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._joules)
-
-    def __len__(self) -> int:
-        return len(self._joules)
+    def count(self, name: str) -> None:
+        """One more ``name`` event; an unknown name raises KeyError."""
+        self.counters[name] += 1
 
     @property
     def total_j(self) -> float:
-        return sum(self._joules.values())
+        return sum(self.joules.values())
 
 
 @dataclass(frozen=True)

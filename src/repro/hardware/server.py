@@ -118,3 +118,15 @@ class Server:
         if factor != 1.0:
             watts *= factor
         return watts
+
+    def marginal_io_watts(self) -> float:
+        """Marginal power of pegged disk + NIC under the linear model.
+
+        The component weights say how much of the idle-to-busy power
+        swing storage and wire activity can claim; a repair stream
+        drives both on whichever end it touches.
+        """
+        power = self.spec.power
+        weights = power.weights
+        return ((power.busy_w - power.idle_w)
+                * (weights["disk"] + weights["net"]))

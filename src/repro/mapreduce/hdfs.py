@@ -534,7 +534,7 @@ class ReplicationMonitor:
         self.repair_bytes += block.size_bytes
         seconds = self.sim.now - started
         if self.ledger is not None:
-            self.ledger.on_repair(block, source, target, seconds,
+            self.ledger.on_repair(source, target, seconds,
                                   block.size_bytes)
         if self.sim.trace is not None:
             self.sim.trace.complete("hdfs.repair", started,

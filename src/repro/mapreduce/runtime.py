@@ -272,8 +272,10 @@ class JobRunner:
         self.resilience_ledger = None
         self._retry_rng = None
         if self.resilience:
-            from ..resilience.ledger import ResilienceLedger
-            self.resilience_ledger = ResilienceLedger()
+            from ..energy.account import OverheadLedger
+            from ..resilience import LEDGER_CATEGORIES, LEDGER_COUNTERS
+            self.resilience_ledger = OverheadLedger(LEDGER_CATEGORIES,
+                                                    LEDGER_COUNTERS)
             self._retry_rng = self.rng.stream("resilience.retry")
         # Partition-tolerance state (plain containers: no RNG, no
         # processes — a run that never partitions is bit-identical).
@@ -596,7 +598,7 @@ class JobRunner:
         if self.durability_ledger is None:
             return
         watts = self.cluster.servers[node].marginal_vcore_watts()
-        self.durability_ledger.charge("split_brain", node, seconds, watts)
+        self.durability_ledger.charge("split_brain", seconds, watts)
 
     def _job(self, spec: JobSpec, state: "_JobState",
              input_files: List):
@@ -869,8 +871,8 @@ class JobRunner:
     def _charge_speculation(self, node: str, seconds: float) -> None:
         """Bill a killed attempt's partial work to the resilience ledger."""
         ledger = self.resilience_ledger
-        ledger.charge("speculation", node, seconds,
-                      ledger.marginal_vcore_watts(self.cluster.servers[node]))
+        ledger.charge("speculation", seconds,
+                      self.cluster.servers[node].marginal_vcore_watts())
         ledger.count("speculative_kills")
 
     def _estimate_map_s(self, spec: JobSpec, factor: float) -> float:

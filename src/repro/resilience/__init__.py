@@ -23,9 +23,16 @@ beside the code that reads it.
 
 from .._exports import lazy_exports
 
+#: The resilience ledger, an :class:`repro.energy.account.OverheadLedger`
+#: built from these: the waste categories every mitigation charges, and
+#: its counters, whose order is the report's JSON key order.
+LEDGER_CATEGORIES = ("speculation", "hedge", "shed", "retry")
+LEDGER_COUNTERS = ("speculative_launches", "speculative_wins",
+                   "speculative_kills", "speculative_abandoned", "hedges",
+                   "hedge_wins", "sheds", "retries", "breaker_opens")
+
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".breaker": ("CircuitBreaker",),
-    ".ledger": ("ResilienceLedger",),
     ".report": ("ResilienceArm", "ResilienceTaxReport", "job_gray_plan",
                 "job_resilience_experiment", "web_gray_plan",
                 "web_resilience_experiment"),

@@ -246,8 +246,7 @@ def web_resilience_experiment(platform: str = "edison", scale: str = "1/4",
             availability_met=slo.availability_met,
             latency_met=slo.latency_met,
             counters=dict(ledger.counters) if ledger is not None else {},
-            waste_joules=(dict(ledger.waste_joules)
-                          if ledger is not None else {}))
+            waste_joules=dict(ledger.joules) if ledger is not None else {})
 
     unmitigated = arm("unmitigated", False)
     mitigated = arm("mitigated", True)
@@ -293,8 +292,7 @@ def job_resilience_experiment(job: str = "wordcount2",
             joules=report.joules if report is not None else 0.0,
             task_failures=runner.counts.failed_attempts,
             counters=dict(ledger.counters) if ledger is not None else {},
-            waste_joules=(dict(ledger.waste_joules)
-                          if ledger is not None else {}))
+            waste_joules=dict(ledger.joules) if ledger is not None else {})
 
     unmitigated = arm("unmitigated", False)
     mitigated = arm("mitigated", True)

@@ -79,9 +79,11 @@ class WebServiceDeployment:
         self._retry_rng = None
         if self.resilience:
             # The plane's modules load only when it is armed.
+            from ..energy.account import OverheadLedger
+            from ..resilience import LEDGER_CATEGORIES, LEDGER_COUNTERS
             from ..resilience.breaker import CircuitBreaker
-            from ..resilience.ledger import ResilienceLedger
-            self.resilience_ledger = ResilienceLedger()
+            self.resilience_ledger = OverheadLedger(LEDGER_CATEGORIES,
+                                                    LEDGER_COUNTERS)
             self._retry_rng = self.rng.stream("resilience.retry")
             self.breakers = {
                 w.server.name: CircuitBreaker(self.sim, w.server.name)

@@ -96,7 +96,7 @@ class HttperfDriver:
         # -- resilience (all off/None on the historical path) ------------
         #: True arms the mitigations; the three below then all exist.
         self.resilience = resilience
-        #: :class:`repro.resilience.ResilienceLedger` metering waste.
+        #: The resilience :class:`~repro.energy.account.OverheadLedger`.
         self.ledger = ledger
         #: Dedicated seeded stream for retry backoff jitter.
         self.retry_rng = retry_rng
@@ -480,8 +480,8 @@ class HttperfDriver:
         yield process
         record = process.value
         seconds = record.cpu_s if record is not None else 0.0
-        self.ledger.charge("hedge", backend.server.name, seconds,
-                           self.ledger.marginal_vcore_watts(backend.server))
+        self.ledger.charge("hedge", seconds,
+                           backend.server.marginal_vcore_watts())
 
     # -- windowed counting -------------------------------------------------
 

@@ -387,10 +387,8 @@ class WebServerNode:
         record.status = 503
         ledger = self.resilience_ledger
         ledger.count("sheds")
-        ledger.charge(
-            "shed", self.server.name,
-            self.server.cpu.busy_time(self.costs.error_mi),
-            ledger.marginal_vcore_watts(self.server))
+        ledger.charge("shed", self.server.cpu.busy_time(self.costs.error_mi),
+                      self.server.marginal_vcore_watts())
         yield from self.server.cpu.execute(self.costs.error_mi)
         yield from self.topology.message(
             self.server.name, client_name, P.ERROR_REPLY_BYTES)

@@ -1,10 +1,10 @@
-"""Synthetic workload data: text corpus, logs and terasort records."""
+"""Workload datasets: the byte and record counts each job reads."""
 
 from .._exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".datasets": ("Dataset", "DatasetFile", "split_evenly"),
-    ".loggen": ("LogGenerator", "logcount_dataset"),
-    ".teragen": ("TeragenGenerator", "terasort_dataset"),
-    ".textgen": ("ZipfTextGenerator", "wordcount_dataset"),
+    ".loggen": ("logcount_dataset",),
+    ".teragen": ("terasort_dataset",),
+    ".textgen": ("wordcount_dataset",),
 })

@@ -9,9 +9,6 @@ and a combiner pass collapses each split to a handful of distinct
 
 from __future__ import annotations
 
-import random
-from typing import List
-
 from ..core import paperdata as paper
 from .datasets import Dataset, split_evenly
 
@@ -22,9 +19,6 @@ LOG_KEY_RECORD_BYTES = 20.0
 #: Distinct (date, level) keys per split are a few dozen, so the
 #: combiner keeps almost nothing of the map output volume.
 COMBINE_SURVIVAL = 0.002
-
-LEVELS = ("INFO", "WARN", "ERROR", "DEBUG")
-
 
 def logcount_dataset(total_bytes: int = paper.LOGCOUNT_INPUT_BYTES,
                      files: int = paper.LOGCOUNT_INPUT_FILES) -> Dataset:
@@ -38,34 +32,3 @@ def logcount_dataset(total_bytes: int = paper.LOGCOUNT_INPUT_BYTES,
         combine_survival=COMBINE_SURVIVAL,
     )
 
-
-class LogGenerator:
-    """Materialises sample log lines (for examples and logic tests)."""
-
-    def __init__(self, seed: int = 7, days: int = 30):
-        if days < 1:
-            raise ValueError("days must be >= 1")
-        self._rng = random.Random(seed)
-        self._days = days
-
-    def line(self) -> str:
-        """One synthetic log line."""
-        day = self._rng.randrange(self._days)
-        level = self._rng.choices(LEVELS, weights=(80, 10, 5, 5))[0]
-        component = self._rng.choice((
-            "nodemanager.NodeStatusUpdater", "resourcemanager.scheduler",
-            "hdfs.DataNode", "mapreduce.task.reduce.Fetcher"))
-        detail = "x" * self._rng.randrange(40, 90)
-        return (f"2016-02-{day + 1:02d} {level} "
-                f"[{component}] {detail}")
-
-    def lines(self, count: int) -> List[str]:
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        return [self.line() for _ in range(count)]
-
-    @staticmethod
-    def extract_key(line: str) -> str:
-        """The logcount map function: '<date> <LEVEL>'."""
-        date, level = line.split(" ", 2)[:2]
-        return f"{date} {level}"

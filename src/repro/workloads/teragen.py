@@ -7,15 +7,11 @@ is 1.0 and a combiner would be useless.
 
 from __future__ import annotations
 
-import random
-from typing import List
-
 from ..core import paperdata as paper
 from .datasets import Dataset, split_evenly
 
 #: The classic terasort record layout: 10-byte key + 90-byte payload.
 RECORD_BYTES = 100
-KEY_BYTES = 10
 
 
 def terasort_dataset(total_bytes: int = paper.TERASORT_INPUT_BYTES,
@@ -34,25 +30,3 @@ def terasort_dataset(total_bytes: int = paper.TERASORT_INPUT_BYTES,
         combine_survival=1.0,       # no combiner can shrink a sort
     )
 
-
-class TeragenGenerator:
-    """Materialises sample terasort records (deterministic per seed)."""
-
-    def __init__(self, seed: int = 7):
-        self._rng = random.Random(seed)
-
-    def record(self) -> bytes:
-        key = bytes(self._rng.randrange(32, 127) for _ in range(KEY_BYTES))
-        payload = b"%088d\r\n" % self._rng.randrange(10 ** 18)
-        record = key + payload
-        return record[:RECORD_BYTES].ljust(RECORD_BYTES, b"0")
-
-    def records(self, count: int) -> List[bytes]:
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        return [self.record() for _ in range(count)]
-
-    @staticmethod
-    def key_of(record: bytes) -> bytes:
-        """The terasort partitioning/sort key of one record."""
-        return record[:KEY_BYTES]

@@ -1,26 +1,19 @@
 """Zipf-distributed text corpus for the wordcount jobs.
 
 The paper's wordcount input is 200 files totalling 1 GB with ~10-byte
-map-output records.  Natural-language word frequencies are Zipfian, so
-the generator draws words from a Zipf(s=1.07) distribution over a
-synthetic vocabulary; that fixes both the records-per-byte and the
-combiner's survival ratio (unique words per split vs total words).
+map-output records.  No word is ever drawn: ``MEAN_WORD_BYTES`` fixes
+the records per byte, and ``COMBINE_SURVIVAL`` the share of map output
+a combiner keeps, set for the few distinct words per split that a
+Zipfian (natural-language) corpus has.
 """
 
 from __future__ import annotations
-
-import random
-from typing import List
 
 from ..core import paperdata as paper
 from .datasets import Dataset, split_evenly
 
 #: Mean word length (letters) plus the separating space.
 MEAN_WORD_BYTES = 6.0
-#: Zipf exponent for word frequencies.
-ZIPF_EXPONENT = 1.07
-#: Vocabulary size of the synthetic corpus.
-VOCABULARY = 200_000
 #: Fraction of map-output volume a combiner pass keeps: with ~5 MB
 #: splits (~870 k words) a Zipf corpus has ~35 k distinct words, so a
 #: sum-combiner keeps ~4 % of the records.
@@ -41,31 +34,3 @@ def wordcount_dataset(total_bytes: int = paper.WORDCOUNT_INPUT_BYTES,
         combine_survival=COMBINE_SURVIVAL,
     )
 
-
-class ZipfTextGenerator:
-    """Materialises sample corpus text (for examples and logic tests)."""
-
-    def __init__(self, seed: int = 7, vocabulary: int = 2000):
-        if vocabulary < 1:
-            raise ValueError("vocabulary must be >= 1")
-        self._rng = random.Random(seed)
-        self._weights = [1.0 / (rank ** ZIPF_EXPONENT)
-                         for rank in range(1, vocabulary + 1)]
-        self._words = [self._make_word(i) for i in range(vocabulary)]
-
-    def _make_word(self, index: int) -> str:
-        rng = random.Random(index * 2654435761 % 2 ** 32)
-        length = max(2, min(12, int(rng.gauss(5, 2))))
-        return "".join(rng.choice("abcdefghijklmnopqrstuvwxyz")
-                       for _ in range(length))
-
-    def words(self, count: int) -> List[str]:
-        """Draw ``count`` Zipf-distributed words."""
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        return self._rng.choices(self._words, weights=self._weights, k=count)
-
-    def text(self, approx_bytes: int) -> str:
-        """A text blob of roughly ``approx_bytes`` bytes."""
-        count = max(1, round(approx_bytes / MEAN_WORD_BYTES))
-        return " ".join(self.words(count))

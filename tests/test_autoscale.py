@@ -313,7 +313,7 @@ def test_power_off_deregisters_then_drains_then_suspends():
         ("drain", "web-0"), ("off", "web-0")]
     # No connections were open, so the drain completed on the first
     # check: nothing lingered, nothing is billed.
-    assert ledger.drain_joules == 0.0
+    assert ledger.joules["drain"] == 0.0
     assert ledger.counters["drain_timeouts"] == 0
 
 
@@ -336,8 +336,7 @@ def test_power_on_boots_before_serving():
     assert order == ["drain", "off", "boot", "serve"]
     serve, boot = ledger.actions[-1], ledger.actions[-2]
     assert serve.time - boot.time == pytest.approx(8.0)
-    assert ledger.boot_joules == pytest.approx(
-        8.0 * node.idle_watts)
+    assert ledger.joules["boot"] == pytest.approx(8.0 * node.idle_watts)
 
 
 def test_actuator_rejects_wrong_state_transitions():
@@ -463,8 +462,7 @@ def test_autoscaled_day_is_deterministic():
         level = deployment.run_day(DAY, 12.0, calls=4)
         ledger = deployment.ledger
         return (asdict(level), deployment.meter.energy_joules(),
-                dict(ledger.counters), ledger.boot_joules,
-                ledger.drain_joules, dict(ledger.node_joules),
+                dict(ledger.counters), dict(ledger.joules),
                 [a.to_dict() for a in ledger.actions])
 
     assert run() == run()

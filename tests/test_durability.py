@@ -186,10 +186,8 @@ def test_crash_triggers_confirmed_re_replication():
         readable = hdfs.readable_replicas(block)
         assert len(readable) == hdfs.replication
         assert "edison-slave-0" not in readable
-    assert ledger.repairs == monitor.repairs_completed
+    assert ledger.repair_bytes == monitor.repair_bytes
     assert ledger.joules["re_replication"] > 0.0
-    # Both ends of every stream were billed.
-    assert len(ledger.node_joules) >= 2
 
 
 def test_blip_inside_confirmation_window_is_never_repaired():
@@ -228,7 +226,7 @@ def test_single_rack_switch_down_never_loses_or_hides_a_block():
     plan = FaultPlan(faults=(
         switch_down("edison-rack-0", at=3.0, duration=8.0),))
     sim, _, _, hdfs = hdfs_fixture(rack_aware=True, plan=plan)
-    ledger = DurabilityLedger(sim, hdfs, sample_interval_s=0.5)
+    ledger = DurabilityLedger(sim, hdfs)
     hdfs.enable_repair(confirm_s=1.0, ledger=ledger)
     record = hdfs.stage_file("input", 8 << 20)
     sim.process(ledger.run(until=40.0))
@@ -264,7 +262,7 @@ def test_single_rack_switch_down_never_loses_or_hides_a_block():
 def test_disk_failure_with_r1_is_recorded_as_loss():
     plan = FaultPlan(faults=(disk_failure("edison-slave-1", at=2.0),))
     sim, _, _, hdfs = hdfs_fixture(replication=1, plan=plan)
-    ledger = DurabilityLedger(sim, hdfs, sample_interval_s=0.5)
+    ledger = DurabilityLedger(sim, hdfs)
     hdfs.stage_file("input", 4 << 20)
     sim.process(ledger.run(until=10.0))
     sim.run(until=11.0)
@@ -378,22 +376,11 @@ def test_dropping_a_block_from_the_map_is_a_conservation_violation():
 
 # -- the ledger ---------------------------------------------------------------
 
-def test_ledger_charge_validation():
-    sim, _, _, hdfs = hdfs_fixture()
-    ledger = DurabilityLedger(sim, hdfs)
-    with pytest.raises(ValueError):
-        ledger.charge("gremlins", "edison-slave-0", 1.0, 1.0)
-    with pytest.raises(ValueError):
-        ledger.charge("re_replication", "edison-slave-0", -1.0, 1.0)
-    with pytest.raises(ValueError):
-        DurabilityLedger(sim, hdfs, sample_interval_s=0.0)
-
-
 def test_ledger_integrates_under_replication_over_time():
     plan = FaultPlan(faults=(
         node_crash("edison-slave-0", at=1.0, repair_s=4.0),))
     sim, _, _, hdfs = hdfs_fixture(plan=plan)
-    ledger = DurabilityLedger(sim, hdfs, sample_interval_s=1.0)
+    ledger = DurabilityLedger(sim, hdfs)
     hdfs.stage_file("input", 4 << 20)     # 4 blocks, r=2
     sim.process(ledger.run(until=10.0))
     sim.run(until=11.0)
@@ -414,21 +401,8 @@ def test_marginal_io_watts_follows_the_power_weights():
     power = server.spec.power
     expected = (power.busy_w - power.idle_w) * (
         power.weights["disk"] + power.weights["net"])
-    assert DurabilityLedger.marginal_io_watts(server) == \
-        pytest.approx(expected)
+    assert server.marginal_io_watts() == pytest.approx(expected)
     assert expected > 0.0
-
-
-def test_to_repair_costs_mirrors_the_ledger():
-    sim, _, _, hdfs = hdfs_fixture()
-    ledger = DurabilityLedger(sim, hdfs)
-    ledger.charge("re_replication", "edison-slave-0", 2.0, 3.0)
-    ledger.charge("split_brain", "edison-slave-1", 1.0, 4.0)
-    costs = ledger.to_repair_costs()
-    assert costs["re_replication"] == pytest.approx(6.0)
-    assert costs["split_brain"] == pytest.approx(4.0)
-    assert costs.total_j == pytest.approx(10.0)
-    assert ledger.total_joules == pytest.approx(10.0)
 
 
 # -- attach_job ---------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Unit tests for energy metering and cluster composition."""
+"""Unit tests for energy metering, the overhead ledger and cluster
+composition."""
 
 import pytest
 
@@ -7,8 +8,11 @@ from repro.cluster import (
 )
 from repro.core import metrics, paperdata as paper
 from repro import work_done_per_joule
-from repro.energy import PowerMeter
+from repro.autoscale import AutoscaleLedger
+from repro.durability import DurabilityLedger
+from repro.energy import OverheadLedger, PowerMeter
 from repro.hardware import DELL_R620, EDISON, make_server
+from repro.resilience import LEDGER_CATEGORIES, LEDGER_COUNTERS
 from repro.sim import Simulation
 
 
@@ -68,6 +72,46 @@ def test_work_done_per_joule():
     assert work_done_per_joule(10, 5) == 2
     with pytest.raises(ValueError):
         work_done_per_joule(10, 0)
+
+
+# -- OverheadLedger -----------------------------------------------------------
+
+#: Each plane's ledger as the plane builds it (the durability census
+#: is never walked here, so it needs no HDFS).
+PLANE_LEDGERS = {
+    "resilience": lambda: OverheadLedger(LEDGER_CATEGORIES, LEDGER_COUNTERS),
+    "autoscale": AutoscaleLedger,
+    "durability": lambda: DurabilityLedger(Simulation(), hdfs=None),
+}
+
+
+@pytest.mark.parametrize("plane", sorted(PLANE_LEDGERS))
+def test_overhead_ledger_charges_counts_and_validates(plane):
+    ledger = PLANE_LEDGERS[plane]()
+    categories = list(ledger.joules)
+    first, last = categories[0], categories[-1]
+    assert first != last
+    assert ledger.total_j == 0.0
+    ledger.charge(first, seconds=2.0, watts=1.5)
+    ledger.charge(first, seconds=1.0, watts=1.5)
+    ledger.charge(last, seconds=10.0, watts=0.5)
+    assert ledger.joules[first] == pytest.approx(4.5)
+    assert ledger.joules[last] == pytest.approx(5.0)
+    assert ledger.total_j == pytest.approx(9.5)
+    for category, seconds, watts in (("gremlin", 1.0, 1.0),
+                                     (first, -1.0, 1.0),
+                                     (first, 1.0, -1.0)):
+        with pytest.raises(ValueError):
+            ledger.charge(category, seconds=seconds, watts=watts)
+    assert list(ledger.joules) == categories
+    assert ledger.total_j == pytest.approx(9.5)
+    names = list(ledger.counters)
+    for name in names:
+        ledger.count(name)
+    assert all(n == 1 for n in ledger.counters.values())
+    with pytest.raises(KeyError):
+        ledger.count("gremlin")
+    assert list(ledger.counters) == names
 
 
 # -- Cluster ------------------------------------------------------------------

@@ -19,6 +19,7 @@ NEVER_ON_THE_OFF_PATH = (
     "repro.trace", "repro.telemetry", "repro.causality", "repro.dvfs",
     "repro.durability", "repro.autoscale", "repro.carbon",
     "repro.microbench", "repro.tco", "repro.faults", "repro.resilience",
+    "repro.energy.account",
 )
 
 

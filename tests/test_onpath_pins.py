@@ -56,7 +56,7 @@ def _ledger(ledger):
     if ledger is None:
         return None
     return {"counters": dict(sorted(ledger.counters.items())),
-            "waste_joules": dict(sorted(ledger.waste_joules.items()))}
+            "waste_joules": dict(sorted(ledger.joules.items()))}
 
 
 # -- MapReduce ----------------------------------------------------------------

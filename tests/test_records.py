@@ -9,7 +9,6 @@ from typing import Mapping, Optional, Tuple
 import pytest
 
 from repro.core.records import Record, decoded, find, keyed, many
-from repro.energy import OverheadJoules
 
 EXPERIMENTS = os.path.join(os.path.dirname(__file__), "..", "experiments")
 
@@ -132,15 +131,6 @@ def test_find_matches_every_key_or_raises_key_error():
     assert find(leaves, value=2.0, tag="a") is leaves[0]
     with pytest.raises(KeyError):
         find(leaves, value=2.0, tag="leaf")
-
-
-def test_overhead_joules_validates_and_totals():
-    costs = OverheadJoules({"boot": 2.5, "drain": 0.5})
-    assert dict(costs) == {"boot": 2.5, "drain": 0.5}
-    assert costs.total_j == pytest.approx(3.0)
-    assert OverheadJoules({}).total_j == 0.0
-    with pytest.raises(ValueError, match="drain"):
-        OverheadJoules({"boot": 1.0, "drain": -0.1})
 
 
 # -- the committed plans ------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for repro.resilience: breaker mechanics, the energy ledger, seeded backoff, off-path bit-identity, and the two
+"""Tests for repro.resilience: breaker mechanics, waste pricing, seeded backoff, off-path bit-identity, and the two
 gray-failure mitigations (LATE speculation, web hedging/shedding) —
 plus overlapping faults on one node and client-side failures in the
 SLO arithmetic."""
@@ -12,7 +12,7 @@ from repro.cluster import edison_cluster
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.models import cpu_throttle, node_crash, packet_loss
 from repro.mapreduce import JOB_FACTORIES, JobRunner
-from repro.resilience import CircuitBreaker, ResilienceLedger
+from repro.resilience import CircuitBreaker
 from repro.resilience.breaker import (COOLDOWN_S, FAILURE_THRESHOLD,
                                       SLOW_CALL_S)
 from repro.resilience.report import job_gray_plan, web_gray_plan
@@ -91,33 +91,7 @@ def test_breaker_slow_success_counts_as_failure():
     assert breaker.state == "closed"
 
 
-# -- the energy ledger --------------------------------------------------------
-
-def test_ledger_charges_by_category_and_node():
-    ledger = ResilienceLedger()
-    ledger.charge("hedge", "web-0", seconds=2.0, watts=1.5)
-    ledger.charge("hedge", "web-1", seconds=1.0, watts=1.5)
-    ledger.charge("speculation", "web-0", seconds=10.0, watts=0.5)
-    assert ledger.waste_joules["hedge"] == pytest.approx(4.5)
-    assert ledger.waste_seconds["hedge"] == pytest.approx(3.0)
-    assert ledger.total_waste_joules == pytest.approx(9.5)
-    assert ledger.node_joules["web-0"] == pytest.approx(8.0)
-    costs = ledger.to_mitigation_costs()
-    assert costs["hedge"] == pytest.approx(4.5)
-    assert costs["speculation"] == pytest.approx(5.0)
-    assert ledger.counters["hedges"] == 0
-
-
-def test_ledger_rejects_bad_charges():
-    ledger = ResilienceLedger()
-    with pytest.raises(ValueError):
-        ledger.charge("gremlin", "web-0", seconds=1.0, watts=1.0)
-    with pytest.raises(ValueError):
-        ledger.charge("hedge", "web-0", seconds=-1.0, watts=1.0)
-    with pytest.raises(ValueError):
-        ledger.charge("hedge", "web-0", seconds=1.0, watts=-1.0)
-    assert ledger.total_waste_joules == 0.0
-
+# -- waste pricing ------------------------------------------------------------
 
 def test_marginal_vcore_watts_matches_linear_power_model():
     sim = Simulation()
@@ -125,8 +99,7 @@ def test_marginal_vcore_watts_matches_linear_power_model():
     server = cluster.servers["edison-0"]
     power = server.spec.power
     expected = (power.max_w - power.min_w) / server.cpu.spec.vcores
-    assert ResilienceLedger.marginal_vcore_watts(server) == pytest.approx(
-        expected)
+    assert server.marginal_vcore_watts() == pytest.approx(expected)
     assert expected > 0
 
 
@@ -300,7 +273,7 @@ def test_web_mitigations_engage_and_charge_the_ledger():
     assert ledger.counters["hedges"] > 0
     assert ledger.counters["hedge_wins"] > 0
     assert ledger.counters["sheds"] > 0
-    assert ledger.waste_joules["hedge"] > 0
+    assert ledger.joules["hedge"] > 0
     assert level_m.mean_delay_s < 3.0
     assert level_m.ok_calls >= level_u.ok_calls
 
@@ -324,4 +297,4 @@ def test_late_speculation_contains_a_persistent_straggler():
     ledger = runner_m.resilience_ledger
     assert ledger.counters["speculative_launches"] >= 1
     assert ledger.counters["speculative_wins"] >= 1
-    assert ledger.waste_joules["speculation"] > 0
+    assert ledger.joules["speculation"] > 0

@@ -1,12 +1,10 @@
-"""Unit tests for the synthetic workload generators."""
+"""Unit tests for the workload datasets."""
 
 import pytest
 
 from repro.core import paperdata as paper
-from repro.workloads import (
-    Dataset, LogGenerator, TeragenGenerator, ZipfTextGenerator,
-    logcount_dataset, split_evenly, terasort_dataset, wordcount_dataset,
-)
+from repro.workloads import (Dataset, logcount_dataset, split_evenly,
+                             terasort_dataset, wordcount_dataset)
 
 
 def test_split_evenly_preserves_total():
@@ -60,44 +58,3 @@ def test_terasort_dataset_block_layout():
     assert ds.map_output_ratio == 1.0
     assert ds.combine_survival == 1.0
 
-
-def test_zipf_text_is_deterministic_and_skewed():
-    words_a = ZipfTextGenerator(seed=3).words(2000)
-    words_b = ZipfTextGenerator(seed=3).words(2000)
-    assert words_a == words_b
-    counts = {}
-    for word in words_a:
-        counts[word] = counts.get(word, 0) + 1
-    top = max(counts.values())
-    assert top > 20                    # Zipf head dominates
-    assert len(counts) > 100           # with a long tail
-
-
-def test_zipf_text_bytes_close_to_request():
-    text = ZipfTextGenerator(seed=3).text(5000)
-    assert 3500 < len(text) < 7000
-
-
-def test_log_generator_lines_parse():
-    gen = LogGenerator(seed=5)
-    for line in gen.lines(50):
-        key = LogGenerator.extract_key(line)
-        date, level = key.split(" ")
-        assert date.startswith("2016-02-")
-        assert level in ("INFO", "WARN", "ERROR", "DEBUG")
-
-
-def test_log_generator_validation():
-    with pytest.raises(ValueError):
-        LogGenerator(days=0)
-    with pytest.raises(ValueError):
-        LogGenerator().lines(-1)
-
-
-def test_teragen_records_fixed_width():
-    gen = TeragenGenerator(seed=2)
-    records = gen.records(20)
-    assert all(len(r) == 100 for r in records)
-    keys = [TeragenGenerator.key_of(r) for r in records]
-    assert all(len(k) == 10 for k in keys)
-    assert TeragenGenerator(seed=2).records(20) == records
