@@ -10,6 +10,7 @@ from repro.core.records import find
 from repro.durability import (DurabilityArm, DurabilityConfig,
                               DurabilityLedger, DurabilityPlan,
                               DurabilityReport, attach_job)
+from repro.durability.ledger import CATEGORIES, SAMPLE_INTERVAL_S
 from repro.faults import (FaultInjector, FaultPlan, disk_failure,
                           node_crash, rack_partition, switch_down)
 from repro.mapreduce.hdfs import BlockUnavailable, Hdfs, HdfsBlock
@@ -376,6 +377,20 @@ def test_dropping_a_block_from_the_map_is_a_conservation_violation():
 
 # -- the ledger ---------------------------------------------------------------
 
+def test_ledger_charge_validation():
+    sim, _, _, hdfs = hdfs_fixture()
+    ledger = DurabilityLedger(sim, hdfs)
+    with pytest.raises(ValueError):
+        ledger.charge("gremlins", 1.0, 1.0)
+    with pytest.raises(ValueError):
+        ledger.charge("re_replication", -1.0, 1.0)
+    with pytest.raises(ValueError):
+        ledger.charge("re_replication", 1.0, -1.0)
+    assert ledger.total_j == 0.0
+    assert tuple(ledger.joules) == CATEGORIES
+    assert SAMPLE_INTERVAL_S > 0.0
+
+
 def test_ledger_integrates_under_replication_over_time():
     plan = FaultPlan(faults=(
         node_crash("edison-slave-0", at=1.0, repair_s=4.0),))
@@ -403,6 +418,20 @@ def test_marginal_io_watts_follows_the_power_weights():
         power.weights["disk"] + power.weights["net"])
     assert server.marginal_io_watts() == pytest.approx(expected)
     assert expected > 0.0
+
+
+def test_to_repair_costs_mirrors_the_ledger():
+    sim, _, _, hdfs = hdfs_fixture()
+    ledger = DurabilityLedger(sim, hdfs)
+    source, target = (hdfs.datanodes[f"edison-slave-{i}"] for i in (0, 1))
+    ledger.on_repair(source.name, target.name, seconds=2.0, nbytes=1 << 20)
+    ledger.charge("split_brain", 1.0, 4.0)
+    re_replication = 2.0 * (source.marginal_io_watts()
+                            + target.marginal_io_watts())
+    assert ledger.repair_bytes == 1 << 20
+    assert ledger.joules["re_replication"] == pytest.approx(re_replication)
+    assert ledger.joules["split_brain"] == pytest.approx(4.0)
+    assert ledger.total_j == pytest.approx(re_replication + 4.0)
 
 
 # -- attach_job ---------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for repro.resilience: breaker mechanics, waste pricing, seeded backoff, off-path bit-identity, and the two
+"""Tests for repro.resilience: breaker mechanics, the energy ledger, waste pricing, seeded backoff, off-path bit-identity, and the two
 gray-failure mitigations (LATE speculation, web hedging/shedding) —
 plus overlapping faults on one node and client-side failures in the
 SLO arithmetic."""
@@ -12,7 +12,9 @@ from repro.cluster import edison_cluster
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.models import cpu_throttle, node_crash, packet_loss
 from repro.mapreduce import JOB_FACTORIES, JobRunner
-from repro.resilience import CircuitBreaker
+from repro.energy import OverheadLedger
+from repro.resilience import (LEDGER_CATEGORIES, LEDGER_COUNTERS,
+                              CircuitBreaker)
 from repro.resilience.breaker import (COOLDOWN_S, FAILURE_THRESHOLD,
                                       SLOW_CALL_S)
 from repro.resilience.report import job_gray_plan, web_gray_plan
@@ -89,6 +91,44 @@ def test_breaker_slow_success_counts_as_failure():
     for _ in range(10):
         breaker.record_success()
     assert breaker.state == "closed"
+
+
+# -- the energy ledger --------------------------------------------------------
+
+def resilience_ledger():
+    return OverheadLedger(LEDGER_CATEGORIES, LEDGER_COUNTERS)
+
+
+def test_ledger_charges_by_category_and_node():
+    sim = Simulation()
+    cluster = edison_cluster(sim, nodes=2)
+    web0, web1 = (cluster.servers[f"edison-{i}"] for i in range(2))
+    ledger = resilience_ledger()
+    ledger.charge("hedge", seconds=2.0, watts=web0.marginal_vcore_watts())
+    ledger.charge("hedge", seconds=1.0, watts=web1.marginal_vcore_watts())
+    ledger.charge("speculation", seconds=10.0, watts=0.5)
+    watts = web0.marginal_vcore_watts()
+    assert web1.marginal_vcore_watts() == pytest.approx(watts)
+    assert ledger.joules["hedge"] == pytest.approx(3.0 * watts)
+    assert ledger.joules["speculation"] == pytest.approx(5.0)
+    assert ledger.total_j == pytest.approx(3.0 * watts + 5.0)
+    assert tuple(ledger.joules) == LEDGER_CATEGORIES
+    assert tuple(ledger.counters) == LEDGER_COUNTERS
+    assert ledger.counters["hedges"] == 0
+
+
+def test_ledger_rejects_bad_charges():
+    ledger = resilience_ledger()
+    with pytest.raises(ValueError):
+        ledger.charge("gremlin", seconds=1.0, watts=1.0)
+    with pytest.raises(ValueError):
+        ledger.charge("hedge", seconds=-1.0, watts=1.0)
+    with pytest.raises(ValueError):
+        ledger.charge("hedge", seconds=1.0, watts=-1.0)
+    with pytest.raises(KeyError):
+        ledger.count("gremlins")
+    assert ledger.total_j == 0.0
+    assert tuple(ledger.joules) == LEDGER_CATEGORIES
 
 
 # -- waste pricing ------------------------------------------------------------
