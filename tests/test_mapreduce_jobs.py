@@ -5,6 +5,10 @@ use small clusters and scaled-down datasets to stay fast while checking
 the mechanisms (phases, combiner, locality, energy accounting, tuning).
 """
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 from repro.core import paperdata as paper
@@ -183,6 +187,50 @@ def test_logcount_factory_500_containers():
     spec, _ = JOB_FACTORIES["logcount"]("edison", 35)
     assert spec.map_tasks == 500
     assert spec.combiner
+
+
+#: sha256 of :func:`_catalogue_rows` as canonical JSON, recorded once.
+#: A change here means some job is built differently: fix the catalogue,
+#: do not re-record.
+CATALOGUE_FINGERPRINT = (
+    "77a088507db84072ca4a34c6e8af5ae648be615355e75492bf79736a3e728c33")
+
+
+def _spec_and_config(spec, config) -> dict:
+    """Every JobSpec field but ``dataset``, the dataset's runtime inputs
+    and the HadoopConfig, as plain JSON values."""
+    row = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)
+           if f.name != "dataset"}
+    row["costs"] = dataclasses.asdict(spec.costs)
+    dataset = spec.dataset
+    row["input_bytes"] = spec.input_bytes
+    row["map_output_ratio"] = dataset.map_output_ratio if dataset else None
+    row["combine_survival"] = dataset.combine_survival if dataset else None
+    row["file_count"] = dataset.file_count if dataset else None
+    row["config"] = dataclasses.asdict(config)
+    return row
+
+
+def _catalogue_rows() -> list:
+    from repro.carbon.jobspec import CARBON_JOB_KINDS
+    rows = []
+    for platform in ("edison", "dell"):
+        for name, factory in JOB_FACTORIES.items():
+            for slaves in (1, 2, 4, 8, 17, 35):
+                rows.append([name, platform, slaves,
+                             _spec_and_config(*factory(platform, slaves))])
+        for kind, factory in CARBON_JOB_KINDS.items():
+            rows.append([kind, platform, None,
+                         _spec_and_config(*factory(platform))])
+    return rows
+
+
+def test_catalogue_builds_every_job_as_recorded():
+    """Every factory job at six cluster sizes (the small ones raise the
+    block size) and both carbon kinds, on both platforms."""
+    blob = json.dumps(_catalogue_rows(), sort_keys=True,
+                      separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == CATALOGUE_FINGERPRINT
 
 
 def test_unknown_platform_rejected_by_runner():
