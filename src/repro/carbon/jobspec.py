@@ -20,62 +20,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Mapping, Tuple
 
 from ..core.records import Record
-from ..mapreduce.config import HadoopConfig, default_config
-from ..mapreduce.costs import JobCosts
-from ..mapreduce.jobs.terasort import MAP_MEM, REDUCE_MEM, TERASORT_COSTS
+from ..mapreduce.config import HadoopConfig
+from ..mapreduce.jobs.catalogue import terasort_mini_job, wikidb_scan_job
 from ..mapreduce.runtime import JobSpec
-from ..workloads import terasort_dataset
-from ..workloads.datasets import Dataset, split_evenly
-
-
-def _terasort_mini(platform: str) -> Tuple[JobSpec, HadoopConfig]:
-    """TeraSort at 1/160th scale: 64 MB over 16 maps, 4 reducers."""
-    dataset = terasort_dataset(total_bytes=64_000_000, files=16)
-    spec = JobSpec(
-        name="terasort-mini", costs=TERASORT_COSTS,
-        map_tasks=dataset.file_count, reduce_tasks=4,
-        map_mem_mb=MAP_MEM[platform], reduce_mem_mb=REDUCE_MEM[platform],
-        dataset=dataset, combiner=False, output_ratio=1.0)
-    return spec, default_config(platform)
-
-
-#: Mean size of one wiki text row: the statistic of the paper's 20 GB
-#: wikipedia + image database that the scan's record count follows.
-MEAN_TEXT_ROW_BYTES = 1_200
-
-#: Scan/aggregate cost surface: map-dominant, cheap reduce, and the
-#: same per-platform JVM factor TeraSort calibrated.
-WIKIDB_SCAN_COSTS = JobCosts(
-    map_mi_per_mb=420.0, sort_mi_per_mb=60.0, reduce_mi_per_mb=150.0,
-    java_factor=dict(TERASORT_COSTS.java_factor))
-
-
-def _wikidb_scan(platform: str) -> Tuple[JobSpec, HadoopConfig]:
-    """Aggregate scan over a WikiDB-shaped text sample.
-
-    The web tier's database, run through batch analytics: 48 MB of
-    wiki-row-sized records, tiny aggregate output (a combiner-friendly
-    group-by), one reducer per two maps' worth of keys.
-    """
-    dataset = Dataset(
-        name="wikidb-sample",
-        files=split_evenly(48_000_000, 12, "wikidb",
-                           bytes_per_record=MEAN_TEXT_ROW_BYTES),
-        map_output_record_bytes=64.0,
-        map_output_ratio=0.20,
-        combine_survival=0.30)
-    spec = JobSpec(
-        name="wikidb-scan", costs=WIKIDB_SCAN_COSTS,
-        map_tasks=dataset.file_count, reduce_tasks=3,
-        map_mem_mb=MAP_MEM[platform], reduce_mem_mb=REDUCE_MEM[platform],
-        dataset=dataset, combiner=True, output_ratio=0.05)
-    return spec, default_config(platform)
 
 
 CARBON_JOB_KINDS: Dict[str, Callable[[str], Tuple[JobSpec, HadoopConfig]]] \
     = {
-        "terasort-mini": _terasort_mini,
-        "wikidb-scan": _wikidb_scan,
+        "terasort-mini": terasort_mini_job,
+        "wikidb-scan": wikidb_scan_job,
     }
 
 

@@ -30,7 +30,7 @@ from ..energy import PowerMeter
 from ..hardware import DELL_R620, EDISON, EDISON_INTEGRATED_NIC, make_server
 from ..mapreduce import JOB_FACTORIES, TABLE8_JOBS, run_job, \
     run_scaling_grid
-from ..mapreduce.jobs.terasort import terasort_job
+from ..mapreduce.jobs import terasort_job
 from ..mapreduce.scaling import DELL_SIZES, EDISON_SIZES, paper_mean_speedup
 from ..microbench import (run_dd, run_dhrystone, run_ioping, run_iperf,
                           run_ping, run_sysbench_cpu, run_sysbench_memory)

@@ -22,14 +22,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..hardware.server import Server
 from ..net import Segment, Topology
 from ..sim import Simulation
-
-if TYPE_CHECKING:
-    from ..workloads import Dataset
 
 
 class BlockUnavailable(Exception):
@@ -146,10 +143,6 @@ class Hdfs:
         record = HdfsFile(name, size_bytes, tuple(blocks))
         self.files[name] = record
         return record
-
-    def stage_dataset(self, dataset: Dataset) -> List[HdfsFile]:
-        """Stage every file of a workload dataset."""
-        return [self.stage_file(f.name, f.size_bytes) for f in dataset.files]
 
     # -- I/O ----------------------------------------------------------------
 

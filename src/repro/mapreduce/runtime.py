@@ -36,7 +36,7 @@ from .hdfs import BlockUnavailable, Hdfs
 from .yarn import YarnScheduler
 
 if TYPE_CHECKING:
-    from ..workloads import Dataset
+    from .jobs.catalogue import Dataset
 
 #: Concurrent fetch streams per reducer (mapreduce.reduce.shuffle.parallelcopies).
 SHUFFLE_PARALLELISM = 5

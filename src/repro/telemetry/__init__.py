@@ -4,7 +4,7 @@ The monitoring plane for the simulated clusters: per-node scrape
 agents (:class:`NodeAgent`) run *inside* the simulation, sampling
 hardware utilisation, web-tier counters, YARN occupancy and power into
 a labeled in-memory time-series store (:class:`TimeSeriesDB`); an
-:class:`AlertManager` evaluates threshold/absence/spread rules against
+:class:`AlertManager` evaluates absence/spread rules against
 it with a pending→firing→resolved lifecycle; and the run ends with
 availability/latency SLO accounting (:class:`SloReport`) plus
 time-to-detect scored against the fault injector's ground truth
@@ -31,8 +31,8 @@ from .._exports import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".export": ("load_bundle", "render_dashboard", "summary_lines",
                 "to_prometheus", "write_dashboard", "write_prometheus"),
-    ".rules": ("AbsenceRule", "Alert", "AlertManager", "CorrelatedSilenceRule",
-               "SpreadRule", "ThresholdRule", "default_rules"),
+    ".rules": ("AbsenceRule", "Alert", "AlertManager", "SpreadRule",
+               "default_rules"),
     ".scrapers": ("ClusterAgent", "NodeAgent", "Telemetry"),
     ".slo": ("Detection", "DetectionReport", "SloReport", "SloSpec"),
     ".tsdb": ("TimeSeriesDB",),

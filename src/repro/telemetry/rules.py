@@ -1,4 +1,4 @@
-"""Alerting: threshold / absence / spread rules and the alert lifecycle.
+"""Alerting: absence / spread rules and the alert lifecycle.
 
 Rules are evaluated *inside* the simulation against the
 :class:`~repro.telemetry.tsdb.TimeSeriesDB` the scrapers fill, so an
@@ -18,59 +18,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .tsdb import TimeSeriesDB
-
-_OPS = {
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-}
-
-
-@dataclass(frozen=True)
-class ThresholdRule:
-    """Fire when a metric crosses a threshold.
-
-    ``window_s == 0`` compares the latest sample; a positive window
-    compares ``avg_over_time`` over that trailing window, which rides
-    out single-sample spikes.  ``labels`` restricts which series of the
-    metric are considered; each matching series alerts independently
-    (keyed by its ``node`` label when present).
-    """
-
-    name: str
-    metric: str
-    op: str
-    threshold: float
-    window_s: float = 0.0
-    for_s: float = 0.0
-    labels: Tuple[Tuple[str, str], ...] = ()
-
-    def __post_init__(self):
-        if self.op not in _OPS:
-            raise ValueError(f"unknown op {self.op!r}; use one of "
-                             f"{sorted(_OPS)}")
-        if self.window_s < 0 or self.for_s < 0:
-            raise ValueError("window_s and for_s must be >= 0")
-
-    def breaches(self, db: TimeSeriesDB, now: float
-                 ) -> List[Tuple[str, float]]:
-        """``(subject, observed value)`` per series in breach at ``now``."""
-        out = []
-        compare = _OPS[self.op]
-        for labels, series in db.select(self.metric, **dict(self.labels)):
-            if not series.times:
-                continue
-            if self.window_s > 0:
-                value = series.avg_over_time(window_s=self.window_s, now=now)
-                if value is None:
-                    continue
-            else:
-                value = series.values[-1]
-            if compare(value, self.threshold):
-                out.append((labels.get("node", ""), value))
-        return out
-
 
 @dataclass(frozen=True)
 class AbsenceRule:
@@ -103,53 +50,6 @@ class AbsenceRule:
             silence = now - series.times[-1]
             if silence > self.stale_s:
                 out.append((labels.get("node", ""), silence))
-        return out
-
-
-@dataclass(frozen=True)
-class CorrelatedSilenceRule(AbsenceRule):
-    """Fire when several nodes go silent *together*: silent but alive.
-
-    A lone stale heartbeat is the classic dead-node signature the
-    plain :class:`AbsenceRule` catches.  But when a rack's uplink is
-    severed, every member's series stops advancing within one scrape
-    of each other — the nodes are still burning power and (in the
-    split-brain window) still doing work, they just cannot push
-    samples.  This rule breaches only for stale series whose *last*
-    samples landed within ``correlation_s`` of at least
-    ``min_silent - 1`` other stale series, so it stays quiet for
-    isolated crashes and fires per-node for partitions.  The detection
-    report keys off the rule name to score dead-vs-unreachable
-    classification against the injector's ground truth.
-    """
-
-    min_silent: int = 2
-    correlation_s: float = 0.5
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.min_silent < 2:
-            raise ValueError("min_silent must be >= 2 (one silent node "
-                             "is AbsenceRule's job)")
-        if self.correlation_s <= 0:
-            raise ValueError("correlation_s must be > 0")
-
-    def breaches(self, db: TimeSeriesDB, now: float
-                 ) -> List[Tuple[str, float]]:
-        stale = []
-        for labels, series in db.select(self.metric):
-            if not series.times:
-                continue
-            silence = now - series.times[-1]
-            if silence > self.stale_s:
-                stale.append((labels.get("node", ""), series.times[-1],
-                              silence))
-        out = []
-        for node, last, silence in stale:
-            peers = sum(1 for _node, other, _s in stale
-                        if abs(other - last) <= self.correlation_s)
-            if peers >= self.min_silent:
-                out.append((node, silence))
         return out
 
 
@@ -305,37 +205,16 @@ class AlertManager:
             yield sim.timeout(self.interval)
 
 
-def default_rules(scrape_interval: float = 0.25,
-                  latency_p95_s: Optional[float] = None,
-                  imbalance: float = 0.5,
-                  partitions: bool = False) -> List:
-    """The stock rule set the CLI attaches with ``--telemetry``.
+def default_rules() -> List:
+    """The stock rule set the CLI attaches with ``--telemetry``, for a
+    0.25 s scrape interval.
 
     * ``node_silent`` — a node agent missed ~2.5 scrapes (a crash).
-    * ``nodes_unreachable`` — several agents went silent *together*
-      (rack/trunk partition symptom); only with ``partitions=True``, so
-      runs that never sever anything keep their alert history (and
-      pinned bundles) unchanged.
-    * ``web_latency_high`` — mean web delay above the Table 7 band edge
-      (only when a band is given).
     * ``cpu_imbalance`` — CPU utilisation spread across nodes beyond
-      ``imbalance``.
+      0.5, over a 1 s window, for 0.5 s.
     """
-    rules: List = [
-        AbsenceRule(name="node_silent", metric="up",
-                    stale_s=2.5 * scrape_interval),
+    return [
+        AbsenceRule(name="node_silent", metric="up", stale_s=0.625),
         SpreadRule(name="cpu_imbalance", metric="node_cpu_utilization",
-                   threshold=imbalance, window_s=4 * scrape_interval,
-                   for_s=2 * scrape_interval),
+                   threshold=0.5, window_s=1.0, for_s=0.5),
     ]
-    if partitions:
-        rules.insert(1, CorrelatedSilenceRule(
-            name="nodes_unreachable", metric="up",
-            stale_s=2.5 * scrape_interval,
-            correlation_s=2 * scrape_interval))
-    if latency_p95_s is not None:
-        rules.append(ThresholdRule(
-            name="web_latency_high", metric="web_mean_delay_s", op=">",
-            threshold=latency_p95_s, window_s=4 * scrape_interval,
-            for_s=2 * scrape_interval))
-    return rules

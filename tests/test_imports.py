@@ -152,7 +152,11 @@ def test_mapreduce_build_loads_only_the_mapreduce_stack():
     built = modules["built"]
     assert _under(built, ("repro.web",)) == []
     assert _under(built, NEVER_ON_THE_OFF_PATH) == []
-    assert len(built) <= 48, built
+    assert len(built) <= 34, built
+    # The job catalogue holds every dataset; no workloads package remains.
+    assert _under(built, ("repro.workloads",)) == []
+    assert not os.path.exists(os.path.join(SRC, "repro", "workloads",
+                                           "__init__.py"))
     assert modules["new"] == []
 
 

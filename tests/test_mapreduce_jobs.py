@@ -14,9 +14,10 @@ import pytest
 from repro.core import paperdata as paper
 from repro.mapreduce import JOB_FACTORIES, JobRunner, JobSpec, run_job
 from repro.mapreduce.costs import JobCosts
-from repro.workloads import wordcount_dataset
+from repro.mapreduce.jobs.catalogue import WORDCOUNT_INPUT
 
-SMALL = wordcount_dataset(total_bytes=64_000_000, files=16)
+SMALL = dataclasses.replace(WORDCOUNT_INPUT, total_bytes=64_000_000,
+                            file_count=16)
 CHEAP = JobCosts(map_mi_per_mb=500, sort_mi_per_mb=200, reduce_mi_per_mb=400,
                  java_factor={"edison": 1.0, "dell": 2.0})
 

@@ -8,7 +8,6 @@ from repro.cluster import hadoop_cluster
 from repro.mapreduce import HadoopConfig, Hdfs, YarnScheduler, default_config
 from repro.mapreduce.costs import DENSITY_BETA, JobCosts, effective_factor
 from repro.sim import Simulation
-from repro.workloads import wordcount_dataset
 
 
 # -- HadoopConfig --------------------------------------------------------------
@@ -94,13 +93,6 @@ def test_hdfs_validation():
     with pytest.raises(ValueError):
         Hdfs(sim, cluster.topology, cluster.metered_servers, 1000, 9,
              random.Random(1))          # replication > nodes
-
-
-def test_hdfs_stage_dataset():
-    sim, cluster, hdfs = make_hdfs()
-    files = hdfs.stage_dataset(wordcount_dataset(total_bytes=80_000_000,
-                                                 files=16))
-    assert len(files) == 16
 
 
 def test_hdfs_local_read_uses_own_disk():

@@ -11,7 +11,6 @@ from repro.net import FlowNetwork, Segment
 from repro.sim import Container, Resource, Simulation, TimeSeries
 from repro.tco import TcoInputs, cluster_tco
 from repro.web.params import tuned_calls_per_connection
-from repro.workloads import split_evenly
 
 
 # -- kernel ordering -----------------------------------------------------------
@@ -189,16 +188,6 @@ def test_tco_monotone_in_utilisation(u1, u2):
     inputs = TcoInputs(node_cost_usd=100, peak_power_w=100, idle_power_w=50)
     lo, hi = sorted((u1, u2))
     assert cluster_tco(inputs, 5, lo) <= cluster_tco(inputs, 5, hi)
-
-
-@given(st.integers(min_value=1, max_value=500),
-       st.integers(min_value=1, max_value=200))
-def test_split_evenly_conserves_bytes(count, per_file):
-    total = count * per_file + count // 2
-    files = split_evenly(total, count, "f", bytes_per_record=7)
-    assert sum(f.size_bytes for f in files) == total
-    sizes = [f.size_bytes for f in files]
-    assert max(sizes) - min(sizes) <= 1     # near-equal split
 
 
 @given(st.integers(min_value=1, max_value=10000),

@@ -6,9 +6,8 @@ import pytest
 
 from repro.telemetry import (AbsenceRule, Alert, AlertManager, DetectionReport,
                              SloReport, SloSpec, SpreadRule, Telemetry,
-                             ThresholdRule, TimeSeriesDB, default_rules,
-                             load_bundle, render_dashboard, summary_lines,
-                             to_prometheus)
+                             TimeSeriesDB, default_rules, load_bundle,
+                             render_dashboard, summary_lines, to_prometheus)
 from repro.web import WebServiceDeployment
 
 
@@ -70,28 +69,6 @@ def test_db_dict_roundtrip():
 
 # -- rules --------------------------------------------------------------------
 
-def test_threshold_rule_latest_value():
-    db = TimeSeriesDB()
-    db.record(0.0, "load", 0.2, node="a")
-    db.record(1.0, "load", 0.9, node="a")
-    rule = ThresholdRule(name="hot", metric="load", op=">", threshold=0.8)
-    assert rule.breaches(db, 1.0) == [("a", 0.9)]
-
-
-def test_threshold_rule_windowed_mean_rides_out_spikes():
-    db = TimeSeriesDB()
-    for t, v in [(0.0, 0.1), (1.0, 0.1), (2.0, 0.95), (3.0, 0.1)]:
-        db.record(t, "load", v, node="a")
-    rule = ThresholdRule(name="hot", metric="load", op=">", threshold=0.8,
-                         window_s=4.0)
-    assert rule.breaches(db, 3.0) == []
-
-
-def test_threshold_rule_rejects_unknown_op():
-    with pytest.raises(ValueError):
-        ThresholdRule(name="r", metric="m", op="!=", threshold=1.0)
-
-
 def test_absence_rule_detects_silence():
     db = TimeSeriesDB()
     db.record(0.0, "up", 1.0, node="a")
@@ -116,16 +93,15 @@ def test_spread_rule_flags_hot_node():
 
 def test_alert_manager_lifecycle_pending_firing_resolved():
     db = TimeSeriesDB()
-    rule = ThresholdRule(name="hot", metric="load", op=">", threshold=0.5,
-                         for_s=1.0)
+    rule = AbsenceRule(name="silent", stale_s=1.0, for_s=1.0)
     manager = AlertManager(db, [rule], interval=0.5)
-    db.record(0.0, "load", 0.9, node="a")
+    db.record(-2.0, "up", 1.0, node="a")        # silent since t=-2
     assert manager.evaluate(0.0) == []          # pending, not yet for_s
     assert manager.active() == []
     fired = manager.evaluate(1.0)               # breached for 1.0s -> fires
     assert len(fired) == 1 and fired[0].node == "a"
     assert manager.active() == fired
-    db.record(2.0, "load", 0.1, node="a")
+    db.record(2.0, "up", 1.0, node="a")
     manager.evaluate(2.0)                       # condition lifted
     assert manager.active() == []
     assert manager.history[0].resolved_at == 2.0
@@ -134,15 +110,13 @@ def test_alert_manager_lifecycle_pending_firing_resolved():
 
 def test_alert_manager_pending_resets_when_condition_clears():
     db = TimeSeriesDB()
-    rule = ThresholdRule(name="hot", metric="load", op=">", threshold=0.5,
-                         for_s=2.0)
+    rule = AbsenceRule(name="silent", stale_s=0.5, for_s=2.0)
     manager = AlertManager(db, [rule], interval=1.0)
-    db.record(0.0, "load", 0.9, node="a")
+    db.record(-1.0, "up", 1.0, node="a")        # silent since t=-1
     manager.evaluate(0.0)
-    db.record(1.0, "load", 0.1, node="a")
+    db.record(1.0, "up", 1.0, node="a")
     manager.evaluate(1.0)                       # clears the pending timer
-    db.record(2.0, "load", 0.9, node="a")
-    manager.evaluate(2.0)
+    manager.evaluate(2.0)                       # silent again since t=1
     assert manager.evaluate(3.0) == []          # only 1s into the new breach
     assert len(manager.evaluate(4.0)) == 1
 
@@ -151,7 +125,7 @@ def test_alert_manager_rejects_duplicate_rule_names():
     with pytest.raises(ValueError):
         AlertManager(TimeSeriesDB(), [
             AbsenceRule(name="same"),
-            ThresholdRule(name="same", metric="m", op=">", threshold=1.0)])
+            SpreadRule(name="same", metric="m", threshold=1.0)])
 
 
 # -- SLO + detection reports --------------------------------------------------
@@ -254,9 +228,9 @@ def test_telemetry_attaches_once():
 
 
 def test_default_rules_are_valid():
-    telemetry = Telemetry(rules=default_rules(latency_p95_s=3.0))
-    assert {r.name for r in telemetry.alerts.rules} == \
-        {"node_silent", "cpu_imbalance", "web_latency_high"}
+    telemetry = Telemetry(rules=default_rules())
+    assert [r.name for r in telemetry.alerts.rules] == \
+        ["node_silent", "cpu_imbalance"]
 
 
 # -- exporters ----------------------------------------------------------------
@@ -307,43 +281,7 @@ def test_summary_lines_cover_alerts_and_slo():
     assert "Alerts: none fired" in text
 
 
-# -- partition symptoms: correlated silence + classification ------------------
-
-def test_correlated_silence_fires_only_for_group_silence():
-    from repro.telemetry import CorrelatedSilenceRule
-    db = TimeSeriesDB()
-    # Three agents scrape until t=5; a lone fourth died back at t=2.
-    for node in ("a", "b", "c"):
-        db.record(5.0, "up", 1.0, node=node)
-    db.record(2.0, "up", 1.0, node="lone")
-    rule = CorrelatedSilenceRule(name="nodes_unreachable", metric="up",
-                                 stale_s=1.0, min_silent=2,
-                                 correlation_s=0.5)
-    # The lone node is stale but has no co-silent peer: stay quiet.
-    assert rule.breaches(db, now=5.8) == []
-    # Sever a, b together at t=5: both are stale and correlated.
-    breached = dict(rule.breaches(db, now=6.5))
-    assert set(breached) == {"a", "b", "c"}
-    assert all(s == pytest.approx(1.5) for s in breached.values())
-
-
-def test_correlated_silence_validation():
-    from repro.telemetry import CorrelatedSilenceRule
-    with pytest.raises(ValueError):
-        CorrelatedSilenceRule(name="x", metric="up", min_silent=1)
-    with pytest.raises(ValueError):
-        CorrelatedSilenceRule(name="x", metric="up", correlation_s=0.0)
-
-
-def test_default_rules_partition_flag_inserts_unreachable_rule():
-    from repro.telemetry import CorrelatedSilenceRule
-    stock = default_rules()
-    assert [r.name for r in stock] == ["node_silent", "cpu_imbalance"]
-    armed = default_rules(partitions=True)
-    assert [r.name for r in armed] == \
-        ["node_silent", "nodes_unreachable", "cpu_imbalance"]
-    assert isinstance(armed[1], CorrelatedSilenceRule)
-
+# -- partition symptoms: dead-vs-unreachable classification -------------------
 
 class FakePartition:
     """A partition record with the injector's member-set semantics."""
