@@ -37,7 +37,7 @@ import heapq
 from heapq import heappush
 from itertools import count
 from math import isfinite
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
 from .errors import EmptySchedule, Interrupt, SimulationError, StopSimulation
 
@@ -347,8 +347,11 @@ class Process(Event):
         started = self._trace_started
         if trace is None or started is None:
             return
-        trace.complete(f"process:{self.name}", started, category="kernel",
-                       ok=bool(self._ok))
+        names = self.sim._process_span_names
+        span = names.get(self.name)
+        if span is None:
+            span = names[self.name] = f"process:{self.name}"
+        trace.complete(span, started, category="kernel", ok=bool(self._ok))
 
 
 class Condition(Event):
@@ -442,6 +445,9 @@ class Simulation:
         # calendar_stats can report true processed-event counts.
         self._ncancelled = 0
         self._dropped = 0
+        # Process name -> its "process:<name>" span name, built once per
+        # distinct name so the trace's name column shares one string.
+        self._process_span_names: Dict[str, str] = {}
         if trace is not None:
             trace.bind(self)
 

@@ -3,6 +3,7 @@
 import gc
 import json
 import random
+import tracemalloc
 import types
 from collections import deque
 
@@ -130,6 +131,101 @@ def test_log_gc_footprint_does_not_grow_with_span_count():
     assert tracked_after(1_000) == tracked_after(100_000)
 
 
+@pytest.mark.parametrize("attrs,bound", [(False, 100), (True, 160)])
+def test_log_retained_bytes_per_row(attrs, bound):
+    # A row keeps 8-byte typed-array and list slots, one slot per attr
+    # value and the value itself (a boxed ``req`` int here); no boxed
+    # ``dur``, no per-row attrs dict.  Kept as objects, the same rows
+    # took about 168 and 320 bytes.
+    rows = 100_000
+    tracer = Tracer()
+    tracer.complete("request", 0.0, category="web", node="web-0",
+                    req=0, status=200)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(rows):
+            if attrs:
+                tracer.complete("request", 0.0, category="web",
+                                node="web-0", req=i, status=200)
+            else:
+                tracer.complete("request", 0.0, category="web",
+                                node="web-0")
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(tracer.log) == rows + 1
+    assert retained / rows <= bound
+
+
+def test_bounded_log_keeps_mixed_attr_widths_across_trims():
+    cap = 50
+    tracer = Tracer(max_events=cap)
+    log = tracer.log
+    expected = deque(maxlen=cap)
+    for seq in range(2000):
+        width = seq % 5
+        if width == 4:
+            # counter() appends its "value" after the caller's attrs.
+            tracer.counter("depth", float(seq), seq=seq, tag="q")
+            expected.append({"seq": seq, "tag": "q", "value": float(seq)})
+            continue
+        attrs = {key: seq + i for i, key in
+                 enumerate(("z", "a", "m")[:width])}
+        if seq % 2:
+            tracer.complete("span", 0.0, **attrs)
+        else:
+            tracer.instant("mark", **attrs)
+        expected.append(attrs)
+        if seq % 97 == 0 or seq >= 1990:
+            assert [list(e.attrs.items()) for e in log] == \
+                [list(a.items()) for a in expected]
+    assert log.evicted == 2000 - cap
+    assert [list(e.attrs.items()) for e in log.counters()] == \
+        [list(a.items()) for a in expected if "value" in a]
+
+
+def test_log_reads_return_fresh_attrs():
+    tracer = Tracer()
+    emitted = {"req": 7, "status": 200}
+    tracer.complete("request", 0.0, category="web", **emitted)
+    event = TraceEvent(ts=0.0, category="c", name="e", attrs={"k": [1]})
+    tracer.log.append(event)
+    event.attrs["k2"] = 2
+    first = tracer.log.events()
+    first[0].attrs["status"] = 500
+    first[1].attrs.clear()
+    tracer.log.spans()[0].attrs["extra"] = 1
+    for read in (list(tracer.log), tracer.log.events()):
+        assert read[0].attrs == emitted
+        assert read[1].attrs == {"k": [1]}
+        # Value objects are the emitted ones, not copies.
+        assert read[1].attrs["k"] is event.attrs["k"]
+    assert list(tracer.log)[0].attrs is not list(tracer.log)[0].attrs
+
+
+def test_log_read_back_types():
+    tracer = Tracer()
+    sim = Simulation(trace=tracer)
+    sim.run(until=3.0)
+    tracer.complete("int-start", 1, ctx=tracer.root_context())
+    tracer.log.append(TraceEvent(ts=2, category="c", name="int-ts", dur=1,
+                                 phase=PHASE_SPAN, trace_id=5, span_id=6,
+                                 parent_id=5))
+    for event in tracer.log:
+        assert type(event.ts) is float and type(event.dur) is float
+        assert all(type(v) is int for v in
+                   (event.trace_id, event.span_id, event.parent_id))
+    [span] = tracer.log.spans(name="int-start")
+    assert (span.ts, span.dur) == (1.0, 2.0)
+    [appended] = tracer.log.spans(name="int-ts")
+    assert (appended.ts, appended.dur, appended.span_id) == (2.0, 1.0, 6)
+    with pytest.raises(ValueError):
+        TraceEvent(ts=0.0, category="c", name="e", span_id=2 ** 63)
+
+
 def test_log_rejects_bad_arguments():
     with pytest.raises(ValueError):
         TraceLog(max_events=0)
@@ -186,6 +282,21 @@ def test_kernel_emits_process_spans_and_calendar_stats():
     stats = tracer.log.events(category="kernel", name="calendar")
     assert stats and stats[-1].attrs["scheduled"] >= 1
     assert stats[-1].attrs["processed"] >= 1
+
+
+def test_process_spans_share_one_name_string():
+    tracer = Tracer()
+    sim = Simulation(trace=tracer)
+
+    def worker():
+        yield sim.timeout(1.0)
+
+    for _ in range(3):
+        sim.process(worker(), name="handle_call")
+    sim.run()
+    spans = tracer.log.spans(category="kernel")
+    assert [s.name for s in spans] == ["process:handle_call"] * 3
+    assert spans[0].name is spans[1].name is spans[2].name
 
 
 # -- metrics ------------------------------------------------------------------
