@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..cluster import hybrid_web_cluster
-from ..hardware import ServerSpec
 from ..web import params as P
 from ..web.deployment import WebServiceDeployment
 from ..web.httperf import LevelResult
@@ -34,15 +33,11 @@ class HybridWebDeployment(WebServiceDeployment):
     """Edisons and R620s in one rotation, optionally autoscaled."""
 
     def __init__(self, edison_web: int = 6, dell_web: int = 1,
-                 cache: int = 3,
-                 workload: Optional[P.WebWorkload] = None,
-                 seed: int = 20160901,
-                 autoscale: bool = False,
-                 edison_spec: Optional[ServerSpec] = None,
-                 trace=None):
+                 cache: int = 3, seed: int = 20160901,
+                 autoscale: bool = False, trace=None):
         self._fleet = (edison_web, dell_web, cache)
-        super().__init__("hybrid", f"{edison_web}e+{dell_web}d", workload,
-                         seed=seed, edison_spec=edison_spec, trace=trace)
+        super().__init__("hybrid", f"{edison_web}e+{dell_web}d",
+                         seed=seed, trace=trace)
         # The weighted rotation: every backend registered at its
         # platform's tuned capacity, so the Dell takes ~12x an
         # Edison's share instead of an equal one.
@@ -62,8 +57,8 @@ class HybridWebDeployment(WebServiceDeployment):
         if self.autoscale:
             self.ledger = AutoscaleLedger()
 
-    def _build_cluster(self, **kwargs):
-        return hybrid_web_cluster(self.sim, *self._fleet, **kwargs)
+    def _build_cluster(self):
+        return hybrid_web_cluster(self.sim, *self._fleet)
 
     # -- fault plumbing ----------------------------------------------------
 
@@ -115,8 +110,7 @@ class HybridWebDeployment(WebServiceDeployment):
         self.controller.start(until=until)
         return self.controller
 
-    def run_day(self, shape, duration: float, warmup: float = 0.0,
-                calls: int = 5,
+    def run_day(self, shape, duration: float, calls: int = 5,
                 collect_delays: bool = False) -> LevelResult:
         """Drive one shaped day through the weighted rotation.
 
@@ -127,6 +121,6 @@ class HybridWebDeployment(WebServiceDeployment):
         """
         if self.autoscale and self.controller is None:
             self.prepare_autoscaler(shape.rate(0.0), until=duration)
-        return self.run_shaped(shape, duration, warmup=warmup,
-                               calls=calls, rotation=self.rotation,
+        return self.run_shaped(shape, duration, calls=calls,
+                               rotation=self.rotation,
                                collect_delays=collect_delays)

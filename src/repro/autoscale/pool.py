@@ -24,18 +24,22 @@ BOOTING = "booting"
 DRAINING = "draining"
 OFF = "off"
 
+#: Nodes every plan keeps on: a web service with zero backends is an
+#: outage, not a saving.
+MIN_ACTIVE = 1
+
 
 class PoolNode:
     """One web backend under autoscaler management."""
 
     __slots__ = ("web", "capacity_rps", "state")
 
-    def __init__(self, web, capacity_rps: float, state: str = ACTIVE):
+    def __init__(self, web, capacity_rps: float):
         if capacity_rps <= 0:
             raise ValueError("capacity_rps must be > 0")
         self.web = web
         self.capacity_rps = capacity_rps
-        self.state = state
+        self.state = ACTIVE
 
     @property
     def name(self) -> str:
@@ -89,19 +93,17 @@ class FleetPool:
 
     # -- planning ---------------------------------------------------------
 
-    def plan_active_set(self, desired_rps: float,
-                        min_active: int = 1) -> List[PoolNode]:
+    def plan_active_set(self, desired_rps: float) -> List[PoolNode]:
         """The greedy prefix of the wake order covering ``desired_rps``.
 
-        At least ``min_active`` nodes are always kept (a web service
-        with zero backends is an outage, not a saving); beyond that,
+        At least :data:`MIN_ACTIVE` nodes are always kept; beyond that,
         nodes accumulate until their summed capacity covers the
         demand.  Deterministic: same demand, same pool, same answer.
         """
         wanted: List[PoolNode] = []
         covered = 0.0
         for node in self.plan_order:
-            if len(wanted) < min_active or covered < desired_rps:
+            if len(wanted) < MIN_ACTIVE or covered < desired_rps:
                 wanted.append(node)
                 covered += node.capacity_rps
             else:

@@ -27,7 +27,7 @@ from ..core.records import Record, decoded
 
 #: Grid resolution used when a non-step trace must be rendered as
 #: steps, and when scanning for threshold crossings.
-DEFAULT_STEP_S = 30.0
+STEP_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,7 @@ class SignalTrace(Record):
             return 0.0, self.period_s
         return self.points[0][0], self.points[-1][0]
 
-    def percentile(self, pct: float, step_s: float = DEFAULT_STEP_S
-                   ) -> float:
+    def percentile(self, pct: float) -> float:
         """Time-weighted percentile of the signal over its span.
 
         Sampled on a uniform grid so a short price spike counts by its
@@ -106,7 +105,7 @@ class SignalTrace(Record):
         start, end = self.span()
         if end <= start:
             return self.points[0][1]
-        n = max(2, int(math.ceil((end - start) / step_s)))
+        n = max(2, int(math.ceil((end - start) / STEP_S)))
         values = sorted(self.at(start + (end - start) * i / n)
                         for i in range(n))
         index = min(len(values) - 1,
@@ -114,8 +113,7 @@ class SignalTrace(Record):
         return values[index]
 
     def next_at_or_below(self, threshold: float, time_s: float,
-                         horizon_s: float,
-                         step_s: float = DEFAULT_STEP_S) -> Optional[float]:
+                         horizon_s: float) -> Optional[float]:
         """Earliest ``t >= time_s`` (within the horizon) with
         ``at(t) <= threshold``, or ``None`` if the signal never dips."""
         if horizon_s < 0:
@@ -125,18 +123,18 @@ class SignalTrace(Record):
         while t <= end:
             if self.at(t) <= threshold:
                 return t
-            t += step_s
+            t += STEP_S
         return None
 
-    def steps(self, start_s: float, end_s: float,
-              step_s: float = DEFAULT_STEP_S) -> List[Tuple[float, float]]:
+    def steps(self, start_s: float,
+              end_s: float) -> List[Tuple[float, float]]:
         """Piecewise-constant rendering of ``[start_s, end_s]``.
 
         For a non-periodic step trace this is exact (the trace's own
         points, clipped); anything smoother or periodic is resampled on
-        a ``step_s`` grid.  The first step always starts at ``start_s``
-        so :func:`repro.tco.weighted_energy_rate` covers the whole
-        window.
+        a :data:`STEP_S` grid.  The first step always starts at
+        ``start_s`` so :func:`repro.tco.weighted_energy_rate` covers the
+        whole window.
         """
         if end_s < start_s:
             raise ValueError("end_s must be >= start_s")
@@ -152,14 +150,14 @@ class SignalTrace(Record):
         t = start_s
         while t < end_s:
             out.append((t, self.at(t)))
-            t += step_s
+            t += STEP_S
         return out or [(start_s, self.at(start_s))]
 
-    def mean(self, step_s: float = DEFAULT_STEP_S) -> float:
+    def mean(self) -> float:
         """Time-weighted mean over the trace's span."""
         start, end = self.span()
         if end <= start:
             return self.points[0][1]
-        n = max(2, int(math.ceil((end - start) / step_s)))
+        n = max(2, int(math.ceil((end - start) / STEP_S)))
         return sum(self.at(start + (end - start) * i / n)
                    for i in range(n)) / n

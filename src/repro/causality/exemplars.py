@@ -39,14 +39,14 @@ class Exemplar:
 class ExemplarStore:
     """Keeps the worst trace-linked observation per histogram bucket.
 
-    Bucketing matches :class:`~repro.trace.metrics.Histogram` (same
-    growth/floor defaults), so exemplars line up one-to-one with the
+    Bucketing is :class:`~repro.trace.metrics.Histogram`'s default
+    growth and floor, so exemplars line up one-to-one with the
     telemetry latency histogram's buckets.
     """
 
-    def __init__(self, growth: float = 1.08, floor: float = 1e-9):
+    def __init__(self):
         # Reuse Histogram purely for its bucket arithmetic.
-        self._buckets = Histogram("exemplars", growth=growth, floor=floor)
+        self._buckets = Histogram("exemplars")
         self._by_bucket: Dict[int, Exemplar] = {}
 
     def observe(self, value: float, trace_id: int) -> None:
@@ -78,10 +78,8 @@ class ExemplarStore:
         return [ex.to_dict() for ex in self.exemplars()]
 
     @classmethod
-    def from_dict(cls, data: List[Dict[str, object]],
-                  growth: float = 1.08,
-                  floor: float = 1e-9) -> "ExemplarStore":
-        store = cls(growth=growth, floor=floor)
+    def from_dict(cls, data: List[Dict[str, object]]) -> "ExemplarStore":
+        store = cls()
         for item in data:
             ex = Exemplar.from_dict(item)
             store._by_bucket[ex.bucket] = ex

@@ -10,19 +10,16 @@ from ..sim import Simulation
 from .cluster import Cluster
 
 
-def edison_cluster(sim: Simulation, nodes: int = 35,
-                   spec: ServerSpec = EDISON,
-                   name: str = "edison") -> Cluster:
-    """The paper's Edison testbed: ``nodes`` micro servers (default 35)."""
-    cluster = Cluster(sim, name=name)
-    cluster.add_many(spec, nodes, prefix="edison")
+def edison_cluster(sim: Simulation, nodes: int) -> Cluster:
+    """``nodes`` Edison micro servers (the paper's testbed has 35)."""
+    cluster = Cluster(sim, name="edison")
+    cluster.add_many(EDISON, nodes, prefix="edison")
     return cluster
 
 
-def dell_cluster(sim: Simulation, nodes: int = 3,
-                 name: str = "dell") -> Cluster:
-    """The Dell PowerEdge R620 comparison cluster (default 3 nodes)."""
-    cluster = Cluster(sim, name=name)
+def dell_cluster(sim: Simulation, nodes: int) -> Cluster:
+    """``nodes`` Dell PowerEdge R620 servers (the paper compares 3)."""
+    cluster = Cluster(sim, name="dell")
     cluster.add_many(DELL_R620, nodes, prefix="dell")
     return cluster
 
@@ -82,8 +79,7 @@ def parse_custom_scale(scale: str):
 
 
 def hybrid_web_cluster(sim: Simulation, edison_web: int, dell_web: int,
-                       cache: int,
-                       edison_spec: ServerSpec = EDISON) -> Cluster:
+                       cache: int) -> Cluster:
     """A mixed Edison/R620 web tier sharing one rotation.
 
     The autoscaling testbed: ``edison_web`` wimpy and ``dell_web``
@@ -101,10 +97,10 @@ def hybrid_web_cluster(sim: Simulation, edison_web: int, dell_web: int,
         raise ValueError("need at least one cache server")
     cluster = Cluster(sim, name=f"web-hybrid-{edison_web}e{dell_web}d")
     for i in range(edison_web):
-        cluster.add(edison_spec, f"web-{i}")
+        cluster.add(EDISON, f"web-{i}")
     for i in range(dell_web):
         cluster.add(DELL_R620, f"web-{edison_web + i}")
-    cluster.add_many(edison_spec, cache, prefix="cache")
+    cluster.add_many(EDISON, cache, prefix="cache")
     for i in range(2):
         cluster.add(DELL_R620, f"db-{i}", metered=False)
     for i in range(8):
@@ -112,8 +108,8 @@ def hybrid_web_cluster(sim: Simulation, edison_web: int, dell_web: int,
     return cluster
 
 
-def web_cluster(sim: Simulation, platform: str, scale: str = "full",
-                edison_spec: ServerSpec = EDISON) -> Cluster:
+def web_cluster(sim: Simulation, platform: str,
+                scale: str = "full") -> Cluster:
     """The Section 5.1 web-service layouts (Table 6).
 
     Returns a cluster whose servers are tagged by role via naming:
@@ -129,7 +125,7 @@ def web_cluster(sim: Simulation, platform: str, scale: str = "full",
     custom = parse_custom_scale(scale)
     if custom is not None:
         web_count, cache_count = custom
-        spec = edison_spec if platform == "edison" else DELL_R620
+        spec = EDISON if platform == "edison" else DELL_R620
     elif scale not in paper.T6_CLUSTERS:
         raise ValueError(f"unknown scale {scale!r}; choose from "
                          f"{sorted(paper.T6_CLUSTERS)} or '<web>x<cache>'")
@@ -138,7 +134,7 @@ def web_cluster(sim: Simulation, platform: str, scale: str = "full",
             paper.T6_CLUSTERS[scale]
         if platform == "edison":
             web_count, cache_count, spec = \
-                edison_web, edison_cache, edison_spec
+                edison_web, edison_cache, EDISON
         else:
             if dell_web is None:
                 raise ValueError(

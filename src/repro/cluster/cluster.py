@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from ..energy import PowerMeter
 from ..hardware import Server, ServerSpec, make_server
@@ -19,11 +19,10 @@ class Cluster:
     the way Section 5.2 excludes it.
     """
 
-    def __init__(self, sim: Simulation, name: str = "cluster",
-                 topology: Optional[Topology] = None):
+    def __init__(self, sim: Simulation, name: str = "cluster"):
         self.sim = sim
         self.name = name
-        self.topology = topology if topology is not None else Topology(sim)
+        self.topology = Topology(sim)
         self.servers: Dict[str, Server] = {}
         self.metered_names: List[str] = []
         self._meter: Optional[PowerMeter] = None
@@ -40,13 +39,13 @@ class Cluster:
             self.metered_names.append(name)
         return server
 
-    def add_many(self, spec: ServerSpec, count: int, prefix: str,
-                 metered: bool = True) -> List[Server]:
-        """Create ``count`` identical servers named ``prefix``-``i``."""
+    def add_many(self, spec: ServerSpec, count: int,
+                 prefix: str) -> List[Server]:
+        """Create ``count`` identical metered servers named
+        ``prefix``-``i``."""
         if count < 1:
             raise ValueError("count must be >= 1")
-        return [self.add(spec, f"{prefix}-{i}", metered=metered)
-                for i in range(count)]
+        return [self.add(spec, f"{prefix}-{i}") for i in range(count)]
 
     def __len__(self) -> int:
         return len(self.servers)
@@ -60,15 +59,12 @@ class Cluster:
 
     # -- metering ---------------------------------------------------------
 
-    def attach_meter(self, interval: float = 1.0,
-                     servers: Optional[Iterable[Server]] = None) -> PowerMeter:
+    def attach_meter(self, interval: float = 1.0) -> PowerMeter:
         """Create (once) the power meter over the metered subset."""
         if self._meter is not None:
             raise RuntimeError("meter already attached")
-        self._meter = PowerMeter(
-            self.sim,
-            list(servers) if servers is not None else self.metered_servers,
-            interval=interval, name=f"{self.name}.meter")
+        self._meter = PowerMeter(self.sim, self.metered_servers,
+                                 interval=interval, name=f"{self.name}.meter")
         return self._meter
 
     @property

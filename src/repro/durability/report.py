@@ -36,6 +36,10 @@ DAY_SEED = 20260809
 
 PLATFORMS = ("edison", "dell")
 
+#: Downtime (seconds) a partitioned arm may differ from its control by
+#: and still count as partition-clean: float noise, not an outage.
+DOWNTIME_TOL_S = 1e-6
+
 
 @dataclass(frozen=True)
 class DurabilityPlan(Record):
@@ -170,17 +174,17 @@ class DurabilityReport(Record):
                  if self.arm(platform, True, r).durable), None)
         return out
 
-    def partition_downtime_clean(self, tol_s: float = 1e-6) -> bool:
+    def partition_downtime_clean(self) -> bool:
         """Partitions add unreachable-seconds but zero downtime.
 
         Each platform's fault arms must match the no-partition control
-        on downtime within ``tol_s`` — the split-brain machinery never
-        books a live (merely severed) node as down.
+        on downtime within :data:`DOWNTIME_TOL_S` — the split-brain
+        machinery never books a live (merely severed) node as down.
         """
         for control in self.controls:
             peer = self.arm(control.platform, control.rack_aware,
                             control.replication)
-            if abs(peer.downtime_s - control.downtime_s) > tol_s:
+            if abs(peer.downtime_s - control.downtime_s) > DOWNTIME_TOL_S:
                 return False
         return True
 

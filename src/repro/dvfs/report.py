@@ -160,13 +160,13 @@ class DvfsReport(Record):
 
 
 def _run_arm(plan: DvfsPlan, governor: str, platform: str,
-             shape_name: str, shape: ShapedLoad, trace=None) -> DvfsArm:
+             shape_name: str, shape: ShapedLoad) -> DvfsArm:
     from ..telemetry import Telemetry       # deferred: import cycle
     from ..web import WebServiceDeployment
     from .plane import DvfsPlane
 
     deployment = WebServiceDeployment(platform, plan.scale(platform),
-                                      seed=plan.seed, trace=trace)
+                                      seed=plan.seed)
     telemetry = Telemetry()
     telemetry.attach_web(deployment, until=plan.duration_s)
     plane = DvfsPlane(deployment.sim,
@@ -201,7 +201,7 @@ def _run_arm(plan: DvfsPlan, governor: str, platform: str,
 def dvfs_experiment(plan: DvfsPlan,
                     governors: Tuple[str, ...] = GOVERNORS,
                     platforms: Tuple[str, ...] = PLATFORMS,
-                    scorecards: bool = True, trace=None) -> DvfsReport:
+                    scorecards: bool = True) -> DvfsReport:
     """Run the committed sweep and return every arm plus scorecards.
 
     Scorecards ladder each platform twice — nominal hardware and the
@@ -211,8 +211,7 @@ def dvfs_experiment(plan: DvfsPlan,
     from .scorecard import measure_proportionality
 
     arms = tuple(
-        _run_arm(plan, governor, platform, shape_name, shape,
-                 trace=trace)
+        _run_arm(plan, governor, platform, shape_name, shape)
         for platform in platforms
         for shape_name, shape in plan.shapes.items()
         for governor in governors)

@@ -34,8 +34,11 @@ from ..core.records import Record, decoded, many
 #: governor sweep), same spirit as repro.autoscale's DAY_SEED.
 DVFS_SEED = 41
 
-#: The default load ladder: 10 %..100 % of tuned capacity.
+#: The load ladder: 10 %..100 % of tuned capacity.
 LOAD_FRACTIONS = tuple(round(0.1 * i, 1) for i in range(1, 11))
+#: Each rung's simulated run and the warmup it discards (seconds).
+RUNG_S = 3.0
+RUNG_WARMUP_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -124,15 +127,13 @@ class ProportionalityScorecard(Record):
 
 def measure_proportionality(platform: str, scale: str = "1/8",
                             dvfs=None, seed: int = DVFS_SEED,
-                            duration_s: float = 3.0,
-                            warmup_s: float = 1.0, calls: int = 5,
-                            fractions: Tuple[float, ...] = LOAD_FRACTIONS,
-                            ) -> ProportionalityScorecard:
+                            calls: int = 5) -> ProportionalityScorecard:
     """Drive the load ladder and return the platform's scorecard.
 
-    Each rung is a fresh :class:`~repro.web.WebServiceDeployment`
-    served at a flat ``fraction * target_rps()`` rate for
-    ``duration_s`` simulated seconds.  Passing a
+    Each rung of :data:`LOAD_FRACTIONS` is a fresh
+    :class:`~repro.web.WebServiceDeployment` served at a flat
+    ``fraction * target_rps()`` rate for :data:`RUNG_S` simulated
+    seconds.  Passing a
     :class:`~repro.dvfs.governor.DvfsConfig` attaches a telemetry plane
     and a :class:`~repro.dvfs.plane.DvfsPlane` over the metered
     servers, so the ladder measures the governed fleet; without one
@@ -143,28 +144,21 @@ def measure_proportionality(platform: str, scale: str = "1/8",
     from ..web.loadshape import DiurnalShape, ShapedLoad
     from .plane import DvfsPlane
 
-    if duration_s <= warmup_s:
-        raise ValueError("duration_s must exceed warmup_s")
-    if not fractions:
-        raise ValueError("need at least one load fraction")
     points = []
-    for fraction in fractions:
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(f"load fractions must be in (0, 1], "
-                             f"got {fraction}")
+    for fraction in LOAD_FRACTIONS:
         deployment = WebServiceDeployment(platform, scale, seed=seed)
         rate = fraction * deployment.target_rps()
         if dvfs is not None:
             telemetry = Telemetry()
-            telemetry.attach_web(deployment, until=duration_s)
+            telemetry.attach_web(deployment, until=RUNG_S)
             plane = DvfsPlane(deployment.sim,
                               deployment.cluster.metered_servers,
                               dvfs, telemetry=telemetry,
                               meter=deployment.meter)
-            plane.start(until=duration_s)
+            plane.start(until=RUNG_S)
         shape = ShapedLoad(DiurnalShape(base_rps=rate, peak_rps=rate,
-                                        period_s=duration_s))
-        level = deployment.run_shaped(shape, duration_s, warmup=warmup_s,
+                                        period_s=RUNG_S))
+        level = deployment.run_shaped(shape, RUNG_S, warmup=RUNG_WARMUP_S,
                                       calls=calls)
         points.append(LoadPoint(fraction=fraction, offered_rps=rate,
                                 ok_calls=level.ok_calls,

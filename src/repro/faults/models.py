@@ -170,10 +170,11 @@ def rack_partition(rack: str, at: float, duration: float) -> Fault:
 
 
 def node_set_partition(nodes: Iterable[str], at: float,
-                       duration: float, label: str = "") -> Fault:
-    """Sever an arbitrary node set from everything else."""
+                       duration: float) -> Fault:
+    """Sever an arbitrary node set from everything else; the cut is
+    labelled by its comma-joined members."""
     members = tuple(nodes)
-    return Fault(kind="partition", node=label or ",".join(members),
+    return Fault(kind="partition", node=",".join(members),
                  at=at, duration=duration, nodes=members)
 
 

@@ -9,8 +9,8 @@ per node and reports a *suspicion level*::
 
     phi(t) = -log10( P(a beat arrives later than t) )
 
-under a normal fit of the window.  ``phi >= threshold`` (8 by default —
-a one-in-10^8 chance the node is merely slow) is the adaptive
+under a normal fit of the window.  ``phi >= THRESHOLD`` (8 — a
+one-in-10^8 chance the node is merely slow) is the adaptive
 equivalent of "expired": nodes with steady heartbeats are convicted
 quickly, jittery ones get proportionally more grace.
 
@@ -30,6 +30,15 @@ from typing import Callable, Deque, Dict, Optional
 #: Suspicion is capped here: erfc underflows around phi ~ 300 anyway
 #: and no policy distinguishes "certainly dead" from "certainly dead".
 PHI_CAP = 100.0
+#: Suspicion at which a node is convicted.
+THRESHOLD = 8.0
+#: Inter-arrival times kept per node.
+WINDOW = 64
+#: Floor on the fitted standard deviation (seconds), so a metronomic
+#: node is not convicted by one late beat.
+MIN_STD_S = 0.05
+#: Prior mean inter-arrival (seconds), used until a node has history.
+EXPECTED_S = 1.0
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -37,20 +46,8 @@ _SQRT2 = math.sqrt(2.0)
 class PhiAccrualDetector:
     """Per-node adaptive liveness from observed heartbeat arrivals."""
 
-    def __init__(self, sim, threshold: float = 8.0, window: int = 64,
-                 min_std_s: float = 0.05, expected_s: float = 1.0):
-        if threshold <= 0:
-            raise ValueError("threshold must be > 0")
-        if window < 2:
-            raise ValueError("window must be >= 2")
-        if min_std_s <= 0 or expected_s <= 0:
-            raise ValueError("min_std_s and expected_s must be > 0")
+    def __init__(self, sim):
         self.sim = sim
-        self.threshold = threshold
-        self.window = window
-        self.min_std_s = min_std_s
-        #: Prior mean inter-arrival, used until a node has real history.
-        self.expected_s = expected_s
         self._arrivals: Dict[str, Deque[float]] = {}
         self._sum: Dict[str, float] = {}
         self._sumsq: Dict[str, float] = {}
@@ -59,9 +56,9 @@ class PhiAccrualDetector:
 
     # -- feeding ---------------------------------------------------------
 
-    def beat(self, node: str, at: Optional[float] = None) -> None:
-        """Record one heartbeat arrival from ``node``."""
-        now = self.sim.now if at is None else at
+    def beat(self, node: str) -> None:
+        """Record one heartbeat arrival from ``node``, now."""
+        now = self.sim.now
         last = self._last.get(node)
         self._last[node] = now
         self.beats += 1
@@ -70,7 +67,7 @@ class PhiAccrualDetector:
         interval = now - last
         arrivals = self._arrivals.get(node)
         if arrivals is None:
-            arrivals = self._arrivals[node] = deque(maxlen=self.window)
+            arrivals = self._arrivals[node] = deque(maxlen=WINDOW)
             self._sum[node] = 0.0
             self._sumsq[node] = 0.0
         if len(arrivals) == arrivals.maxlen:
@@ -87,12 +84,11 @@ class PhiAccrualDetector:
         """(mean, std) of the node's inter-arrival window."""
         arrivals = self._arrivals.get(node)
         if not arrivals or len(arrivals) < 2:
-            return self.expected_s, max(self.min_std_s,
-                                        self.expected_s / 4.0)
+            return EXPECTED_S, max(MIN_STD_S, EXPECTED_S / 4.0)
         n = len(arrivals)
         mean = self._sum[node] / n
         var = max(0.0, self._sumsq[node] / n - mean * mean)
-        return mean, max(math.sqrt(var), self.min_std_s)
+        return mean, max(math.sqrt(var), MIN_STD_S)
 
     def phi(self, node: str, now: Optional[float] = None) -> float:
         """Current suspicion level for ``node`` (0 = just heard from)."""
@@ -115,7 +111,7 @@ class PhiAccrualDetector:
         bisection pins the crossing to a microsecond."""
         mean, std = self._fit(node)
         lo, hi = mean, mean + 40.0 * std
-        target = self.threshold
+        target = THRESHOLD
 
         def phi_at(silent: float) -> float:
             p = 0.5 * math.erfc((silent - mean) / (std * _SQRT2))
@@ -143,7 +139,7 @@ class PhiAccrualDetector:
         node's beats resumed before conviction — a healed partition)."""
         while True:
             now = self.sim.now
-            if self.phi(node, now) >= self.threshold:
+            if self.phi(node, now) >= THRESHOLD:
                 return True
             if healthy is not None and healthy():
                 return False

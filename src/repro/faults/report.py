@@ -36,11 +36,11 @@ class AvailabilityReport:
 
     @classmethod
     def from_injector(cls, injector: FaultInjector,
-                      until: Optional[float] = None,
-                      nodes: Optional[List[str]] = None
+                      until: Optional[float] = None
                       ) -> "AvailabilityReport":
+        """Every node the injector tracks, over ``[0, until]``."""
         until = injector.sim.now if until is None else until
-        names = list(nodes) if nodes is not None else list(injector.status)
+        names = list(injector.status)
         down = sum(injector.downtime(n, until) for n in names)
         return cls(
             window_s=until,
@@ -94,7 +94,6 @@ def web_kill_experiment(platform: str = "edison", scale: str = "full",
                         kill_at: float = 1.5,
                         repair_s: Optional[float] = None,
                         seed: int = 20160901,
-                        detection_s: float = 0.25,
                         trace=None, telemetry=None,
                         resilience: bool = False) -> WebChaosResult:
     """Run one concurrency level twice: fault-free, then under ``plan``.
@@ -120,7 +119,7 @@ def web_kill_experiment(platform: str = "edison", scale: str = "full",
         plan = single_node_kill(victim, kill_at, repair_s)
     if telemetry is not None:
         telemetry.attach_web(dep)
-    injector = dep.attach_faults(plan, detection_s=detection_s)
+    injector = dep.attach_faults(plan)
     faulted = dep.run_level(concurrency, duration=duration, warmup=warmup)
     window = duration - warmup
     down_in_window = 0.0
@@ -181,8 +180,6 @@ def job_kill_experiment(job: str = "wordcount", platform: str = "edison",
                         kill_at: float = 30.0,
                         repair_s: Optional[float] = None,
                         seed: int = 20160901,
-                        detection_s: float = 0.25,
-                        deadline_s: float = 100_000.0,
                         trace=None, telemetry=None,
                         resilience: bool = False) -> JobChaosResult:
     """Run one Table 8 job twice: fault-free, then under ``plan``.
@@ -197,7 +194,7 @@ def job_kill_experiment(job: str = "wordcount", platform: str = "edison",
     from ..mapreduce.runtime import JobFailed
     spec, config = JOB_FACTORIES[job](platform, slaves)
     baseline_runner = JobRunner(platform, slaves, config=config, seed=seed)
-    baseline = baseline_runner.run(spec, deadline_s=deadline_s)
+    baseline = baseline_runner.run(spec)
     runner = JobRunner(platform, slaves, config=config, seed=seed,
                        trace=trace, resilience=resilience)
     if plan is None:
@@ -205,11 +202,11 @@ def job_kill_experiment(job: str = "wordcount", platform: str = "edison",
         plan = single_node_kill(victim, kill_at, repair_s)
     if telemetry is not None:
         telemetry.attach_job(runner)
-    injector = FaultInjector(runner.cluster, plan, detection_s=detection_s)
+    injector = FaultInjector(runner.cluster, plan)
     completed = True
     faulted: Optional[object] = None
     try:
-        faulted = runner.run(spec, deadline_s=deadline_s)
+        faulted = runner.run(spec)
     except JobFailed:
         completed = False
     if completed and faulted is not None:

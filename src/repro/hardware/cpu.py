@@ -49,14 +49,17 @@ class PState:
 NOMINAL_PSTATE = PState("P0", 1.0, 1.0)
 
 
-def derive_pstates(dmips_factors, power_exponent: float = 2.0,
-                   prefix: str = "P") -> Tuple[PState, ...]:
-    """Build a P-state table from relative frequencies alone.
+#: ``busy_w_factor = dmips_factor ** PSTATE_POWER_EXPONENT``: dynamic
+#: power ~ f * V^2 with voltage tracking frequency.
+PSTATE_POWER_EXPONENT = 2.0
 
-    ``busy_w_factor = dmips_factor ** power_exponent`` models dynamic
-    power ~ f * V^2 with voltage tracking frequency; the first factor
-    must be exactly 1.0 so P0 reproduces the nominal Table 3 numbers
-    bit-exactly (1.0 ** e == 1.0 in IEEE arithmetic).
+
+def derive_pstates(dmips_factors) -> Tuple[PState, ...]:
+    """Build a P-state table, named P0, P1, ..., from relative
+    frequencies alone.
+
+    The first factor must be exactly 1.0 so P0 reproduces the nominal
+    Table 3 numbers bit-exactly (1.0 ** e == 1.0 in IEEE arithmetic).
     """
     factors = tuple(dmips_factors)
     if not factors:
@@ -65,10 +68,7 @@ def derive_pstates(dmips_factors, power_exponent: float = 2.0,
         raise ValueError("the first (P0) dmips factor must be exactly 1.0")
     if any(b >= a for a, b in zip(factors, factors[1:])):
         raise ValueError("dmips factors must be strictly decreasing")
-    if power_exponent < 1.0:
-        raise ValueError("power_exponent must be >= 1 (span cannot grow "
-                         "as frequency drops)")
-    return tuple(PState(f"{prefix}{i}", f, f ** power_exponent)
+    return tuple(PState(f"P{i}", f, f ** PSTATE_POWER_EXPONENT)
                  for i, f in enumerate(factors))
 
 

@@ -79,9 +79,9 @@ class Memory:
         """Fraction of capacity currently occupied."""
         return self._occupied.level / self.spec.capacity_bytes
 
-    def transfer_time(self, nbytes: float, block_bytes: float = 1 << 20,
-                      threads: int = 1) -> float:
-        """Seconds to stream ``nbytes`` through the memory system."""
+    def transfer_time(self, nbytes: float) -> float:
+        """Seconds to stream ``nbytes`` through the memory system in
+        1 MiB blocks on one thread."""
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
-        return nbytes / self.spec.bandwidth(block_bytes, threads)
+        return nbytes / self.spec.bandwidth(1 << 20, 1)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..sim import Simulation
 from .cpu import Cpu, CpuSpec
@@ -94,16 +94,15 @@ class Server:
         self._probe_nic_bytes = nic_bytes
         return window
 
-    def power_now(self, utilization: Optional[Dict[str, float]] = None) -> float:
-        """Wall power for the given (or freshly probed) utilisation.
+    def power_now(self) -> float:
+        """Wall power at a freshly probed utilisation window.
 
         Prices the CPU's active P-state: a governor-parked core burns
         less per busy second (the P0 default takes the exact historical
         expression).
         """
-        if utilization is None:
-            utilization = self.utilization_window()
-        return self.spec.power.power(utilization, self.cpu.pstate)
+        return self.spec.power.power(self.utilization_window(),
+                                     self.cpu.pstate)
 
     def marginal_vcore_watts(self) -> float:
         """Marginal power of one busy vcore under the linear power model.

@@ -71,11 +71,12 @@ class Storage:
         self._latencies = {"read": spec.read_latency_s,
                            "write": spec.write_latency_s}
 
-    def io_time(self, op: str, nbytes: float, buffered: bool = False) -> float:
-        """Seconds of device time for one request (latency + transfer)."""
+    def io_time(self, op: str, nbytes: float) -> float:
+        """Seconds of device time for one unbuffered request (latency +
+        transfer)."""
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
-        return self.spec.latency(op) + nbytes / self.spec.rate(op, buffered)
+        return self.spec.latency(op) + nbytes / self.spec.rate(op, False)
 
     def _io(self, op: str, nbytes: float, buffered: bool):
         if nbytes < 0:

@@ -2,7 +2,7 @@
 
 Files are split into blocks; each block's replicas land on distinct
 datanodes (first replica spread round-robin, the rest random — or, with
-``rack_aware`` placement, spread across racks the way the real
+:attr:`Hdfs.rack_aware` set, spread across racks the way the real
 NameNode's ``BlockPlacementPolicyDefault`` survives a whole-rack loss).
 Reads are local disk when a replica lives on the reading node,
 otherwise a remote disk read plus a fluid network flow from a same-rack
@@ -27,6 +27,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..hardware.server import Server
 from ..net import Segment, Topology
 from ..sim import Simulation
+
+#: Repair bandwidth shared by every re-replication flow (bits/s), and
+#: the re-replications that run at once.
+REPAIR_THROTTLE_BPS = 200e6
+REPAIR_STREAMS = 2
 
 
 class BlockUnavailable(Exception):
@@ -65,8 +70,7 @@ class Hdfs:
 
     def __init__(self, sim: Simulation, topology: Topology,
                  datanodes: Sequence[Server], block_bytes: int,
-                 replication: int, rng: random.Random,
-                 rack_aware: bool = False):
+                 replication: int, rng: random.Random):
         if not datanodes:
             raise ValueError("HDFS needs at least one datanode")
         if replication < 1:
@@ -82,7 +86,9 @@ class Hdfs:
         self.block_bytes = block_bytes
         self.replication = replication
         self.rng = rng
-        self.rack_aware = rack_aware
+        #: Spread replicas across racks; set before any file is staged
+        #: (the durability plane's placement choice).
+        self.rack_aware = False
         self.files: Dict[str, HdfsFile] = {}
         #: Every placed block, by id — the NameNode's block map, walked
         #: by the repair loop and the durability ledger.
@@ -333,27 +339,26 @@ class Hdfs:
 
     # -- repair (opt-in) --------------------------------------------------
 
-    def enable_repair(self, confirm_s: float = 2.0,
-                      throttle_bps: float = 200e6, max_streams: int = 2,
-                      ledger=None, detector=None) -> "ReplicationMonitor":
-        """Arm the NameNode-style re-replication loop (off by default)."""
+    def enable_repair(self, detector,
+                      ledger=None) -> "ReplicationMonitor":
+        """Arm the NameNode-style re-replication loop (off by default);
+        ``detector`` (a :class:`~repro.faults.PhiAccrualDetector`)
+        confirms node losses."""
         if self.monitor is not None:
             raise RuntimeError("repair already enabled")
-        self.monitor = ReplicationMonitor(
-            self, confirm_s=confirm_s, throttle_bps=throttle_bps,
-            max_streams=max_streams, ledger=ledger, detector=detector)
+        self.monitor = ReplicationMonitor(self, detector, ledger=ledger)
         return self.monitor
 
 
 class ReplicationMonitor:
     """The NameNode's repair loop: confirm loss, re-replicate, throttle.
 
-    Listens on the fault plane; a ``down`` edge on a datanode starts a
-    confirmation window (fixed ``confirm_s``, or the phi-accrual
-    detector when one is armed) so a node that blips back is never
-    repaired around.  Confirmed losses enqueue every under-replicated
-    block; repairs run at most ``max_streams`` at a time and every
-    repair flow carries the shared throttle segment, so repair traffic
+    Listens on the fault plane; a ``down`` edge on a datanode waits for
+    the phi-accrual detector to convict it, so a node that blips back
+    is never repaired around.  Confirmed losses enqueue every
+    under-replicated block; repairs run at most :data:`REPAIR_STREAMS`
+    at a time and every repair flow carries the shared
+    :data:`REPAIR_THROTTLE_BPS` segment, so repair traffic
     self-contends like ``dfs.datanode.balance.bandwidthPerSec`` instead
     of strangling the job's shuffle.
 
@@ -364,15 +369,7 @@ class ReplicationMonitor:
     #: Fault kinds whose ``down`` edge can cost replicas.
     LOSS_KINDS = ("crash", "partition", "switch_down", "disk_fail")
 
-    def __init__(self, hdfs: Hdfs, confirm_s: float = 2.0,
-                 throttle_bps: float = 200e6, max_streams: int = 2,
-                 ledger=None, detector=None):
-        if confirm_s < 0:
-            raise ValueError("confirm_s must be >= 0")
-        if throttle_bps <= 0:
-            raise ValueError("throttle_bps must be > 0")
-        if max_streams < 1:
-            raise ValueError("max_streams must be >= 1")
+    def __init__(self, hdfs: Hdfs, detector, ledger=None):
         faults = hdfs.sim.faults
         if faults is None:
             raise RuntimeError("repair needs a FaultInjector attached "
@@ -380,11 +377,10 @@ class ReplicationMonitor:
         self.hdfs = hdfs
         self.sim = hdfs.sim
         self.faults = faults
-        self.confirm_s = confirm_s
-        self.max_streams = max_streams
         self.ledger = ledger
         self.detector = detector
-        self.throttle = Segment("hdfs.repair.throttle", throttle_bps / 8.0)
+        self.throttle = Segment("hdfs.repair.throttle",
+                                REPAIR_THROTTLE_BPS / 8.0)
         self._queue: List[int] = []
         self._queued: set = set()
         self._deferred: List[int] = []
@@ -416,17 +412,13 @@ class ReplicationMonitor:
 
     def _confirm_loss(self, node: str, kind: str):
         try:
-            if kind == "disk_fail":
-                # The datanode reports its own dead disk — no silence
-                # to disambiguate, confirmation is immediate.
-                pass
-            elif self.detector is not None:
+            # A dead disk is reported by its own datanode — no silence
+            # to disambiguate, so confirmation is immediate.
+            if kind != "disk_fail":
                 suspected = yield from self.detector.wait_suspect(
                     node, healthy=lambda: self._node_healthy(node))
                 if not suspected:
                     return
-            elif self.confirm_s > 0:
-                yield self.sim.timeout(self.confirm_s)
         finally:
             self._confirming.discard(node)
         if self._node_healthy(node):
@@ -464,8 +456,8 @@ class ReplicationMonitor:
     def _run(self):
         try:
             while self._queue:
-                batch, self._queue = (self._queue[:self.max_streams],
-                                      self._queue[self.max_streams:])
+                batch, self._queue = (self._queue[:REPAIR_STREAMS],
+                                      self._queue[REPAIR_STREAMS:])
                 procs = [self.sim.process(
                     self._repair_block(self.hdfs.blocks[bid]),
                     name=f"hdfs-repair-{bid}") for bid in batch]

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from ..cluster import Cluster, hadoop_cluster
 from ..core import paperdata as paper
 from ..hardware import ServerSpec
-from ..sim import Interrupt, RngStreams, Simulation, TimeSeries, backoff_delay
+from ..sim import Interrupt, RngStreams, Simulation, TimeSeries
 from . import costs as C
 from .config import HadoopConfig, default_config
 from .hdfs import BlockUnavailable, Hdfs
@@ -43,11 +43,8 @@ SHUFFLE_PARALLELISM = 5
 #: Fraction of a reducer's heap usable for in-memory merge.
 MERGE_BUFFER_FRACTION = 0.7
 
-
-#: Attempts Hadoop makes per task before failing the job
-#: (mapreduce.map.maxattempts).  Attempts killed by node loss are not
-#: charged against this budget (Hadoop marks them KILLED, not FAILED).
-MAX_TASK_ATTEMPTS = 4
+#: Watchdog on a job's simulated run time (seconds); see JobRunner.run.
+DEADLINE_S = 100_000.0
 
 #: Hard cap on container launches per task, counting node-loss kills —
 #: a backstop against a cluster whose nodes keep dying under the task.
@@ -74,12 +71,8 @@ SPECULATION_MAX_OUTSTANDING = 2
 SPECULATION_GRANT_HEARTBEATS = 10
 
 
-class TaskFailed(Exception):
-    """A task attempt died (failure injection or fault model)."""
-
-
 class JobFailed(Exception):
-    """A task exhausted its attempts; the whole job is failed."""
+    """A task cannot complete; the whole job is failed."""
 
 
 class SpeculationWin(Exception):
@@ -139,12 +132,6 @@ class JobSpec:
     combiner: bool = False
     #: Reduce-output bytes per reduce-input byte.
     output_ratio: float = 0.05
-    #: Probability that any single map attempt dies mid-flight (fault
-    #: injection; Hadoop retries the attempt elsewhere).
-    map_failure_rate: float = 0.0
-    #: Same, for reduce attempts.  Both rates draw from the job's one
-    #: ``faults`` RNG stream, so seeds stay reproducible.
-    reduce_failure_rate: float = 0.0
 
     def __post_init__(self):
         if self.map_tasks < 1 or self.reduce_tasks < 0:
@@ -153,9 +140,6 @@ class JobSpec:
             raise ValueError("container memories must be >= 1 MB")
         if not 0 <= self.output_ratio < math.inf:   # NaN fails too
             raise ValueError("output_ratio must be finite and >= 0")
-        for rate_field in ("map_failure_rate", "reduce_failure_rate"):
-            if not 0 <= getattr(self, rate_field) < 1:
-                raise ValueError(f"{rate_field} must be in [0, 1)")
 
     @property
     def input_bytes(self) -> int:
@@ -183,7 +167,7 @@ class JobCounts:
 
     maps_done: int
     reduces_done: int
-    #: Attempts that died: injected failures and node-loss kills.
+    #: Attempts killed by node loss (crash, partition or disk loss).
     failed_attempts: int
     #: Completed map outputs invalidated by node loss (re-executed).
     lost_map_count: int
@@ -256,7 +240,6 @@ class JobRunner:
                                   self.rng.stream("yarn"),
                                   master=self.cluster.servers["master"])
         self.meter = self.cluster.attach_meter(interval=1.0)
-        self._fault_rng = self.rng.stream("faults")
         #: State of the run in flight under a fault injector — consulted
         #: by the fault listener for node-loss recovery; None otherwise.
         self._active = None
@@ -266,17 +249,15 @@ class JobRunner:
         #: runs only; set by :meth:`run`).
         self._job_ctx = None
         # Resilience is strictly opt-in: with False, nothing below
-        # exists — no extra RNG stream, no ledger, no monitor process —
-        # so runs stay bit-identical.
+        # exists — no ledger, no monitor process — so runs stay
+        # bit-identical.
         self.resilience = resilience
         self.resilience_ledger = None
-        self._retry_rng = None
         if self.resilience:
             from ..energy.account import OverheadLedger
             from ..resilience import LEDGER_CATEGORIES, LEDGER_COUNTERS
             self.resilience_ledger = OverheadLedger(LEDGER_CATEGORIES,
                                                     LEDGER_COUNTERS)
-            self._retry_rng = self.rng.stream("resilience.retry")
         # Partition-tolerance state (plain containers: no RNG, no
         # processes — a run that never partitions is bit-identical).
         # The phi detector and ledger are armed by repro.durability's
@@ -323,7 +304,7 @@ class JobRunner:
     # -- the job ------------------------------------------------------------
 
     def run(self, spec: JobSpec, sample_interval: float = 1.0,
-            deadline_s: float = 100_000.0) -> JobReport:
+            deadline_s: float = DEADLINE_S) -> JobReport:
         """Run ``spec`` to completion and report time, energy, timeline.
 
         ``deadline_s`` is a watchdog: the periodic samplers keep the
@@ -663,7 +644,7 @@ class JobRunner:
               factor: float, pool: Optional["_InputPool"] = None,
               recovery_from: Optional[str] = None, fixed_file=None,
               counts: bool = True, cell: Optional[_TaskCell] = None):
-        """One map or reduce task: allocate, attempt, retry; record it.
+        """One map or reduce task: allocate, attempt, relaunch; record it.
 
         ``kind`` is ``"map"`` or ``"reduce"``; both share this attempt
         lifecycle.  A map draws its input split from ``pool`` at its
@@ -684,7 +665,6 @@ class JobRunner:
         mem_mb = spec.map_mem_mb if is_map else spec.reduce_mem_mb
         hdfs_file = fixed_file
         faults = self.sim.faults
-        failures = 0
         launches = 0
         win_node = None
         out_bytes = 0.0
@@ -741,17 +721,6 @@ class JobRunner:
                 else:
                     yield from self._reduce_attempt(spec, state, grant.node,
                                                     factor, ctx=attempt_ctx)
-            except TaskFailed:
-                state.failed_attempts += 1
-                self._trace_attempt(kind, grant.node, attempt_start,
-                                    launches - 1, ok=False, ctx=attempt_ctx)
-                failures += 1
-                if failures >= MAX_TASK_ATTEMPTS:
-                    raise JobFailed(
-                        f"{spec.name}: a {kind} task died "
-                        f"{MAX_TASK_ATTEMPTS} times")
-                yield from self._retry_backoff(failures)
-                continue
             except Interrupt as exc:
                 cause = exc.cause
                 if isinstance(cause, SpeculationWin):
@@ -764,9 +733,9 @@ class JobRunner:
                                         lost_race=True, ctx=attempt_ctx)
                     win_node, out_bytes = cause.node, cause.out_bytes
                     break
-                # The node died under the attempt; the retry allocates
-                # on a surviving node and is not charged as a failure
-                # (a reduce re-runs whole, shuffle included).  A map's
+                # The node died under the attempt; the relaunch
+                # allocates on a surviving node (a reduce re-runs
+                # whole, shuffle included).  A map's
                 # *partition* kill is different: the node is alive on
                 # the far side, so the orphaned attempt lives on as a
                 # zombie duplicate until heal-time reconciliation.
@@ -818,7 +787,7 @@ class JobRunner:
 
     def _map_attempt(self, spec: JobSpec, node: str, hdfs_file,
                      factor: float, ctx=None):
-        """One attempt of one map task on ``node``; may raise TaskFailed.
+        """One attempt of one map task on ``node``.
 
         ``ctx`` is the attempt's :class:`~repro.trace.SpanContext`; the
         HDFS input read is emitted as its child span.
@@ -836,10 +805,6 @@ class JobRunner:
                                ctx=trace.child_context(ctx)
                                if ctx is not None else None,
                                nbytes=input_bytes)
-        if (spec.map_failure_rate > 0
-                and self._fault_rng.random() < spec.map_failure_rate):
-            # The attempt dies after consuming real resources.
-            raise TaskFailed(f"injected failure on {node}")
         out_bytes = (input_bytes * spec.dataset.map_output_ratio
                      if spec.dataset else 0.0)
         cpu_mi = (spec.costs.map_fixed_mi
@@ -856,17 +821,6 @@ class JobRunner:
         return out_bytes
 
     # -- speculative execution (LATE) --------------------------------------
-
-    def _retry_backoff(self, failures: int):
-        """Process generator: seeded backoff before a failed attempt retries.
-
-        A no-op without resilience — the historical behaviour is an
-        immediate re-request on the next heartbeat.
-        """
-        if self._retry_rng is None:
-            return
-        self.resilience_ledger.count("retries")
-        yield backoff_delay(self._retry_rng, failures - 1)
 
     def _charge_speculation(self, node: str, seconds: float) -> None:
         """Bill a killed attempt's partial work to the resilience ledger."""
@@ -991,8 +945,8 @@ class JobRunner:
         try:
             out_bytes = yield from self._map_attempt(
                 spec, grant.node, cell.hdfs_file, factor, ctx=attempt_ctx)
-        except (TaskFailed, Interrupt, BlockUnavailable):
-            # Killed by the winner, lost its node, or died on its own:
+        except (Interrupt, BlockUnavailable):
+            # Killed by the winner, or lost its node or its input:
             # either way the partial work is pure overhead.
             self._charge_speculation(grant.node, self.sim.now - start)
             self._trace_attempt("map", grant.node, start, 0, ok=False,
@@ -1040,11 +994,6 @@ class JobRunner:
                            ctx=trace.child_context(ctx)
                            if ctx is not None else None,
                            nbytes=input_bytes)
-        if (spec.reduce_failure_rate > 0
-                and self._fault_rng.random() < spec.reduce_failure_rate):
-            # The attempt dies after shuffling real bytes — the costly
-            # place for a reducer to die, as on the real cluster.
-            raise TaskFailed(f"injected failure on {node}")
         buffer_bytes = spec.reduce_mem_mb * 1e6 * MERGE_BUFFER_FRACTION
         server = self.cluster.servers[node]
         if input_bytes > buffer_bytes:
@@ -1265,13 +1214,12 @@ class _JobState:
 
 
 def run_job(platform: str, slaves: int, spec: JobSpec,
-            config: Optional[HadoopConfig] = None, seed: int = 20160901,
+            config: Optional[HadoopConfig] = None,
             edison_spec: Optional[ServerSpec] = None,
             master_spec: Optional[ServerSpec] = None,
-            deadline_s: float = 100_000.0, trace=None,
-            resilience: bool = False) -> JobReport:
-    """Convenience wrapper: build a fresh cluster and run one job."""
-    runner = JobRunner(platform, slaves, config=config, seed=seed,
-                       edison_spec=edison_spec, master_spec=master_spec,
-                       trace=trace, resilience=resilience)
+            deadline_s: float = DEADLINE_S) -> JobReport:
+    """Convenience wrapper: build a fresh cluster and run one job at
+    the runner's default seed."""
+    runner = JobRunner(platform, slaves, config=config,
+                       edison_spec=edison_spec, master_spec=master_spec)
     return runner.run(spec, deadline_s=deadline_s)

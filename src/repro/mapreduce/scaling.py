@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence
+from typing import Dict, Mapping
 
 from ..core import paperdata as paper
 from ..core.metrics import mean_speedup_across_jobs
-from ..hardware import ServerSpec
 from .jobs import JOB_FACTORIES, TABLE8_JOBS
 from .runtime import JobReport, run_job
 
@@ -33,21 +32,15 @@ class ScalingGrid:
             {job: self.times(job) for job in self.reports})
 
 
-def run_scaling_grid(platform: str,
-                     sizes: Optional[Sequence[int]] = None,
-                     jobs: Iterable[str] = TABLE8_JOBS,
-                     seed: int = 20160901,
-                     edison_spec: Optional[ServerSpec] = None) -> ScalingGrid:
-    """Run every (job, cluster size) cell for one platform."""
-    if sizes is None:
-        sizes = EDISON_SIZES if platform == "edison" else DELL_SIZES
+def run_scaling_grid(platform: str) -> ScalingGrid:
+    """Run every Table 8 job at every size of ``platform``'s ladder."""
+    sizes = EDISON_SIZES if platform == "edison" else DELL_SIZES
     reports: Dict[str, Dict[int, JobReport]] = {}
-    for job in jobs:
+    for job in TABLE8_JOBS:
         reports[job] = {}
         for size in sizes:
             spec, config = JOB_FACTORIES[job](platform, size)
-            reports[job][size] = run_job(platform, size, spec, config=config,
-                                         seed=seed, edison_spec=edison_spec)
+            reports[job][size] = run_job(platform, size, spec, config=config)
     return ScalingGrid(platform=platform, reports=reports)
 
 

@@ -21,7 +21,8 @@ from ..hardware.server import Server
 from ..sim import Simulation
 from .flows import FlowNetwork, Segment
 
-#: Capacity of the single uplink between the two rooms (bytes/s).
+#: Capacity of the single uplink between the two rooms, and of each
+#: named rack's top-of-rack uplink (bits/s).
 TRUNK_BPS = 1e9
 
 #: Rack labels that denote a whole room (the legacy two-room layout).
@@ -42,8 +43,7 @@ class NetworkUnreachable(Exception):
 class Topology:
     """Registry of servers, their NIC segments and the inter-room trunk."""
 
-    def __init__(self, sim: Simulation, trunk_bps: float = TRUNK_BPS,
-                 tor_bps: float = TRUNK_BPS):
+    def __init__(self, sim: Simulation):
         self.sim = sim
         self.network = FlowNetwork(sim)
         self._tx: Dict[str, Segment] = {}
@@ -51,13 +51,13 @@ class Topology:
         self._rack: Dict[str, str] = {}
         self._room: Dict[str, str] = {}
         self._servers: Dict[str, Server] = {}
-        trunk_Bps = trunk_bps / 8.0
+        trunk_Bps = TRUNK_BPS / 8.0
         self.trunk_up = Segment("trunk.edison->dell", trunk_Bps)
         self.trunk_down = Segment("trunk.dell->edison", trunk_Bps)
         # Named (non-room) racks get an explicit ToR uplink/downlink
         # pair, created lazily so the legacy two-room layout never pays
         # for them.
-        self._tor_Bps = tor_bps / 8.0
+        self._tor_Bps = TRUNK_BPS / 8.0
         self._tor_up: Dict[str, Segment] = {}
         self._tor_down: Dict[str, Segment] = {}
         # Reachability overlay: cut_id -> (mode, frozenset of far-side

@@ -26,7 +26,7 @@ from .._exports import lazy_exports
 #: The resilience ledger, an :class:`repro.energy.account.OverheadLedger`
 #: built from these: the waste categories every mitigation charges, and
 #: its counters, whose order is the report's JSON key order.
-LEDGER_CATEGORIES = ("speculation", "hedge", "shed", "retry")
+LEDGER_CATEGORIES = ("speculation", "hedge", "shed")
 LEDGER_COUNTERS = ("speculative_launches", "speculative_wins",
                    "speculative_kills", "speculative_abandoned", "hedges",
                    "hedge_wins", "sheds", "retries", "breaker_opens")

@@ -13,7 +13,7 @@ once with ``resilience=True`` — and report both arms side by side:
 * :func:`job_resilience_experiment` — a MapReduce job with straggling
   and crashing slaves.  The unmitigated arm waits out every straggler
   and re-runs crashed attempts from scratch; the mitigated arm
-  speculates around them (LATE) and backs its retries off.
+  speculates around them (LATE).
 
 The punchline mirrors the paper's own currency: work-done-per-joule,
 now measured *under failure* — with the mitigation waste (killed
@@ -32,6 +32,15 @@ from ..faults.models import (FaultPlan, cpu_throttle, node_crash,
 
 #: Seed of the committed gray-failure experiment (CI smoke + docs).
 GRAY_SEED = 42
+#: The web experiment's cell: Edison/Dell scale, httperf connections
+#: per second, and the measured window after its warmup (seconds).
+WEB_SCALE = "1/4"
+WEB_CONCURRENCY = 24
+WEB_DURATION_S = 30.0
+WEB_WARMUP_S = 1.0
+#: The MapReduce experiment's job and cluster size.
+JOB = "wordcount2"
+JOB_SLAVES = 8
 
 
 # -- committed gray-failure plans ----------------------------------------
@@ -103,7 +112,7 @@ class ResilienceArm(Record):
     latency_met: Optional[bool] = None
     #: Ledger counters (mitigated arm only; empty when unmitigated).
     counters: Mapping[str, int] = field(default_factory=dict)
-    #: Ledger waste joules per category (speculation/hedge/shed/retry).
+    #: Ledger waste joules per category (speculation/hedge/shed).
     waste_joules: Mapping[str, float] = field(default_factory=dict)
 
     @property
@@ -208,12 +217,9 @@ class ResilienceTaxReport(Record):
 # -- web experiment ------------------------------------------------------
 
 
-def web_resilience_experiment(platform: str = "edison", scale: str = "1/4",
-                              concurrency: int = 24,
-                              duration: float = 30.0, warmup: float = 1.0,
-                              seed: int = GRAY_SEED,
-                              plan: Optional[FaultPlan] = None,
-                              trace=None) -> ResilienceTaxReport:
+def web_resilience_experiment(platform: str = "edison",
+                              plan: Optional[FaultPlan] = None
+                              ) -> ResilienceTaxReport:
     """Run the committed web gray plan twice and report the tax.
 
     Both arms share the seed, the plan and the offered load; the only
@@ -224,16 +230,18 @@ def web_resilience_experiment(platform: str = "edison", scale: str = "1/4",
     from ..web import WebServiceDeployment
 
     def arm(label: str, resilience: bool):
-        deployment = WebServiceDeployment(platform, scale, seed=seed,
-                                          resilience=resilience,
-                                          trace=trace)
+        deployment = WebServiceDeployment(platform, WEB_SCALE,
+                                          seed=GRAY_SEED,
+                                          resilience=resilience)
         telemetry = Telemetry()
-        telemetry.attach_web(deployment, until=duration)
+        telemetry.attach_web(deployment, until=WEB_DURATION_S)
         the_plan = plan if plan is not None else web_gray_plan(
             [w.server.name for w in deployment.web_nodes])
         deployment.attach_faults(the_plan)
-        level = deployment.run_level(concurrency, duration=duration,
-                                     warmup=warmup, collect_delays=True)
+        level = deployment.run_level(WEB_CONCURRENCY,
+                                     duration=WEB_DURATION_S,
+                                     warmup=WEB_WARMUP_S,
+                                     collect_delays=True)
         slo = telemetry.slo_report()
         ledger = deployment.resilience_ledger
         return ResilienceArm(
@@ -251,8 +259,8 @@ def web_resilience_experiment(platform: str = "edison", scale: str = "1/4",
     unmitigated = arm("unmitigated", False)
     mitigated = arm("mitigated", True)
     return ResilienceTaxReport(kind="web", platform=platform,
-                               detail=f"scale {scale}, "
-                                      f"{concurrency} conn/s",
+                               detail=f"scale {WEB_SCALE}, "
+                                      f"{WEB_CONCURRENCY} conn/s",
                                unmitigated=unmitigated,
                                mitigated=mitigated)
 
@@ -260,35 +268,32 @@ def web_resilience_experiment(platform: str = "edison", scale: str = "1/4",
 # -- MapReduce experiment ------------------------------------------------
 
 
-def job_resilience_experiment(job: str = "wordcount2",
-                              platform: str = "edison", slaves: int = 8,
-                              seed: int = GRAY_SEED,
-                              plan: Optional[FaultPlan] = None,
-                              deadline_s: float = 100_000.0,
-                              trace=None) -> ResilienceTaxReport:
+def job_resilience_experiment(platform: str = "edison",
+                              plan: Optional[FaultPlan] = None
+                              ) -> ResilienceTaxReport:
     """Run one Table 8 job under the gray plan, with and without LATE."""
     from ..faults import FaultInjector    # deferred: import cycle
     from ..mapreduce import JOB_FACTORIES, JobRunner
-    from ..mapreduce.runtime import JobFailed
+    from ..mapreduce.runtime import DEADLINE_S, JobFailed
 
     def arm(label: str, resilience: bool):
-        spec, hadoop_config = JOB_FACTORIES[job](platform, slaves)
-        runner = JobRunner(platform, slaves, config=hadoop_config,
-                           seed=seed, resilience=resilience, trace=trace)
+        spec, hadoop_config = JOB_FACTORIES[JOB](platform, JOB_SLAVES)
+        runner = JobRunner(platform, JOB_SLAVES, config=hadoop_config,
+                           seed=GRAY_SEED, resilience=resilience)
         the_plan = plan if plan is not None else job_gray_plan(
             [s.name for s in runner.slave_servers])
         FaultInjector(runner.cluster, the_plan)
         completed = True
         report = None
         try:
-            report = runner.run(spec, deadline_s=deadline_s)
+            report = runner.run(spec)
         except JobFailed:
             completed = False
         ledger = runner.resilience_ledger
         return ResilienceArm(
             label=label, completed=completed,
             work_done=1.0 if completed else 0.0,
-            seconds=report.seconds if report is not None else deadline_s,
+            seconds=report.seconds if report is not None else DEADLINE_S,
             joules=report.joules if report is not None else 0.0,
             task_failures=runner.counts.failed_attempts,
             counters=dict(ledger.counters) if ledger is not None else {},
@@ -297,6 +302,6 @@ def job_resilience_experiment(job: str = "wordcount2",
     unmitigated = arm("unmitigated", False)
     mitigated = arm("mitigated", True)
     return ResilienceTaxReport(kind="job", platform=platform,
-                               detail=f"{job}, {slaves} slaves",
+                               detail=f"{JOB}, {JOB_SLAVES} slaves",
                                unmitigated=unmitigated,
                                mitigated=mitigated)

@@ -13,6 +13,12 @@ from typing import Dict
 
 _INF = float("inf")
 
+#: Retry backoff: 50 ms doubling per attempt to a 1 s cap, scaled by a
+#: uniform factor in ``[1 - BACKOFF_JITTER, 1]``.
+BACKOFF_BASE_S = 0.05
+BACKOFF_CAP_S = 1.0
+BACKOFF_JITTER = 0.5
+
 
 def derive_seed(root_seed: int, name: str) -> int:
     """Derive a 63-bit child seed from ``root_seed`` and a stream name."""
@@ -40,29 +46,21 @@ def heartbeat_jitter(rng: random.Random, base_s: float,
     return (low + (high - low) * rng.random()) * base_s
 
 
-def backoff_delay(rng: random.Random, attempt: int, base_s: float = 0.05,
-                  cap_s: float = 1.0, jitter: float = 0.5) -> float:
+def backoff_delay(rng: random.Random, attempt: int) -> float:
     """Capped exponential backoff with seeded jitter.
 
-    Attempt ``n`` (0-based) waits ``min(cap_s, base_s * 2**n)`` scaled
-    by a uniform factor in ``[1 - jitter, 1]`` drawn from ``rng`` — the
-    "decorrelated enough" jitter that keeps retry herds from
-    re-synchronising while staying reproducible from the run seed.  The
-    defaults (50 ms doubling to a 1 s cap, half-width jitter) are the
-    resilience plane's retries, web calls and MapReduce attempts alike.
+    Attempt ``n`` (0-based) waits ``min(BACKOFF_CAP_S, BACKOFF_BASE_S *
+    2**n)`` scaled by a uniform factor in ``[1 - BACKOFF_JITTER, 1]``
+    drawn from ``rng`` — the "decorrelated enough" jitter that keeps
+    retry herds from re-synchronising while staying reproducible from
+    the run seed.  The resilience plane's web-call retries wait this.
     """
     if attempt < 0:
         raise ValueError("attempt must be >= 0")
-    if not (0 < base_s < _INF and 0 < cap_s < _INF):
-        raise ValueError("base_s and cap_s must be finite and > 0")
-    if not 0 <= jitter <= 1:
-        raise ValueError("jitter must be in [0, 1]")
-    delay = base_s * (2.0 ** attempt)
-    if delay > cap_s:
-        delay = cap_s
-    if jitter:
-        delay *= 1.0 - jitter * rng.random()
-    return delay
+    delay = BACKOFF_BASE_S * (2.0 ** attempt)
+    if delay > BACKOFF_CAP_S:
+        delay = BACKOFF_CAP_S
+    return delay * (1.0 - BACKOFF_JITTER * rng.random())
 
 
 class RngStreams:

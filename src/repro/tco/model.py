@@ -55,9 +55,7 @@ def cluster_tco(inputs: TcoInputs, nodes: int, utilization: float) -> float:
                     + node_energy_cost(inputs, utilization))
 
 
-def energy_cost_usd(joules: float,
-                    usd_per_kwh: float = paper.T9_ELECTRICITY_PER_KWH
-                    ) -> float:
+def energy_cost_usd(joules: float) -> float:
     """Electricity cost of ``joules`` of measured energy.
 
     Equation 1 prices energy from assumed utilisation; a metered run
@@ -66,7 +64,7 @@ def energy_cost_usd(joules: float,
     """
     if joules < 0:
         raise ValueError("joules must be >= 0")
-    return joules / 3.6e6 * usd_per_kwh
+    return joules / 3.6e6 * paper.T9_ELECTRICITY_PER_KWH
 
 
 def weighted_energy_rate(power_series, rate_points) -> float:
@@ -133,9 +131,8 @@ def energy_cost_usd_tou(joules_series, tariff) -> float:
     return weighted_energy_rate(joules_series, steps)
 
 
-def amortized_hardware_usd(total_node_cost_usd: float, seconds: float,
-                           lifetime_years: float = paper.T9_LIFETIME_YEARS
-                           ) -> float:
+def amortized_hardware_usd(total_node_cost_usd: float,
+                           seconds: float) -> float:
     """The slice of Cs a run of ``seconds`` consumes.
 
     Straight-line amortisation of the fleet's purchase price over the
@@ -144,9 +141,7 @@ def amortized_hardware_usd(total_node_cost_usd: float, seconds: float,
     """
     if total_node_cost_usd < 0 or seconds < 0:
         raise ValueError("cost and seconds must be >= 0")
-    if lifetime_years <= 0:
-        raise ValueError("lifetime_years must be > 0")
-    lifetime_s = lifetime_years * HOURS_PER_YEAR * 3600.0
+    lifetime_s = paper.T9_LIFETIME_YEARS * HOURS_PER_YEAR * 3600.0
     return total_node_cost_usd * seconds / lifetime_s
 
 

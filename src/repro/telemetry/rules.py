@@ -27,19 +27,17 @@ class AbsenceRule:
     each scrape while its node is alive, so a crashed node's series
     stops advancing and the gap between ``now`` and its last sample
     grows past ``stale_s``.  The observed value reported with the alert
-    is that gap in seconds.
+    is that gap in seconds.  It fires on the first breaching evaluation
+    (``stale_s`` is already the grace period), so it has no ``for_s``.
     """
 
     name: str
     metric: str = "up"
     stale_s: float = 1.0
-    for_s: float = 0.0
 
     def __post_init__(self):
         if self.stale_s <= 0:
             raise ValueError(f"stale_s must be > 0, got {self.stale_s}")
-        if self.for_s < 0:
-            raise ValueError("for_s must be >= 0")
 
     def breaches(self, db: TimeSeriesDB, now: float
                  ) -> List[Tuple[str, float]]:
@@ -133,14 +131,15 @@ class AlertManager:
     simulated workload.
     """
 
-    def __init__(self, db: TimeSeriesDB, rules, interval: float = 0.5,
-                 trace=None):
+    def __init__(self, db: TimeSeriesDB, rules, interval: float = 0.5):
         if interval <= 0:
             raise ValueError(f"interval must be > 0, got {interval}")
         self.db = db
         self.rules = list(rules)
         self.interval = interval
-        self.trace = trace
+        #: The run's tracer, set by the telemetry facade at attach
+        #: time: alert firings and resolutions become trace instants.
+        self.trace = None
         names = [r.name for r in self.rules]
         if len(names) != len(set(names)):
             raise ValueError(f"duplicate rule names: {sorted(names)}")

@@ -31,8 +31,9 @@ from .rules import AlertManager
 from .slo import DetectionReport, SloReport, SloSpec
 from .tsdb import TimeSeriesDB
 
-#: Default scrape cadence: matches the web meter's 0.25 s sampling.
-DEFAULT_INTERVAL = 0.25
+#: Scrape and rule-evaluation cadence: matches the web meter's 0.25 s
+#: sampling.
+SCRAPE_INTERVAL = 0.25
 
 
 class NodeAgent:
@@ -52,8 +53,7 @@ class NodeAgent:
         self._errors = 0
 
     def run(self, sim, until: Optional[float] = None):
-        """Process generator: scrape every ``telemetry.interval``."""
-        interval = self.telemetry.interval
+        """Process generator: scrape every :data:`SCRAPE_INTERVAL`."""
         while until is None or sim.now <= until:
             faults = sim.faults
             # A partitioned node is alive but its pushes never reach the
@@ -63,7 +63,7 @@ class NodeAgent:
             if faults is None or (faults.is_up(self.node)
                                   and faults.is_reachable(self.node)):
                 self.scrape(sim.now)
-            yield sim.timeout(interval)
+            yield sim.timeout(SCRAPE_INTERVAL)
 
     def scrape(self, now: float) -> None:
         """Take one sample set.  Pure reads only — see module docstring."""
@@ -138,7 +138,6 @@ class ClusterAgent:
         self.meter = meter
 
     def run(self, sim, until: Optional[float] = None):
-        interval = self.telemetry.interval
         db = self.telemetry.db
         while until is None or sim.now <= until:
             faults = sim.faults
@@ -152,7 +151,7 @@ class ClusterAgent:
                 # windows the meter itself depends on.
                 db.record(sim.now, "cluster_power_w",
                           self.meter.series.values[-1])
-            yield sim.timeout(interval)
+            yield sim.timeout(SCRAPE_INTERVAL)
 
 
 class Telemetry:
@@ -172,15 +171,8 @@ class Telemetry:
     ``tests/test_telemetry_invariance.py``).
     """
 
-    def __init__(self, interval: float = DEFAULT_INTERVAL, rules=(),
-                 slo: Optional[SloSpec] = None,
-                 retention_samples: Optional[int] = None,
-                 eval_interval: Optional[float] = None,
-                 exemplars: bool = False):
-        if interval <= 0:
-            raise ValueError(f"interval must be > 0, got {interval}")
-        self.interval = interval
-        self.db = TimeSeriesDB(retention_samples=retention_samples)
+    def __init__(self, rules=(), exemplars: bool = False):
+        self.db = TimeSeriesDB()
         self.metrics = MetricsRegistry()
         # Opt-in exemplar store: the latency histogram keeps the worst
         # trace id per bucket so SLO lines link to causal trees.  The
@@ -190,12 +182,8 @@ class Telemetry:
             self.exemplars: Optional["ExemplarStore"] = ExemplarStore()
         else:
             self.exemplars = None
-        self.slo = slo if slo is not None else SloSpec()
-        rules = list(rules)
-        self.alerts = AlertManager(
-            self.db, rules,
-            interval=eval_interval if eval_interval is not None
-            else interval)
+        self.slo = SloSpec()
+        self.alerts = AlertManager(self.db, rules, interval=SCRAPE_INTERVAL)
         self.sim = None
         self.agents: List[NodeAgent] = []
         self.meta: Dict[str, object] = {}
@@ -311,10 +299,10 @@ class Telemetry:
             bundle["exemplars"] = self.exemplars.to_dict()
         return bundle
 
-    def save(self, path: str, meta: Optional[Dict] = None) -> None:
+    def save(self, path: str) -> None:
         """Write the telemetry bundle to ``path`` as JSON."""
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.bundle(meta), handle, indent=1)
+            json.dump(self.bundle(), handle, indent=1)
 
     def alert_lines(self) -> List[str]:
         """Human-readable alert history for CLI summaries."""

@@ -20,8 +20,15 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from ..faults.models import NODE_DOWN_KINDS, PARTITION_KINDS
 
 #: Which alert rules assert "silent but alive" rather than "dead".
-#: Anything not listed here is read as a dead-node claim.
+#: Anything not listed here is read as a dead-node claim.  No stock
+#: rule (:func:`~repro.telemetry.rules.default_rules`) fires
+#: ``nodes_unreachable``, so on every CLI, example and plane run a
+#: detected partition is scored as a misclassified "down"; only
+#: hand-built alerts reach the "unreachable" class.
 DEFAULT_RULE_CLASSES: Mapping[str, str] = {"nodes_unreachable": "unreachable"}
+#: Covering alerts that fire within this many seconds of the matched
+#: one vote on its dead-vs-unreachable class.
+CLASS_WINDOW_S = 1.0
 
 
 def expected_class(kind: str) -> str:
@@ -238,14 +245,17 @@ class Detection:
 
 @dataclass(frozen=True)
 class DetectionReport:
-    """Alert firings matched against ground-truth fault injections."""
+    """Alert firings matched against ground-truth fault injections.
+
+    Partitions are expected to be classed "unreachable", but the stock
+    rules only ever claim "down" (see :data:`DEFAULT_RULE_CLASSES`), so
+    with them every detected partition counts as misclassified.
+    """
 
     detections: Tuple[Detection, ...] = ()
 
     @classmethod
-    def match(cls, fault_records, alerts,
-              rule_classes: Optional[Mapping[str, str]] = None,
-              class_window_s: float = 1.0) -> "DetectionReport":
+    def match(cls, fault_records, alerts) -> "DetectionReport":
         """Pair each fault record with the first alert that covers it.
 
         An alert covers a fault when it names the fault's node — or,
@@ -258,14 +268,13 @@ class DetectionReport:
         firings.
 
         Classification is scored separately from consumption: every
-        covering alert co-fired within ``class_window_s`` of the match
-        votes, and one "silent but alive" claim (``rule_classes`` maps
-        rule name to ``"unreachable"``) outvotes any number of
-        dead-node claims — exactly how an operator reads a page that
-        says both "8 nodes silent" and "they went silent together".
+        covering alert co-fired within :data:`CLASS_WINDOW_S` of the
+        match votes, and one "silent but alive" claim
+        (:data:`DEFAULT_RULE_CLASSES` maps rule name to
+        ``"unreachable"``) outvotes any number of dead-node claims —
+        exactly how an operator reads a page that says both "8 nodes
+        silent" and "they went silent together".
         """
-        classes = (DEFAULT_RULE_CLASSES if rule_classes is None
-                   else rule_classes)
 
         def covers(record, name):
             fn = getattr(record, "covers", None)
@@ -291,10 +300,11 @@ class DetectionReport:
             else:
                 used[hit] = True
                 alert = remaining[hit]
-                votes = {classes.get(a.rule, "down") for a in remaining
+                votes = {DEFAULT_RULE_CLASSES.get(a.rule, "down")
+                         for a in remaining
                          if covers(record, a.node)
                          and record.start <= a.fired_at
-                         <= alert.fired_at + class_window_s}
+                         <= alert.fired_at + CLASS_WINDOW_S}
                 observed = ("unreachable" if "unreachable" in votes
                             else "down")
                 detections.append(Detection(

@@ -128,11 +128,9 @@ class TimeSeriesDB:
         return out
 
     @classmethod
-    def from_dicts(cls, dicts: List[Dict],
-                   retention_samples: Optional[int] = None
-                   ) -> "TimeSeriesDB":
+    def from_dicts(cls, dicts: List[Dict]) -> "TimeSeriesDB":
         """Rebuild a database from :meth:`to_dicts` output."""
-        db = cls(retention_samples=retention_samples)
+        db = cls()
         for entry in dicts:
             series = db.series(entry["name"], **entry.get("labels", {}))
             for t, v in zip(entry["times"], entry["values"]):

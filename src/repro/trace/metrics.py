@@ -13,6 +13,9 @@ from __future__ import annotations
 import math
 from typing import Dict, Tuple
 
+#: Percentiles a registry snapshot reports per histogram.
+SNAPSHOT_PERCENTILES = (50.0, 95.0)
+
 
 class Counter:
     """A monotonically increasing count."""
@@ -21,10 +24,8 @@ class Counter:
         self.name = name
         self.value = 0.0
 
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counter increments must be >= 0, got {amount}")
-        self.value += amount
+    def inc(self) -> None:
+        self.value += 1.0
 
 
 class Gauge:
@@ -176,8 +177,9 @@ class MetricsRegistry:
                 f"floor={floor}")
         return hist
 
-    def snapshot(self, percentiles: Tuple[float, ...] = (50.0, 95.0)) -> Dict:
-        """All metric values as one JSON-friendly dict."""
+    def snapshot(self) -> Dict:
+        """All metric values as one JSON-friendly dict; histograms give
+        their count, mean and :data:`SNAPSHOT_PERCENTILES`."""
         out: Dict[str, object] = {}
         for name, counter in self._counters.items():
             out[name] = counter.value
@@ -189,5 +191,5 @@ class MetricsRegistry:
                 continue
             out[name] = {"count": hist.count, "mean": hist.mean(),
                          **{f"p{int(p) if p == int(p) else p}":
-                            hist.percentile(p) for p in percentiles}}
+                            hist.percentile(p) for p in SNAPSHOT_PERCENTILES}}
         return out

@@ -43,23 +43,16 @@ class Tracer:
 
     Parameters
     ----------
-    log:
-        The destination :class:`TraceLog`; a fresh unbounded one is
-        created when omitted.
     categories, max_events:
-        Convenience pass-through to the created log (ignored when an
-        explicit ``log`` is given).
-    metrics:
-        The registry fed by emissions; a fresh one when omitted.
+        Passed through to the tracer's :class:`TraceLog` (a category
+        filter and a ring-buffer bound; unbounded and unfiltered when
+        omitted).
     """
 
-    def __init__(self, log: Optional[TraceLog] = None,
-                 categories: Optional[Iterable[str]] = None,
-                 max_events: Optional[int] = None,
-                 metrics: Optional[MetricsRegistry] = None):
-        self.log = log if log is not None else TraceLog(
-            max_events=max_events, categories=categories)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+    def __init__(self, categories: Optional[Iterable[str]] = None,
+                 max_events: Optional[int] = None):
+        self.log = TraceLog(max_events=max_events, categories=categories)
+        self.metrics = MetricsRegistry()
         self._sim = _UNBOUND
         self._next_id = 0
         # Span name -> its ("<name>.count", "<name>.duration_s") pair.

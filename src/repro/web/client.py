@@ -114,13 +114,12 @@ class UrllibProbe:
 
 
 def delay_distribution(platform: str, total_rate_rps: float = 6000.0,
-                       duration: float = 8.0, warmup: float = 2.0,
-                       image_fraction: float = 0.20,
-                       seed: int = 20160901) -> ProbeLog:
-    """Run the Figure 10/11 experiment for one platform."""
-    workload = P.WebWorkload(image_fraction=image_fraction,
-                             cache_hit_ratio=0.93)
-    deployment = WebServiceDeployment(platform, "full", workload, seed=seed)
+                       duration: float = 8.0,
+                       warmup: float = 2.0) -> ProbeLog:
+    """Run the Figure 10/11 experiment for one platform (20 % images,
+    93 % hit ratio)."""
+    workload = P.WebWorkload(image_fraction=0.20, cache_hit_ratio=0.93)
+    deployment = WebServiceDeployment(platform, "full", workload)
     for node in deployment.web_nodes:
         node.record_log_enabled = False   # keep memory bounded
     probe = UrllibProbe(deployment, total_rate_rps, collect_after=warmup)

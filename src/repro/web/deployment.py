@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..cluster import web_cluster
-from ..hardware import ServerSpec
 from ..sim import RngStreams, Simulation
 from . import params as P
 from .httperf import HttperfDriver, LevelResult
@@ -27,7 +26,6 @@ class WebServiceDeployment:
     def __init__(self, platform: str, scale: str = "full",
                  workload: Optional[P.WebWorkload] = None,
                  seed: int = 20160901,
-                 edison_spec: Optional[ServerSpec] = None,
                  limits: Optional[P.ConnectionLimits] = None,
                  trace=None,
                  resilience: bool = False):
@@ -36,10 +34,7 @@ class WebServiceDeployment:
         self.workload = workload if workload is not None else P.WebWorkload()
         self.sim = Simulation(trace=trace)
         self.rng = RngStreams(seed)
-        kwargs = {}
-        if edison_spec is not None:
-            kwargs["edison_spec"] = edison_spec
-        self.cluster = self._build_cluster(**kwargs)
+        self.cluster = self._build_cluster()
         topo = self.cluster.topology
         self.db_nodes: List[DatabaseNode] = [
             DatabaseNode(self.cluster.servers[f"db-{i}"],
@@ -76,7 +71,7 @@ class WebServiceDeployment:
         self.resilience = resilience
         self.resilience_ledger = None
         self.breakers = None
-        self._retry_rng = None
+        self._backoff_rng = None
         if self.resilience:
             # The plane's modules load only when it is armed.
             from ..energy.account import OverheadLedger
@@ -84,7 +79,7 @@ class WebServiceDeployment:
             from ..resilience.breaker import CircuitBreaker
             self.resilience_ledger = OverheadLedger(LEDGER_CATEGORIES,
                                                     LEDGER_COUNTERS)
-            self._retry_rng = self.rng.stream("resilience.retry")
+            self._backoff_rng = self.rng.stream("resilience.retry")
             self.breakers = {
                 w.server.name: CircuitBreaker(self.sim, w.server.name)
                 for w in self.web_nodes}
@@ -99,9 +94,9 @@ class WebServiceDeployment:
                 server.memory.reserve(frac * server.memory.capacity_bytes)
         self.meter = self.cluster.attach_meter(interval=0.25)
 
-    def _build_cluster(self, **kwargs):
+    def _build_cluster(self):
         """The Table 6 layout for this platform and scale."""
-        return web_cluster(self.sim, self.platform, self.scale, **kwargs)
+        return web_cluster(self.sim, self.platform, self.scale)
 
     # -- fault injection ---------------------------------------------------
 
@@ -174,7 +169,7 @@ class WebServiceDeployment:
             self.client_names, self.workload,
             self.rng.stream("arrivals"), collect_after=warmup,
             resilience=self.resilience, ledger=self.resilience_ledger,
-            retry_rng=self._retry_rng, breakers=self.breakers,
+            retry_rng=self._backoff_rng, breakers=self.breakers,
             collect_delays=collect_delays)
         self.last_driver = driver
         self.sim.process(driver.generate(concurrency, calls, until=duration))
@@ -291,7 +286,6 @@ class DelayDecomposition:
 
 def measure_delay_decomposition(platform: str, request_rate: float,
                                 duration: float = 4.0, warmup: float = 1.0,
-                                seed: int = 20160901,
                                 trace=None) -> DelayDecomposition:
     """Reproduce one row of Table 7 (20 % images, 93 % hit ratio).
 
@@ -303,7 +297,7 @@ def measure_delay_decomposition(platform: str, request_rate: float,
     same decomposition (the trace-as-oracle cross-check).
     """
     workload = P.WebWorkload(image_fraction=0.20, cache_hit_ratio=0.93)
-    deployment = WebServiceDeployment(platform, "full", workload, seed=seed,
+    deployment = WebServiceDeployment(platform, "full", workload,
                                       trace=trace)
     calls = 13
     concurrency = max(1, round(request_rate / calls))

@@ -147,20 +147,24 @@ def workload_factor(image_fraction: float, hit_ratio: float) -> float:
     return image_term * hit_term
 
 
-def tuned_calls_per_connection(concurrency: float, target_rps: float,
-                               max_calls: int = 40,
-                               min_calls: int = 5) -> int:
+#: Bounds on the calls per httperf connection the tuning rule picks.
+MIN_CALLS_PER_CONNECTION = 5
+MAX_CALLS_PER_CONNECTION = 40
+
+
+def tuned_calls_per_connection(concurrency: float, target_rps: float) -> int:
     """The paper's per-level httperf tuning, as a reproducible rule.
 
-    ``min_calls`` reflects that httperf cannot shed load below a few
-    calls per connection while keeping the reported concurrency at
-    target: past the tier's capacity the offered rate exceeds it, which
-    is exactly where the paper starts seeing 5xx errors (beyond 1024
-    connections/s on Edison, beyond 2048 on Dell).
+    :data:`MIN_CALLS_PER_CONNECTION` reflects that httperf cannot shed
+    load below a few calls per connection while keeping the reported
+    concurrency at target: past the tier's capacity the offered rate
+    exceeds it, which is exactly where the paper starts seeing 5xx
+    errors (beyond 1024 connections/s on Edison, beyond 2048 on Dell).
     """
     if concurrency <= 0 or target_rps <= 0:
         raise ValueError("concurrency and target_rps must be > 0")
-    return max(min_calls, min(max_calls, round(target_rps / concurrency)))
+    return max(MIN_CALLS_PER_CONNECTION,
+               min(MAX_CALLS_PER_CONNECTION, round(target_rps / concurrency)))
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,12 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..core import paperdata as paper
 from ..core.metrics import work_done_per_joule
-from ..hardware import ServerSpec
 from . import params as P
 from .deployment import WebServiceDeployment
 from .httperf import LevelResult
+
+#: Root seed of the concurrency sweeps.
+SWEEP_SEED = 20160901
 
 
 @dataclass(frozen=True)
@@ -44,20 +46,19 @@ class SweepResult:
 def sweep_concurrency(platform: str, scale: str = "full",
                       workload: Optional[P.WebWorkload] = None,
                       levels: Sequence[int] = paper.S51_CONCURRENCY_LEVELS,
-                      duration: float = 4.0, warmup: float = 1.0,
-                      seed: int = 20160901,
-                      edison_spec: Optional[ServerSpec] = None) -> SweepResult:
+                      duration: float = 4.0,
+                      warmup: float = 1.0) -> SweepResult:
     """Run one full Figure 4/7-style curve.
 
     Each level gets a fresh deployment (clean TIME_WAIT state), exactly
-    as the paper restarts each 3-minute test.
+    as the paper restarts each 3-minute test, seeded
+    ``SWEEP_SEED + concurrency``.
     """
     workload = workload if workload is not None else P.WebWorkload()
     results: List[LevelResult] = []
     for concurrency in levels:
         deployment = WebServiceDeployment(
-            platform, scale, workload, seed=seed + concurrency,
-            edison_spec=edison_spec)
+            platform, scale, workload, seed=SWEEP_SEED + concurrency)
         for node in deployment.web_nodes:
             node.record_log_enabled = False
         results.append(deployment.run_level(

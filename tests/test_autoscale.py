@@ -8,6 +8,7 @@ import pytest
 from repro.autoscale import (ACTIVE, BOOTING, DRAINING, OFF, AutoscaleLedger,
                              FleetActuator, FleetPool, HybridWebDeployment,
                              PoolNode, PredictivePolicy)
+from repro.autoscale.pool import MIN_ACTIVE
 from repro.autoscale.policy import (COOLDOWN_S, HIGH_UTILIZATION, HISTORY_S,
                                     LOW_UTILIZATION, TARGET_UTILIZATION)
 from repro.cluster import hybrid_web_cluster
@@ -80,8 +81,8 @@ def test_pool_greedy_cover_and_min_active():
     # Dell joins.
     assert len(pool.plan_active_set(edison + 1.0)) == 2
     assert len(pool.plan_active_set(2 * edison + 1.0)) == 3
-    # min_active beats the demand-derived count.
-    assert len(pool.plan_active_set(1.0, min_active=3)) == 3
+    # The MIN_ACTIVE floor beats a demand of zero.
+    assert len(pool.plan_active_set(0.0)) == MIN_ACTIVE == 1
 
 
 def test_pool_committed_capacity_counts_booting():
@@ -354,7 +355,7 @@ def test_actuator_rejects_wrong_state_transitions():
 
 def test_suspended_node_draws_zero_watts_and_vanishes_from_scrapes():
     deployment = small_hybrid()
-    telemetry = Telemetry(interval=0.5)
+    telemetry = Telemetry()
     telemetry.attach_web(deployment, until=6.0)
     injector, _ledger, actuator = drive(deployment)
     server = deployment.cluster.servers["web-1"]

@@ -91,18 +91,18 @@ def test_periodic_trace_wraps():
 def test_percentile_is_time_weighted():
     # Value 1 for 90% of the span, value 100 for 10%: the median must
     # be 1 no matter that the points are 50/50.
-    trace = SignalTrace("x", "u", points=((0.0, 1.0), (90.0, 100.0)),
-                        period_s=100.0)
-    assert trace.percentile(50, step_s=1.0) == 1.0
-    assert trace.percentile(95, step_s=1.0) == 100.0
+    trace = SignalTrace("x", "u", points=((0.0, 1.0), (900.0, 100.0)),
+                        period_s=1000.0)
+    assert trace.percentile(50) == 1.0
+    assert trace.percentile(95) == 100.0
 
 
 def test_next_at_or_below_scans_forward():
-    trace = SignalTrace("x", "u", points=((0.0, 500.0), (100.0, 100.0)))
-    assert trace.next_at_or_below(200.0, 0.0, horizon_s=500.0,
-                                  step_s=10.0) == 100.0
-    assert trace.next_at_or_below(200.0, 0.0, horizon_s=50.0,
-                                  step_s=10.0) is None
+    # Scanned on the 30 s grid: the dip at 120 s is found, one past a
+    # 50 s horizon is not.
+    trace = SignalTrace("x", "u", points=((0.0, 500.0), (120.0, 100.0)))
+    assert trace.next_at_or_below(200.0, 0.0, horizon_s=500.0) == 120.0
+    assert trace.next_at_or_below(200.0, 0.0, horizon_s=50.0) is None
 
 
 def test_step_trace_steps_are_exact():

@@ -44,6 +44,24 @@ def test_job_command_unknown_job_rejected():
         main(["job", "sort-of-sort"])
 
 
+def test_chaos_web_command_small_scale(capsys):
+    assert main(["chaos", "web", "--scale", "1/8", "--concurrency", "64",
+                 "--duration", "2.0", "--kill-at", "0.8"]) == 0
+    out = capsys.readouterr().out
+    assert "chaos: web-0 down on edison/1/8 (3 web servers)" in out
+    assert "goodput loss:" in out
+    assert "faults injected: 1" in out
+
+
+def test_chaos_job_command_pi_on_four_slaves(capsys):
+    assert main(["chaos", "job", "pi", "--slaves", "4",
+                 "--kill-at", "20"]) == 0
+    out = capsys.readouterr().out
+    assert "chaos: pi, edison-slave-0 down on 4 edison slaves" in out
+    assert "maps re-executed" in out
+    assert "faults injected: 1" in out
+
+
 def test_histogram_command(capsys):
     assert main(["histogram", "--platform", "edison", "--rate", "500",
                  "--duration", "2.0"]) == 0

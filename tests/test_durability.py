@@ -11,9 +11,11 @@ from repro.durability import (DurabilityArm, DurabilityConfig,
                               DurabilityLedger, DurabilityPlan,
                               DurabilityReport, attach_job)
 from repro.durability.ledger import CATEGORIES, SAMPLE_INTERVAL_S
-from repro.faults import (FaultInjector, FaultPlan, disk_failure,
-                          node_crash, rack_partition, switch_down)
-from repro.mapreduce.hdfs import BlockUnavailable, Hdfs, HdfsBlock
+from repro.faults import (FaultInjector, FaultPlan, PhiAccrualDetector,
+                          disk_failure, node_crash, rack_partition,
+                          switch_down)
+from repro.mapreduce.hdfs import (REPAIR_STREAMS, REPAIR_THROTTLE_BPS,
+                                  BlockUnavailable, Hdfs, HdfsBlock)
 from repro.sim import Simulation
 
 
@@ -25,21 +27,32 @@ def hdfs_fixture(slaves=4, replication=2, rack_aware=False, racks=2,
     datanodes = [cluster.servers[f"edison-slave-{i}"]
                  for i in range(slaves)]
     hdfs = Hdfs(sim, cluster.topology, datanodes, block_bytes=1 << 20,
-                replication=replication, rng=random.Random(42),
-                rack_aware=rack_aware)
+                replication=replication, rng=random.Random(42))
+    hdfs.rack_aware = rack_aware
     return sim, cluster, injector, hdfs
+
+
+def arm_repair(sim, hdfs, ledger=None):
+    """Arm the repair loop behind a phi detector fed by seeded
+    heartbeats from every datanode, as the durability plane does."""
+    from repro.durability.plane import _heartbeat_feeder
+    from repro.sim import RngStreams
+    detector = PhiAccrualDetector(sim)
+    rng = RngStreams(1)
+    for node in hdfs.datanodes:
+        sim.process(_heartbeat_feeder(sim, detector, node,
+                                      rng.stream(f"phi.{node}")))
+    return hdfs.enable_repair(detector, ledger=ledger)
 
 
 # -- config -------------------------------------------------------------------
 
 def test_config_validation():
-    # The plane runs the repair loop at its stock throttle; the loop
-    # itself still rejects a bad one.
+    # The repair loop runs at its constant throttle and stream count;
+    # these are the bounds the pipeline needs.
+    assert REPAIR_THROTTLE_BPS > 0
+    assert REPAIR_STREAMS >= 1
     _, _, _, hdfs = hdfs_fixture()
-    with pytest.raises(ValueError):
-        hdfs.enable_repair(throttle_bps=0.0)
-    with pytest.raises(ValueError):
-        hdfs.enable_repair(max_streams=0)
     assert hdfs.monitor is None
 
 
@@ -164,13 +177,14 @@ def test_repair_requires_a_fault_injector():
                  cluster.servers["edison-slave-1"]]
     hdfs = Hdfs(sim, cluster.topology, datanodes, block_bytes=1 << 20,
                 replication=1, rng=random.Random(1))
+    detector = PhiAccrualDetector(sim)
     with pytest.raises(RuntimeError):
-        hdfs.enable_repair()
+        hdfs.enable_repair(detector)
     # And repair cannot be armed twice.
     FaultInjector(cluster)
-    hdfs.enable_repair()
+    hdfs.enable_repair(detector)
     with pytest.raises(RuntimeError):
-        hdfs.enable_repair()
+        hdfs.enable_repair(detector)
 
 
 def test_crash_triggers_confirmed_re_replication():
@@ -178,7 +192,7 @@ def test_crash_triggers_confirmed_re_replication():
         node_crash("edison-slave-0", at=2.0, repair_s=60.0),))
     sim, _, _, hdfs = hdfs_fixture(plan=plan)
     ledger = DurabilityLedger(sim, hdfs)
-    hdfs.enable_repair(confirm_s=1.0, ledger=ledger)
+    arm_repair(sim, hdfs, ledger)
     record = hdfs.stage_file("input", 4 << 20)
     sim.run(until=30.0)
     monitor = hdfs.monitor
@@ -195,7 +209,7 @@ def test_blip_inside_confirmation_window_is_never_repaired():
     plan = FaultPlan(faults=(
         node_crash("edison-slave-0", at=2.0, repair_s=0.5),))
     sim, _, _, hdfs = hdfs_fixture(plan=plan)
-    hdfs.enable_repair(confirm_s=2.0)
+    arm_repair(sim, hdfs)
     hdfs.stage_file("input", 4 << 20)
     sim.run(until=20.0)
     assert hdfs.monitor.repairs_completed == 0
@@ -207,7 +221,7 @@ def test_repair_defers_when_no_target_exists_then_resumes():
     plan = FaultPlan(faults=(
         node_crash("edison-slave-0", at=2.0, repair_s=10.0),))
     sim, _, _, hdfs = hdfs_fixture(slaves=2, plan=plan)
-    hdfs.enable_repair(confirm_s=1.0)
+    arm_repair(sim, hdfs)
     hdfs.stage_file("input", 2 << 20)
     sim.run(until=30.0)
     monitor = hdfs.monitor
@@ -228,7 +242,7 @@ def test_single_rack_switch_down_never_loses_or_hides_a_block():
         switch_down("edison-rack-0", at=3.0, duration=8.0),))
     sim, _, _, hdfs = hdfs_fixture(rack_aware=True, plan=plan)
     ledger = DurabilityLedger(sim, hdfs)
-    hdfs.enable_repair(confirm_s=1.0, ledger=ledger)
+    arm_repair(sim, hdfs, ledger)
     record = hdfs.stage_file("input", 8 << 20)
     sim.process(ledger.run(until=40.0))
     majority = ["edison-slave-2", "edison-slave-3"]

@@ -52,8 +52,6 @@ def test_derive_pstates_validation():
         derive_pstates((0.9, 0.8))          # first factor not 1.0
     with pytest.raises(ValueError):
         derive_pstates((1.0, 0.8, 0.8))     # not strictly decreasing
-    with pytest.raises(ValueError):
-        derive_pstates((1.0, 0.8), power_exponent=0.5)
 
 
 def test_cpuspec_pstate_table_validation():
@@ -303,22 +301,17 @@ def test_scorecard_figures():
 
 
 def test_measure_proportionality_ladder():
-    card = measure_proportionality("edison", scale="1/8",
-                                   duration_s=2.0, warmup_s=0.5,
-                                   fractions=(0.2, 1.0))
+    from repro.dvfs.scorecard import LOAD_FRACTIONS, RUNG_S, RUNG_WARMUP_S
+    assert RUNG_S > RUNG_WARMUP_S >= 0
+    assert all(0.0 < fraction <= 1.0 for fraction in LOAD_FRACTIONS)
+    card = measure_proportionality("edison", scale="1/8")
     assert card.governor == "nominal"
     assert card.idle_w > 0
-    low, high = card.points
+    assert [p.fraction for p in card.points] == list(LOAD_FRACTIONS)
+    low, high = card.points[0], card.points[-1]
     assert low.mean_power_w < high.mean_power_w
     assert high.ok_calls > low.ok_calls
     assert 0.0 < card.dynamic_range < 1.0
-    with pytest.raises(ValueError):
-        measure_proportionality("edison", duration_s=1.0, warmup_s=1.0)
-    with pytest.raises(ValueError):
-        measure_proportionality("edison", fractions=())
-    with pytest.raises(ValueError):
-        measure_proportionality("edison", duration_s=2.0, warmup_s=0.5,
-                                fractions=(1.5,))
 
 
 # -- the sweep report ---------------------------------------------------------

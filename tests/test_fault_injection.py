@@ -1,46 +1,6 @@
-"""Failure-injection tests: task retry, node interrupts, job failure."""
+"""Failure-injection tests: a node interrupt reaching a running task."""
 
-from dataclasses import replace
-
-import pytest
-
-from repro.mapreduce import JobRunner, run_job
-from repro.mapreduce.runtime import JobFailed, MAX_TASK_ATTEMPTS
 from repro.sim import Interrupt, Simulation
-from tests.test_mapreduce_jobs import small_spec
-
-
-def test_injected_failures_are_retried_and_job_completes():
-    faulty = replace(small_spec(), map_failure_rate=0.3)
-    report = run_job("edison", 4, faulty)
-    assert report.seconds > 0
-    # All maps eventually completed despite the losses.
-    assert report.timeline.map_progress.values[-1] == pytest.approx(1.0)
-
-
-def test_injected_failures_cost_time():
-    clean = run_job("edison", 4, small_spec())
-    faulty = run_job("edison", 4, replace(small_spec(),
-                                          map_failure_rate=0.3))
-    assert faulty.seconds > clean.seconds
-
-
-def test_failure_rate_validation():
-    with pytest.raises(ValueError):
-        replace(small_spec(), map_failure_rate=1.0)
-    with pytest.raises(ValueError):
-        replace(small_spec(), map_failure_rate=-0.1)
-
-
-def test_certain_failure_fails_the_job():
-    runner = JobRunner("edison", 4)
-    doomed = replace(small_spec(), map_failure_rate=0.999999)
-    with pytest.raises(JobFailed):
-        runner.run(doomed)
-
-
-def test_max_attempts_is_hadoop_default():
-    assert MAX_TASK_ATTEMPTS == 4
 
 
 def test_interrupting_a_simulated_process_mid_io():
@@ -65,15 +25,3 @@ def test_interrupting_a_simulated_process_mid_io():
     sim.process(killer(victim))
     sim.run()
     assert outcomes == ["killed:node-power-loss"]
-
-
-def test_failed_attempt_counter_increments():
-    runner = JobRunner("edison", 4)
-    faulty = replace(small_spec(), map_failure_rate=0.3)
-    runner.run(faulty)
-    # The runner retried at least one attempt at a 30 % loss rate
-    # across 16 maps (deterministic under the fixed seed).
-    # The counter lives on the internal job state; expose via a fresh
-    # run and the report's completeness instead.
-    report = run_job("edison", 4, faulty, seed=77)
-    assert report.timeline.map_progress.values[-1] == pytest.approx(1.0)

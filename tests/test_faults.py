@@ -2,7 +2,6 @@
 bit-identity guarantee, and the headline kill-one-node experiments."""
 
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -275,28 +274,6 @@ def test_job_fails_cleanly_when_all_replicas_are_gone():
         disk_failure(f"edison-slave-{i}", at=20.0) for i in range(4))))
     with pytest.raises(JobFailed):
         runner.run(small_spec())
-
-
-def test_reduce_failure_rate_is_validated():
-    with pytest.raises(ValueError):
-        replace(small_spec(), reduce_failure_rate=1.0)
-    with pytest.raises(ValueError):
-        replace(small_spec(), reduce_failure_rate=-0.1)
-
-
-def test_injected_reduce_failures_are_retried():
-    clean = run_job("edison", 4, small_spec())
-    runner = JobRunner("edison", 4)
-    faulty = runner.run(replace(small_spec(), reduce_failure_rate=0.4))
-    assert faulty.seconds > clean.seconds    # retries cost time
-    assert faulty.timeline.map_progress.values[-1] == pytest.approx(1.0)
-
-
-def test_certain_reduce_failure_fails_the_job():
-    runner = JobRunner("edison", 4)
-    doomed = replace(small_spec(), reduce_failure_rate=0.999999)
-    with pytest.raises(JobFailed, match="reduce"):
-        runner.run(doomed)
 
 
 # -- admin power states (the carbon plane's suspend lever) --------------------

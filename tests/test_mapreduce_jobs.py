@@ -40,8 +40,8 @@ def test_job_completes_and_reports():
 
 
 def test_job_is_deterministic_per_seed():
-    a = run_job("edison", 4, small_spec(), seed=5)
-    b = run_job("edison", 4, small_spec(), seed=5)
+    a = JobRunner("edison", 4, seed=5).run(small_spec())
+    b = JobRunner("edison", 4, seed=5).run(small_spec())
     assert a.seconds == pytest.approx(b.seconds)
     assert a.joules == pytest.approx(b.joules)
 
@@ -198,11 +198,10 @@ CATALOGUE_FINGERPRINT = (
 
 
 def _spec_and_config(spec, config) -> dict:
-    """Every JobSpec field but ``dataset`` and the two failure rates, the
-    dataset's runtime inputs and the HadoopConfig, as plain JSON values."""
+    """Every JobSpec field but ``dataset``, the dataset's runtime inputs
+    and the HadoopConfig, as plain JSON values."""
     row = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)
-           if f.name not in ("dataset", "map_failure_rate",
-                             "reduce_failure_rate")}
+           if f.name != "dataset"}
     row["costs"] = dataclasses.asdict(spec.costs)
     dataset = spec.dataset
     row["input_bytes"] = spec.input_bytes

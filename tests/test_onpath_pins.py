@@ -1,7 +1,6 @@
 """Exact pins of the MapReduce and web driver paths that planes switch on.
 
-Speculation, retries, injected failure rates, crashes and partitions
-each steer a task attempt or an httperf connection through a different
+Speculation, retries, crashes and partitions each steer a task attempt or an httperf connection through a different
 branch of its lifecycle.  Each scenario below is a small seeded cell;
 its fingerprint holds report fields, ledger and partition counters, the
 kernel's processed-event count and a digest of the trace, all exact.
@@ -99,16 +98,6 @@ def job_speculation():
                 resilience=True, traced=True)
 
 
-def job_failure_rates():
-    return _job(small_spec(map_failure_rate=0.2, reduce_failure_rate=0.3),
-                traced=True)
-
-
-def job_failure_rates_retries():
-    return _job(small_spec(map_failure_rate=0.2, reduce_failure_rate=0.3),
-                resilience=True, traced=True)
-
-
 def job_crash():
     """A crash mid-map, then one that kills a running reduce."""
     return _job(small_spec(),
@@ -116,10 +105,6 @@ def job_crash():
                         node_crash("edison-slave-2", at=135.0,
                                    repair_s=20.0)],
                 traced=True)
-
-
-def job_exhausted():
-    return _job(small_spec(map_failure_rate=0.9), traced=True)
 
 
 def job_crash_speculation():
@@ -241,9 +226,8 @@ def web_day_rotation():
 
 
 SCENARIOS = {f.__name__: f for f in (
-    job_plain, job_traced, job_speculation, job_failure_rates,
-    job_failure_rates_retries, job_crash, job_crash_speculation,
-    job_exhausted, job_partition, web_closed, web_overload,
+    job_plain, job_traced, job_speculation, job_crash,
+    job_crash_speculation, job_partition, web_closed, web_overload,
     web_overload_resilient, web_blackout, web_blackout_resilient, web_gray,
     web_gray_resilient, web_day, web_day_blackout, web_day_rotation)}
 
@@ -301,7 +285,6 @@ EXPECTED = {
             },
             'waste_joules': {
                 'hedge': 0.0,
-                'retry': 0.0,
                 'shed': 0.0,
                 'speculation': 74.88251198141282,
             },
@@ -329,106 +312,6 @@ EXPECTED = {
                 'speculation.launch:None': 8,
             },
             'sha256': 'ea48802bc2359c4cb6cfc0508011f5d436edf2f0b33060da7b0be902be09d9fa',
-        },
-    },
-    'job_exhausted': {
-        'outcome': {
-            'failed': 'small: a map task died 4 times',
-        },
-        'processed': 1796,
-        'ledger': None,
-        'partition': {
-            'zombies_started': 0,
-            'duplicate_kills': 0,
-            'reregistered': 0,
-        },
-        'trace': {
-            'events': 3332,
-            'spans': {
-                'container.release:None': 42,
-                'container.wait:None': 52,
-                'hdfs-read:None': 42,
-                'map-attempt:False': 37,
-                'map-attempt:True': 5,
-            },
-            'sha256': '453ec663f3864e2191c54b24dd25423e26c3125decc367bae9df3b87d3ea851c',
-        },
-    },
-    'job_failure_rates': {
-        'outcome': {
-            'seconds': 232.66476622018487,
-            'joules': 1404.7642956253937,
-            'locality': 1.0,
-        },
-        'processed': 1747,
-        'ledger': None,
-        'partition': {
-            'zombies_started': 0,
-            'duplicate_kills': 0,
-            'reregistered': 0,
-        },
-        'trace': {
-            'events': 3487,
-            'spans': {
-                'container.release:None': 27,
-                'container.wait:None': 27,
-                'hdfs-read:None': 21,
-                'job:None': 1,
-                'map-attempt:False': 5,
-                'map-attempt:True': 16,
-                'reduce-attempt:False': 2,
-                'reduce-attempt:True': 4,
-                'shuffle:None': 6,
-            },
-            'sha256': '93617f7f1ef2f5cb1687f7e7f0b378fe112150955afcb77602067545fe2611c3',
-        },
-    },
-    'job_failure_rates_retries': {
-        'outcome': {
-            'seconds': 233.2836089111394,
-            'joules': 1409.1904651211796,
-            'locality': 1.0,
-        },
-        'processed': 1953,
-        'ledger': {
-            'counters': {
-                'breaker_opens': 0,
-                'hedge_wins': 0,
-                'hedges': 0,
-                'retries': 7,
-                'sheds': 0,
-                'speculative_abandoned': 1,
-                'speculative_kills': 1,
-                'speculative_launches': 3,
-                'speculative_wins': 0,
-            },
-            'waste_joules': {
-                'hedge': 0.0,
-                'retry': 0.0,
-                'shed': 0.0,
-                'speculation': 1.8798064018926801,
-            },
-        },
-        'partition': {
-            'zombies_started': 0,
-            'duplicate_kills': 0,
-            'reregistered': 0,
-        },
-        'trace': {
-            'events': 3546,
-            'spans': {
-                'container.release:None': 28,
-                'container.wait:None': 28,
-                'hdfs-read:None': 21,
-                'job:None': 1,
-                'map-attempt:False': 6,
-                'map-attempt:True': 16,
-                'reduce-attempt:False': 2,
-                'reduce-attempt:True': 4,
-                'shuffle:None': 6,
-                'speculation.launch:None': 3,
-            },
-            'sha256': 'be0df96fe3419c1fc46b03cc23c2abb13582aa1c4d92b90590cb536ec35f8e08',
         },
     },
     'job_partition': {
@@ -498,7 +381,6 @@ EXPECTED = {
             },
             'waste_joules': {
                 'hedge': 0.0,
-                'retry': 0.0,
                 'shed': 0.0,
                 'speculation': 74.79385518877004,
             },
@@ -617,7 +499,6 @@ EXPECTED = {
             },
             'waste_joules': {
                 'hedge': 0.0,
-                'retry': 0.0,
                 'shed': 0.0,
                 'speculation': 0.0,
             },
@@ -804,7 +685,6 @@ EXPECTED = {
             },
             'waste_joules': {
                 'hedge': 0.25364363422840763,
-                'retry': 0.0,
                 'shed': 0.16384627550213485,
                 'speculation': 0.0,
             },
@@ -892,7 +772,6 @@ EXPECTED = {
             },
             'waste_joules': {
                 'hedge': 0.0,
-                'retry': 0.0,
                 'shed': 0.05659338921397967,
                 'speculation': 0.0,
             },

@@ -9,6 +9,7 @@ from repro.cluster.builders import hadoop_cluster
 from repro.faults import (FaultInjector, FaultPlan, PhiAccrualDetector,
                           node_crash, node_set_partition, rack_partition,
                           switch_down)
+from repro.faults import phi
 from repro.net import NetworkUnreachable
 from repro.sim import Simulation
 
@@ -148,14 +149,15 @@ def test_partition_record_covers_every_member():
     cluster = two_rack_cluster(sim)
     plan = FaultPlan(faults=(
         node_set_partition(("edison-slave-1", "edison-slave-3"),
-                           at=1.0, duration=2.0, label="pair"),))
+                           at=1.0, duration=2.0),))
     injector = FaultInjector(cluster, plan)
     sim.run()
     (record,) = injector.records
     assert record.kind == "partition"
     assert set(record.nodes) == {"edison-slave-1", "edison-slave-3"}
     assert record.covers("edison-slave-1")
-    assert record.covers("pair")          # the cut label itself
+    # The cut label itself.
+    assert record.covers("edison-slave-1,edison-slave-3")
     assert not record.covers("edison-slave-0")
     assert record.duration == pytest.approx(2.0)
 
@@ -246,22 +248,27 @@ def test_detected_down_covers_partitions():
 # -- phi-accrual detection ----------------------------------------------------
 
 def test_phi_parameter_validation():
-    sim = Simulation()
-    with pytest.raises(ValueError):
-        PhiAccrualDetector(sim, threshold=0.0)
-    with pytest.raises(ValueError):
-        PhiAccrualDetector(sim, window=1)
-    with pytest.raises(ValueError):
-        PhiAccrualDetector(sim, min_std_s=0.0)
+    # The detector's tuning is constant; these are the bounds its
+    # arithmetic needs (a positive conviction level, a fit over at
+    # least two arrivals, a non-zero spread and prior).
+    assert phi.THRESHOLD > 0
+    assert phi.WINDOW >= 2
+    assert phi.MIN_STD_S > 0 and phi.EXPECTED_S > 0
+
+
+def _beats(sim, detector, arrivals):
+    """Feed ``(time, node)`` heartbeats in time order."""
+    for at, node in sorted(arrivals):
+        sim.run(until=at)
+        detector.beat(node)
 
 
 def test_phi_rises_with_silence():
     sim = Simulation()
-    detector = PhiAccrualDetector(sim, threshold=8.0, min_std_s=0.05)
-    for t in range(20):
-        detector.beat("n", at=float(t))
+    detector = PhiAccrualDetector(sim)
+    _beats(sim, detector, [(float(t), "n") for t in range(20)])
     assert detector.phi("n", now=19.2) < 1.0
-    assert detector.phi("n", now=30.0) >= detector.threshold
+    assert detector.phi("n", now=30.0) >= phi.THRESHOLD
     # A node never heard from carries no suspicion at all.
     assert detector.phi("ghost") == 0.0
 
@@ -269,16 +276,14 @@ def test_phi_rises_with_silence():
 def test_phi_adapts_to_jitter():
     """A jittery node earns more grace than a metronomic one."""
     sim = Simulation()
-    detector = PhiAccrualDetector(sim, min_std_s=0.01)
-    t = 0.0
-    for i in range(40):
-        t += 1.0
-        detector.beat("steady", at=t)
+    detector = PhiAccrualDetector(sim)
+    arrivals = [(float(i), "steady") for i in range(1, 41)]
     t = 0.0
     rng = random.Random(7)
     for i in range(40):
         t += rng.uniform(0.5, 1.5)
-        detector.beat("jittery", at=t)
+        arrivals.append((t, "jittery"))
+    _beats(sim, detector, arrivals)
     steady_last = detector._last["steady"]
     jittery_last = detector._last["jittery"]
     silence = 2.5
@@ -288,7 +293,7 @@ def test_phi_adapts_to_jitter():
 
 def test_wait_suspect_convicts_on_silence():
     sim = Simulation()
-    detector = PhiAccrualDetector(sim, threshold=8.0)
+    detector = PhiAccrualDetector(sim)
     outcome = []
 
     def feeder():
@@ -312,7 +317,7 @@ def test_wait_suspect_convicts_on_silence():
 
 def test_wait_suspect_releases_when_healthy_returns():
     sim = Simulation()
-    detector = PhiAccrualDetector(sim, threshold=8.0)
+    detector = PhiAccrualDetector(sim)
     healthy = {"flag": False}
     outcome = []
 
@@ -358,9 +363,9 @@ def test_heartbeat_feeder_goes_silent_while_severed():
     sim.process(probe())
     sim.run(until=16.0)
     # Five seconds of dropped beats look exactly like death...
-    assert phis["mid"] >= detector.threshold
+    assert phis["mid"] >= phi.THRESHOLD
     # ...and the healed node's resumed beats clear the suspicion.
-    assert phis["after"] < detector.threshold
+    assert phis["after"] < phi.THRESHOLD
 
 
 # -- split-brain reconciliation ----------------------------------------------
@@ -452,7 +457,7 @@ def test_overlapping_fault_soup_keeps_accounting_sane():
             else:
                 faults.append(node_set_partition(
                     tuple(rng.sample(slaves, 2)), at=at,
-                    duration=duration, label=f"cut-{trial}"))
+                    duration=duration))
         plan = FaultPlan(faults=tuple(faults))
         injector = FaultInjector(cluster, plan)
         victim = rng.choice(slaves)

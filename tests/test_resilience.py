@@ -147,34 +147,24 @@ def test_marginal_vcore_watts_matches_linear_power_model():
 
 def test_backoff_delay_grows_caps_and_stays_seeded():
     import random
-    rng = random.Random(7)
-    # jitter=0 makes the schedule exact: base * 2^n, clamped at the cap.
-    assert backoff_delay(rng, 0, 0.1, 10.0, jitter=0.0) == pytest.approx(0.1)
-    assert backoff_delay(rng, 3, 0.1, 10.0, jitter=0.0) == pytest.approx(0.8)
-    assert backoff_delay(rng, 9, 0.1, 10.0, jitter=0.0) == pytest.approx(10.0)
-    # With jitter the draw scales into [1 - jitter, 1] and is
-    # reproducible from the seed.
-    draws_a = [backoff_delay(random.Random(11), n, 0.1, 10.0, jitter=0.5)
-               for n in range(5)]
-    draws_b = [backoff_delay(random.Random(11), n, 0.1, 10.0, jitter=0.5)
-               for n in range(5)]
+    # 50 ms doubling per attempt, clamped at the 1 s cap, each draw
+    # scaled into [0.5, 1] and reproducible from the seed.
+    draws_a = [backoff_delay(random.Random(11), n) for n in range(8)]
+    draws_b = [backoff_delay(random.Random(11), n) for n in range(8)]
     assert draws_a == draws_b
     for n, delay in enumerate(draws_a):
-        nominal = min(10.0, 0.1 * 2 ** n)
+        nominal = min(1.0, 0.05 * 2 ** n)
         assert nominal * 0.5 <= delay <= nominal
+    # One seed draws one factor, so the schedule doubles until the cap.
+    assert draws_a[3] == pytest.approx(8 * draws_a[0])
+    assert draws_a[5] == draws_a[7] == pytest.approx(20 * draws_a[0])
 
 
 def test_backoff_delay_validation():
     import random
     rng = random.Random(1)
     with pytest.raises(ValueError):
-        backoff_delay(rng, -1, 0.1, 1.0)
-    with pytest.raises(ValueError):
-        backoff_delay(rng, 0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        backoff_delay(rng, 0, 0.1, 0.0)
-    with pytest.raises(ValueError):
-        backoff_delay(rng, 0, 0.1, 1.0, jitter=2.0)
+        backoff_delay(rng, -1)
 
 
 # -- overlapping faults on one node (satellite) -------------------------------

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core import paperdata as paper
-from repro.mapreduce import run_scaling_grid
+from repro.mapreduce import JOB_FACTORIES, run_job
 from repro.mapreduce.scaling import (
-    paper_energies, paper_mean_speedup, paper_times,
+    ScalingGrid, paper_energies, paper_mean_speedup, paper_times,
 )
 from repro.web import WebWorkload
 from repro.web.httperf import LevelResult
@@ -27,8 +27,16 @@ def test_paper_mean_speedup_recomputes_section53():
         paper.S53_DELL_MEAN_SPEEDUP, abs=0.35)
 
 
+def _pi_cell(size):
+    spec, config = JOB_FACTORIES["pi"]("edison", size)
+    return run_job("edison", size, spec, config=config)
+
+
 def test_run_scaling_grid_small():
-    grid = run_scaling_grid("edison", sizes=(4, 8), jobs=("pi",))
+    # run_scaling_grid's cells on two small pi clusters; its Table 8
+    # ladders (every job, 4-35 slaves) run in the claims gate.
+    grid = ScalingGrid("edison", {"pi": {size: _pi_cell(size)
+                                         for size in (4, 8)}})
     assert set(grid.reports["pi"]) == {4, 8}
     times = grid.times("pi")
     assert times[8] < times[4]

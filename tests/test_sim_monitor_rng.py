@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from repro.sim import (RngStreams, Simulation, TimeSeries, backoff_delay,
-                       derive_seed, heartbeat_jitter)
+from repro.sim import (RngStreams, Simulation, TimeSeries, derive_seed,
+                       heartbeat_jitter)
 from repro.sim.monitor import periodic_sampler
 
 
@@ -133,11 +133,3 @@ def test_heartbeat_jitter_rejects_bad_base(base_s):
     with pytest.raises(ValueError, match="base_s"):
         heartbeat_jitter(random.Random(1), base_s)
     assert heartbeat_jitter(random.Random(1), 0.0) == 0.0
-
-
-@pytest.mark.parametrize("base_s,cap_s", [
-    (1.0, float("nan")), (float("nan"), 1.0), (float("inf"), 1.0),
-    (1.0, float("inf")), (1.0, 0.0)])
-def test_backoff_delay_rejects_non_finite_periods(base_s, cap_s):
-    with pytest.raises(ValueError, match="base_s and cap_s"):
-        backoff_delay(random.Random(1), 0, base_s, cap_s)

@@ -70,11 +70,12 @@ def test_edison_always_cheaper():
 
 
 def test_tou_flat_tariff_matches_flat_helper():
-    # 1 kW for 7200 s = 2 kWh; a single-step tariff must reproduce the
-    # flat-rate helper to the float.
+    # 1 kW for 7200 s = 2 kWh; a single-step tariff at the Table 9
+    # rate must reproduce the flat-rate helper to the float.
     series = [(0.0, 1000.0), (7200.0, 1000.0)]
-    flat = energy_cost_usd(2.0 * 3.6e6, usd_per_kwh=0.10)
-    assert energy_cost_usd_tou(series, [(0.0, 0.10)]) == flat
+    flat = energy_cost_usd(2.0 * 3.6e6)
+    assert energy_cost_usd_tou(
+        series, [(0.0, paper.T9_ELECTRICITY_PER_KWH)]) == flat
 
 
 def test_tou_boundary_straddling_splits_the_trapezoid():

@@ -91,17 +91,28 @@ def test_spread_rule_flags_hot_node():
     assert rule.breaches(solo, 0.0) == []
 
 
+def _cpu(db, t, hot, cold):
+    db.record(t, "cpu", hot, node="hot")
+    db.record(t, "cpu", cold, node="cold")
+
+
+def _imbalance(for_s):
+    # A window shorter than the sample spacing reads each sample alone.
+    return SpreadRule(name="imbalance", metric="cpu", threshold=0.5,
+                      window_s=0.1, for_s=for_s)
+
+
 def test_alert_manager_lifecycle_pending_firing_resolved():
     db = TimeSeriesDB()
-    rule = AbsenceRule(name="silent", stale_s=1.0, for_s=1.0)
-    manager = AlertManager(db, [rule], interval=0.5)
-    db.record(-2.0, "up", 1.0, node="a")        # silent since t=-2
+    manager = AlertManager(db, [_imbalance(for_s=1.0)], interval=0.5)
+    _cpu(db, 0.0, 0.9, 0.1)                     # imbalanced from t=0
     assert manager.evaluate(0.0) == []          # pending, not yet for_s
     assert manager.active() == []
+    _cpu(db, 1.0, 0.9, 0.1)
     fired = manager.evaluate(1.0)               # breached for 1.0s -> fires
-    assert len(fired) == 1 and fired[0].node == "a"
+    assert len(fired) == 1 and fired[0].node == "hot"
     assert manager.active() == fired
-    db.record(2.0, "up", 1.0, node="a")
+    _cpu(db, 2.0, 0.1, 0.1)
     manager.evaluate(2.0)                       # condition lifted
     assert manager.active() == []
     assert manager.history[0].resolved_at == 2.0
@@ -110,15 +121,31 @@ def test_alert_manager_lifecycle_pending_firing_resolved():
 
 def test_alert_manager_pending_resets_when_condition_clears():
     db = TimeSeriesDB()
-    rule = AbsenceRule(name="silent", stale_s=0.5, for_s=2.0)
-    manager = AlertManager(db, [rule], interval=1.0)
-    db.record(-1.0, "up", 1.0, node="a")        # silent since t=-1
+    manager = AlertManager(db, [_imbalance(for_s=2.0)], interval=1.0)
+    _cpu(db, 0.0, 0.9, 0.1)
     manager.evaluate(0.0)
-    db.record(1.0, "up", 1.0, node="a")
+    _cpu(db, 1.0, 0.1, 0.1)
     manager.evaluate(1.0)                       # clears the pending timer
-    manager.evaluate(2.0)                       # silent again since t=1
+    for t in (2.0, 3.0, 4.0):
+        _cpu(db, t, 0.9, 0.1)                   # imbalanced again from t=2
+    assert manager.evaluate(2.0) == []
     assert manager.evaluate(3.0) == []          # only 1s into the new breach
     assert len(manager.evaluate(4.0)) == 1
+
+
+def test_traced_run_records_alert_firings_as_instants():
+    from repro.faults import single_node_kill
+    from repro.trace import Tracer
+    tracer = Tracer()
+    telemetry = Telemetry(rules=default_rules())
+    deployment = WebServiceDeployment("edison", "1/8", seed=3, trace=tracer)
+    deployment.attach_faults(single_node_kill("web-0", 0.5, 1.0))
+    telemetry.attach_web(deployment)
+    deployment.run_level(16, duration=3.0, warmup=0.5)
+    instants = [(e.name, e.attrs["rule"], e.node)
+                for e in tracer.log.events(category="telemetry")]
+    assert ("alert.fired", "node_silent", "web-0") in instants
+    assert ("alert.resolved", "node_silent", "web-0") in instants
 
 
 def test_alert_manager_rejects_duplicate_rule_names():
@@ -238,10 +265,11 @@ def test_default_rules_are_valid():
 def test_bundle_roundtrip_and_prometheus(tmp_path):
     telemetry, _deployment = monitored_web_run()
     bundle = telemetry.bundle(meta={"note": "test"})
+    assert bundle["meta"]["note"] == "test"
     path = str(tmp_path / "tele.json")
-    telemetry.save(path, meta={"note": "test"})
+    telemetry.save(path)
     loaded = load_bundle(path)
-    assert loaded["meta"]["note"] == "test"
+    assert "note" not in loaded["meta"]
     assert loaded["meta"]["kind"] == "web"
     assert len(loaded["series"]) == len(bundle["series"])
 

@@ -14,7 +14,7 @@
 import pytest
 
 from repro.faults import FaultInjector, single_node_kill
-from repro.mapreduce import JobRunner, run_job
+from repro.mapreduce import JobRunner
 from repro.telemetry import Telemetry, default_rules
 from repro.trace import Tracer
 from repro.web import WebServiceDeployment
@@ -36,7 +36,7 @@ def test_rule_free_telemetry_keeps_web_run_bit_identical():
 
 
 def test_rule_free_telemetry_keeps_job_run_bit_identical():
-    plain = run_job("edison", 4, small_spec(), seed=7)
+    plain = JobRunner("edison", 4, seed=7).run(small_spec())
     telemetry = Telemetry()
     runner = JobRunner("edison", 4, seed=7)
     telemetry.attach_job(runner)

@@ -25,7 +25,7 @@ import pytest
 
 from repro.causality import (build_forest, decomposition_from_critical_paths,
                              latency_stacks)
-from repro.mapreduce import JOB_FACTORIES, run_job
+from repro.mapreduce import JOB_FACTORIES, JobRunner
 from repro.trace import Tracer, to_chrome_trace, write_csv, write_jsonl
 from repro.web import WebServiceDeployment
 
@@ -40,7 +40,8 @@ def _web_cell(tracer):
 
 def _pi_job(tracer):
     spec, config = JOB_FACTORIES["pi"]("edison", 4)
-    run_job("edison", 4, spec, config=config, seed=20160901, trace=tracer)
+    JobRunner("edison", 4, config=config, seed=20160901,
+              trace=tracer).run(spec)
 
 
 CASES = {"web_edison_1of8": _web_cell, "job_pi_edison_4": _pi_job}
