@@ -39,21 +39,19 @@ class Exemplar:
 class ExemplarStore:
     """Keeps the worst trace-linked observation per histogram bucket.
 
-    Bucketing is :class:`~repro.trace.metrics.Histogram`'s default
-    growth and floor, so exemplars line up one-to-one with the
-    telemetry latency histogram's buckets.
+    Bucketing is :class:`~repro.trace.metrics.Histogram`'s, so
+    exemplars line up one-to-one with the telemetry latency histogram's
+    buckets.
     """
 
     def __init__(self):
-        # Reuse Histogram purely for its bucket arithmetic.
-        self._buckets = Histogram("exemplars")
         self._by_bucket: Dict[int, Exemplar] = {}
 
     def observe(self, value: float, trace_id: int) -> None:
         """Consider one observation; kept only if it beats its bucket."""
         if trace_id <= 0:
             return
-        index = self._buckets._bucket(value)
+        index = Histogram._bucket(value)
         cur = self._by_bucket.get(index)
         if cur is None or value > cur.value:
             self._by_bucket[index] = Exemplar(value=value,

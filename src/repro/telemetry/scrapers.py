@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
+from ..sim import TimeSeries
 from ..trace.metrics import MetricsRegistry
 from .rules import AlertManager
 from .slo import DetectionReport, SloReport, SloSpec
@@ -51,6 +52,9 @@ class NodeAgent:
         # each scrape only walks records that arrived since the last.
         self._record_index = 0
         self._errors = 0
+        # This node's series, by metric name, resolved at first use so
+        # the database creates them in the order the scrapes reach them.
+        self._series: Dict[str, TimeSeries] = {}
 
     def run(self, sim, until: Optional[float] = None):
         """Process generator: scrape every :data:`SCRAPE_INTERVAL`."""
@@ -65,38 +69,40 @@ class NodeAgent:
                 self.scrape(sim.now)
             yield sim.timeout(SCRAPE_INTERVAL)
 
+    def _sample(self, now: float, name: str, value: float) -> None:
+        """Append one sample to this node's series ``name``."""
+        series = self._series.get(name)
+        if series is None:
+            series = self._series[name] = self.telemetry.db.series(
+                name, node=self.node)
+        series.record(now, float(value))
+
     def scrape(self, now: float) -> None:
         """Take one sample set.  Pure reads only — see module docstring."""
-        db = self.telemetry.db
-        node = self.node
         self.samples += 1
-        db.record(now, "up", 1.0, node=node)
+        self._sample(now, "up", 1.0)
         utilization = self.server.utilization_now()
-        db.record(now, "node_cpu_utilization", utilization["cpu"], node=node)
-        db.record(now, "node_mem_utilization", utilization["mem"], node=node)
-        db.record(now, "node_disk_utilization", utilization["disk"],
-                  node=node)
-        db.record(now, "node_net_utilization", utilization["net"], node=node)
-        db.record(now, "cpu_queue_depth",
-                  float(self.server.cpu.vcores.queue_length), node=node)
-        db.record(now, "node_power_w",
-                  self.server.spec.power.power(utilization,
-                                               self.server.cpu.pstate),
-                  node=node)
+        self._sample(now, "node_cpu_utilization", utilization["cpu"])
+        self._sample(now, "node_mem_utilization", utilization["mem"])
+        self._sample(now, "node_disk_utilization", utilization["disk"])
+        self._sample(now, "node_net_utilization", utilization["net"])
+        self._sample(now, "cpu_queue_depth",
+                     self.server.cpu.vcores.queue_length)
+        self._sample(now, "node_power_w",
+                     self.server.spec.power.power(utilization,
+                                                  self.server.cpu.pstate))
         if self.web_node is not None:
-            self._scrape_web(now, db, node)
+            self._scrape_web(now)
         if self.node_manager is not None:
             nm = self.node_manager
-            db.record(now, "yarn_container_mem_mb",
-                      float(nm.total_mem_mb - nm.free_mem_mb), node=node)
+            self._sample(now, "yarn_container_mem_mb",
+                         nm.total_mem_mb - nm.free_mem_mb)
 
-    def _scrape_web(self, now: float, db: TimeSeriesDB, node: str) -> None:
+    def _scrape_web(self, now: float) -> None:
         web = self.web_node
-        db.record(now, "web_connections", float(web.established), node=node)
-        db.record(now, "web_active_calls", float(web.active_calls),
-                  node=node)
-        db.record(now, "web_syn_drops_total", float(web.syn_drops),
-                  node=node)
+        self._sample(now, "web_connections", web.established)
+        self._sample(now, "web_active_calls", web.active_calls)
+        self._sample(now, "web_syn_drops_total", web.syn_drops)
         # Walk only the records appended since the previous scrape; the
         # log is append-only (reboots bump the epoch, not the list).
         fresh = web.records[self._record_index:]
@@ -118,15 +124,13 @@ class NodeAgent:
                 # web_shed_total, and any call the user actually lost
                 # is charged through client_failures instead.
                 self._errors += 1
-        db.record(now, "web_requests_total", float(self._record_index),
-                  node=node)
-        db.record(now, "web_errors_total", float(self._errors), node=node)
+        self._sample(now, "web_requests_total", self._record_index)
+        self._sample(now, "web_errors_total", self._errors)
         if web.resilience_ledger is not None:
-            db.record(now, "web_shed_total", float(web.shed_calls),
-                      node=node)
+            self._sample(now, "web_shed_total", web.shed_calls)
         if delays:
-            db.record(now, "web_mean_delay_s",
-                      sum(delays) / len(delays), node=node)
+            self._sample(now, "web_mean_delay_s",
+                         sum(delays) / len(delays))
 
 
 class ClusterAgent:

@@ -1,13 +1,12 @@
-"""An in-memory time-series store with labels, retention and queries.
+"""An in-memory time-series store with labels and queries.
 
 The monitoring plane's database: every scraped sample lands here as a
 ``(metric name, label set)`` series backed by the same
 :class:`~repro.sim.TimeSeries` the power meter records into, so the
 analytics the meter already had (trapezoidal integration, windowed
 means) and the query helpers (``rate()``, ``avg_over_time()``) apply
-uniformly.  Retention bounds memory per series the way a production
-TSDB's retention window does, so week-long simulated runs cannot
-exhaust the host.
+uniformly.  Every series keeps all its samples: a monitored run lasts
+simulated minutes, not weeks.
 """
 
 from __future__ import annotations
@@ -26,24 +25,10 @@ def label_key(labels: Mapping[str, object]) -> LabelKey:
 
 
 class TimeSeriesDB:
-    """Labeled time series, keyed ``(name, labels)``.
+    """Labeled time series, keyed ``(name, labels)``."""
 
-    Parameters
-    ----------
-    retention_samples:
-        When given, each series keeps only its most recent *N* samples;
-        older ones are dropped on append.  ``None`` retains everything.
-    """
-
-    def __init__(self, retention_samples: Optional[int] = None):
-        if retention_samples is not None and retention_samples < 1:
-            raise ValueError(
-                f"retention_samples must be >= 1, got {retention_samples}")
-        self.retention_samples = retention_samples
+    def __init__(self):
         self._series: Dict[Tuple[str, LabelKey], TimeSeries] = {}
-        #: Samples dropped by retention, for observability of the
-        #: observability layer itself.
-        self.dropped_samples = 0
 
     def __len__(self) -> int:
         return len(self._series)
@@ -51,7 +36,11 @@ class TimeSeriesDB:
     # -- write side ------------------------------------------------------
 
     def series(self, name: str, **labels: object) -> TimeSeries:
-        """Get or create the series for ``name`` with ``labels``."""
+        """Get or create the series for ``name`` with ``labels``.
+
+        A writer that records into one series again and again can keep
+        the returned series and append to it directly.
+        """
         if not name:
             raise ValueError("series name must be non-empty")
         key = (name, label_key(labels))
@@ -62,15 +51,8 @@ class TimeSeriesDB:
 
     def record(self, time: float, name: str, value: float,
                **labels: object) -> None:
-        """Append one sample, enforcing the retention limit."""
-        series = self.series(name, **labels)
-        series.record(time, float(value))
-        limit = self.retention_samples
-        if limit is not None and len(series.times) > limit:
-            excess = len(series.times) - limit
-            del series.times[:excess]
-            del series.values[:excess]
-            self.dropped_samples += excess
+        """Append one sample."""
+        self.series(name, **labels).record(time, float(value))
 
     # -- read side -------------------------------------------------------
 

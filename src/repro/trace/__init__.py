@@ -22,15 +22,18 @@ When no tracer is attached (``trace=None``, the default) every
 instrumented path reduces to a single None-check — no events, no
 allocation, identical simulation results.
 
-The log keeps its events in columns, one per :class:`TraceEvent`
-field, which the tracer appends to directly: typed ``array`` columns
-for ``ts``/``dur`` and the span ids, and for ``attrs`` one shared key
-tuple per distinct key set plus a flat list of values, so a row retains
-about 100 bytes rather than a boxed float and an attrs dict of its own
-(see :mod:`repro.trace.events`).  :class:`TraceEvent` objects, each with
-a fresh ``attrs`` dict, are built only when the log is read (iteration,
-:meth:`TraceLog.events` and its ``spans``/``counters`` narrowings, the
-exporters, :func:`repro.causality.build_forest`).
+The log keeps its events in columns, one row per emission: each row
+holds one slot pointing at its interned
+``(category, name, node, phase, attr keys)`` shape, ``ts``/``dur`` in
+``array("d")`` columns, its three span ids in one ``array("q")``
+column and its attr values in one flat list, so a row retains about 63
+bytes rather than a boxed float and an attrs dict of its own (see
+:mod:`repro.trace.events`).  The tracer's :attr:`Tracer.metrics` are
+folded from those rows when read, not fed at every emission.
+:class:`TraceEvent` objects, each with a fresh ``attrs`` dict, are built
+only when the log is read (iteration, :meth:`TraceLog.events` and its
+``spans``/``counters`` narrowings, the exporters,
+:func:`repro.causality.build_forest`).
 """
 
 from .._exports import lazy_exports

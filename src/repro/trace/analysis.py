@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from .events import TraceLog
+from .events import PHASE_SPAN, TraceLog
 
 
 @dataclass(frozen=True)
@@ -37,13 +37,14 @@ def delay_decomposition_from_trace(log: TraceLog,
     cache-miss requests only (requests that have a ``db`` span); cache
     and total delays average over all counted requests.  Connect delay
     averages over the traced connection-establishment spans in the same
-    window (one per connection, client-side).
+    window (one per connection, client-side).  The spans are read
+    one at a time, never gathered into a list.
     """
     requests: Dict[int, float] = {}
     cache: Dict[int, float] = {}
     db: Dict[int, float] = {}
     connects = []
-    for event in log.spans(category="web"):
+    for event in log._select(category="web", phase=PHASE_SPAN):
         if event.name == "connect":
             if event.ts >= after:
                 connects.append(event.dur)

@@ -30,7 +30,7 @@ class SpanContext:
 
     trace_id: int
     span_id: int
-    parent_id: int = 0
+    parent_id: int
 
     def __post_init__(self):
         if self.trace_id <= 0 or self.span_id <= 0:

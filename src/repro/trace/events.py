@@ -14,24 +14,23 @@ objects only when it is read.  A traced run emits hundreds of
 thousands of rows, so each row is kept as small as the read side
 allows:
 
+* a row's *shape* — its ``(category, name, node, phase, attr keys)``
+  tuple — is interned once per distinct shape, and the row keeps one
+  list slot pointing at it;
 * ``ts`` and ``dur`` live in ``array("d")`` columns and the three span
-  ids in ``array("q")`` columns: 8 bytes a field, no boxed float or int
-  kept alive per row;
-* ``category``, ``name``, ``node`` and ``phase`` are list slots pointing
-  at strings the emitters share;
-* ``attrs`` are split into a key schema and values.  Each distinct key
-  tuple, such as ``("req", "status")``, is stored once and every row
-  holds a slot pointing at it (the empty tuple when the row has no
-  attrs); the values of every row go, in row order, into one flat list.
+  ids, one after another, in a single ``array("q")`` column: 8 bytes a
+  field, no boxed float or int kept alive per row;
+* the attr values of every row go, in row order, into one flat list.
   Reading a row rebuilds a fresh ``dict(zip(keys, values))``, so key
   order and value objects are exactly what was emitted.
 
-On the traced ``web-day-observed`` benchmark day (182,061 rows, a
-2-core x86-64 VM with CPython 3.11) the log retains about 97 bytes a
-row by ``tracemalloc``, against 269 bytes when each row kept a boxed
-``dur`` and its emitted attrs dict.  Arrays and the flat value
-list are single objects to the cyclic collector, so it still scans a
-fixed handful of containers however long the run.
+Recording a span is four appends, and a read narrowed by category,
+name or phase decides once per shape which rows it wants, skipping the
+others before it builds an event.  On the traced ``web-day-observed``
+benchmark day (182,061 rows, a 2-core x86-64 VM with CPython 3.11) the
+log retains about 63 bytes a row by ``tracemalloc``.  Arrays and the
+flat value list are single objects to the cyclic collector, so it
+still scans a fixed handful of containers however long the run.
 """
 
 from __future__ import annotations
@@ -39,7 +38,8 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List,
+                    Optional, Tuple)
 
 #: Phase tags (a subset of the Chrome trace-event phases).
 PHASE_SPAN = "X"       # complete span: [ts, ts + dur]
@@ -119,6 +119,9 @@ class TraceEvent:
 _new = object.__new__
 _set = object.__setattr__
 
+#: A row's interned ``(category, name, node, phase, attr keys)``.
+Shape = Tuple[str, str, str, str, Tuple[str, ...]]
+
 
 class TraceLog:
     """Append-only event collector with filtering and bounded memory.
@@ -143,24 +146,16 @@ class TraceLog:
         self.max_events = max_events
         self.categories = (frozenset(categories) if categories is not None
                            else None)
-        # One column per TraceEvent field, in field order; the attrs
-        # column holds each row's interned key tuple, and the values
-        # live in ``_values``.
+        # The one-slot-per-row columns: each row's interned shape, its
+        # ts and its dur.  The ids take three slots a row in ``_ids``
+        # and the attr values len(keys) slots in ``_values``.
+        self._shapes: List[Shape] = []
         self._ts = array("d")
-        self._category: List[str] = []
-        self._name: List[str] = []
-        self._node: List[str] = []
-        self._keys: List[Tuple[str, ...]] = []
-        self._phase: List[str] = []
         self._dur = array("d")
-        self._trace_id = array("q")
-        self._span_id = array("q")
-        self._parent_id = array("q")
-        self._columns = (self._ts, self._category, self._name, self._node,
-                         self._keys, self._phase, self._dur, self._trace_id,
-                         self._span_id, self._parent_id)
+        self._columns = (self._shapes, self._ts, self._dur)
+        self._ids = array("q")
         self._values: List[Any] = []
-        self._schemas: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+        self._interned: Dict[Shape, Shape] = {}
         # A bounded log lets its columns overrun max_events by a quarter
         # before trimming the oldest rows, so a trim's cost is spread
         # over the appends that made it necessary.
@@ -168,6 +163,11 @@ class TraceLog:
                          if max_events is not None else None)
         self.accepted = 0
         self.filtered = 0
+        # Set by the Tracer that owns this log: folds the rows it
+        # emitted into its metrics.  ``_folded`` counts accepted rows
+        # already folded (or, for appended rows, skipped).
+        self._fold: Optional[Callable[[], None]] = None
+        self._folded = 0
 
     # -- write side ------------------------------------------------------
 
@@ -176,49 +176,74 @@ class TraceLog:
         return self.categories is None or category in self.categories
 
     def append(self, event: TraceEvent) -> bool:
-        """Record ``event``; returns False when category-filtered out."""
-        return self._record(event.ts, event.category, event.name,
-                            event.node, event.attrs, event.phase, event.dur,
-                            event.trace_id, event.span_id, event.parent_id)
+        """Record ``event``; returns False when category-filtered out.
 
-    def _record(self, ts: float, category: str, name: str, node: str,
-                attrs: Dict[str, Any], phase: str, dur: float,
-                trace_id: int, span_id: int, parent_id: int) -> bool:
-        """Record one event from its field values, unvalidated.
+        An appended event is not an emission of the owning tracer, so
+        it never feeds the tracer's metrics.
+        """
+        if self._fold is not None and self.accepts(event.category):
+            self._fold()
+            self._folded += 1
+        return self._add(event.category, event.name, event.node,
+                         event.phase, event.ts, event.dur,
+                         (event.trace_id, event.span_id, event.parent_id),
+                         event.attrs)
+
+    def _add(self, category: str, name: str, node: str, phase: str,
+             ts: float, dur: float, ids: Tuple[int, int, int],
+             attrs: Dict[str, Any]) -> bool:
+        """Record one row, unvalidated; False when filtered out.
 
         The write path of :meth:`append` and of
         :class:`~repro.trace.Tracer`, which validates what it emits; no
-        :class:`TraceEvent` is built.  Returns False when filtered out.
+        :class:`TraceEvent` is built.
         """
         if self.categories is not None and category not in self.categories:
             self.filtered += 1
             return False
+        shape = (category, name, node, phase, tuple(attrs) if attrs else ())
+        self._ids.extend(ids)
         self._ts.append(ts)
-        self._category.append(category)
-        self._name.append(name)
-        self._node.append(node)
-        if attrs:
-            keys = tuple(attrs)
-            self._keys.append(self._schemas.setdefault(keys, keys))
-            self._values.extend(attrs.values())
-        else:
-            self._keys.append(())
-        self._phase.append(phase)
         self._dur.append(dur)
-        self._trace_id.append(trace_id)
-        self._span_id.append(span_id)
-        self._parent_id.append(parent_id)
+        self._shapes.append(self._interned.setdefault(shape, shape))
+        if attrs:
+            self._values.extend(attrs.values())
         self.accepted += 1
         if self._trim_at is not None and len(self._ts) > self._trim_at:
             self._trim()
         return True
+
+    def _unfolded(self) -> Iterator[Tuple[str, str, Any]]:
+        """``(name, phase, sample)`` of each row added since the last
+        call, oldest first, and marks them folded.
+
+        ``sample`` is a span's ``dur`` and a counter's ``value`` (its
+        last attr).  The unfolded rows are always the newest: the
+        owning tracer folds them before a trim drops any.
+        """
+        pending = self.accepted - self._folded
+        self._folded = self.accepted
+        if pending <= 0:
+            return
+        shapes = self._shapes[-pending:]
+        values = self._values
+        end = len(values) - sum(len(keys) for *_, keys in shapes)
+        for (_, name, _, phase, keys), dur in zip(shapes,
+                                                  self._dur[-pending:]):
+            end += len(keys)
+            yield (name, phase,
+                   values[end - 1] if phase == PHASE_COUNTER else dur)
 
     def _trim(self) -> None:
         """Drop the rows a ring buffer of ``max_events`` no longer holds."""
         excess = len(self._ts) - self.max_events \
             if self.max_events is not None else 0
         if excess > 0:
-            del self._values[:sum(map(len, self._keys[:excess]))]
+            if self._fold is not None and self._folded < self.accepted:
+                self._fold()
+            del self._values[:sum(len(keys)
+                                  for *_, keys in self._shapes[:excess])]
+            del self._ids[:3 * excess]
             for column in self._columns:
                 del column[:excess]
 
@@ -239,18 +264,28 @@ class TraceLog:
                 phase: Optional[str] = None) -> Iterator[TraceEvent]:
         """Retained rows matching every given field, as fresh events.
 
+        Which shapes match is decided once per distinct shape, and a
+        row of any other shape is skipped before an event is built.
         The write side validated every row, so the events are built
         field by field without re-running ``TraceEvent.__post_init__``.
         """
         self._trim()
+        wanted = None
+        if category is not None or name is not None or phase is not None:
+            wanted = {id(shape) for shape in self._interned
+                      if (category is None or shape[0] == category)
+                      and (name is None or shape[1] == name)
+                      and (phase is None or shape[3] == phase)}
         # Rows take their values from one shared iterator, in order:
         # zip() stops at the end of a row's keys without taking more.
+        # The ids iterator is zipped three times to yield each row's
+        # (trace_id, span_id, parent_id).
         values = iter(self._values)
-        for (ts, cat, nm, node, keys, ph, dur, trace_id, span_id,
-             parent_id) in zip(*self._columns):
-            if ((category is not None and cat != category)
-                    or (name is not None and nm != name)
-                    or (phase is not None and ph != phase)):
+        ids = iter(self._ids)
+        for (shape, ts, dur, trace_id, span_id,
+             parent_id) in zip(*self._columns, ids, ids, ids):
+            cat, nm, node, ph, keys = shape
+            if wanted is not None and id(shape) not in wanted:
                 for _ in keys:
                     next(values)
                 continue

@@ -4,8 +4,8 @@ The paper reports 95th-percentile delays (Section 5.1.3); a
 :class:`Histogram` with logarithmic buckets supplies those percentiles
 from real samples in O(buckets) memory rather than retaining every
 observation.  The bucket growth factor bounds the relative error of any
-percentile estimate: with the default ``growth = 1.08`` an estimate is
-within ±4 % of the exact order statistic.
+percentile estimate: with :data:`GROWTH` = 1.08 an estimate is within
+±4 % of the exact order statistic.
 """
 
 from __future__ import annotations
@@ -15,6 +15,12 @@ from typing import Dict, Tuple
 
 #: Percentiles a registry snapshot reports per histogram.
 SNAPSHOT_PERCENTILES = (50.0, 95.0)
+
+#: Histogram bucket layout: each bucket spans a factor ``GROWTH`` above
+#: the underflow bucket ``[0, FLOOR]``.
+GROWTH = 1.08
+FLOOR = 1e-9
+_LOG_GROWTH = math.log(GROWTH)
 
 
 class Counter:
@@ -45,52 +51,46 @@ class Gauge:
 class Histogram:
     """Log-bucketed value distribution with percentile estimation.
 
-    Values at or below ``floor`` share an underflow bucket; above it,
-    bucket *i* covers ``(floor * growth**(i-1), floor * growth**i]`` so
-    bucket count grows logarithmically with the dynamic range.  The
+    Values at or below :data:`FLOOR` share an underflow bucket; above
+    it, bucket *i* covers ``(FLOOR * GROWTH**(i-1), FLOOR * GROWTH**i]``
+    so bucket count grows logarithmically with the dynamic range.  The
     exact minimum and maximum are tracked so extreme percentiles clamp
     to observed values.
     """
 
-    def __init__(self, name: str = "histogram", growth: float = 1.08,
-                 floor: float = 1e-9):
-        if growth <= 1.0:
-            raise ValueError(f"growth must be > 1, got {growth}")
-        if floor <= 0:
-            raise ValueError(f"floor must be > 0, got {floor}")
+    def __init__(self, name: str = "histogram"):
         self.name = name
-        self.growth = growth
-        self.floor = floor
-        self._log_growth = math.log(growth)
         self._counts: Dict[int, int] = {}
         self.count = 0
         self.total = 0.0
         self._min = math.inf
         self._max = -math.inf
 
-    def _bucket(self, value: float) -> int:
-        if value <= self.floor:
+    @staticmethod
+    def _bucket(value: float) -> int:
+        if value <= FLOOR:
             return 0
-        return 1 + math.floor(math.log(value / self.floor)
-                              / self._log_growth * (1 - 1e-12))
+        return 1 + math.floor(math.log(value / FLOOR) / _LOG_GROWTH
+                              * (1 - 1e-12))
 
-    def _bounds(self, index: int) -> Tuple[float, float]:
+    @staticmethod
+    def _bounds(index: int) -> Tuple[float, float]:
         if index == 0:
-            return (0.0, self.floor)
-        return (self.floor * self.growth ** (index - 1),
-                self.floor * self.growth ** index)
+            return (0.0, FLOOR)
+        return (FLOOR * GROWTH ** (index - 1), FLOOR * GROWTH ** index)
 
     def observe(self, value: float) -> None:
         """Record one sample (must be >= 0)."""
         if value < 0:
             raise ValueError(f"histogram values must be >= 0, got {value}")
-        # _bucket() and min()/max() inlined: every traced span lands
-        # here.  The arithmetic is _bucket's, so buckets are identical.
-        if value <= self.floor:
+        # _bucket() and min()/max() inlined: every traced span and every
+        # scraped request lands here.  The arithmetic is _bucket's, so
+        # buckets are identical.
+        if value <= FLOOR:
             index = 0
         else:
-            index = 1 + math.floor(math.log(value / self.floor)
-                                   / self._log_growth * (1 - 1e-12))
+            index = 1 + math.floor(math.log(value / FLOOR) / _LOG_GROWTH
+                                   * (1 - 1e-12))
         counts = self._counts
         counts[index] = counts.get(index, 0) + 1
         self.count += 1
@@ -110,7 +110,7 @@ class Histogram:
 
         Returns the geometric midpoint of the bucket holding the rank,
         clamped to the observed minimum/maximum, so the estimate is
-        within a factor ``sqrt(growth)`` of the exact order statistic.
+        within a factor ``sqrt(GROWTH)`` of the exact order statistic.
         """
         if not 0 <= p <= 100:
             raise ValueError(f"p must be in [0, 100], got {p}")
@@ -129,7 +129,7 @@ class Histogram:
             cumulative += self._counts[index]
             if cumulative >= rank:
                 low, high = self._bounds(index)
-                estimate = self.floor if index == 0 \
+                estimate = FLOOR if index == 0 \
                     else math.sqrt(low * high)
                 # Clamp into the bucket's own bounds intersected with
                 # the tracked extremes.  Bucket intervals are disjoint
@@ -162,20 +162,10 @@ class MetricsRegistry:
             self._gauges[name] = Gauge(name)
         return self._gauges[name]
 
-    def histogram(self, name: str, growth: float = 1.08,
-                  floor: float = 1e-9) -> Histogram:
-        """Get or create ``name``; re-registering with another bucket
-        layout (``growth``/``floor``) raises ValueError."""
-        hist = self._histograms.get(name)
-        if hist is None:
-            hist = self._histograms[name] = Histogram(name, growth=growth,
-                                                      floor=floor)
-        elif hist.growth != growth or hist.floor != floor:
-            raise ValueError(
-                f"histogram {name!r} exists with growth={hist.growth}, "
-                f"floor={hist.floor}; asked for growth={growth}, "
-                f"floor={floor}")
-        return hist
+    def histogram(self, name: str) -> Histogram:
+        if name not in self._histograms:
+            self._histograms[name] = Histogram(name)
+        return self._histograms[name]
 
     def snapshot(self) -> Dict:
         """All metric values as one JSON-friendly dict; histograms give

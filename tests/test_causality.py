@@ -34,17 +34,17 @@ def traced_web_run(seed=11, concurrency=16, duration=1.5, warmup=0.5):
 def test_span_context_validates_ids():
     ctx = SpanContext(trace_id=3, span_id=5, parent_id=2)
     assert not ctx.is_root
-    assert SpanContext(trace_id=1, span_id=1).is_root
+    assert SpanContext(trace_id=1, span_id=1, parent_id=0).is_root
     with pytest.raises(ValueError):
-        SpanContext(trace_id=0, span_id=1)
+        SpanContext(trace_id=0, span_id=1, parent_id=0)
     with pytest.raises(ValueError):
-        SpanContext(trace_id=1, span_id=0)
+        SpanContext(trace_id=1, span_id=0, parent_id=0)
     with pytest.raises(ValueError):
         SpanContext(trace_id=1, span_id=1, parent_id=-1)
 
 
 def test_traceparent_rendering():
-    ctx = SpanContext(trace_id=10, span_id=255)
+    ctx = SpanContext(trace_id=10, span_id=255, parent_id=0)
     assert ctx.to_traceparent() == f"00-{10:032x}-{255:016x}-01"
 
 

@@ -8,7 +8,12 @@ module constant next to the code that reads it.  The scan is static:
 calls are matched to callables by name (import aliases, ``cls(...)``,
 ``super().__init__(...)`` and ``dataclasses.replace`` resolved), and a
 call that splats ``*args``/``**kwargs`` counts as passing every
-parameter it could reach.  A value that stays settable without such a
+parameter it could reach.  A method call is matched on its receiver
+where the receiver's class is known — ``self``/``cls``, a local built
+by one constructor (or by one function annotated to return a repro
+class), or an imported module — so ``statistics.mean(xs)`` or a
+``ProbeLog``'s ``log.histogram(0.5, 8.0)`` sets no repro method of
+that name.  Any other receiver still matches every method of the name.  A value that stays settable without such a
 caller needs an :data:`ALLOWED` entry with a one-line reason.
 
 Run as a script to list the unset values, split into those only
@@ -22,7 +27,7 @@ from __future__ import annotations
 import ast
 import functools
 from pathlib import Path
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
@@ -35,8 +40,6 @@ _FILLED_IN = "run record: starts empty and is filled in as the run goes"
 _TRACER = "README-documented Tracer(max_events=, categories=)"
 _TRACE_READS = ("README-documented trace reads: events()/spans()/"
                 "counters() narrow by the same category and name")
-_TEST_ONLY = ("only tests reach it; deleting it deletes its tests, "
-              "left for a later deletion: ")
 
 
 def _each(reason: str, callable_: str, *params: str) -> Dict[str, str]:
@@ -98,12 +101,8 @@ ALLOWED: Dict[str, str] = {
     **_each(_TRACER, "repro.trace.spans.Tracer", "categories", "max_events"),
     **_each(_TRACE_READS, "repro.trace.events.TraceLog.counters",
             "category", "name"),
-    **_each(_TRACE_READS, "repro.trace.events.TraceLog.spans", "name"),
-    **_each(_TEST_ONLY + "test_db_retention_*, test_resample_*retention*",
-            "repro.telemetry.tsdb.TimeSeriesDB", "retention_samples"),
-    **_each(_TEST_ONLY + "test_registry_rejects_histogram_with_other_"
-            "bucket_layout",
-            "repro.trace.metrics.MetricsRegistry.histogram", "floor"),
+    **_each(_TRACE_READS, "repro.trace.events.TraceLog.spans",
+            "category", "name"),
 }
 
 
@@ -183,6 +182,10 @@ class _Index:
     def __init__(self):
         self.by_name: Dict[str, List[_Callable]] = {}
         self.classes: Dict[str, List[_Callable]] = {}
+        self.methods: Dict[str, Dict[str, List[_Callable]]] = {}
+        self.modules: Set[str] = set()
+        #: Function name -> the class names its definitions return.
+        self.returns: Dict[str, Set[str]] = {}
         self.dataclasses: List[_Callable] = []
         self.bases: Dict[str, List[str]] = {}
         for path in sorted(PACKAGE.rglob("*.py")):
@@ -190,6 +193,7 @@ class _Index:
                        for p in path.relative_to(PACKAGE).parts):
                 continue
             module = _module_name(path)
+            self.modules.add(module)
             tree = ast.parse(path.read_text(), str(path))
             for node in tree.body:
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
@@ -197,6 +201,9 @@ class _Index:
                     params, defaulted = _function_params(node, method=False)
                     self._add(node.name, _Callable(
                         f"{module}.{node.name}", params, defaulted))
+                    self.returns.setdefault(node.name, set()).add(
+                        ast.unparse(node.returns).strip("'\"")
+                        if node.returns is not None else "")
                 elif isinstance(node, ast.ClassDef) and _is_public(node.name):
                     self._add_class(module, node)
         # Dataclass subclasses inherit their bases' fields, in order.
@@ -231,11 +238,31 @@ class _Index:
                 ctor = _Callable(qual, params, defaulted)
             elif _is_public(stmt.name) or stmt.name == "__call__":
                 params, defaulted = _function_params(stmt, method=True)
-                self._add(stmt.name, _Callable(
-                    f"{qual}.{stmt.name}", params, defaulted))
+                method = _Callable(f"{qual}.{stmt.name}", params, defaulted)
+                self._add(stmt.name, method)
+                self.methods.setdefault(node.name, {}).setdefault(
+                    stmt.name, []).append(method)
         if ctor is None:
             ctor = _Callable(qual, [], [])
         self.classes.setdefault(node.name, []).append(ctor)
+
+    def related(self, name: str) -> Set[str]:
+        """``name`` and every class it inherits from or passes on to."""
+        found, todo = set(), [name]
+        while todo:
+            current = todo.pop()
+            if current in found:
+                continue
+            found.add(current)
+            todo.extend(self.bases.get(current, ()))
+            todo.extend(sub for sub, bases in self.bases.items()
+                        if current in bases)
+        return found
+
+    def method(self, class_name: str, name: str) -> List[_Callable]:
+        """The public methods ``name`` a ``class_name`` receiver can reach."""
+        return [m for cls in sorted(self.related(class_name))
+                for m in self.methods.get(cls, {}).get(name, ())]
 
     def settable(self) -> Iterator[str]:
         for group in list(self.by_name.values()) + list(self.classes.values()):
@@ -244,29 +271,108 @@ class _Index:
                     yield f"{item.key}({param})"
 
 
-def _calls_in(tree: ast.AST) -> Iterator[Tuple[ast.Call, List[str],
-                                               Dict[str, str]]]:
-    """Yield each call with its enclosing class names and import aliases."""
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                if alias.asname:
-                    aliases[alias.asname] = alias.name
+#: Built-in constructors: a local built by one is no repro class.
+_BUILTIN_TYPES = frozenset(("dict", "list", "set", "frozenset", "tuple",
+                            "str", "bytes", "int", "float", "object"))
 
-    def visit(node, classes):
+
+class _Scope:
+    """What a file binds: import aliases, module names and, per
+    function, the locals built by one known constructor."""
+
+    def __init__(self, index: _Index, tree: ast.AST, package: str):
+        self.aliases: Dict[str, str] = {}
+        #: Bound name -> the module it names (repro or not).
+        self.modules: Dict[str, str] = {}
+        parts = package.split(".")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    self.modules[alias.asname or alias.name.split(".")[0]] = \
+                        alias.name if alias.asname else \
+                        alias.name.split(".")[0]
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                if node.level:
+                    parent = ".".join(parts[:len(parts) + 1 - node.level])
+                    base = f"{parent}.{base}" if base else parent
+                for alias in node.names:
+                    if alias.asname:
+                        self.aliases[alias.asname] = alias.name
+                    if f"{base}.{alias.name}" in index.modules:
+                        self.modules[alias.asname or alias.name] = \
+                            f"{base}.{alias.name}"
+
+
+def _local_classes(index: _Index, function, scope: _Scope
+                   ) -> Dict[str, str]:
+    """Locals of ``function`` every binding of which assigns a call to
+    the same constructor: name -> its class name, "" when not a repro
+    class.  A parameter or any other binding leaves a name unknown."""
+    args = function.args
+    built: Dict[str, Set[Optional[str]]] = {
+        a.arg: {None} for a in args.posonlyargs + args.args
+        + args.kwonlyargs + [args.vararg, args.kwarg] if a is not None}
+    assigned: Dict[int, Optional[str]] = {}
+    for node in ast.walk(function):
+        if not (isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Call)):
+            continue
+        func = node.value.func
+        kind = None
+        if isinstance(func, ast.Name):
+            name = scope.aliases.get(func.id, func.id)
+            returns = index.returns.get(name, set())
+            if name in index.classes:
+                kind = name
+            elif name in _BUILTIN_TYPES:
+                kind = ""
+            elif len(returns) == 1 and next(iter(returns)) \
+                    in index.classes:
+                kind = next(iter(returns))
+        elif (isinstance(func, ast.Attribute)
+              and isinstance(func.value, ast.Name)
+              and func.value.id in scope.modules
+              and scope.modules[func.value.id] not in index.modules):
+            kind = ""
+        for target in node.targets:
+            if isinstance(target, ast.Name):
+                assigned[id(target)] = kind
+    for node in ast.walk(function):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            built.setdefault(node.id, set()).add(assigned.get(id(node)))
+    return {name: kinds.pop() for name, kinds in built.items()
+            if len(kinds) == 1 and None not in kinds}
+
+
+def _calls_in(index: _Index, tree: ast.AST, scope: _Scope
+              ) -> Iterator[Tuple[ast.Call, List[str], Dict[str, str]]]:
+    """Yield each call with its enclosing class names and the locals of
+    its function whose class is known."""
+
+    def visit(node, classes, local):
         if isinstance(node, ast.ClassDef):
             classes = classes + [node.name]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            local = {**local, **_local_classes(index, node, scope)}
         if isinstance(node, ast.Call):
-            yield node, classes, aliases
+            yield node, classes, local
         for child in ast.iter_child_nodes(node):
-            yield from visit(child, classes)
+            yield from visit(child, classes, local)
 
-    yield from visit(tree, [])
+    yield from visit(tree, [], {})
 
 
 def _targets(index: _Index, call: ast.Call, classes: List[str],
-             aliases: Dict[str, str]) -> List[_Callable]:
+             local: Dict[str, str], scope: _Scope) -> List[_Callable]:
+    """The callables ``call`` may reach.
+
+    A method call resolves on its receiver where the scan knows the
+    receiver's class: ``self``/``cls``, a local every assignment of
+    which calls one constructor (or one function annotated to return a
+    repro class), or a module.  A known receiver without such a method
+    reaches nothing; any other receiver reaches every method of the
+    name."""
     func = call.func
     if isinstance(func, ast.Attribute):
         if (func.attr == "__init__" and isinstance(func.value, ast.Call)
@@ -275,13 +381,28 @@ def _targets(index: _Index, call: ast.Call, classes: List[str],
             return [c for base in index.bases.get(classes[-1], ())
                     for c in index.classes.get(base, ())]
         name = func.attr
-    elif isinstance(func, ast.Name):
-        name = aliases.get(func.id, func.id)
+        receiver = func.value
+        if isinstance(receiver, ast.Name):
+            if (receiver.id in ("self", "cls") and classes
+                    and classes[-1] in index.classes):
+                return index.method(classes[-1], name)
+            if receiver.id in local:
+                owner = local[receiver.id]
+                return index.method(owner, name) if owner else []
+            module = scope.modules.get(receiver.id)
+            if module is not None:
+                # A package exports the names of its submodules.
+                return [c for c in index.by_name.get(name, [])
+                        + index.classes.get(name, [])
+                        if c.key.rpartition(".")[0] in index.modules
+                        and f"{c.key}.".startswith(f"{module}.")]
+        return index.by_name.get(name, []) + index.classes.get(name, [])
+    if isinstance(func, ast.Name):
+        name = scope.aliases.get(func.id, func.id)
         if name == "cls" and classes:
             name = classes[-1]
-    else:
-        return []
-    return index.by_name.get(name, []) + index.classes.get(name, [])
+        return index.by_name.get(name, []) + index.classes.get(name, [])
+    return []
 
 
 def _passed(index: _Index, files) -> Set[str]:
@@ -289,7 +410,13 @@ def _passed(index: _Index, files) -> Set[str]:
     passed: Set[str] = set()
     for path in files:
         tree = ast.parse(path.read_text(), str(path))
-        for call, classes, aliases in _calls_in(tree):
+        package = ""
+        if PACKAGE in path.parents:
+            package = _module_name(path)
+            if path.name != "__init__.py":
+                package = package.rpartition(".")[0]
+        scope = _Scope(index, tree, package)
+        for call, classes, local in _calls_in(index, tree, scope):
             func = call.func
             name = func.attr if isinstance(func, ast.Attribute) else \
                 getattr(func, "id", "")
@@ -302,7 +429,7 @@ def _passed(index: _Index, files) -> Set[str]:
             splat_args = any(isinstance(a, ast.Starred) for a in call.args)
             splat_kwargs = any(k.arg is None for k in call.keywords)
             keywords = {k.arg for k in call.keywords if k.arg is not None}
-            for target in _targets(index, call, classes, aliases):
+            for target in _targets(index, call, classes, local, scope):
                 for position, param in enumerate(target.params):
                     if (param in keywords or splat_kwargs or splat_args
                             or position < len(call.args)):
@@ -344,6 +471,35 @@ def test_allowlist_names_only_unset_values():
     assert not stale, ("ALLOWED entries that a caller now passes, or that "
                        "no longer exist:\n  " + "\n  ".join(stale))
     assert all(reason.strip() for reason in ALLOWED.values())
+
+
+def test_method_calls_resolve_on_known_receivers(tmp_path):
+    index = _Index()
+    bin_width = "repro.web.client.ProbeLog.histogram(bin_width_s)"
+    registry_name = "repro.trace.metrics.MetricsRegistry.histogram(name)"
+    callers = {
+        # A local built by a function annotated to return ProbeLog.
+        "probe": ("from repro.web.client import delay_distribution\n"
+                  "def f():\n"
+                  "    log = delay_distribution('edison')\n"
+                  "    log.histogram(0.5)\n", {bin_width}),
+        # A local built by another class, and a foreign module.
+        "other": ("import statistics\n"
+                  "from repro.trace.metrics import MetricsRegistry\n"
+                  "def f(xs):\n"
+                  "    registry = MetricsRegistry()\n"
+                  "    registry.histogram('d', 0.5)\n"
+                  "    statistics.histogram(0.5)\n", {registry_name}),
+        # A parameter: its class is unknown, so the name still matches.
+        "unknown": ("def f(log):\n"
+                    "    log.histogram(0.5)\n", {bin_width, registry_name}),
+    }
+    for name, (source, expected) in callers.items():
+        path = tmp_path / f"{name}.py"
+        path.write_text(source)
+        passed = {key for key in _passed(index, [path])
+                  if ".histogram(" in key}
+        assert passed == expected, name
 
 
 if __name__ == "__main__":

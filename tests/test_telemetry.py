@@ -34,20 +34,6 @@ def test_db_select_matches_label_subset():
     assert only_web[0][0]["node"] == "a"
 
 
-def test_db_retention_trims_oldest():
-    db = TimeSeriesDB(retention_samples=3)
-    for i in range(10):
-        db.record(float(i), "x", float(i))
-    series = db.series("x")
-    assert series.times == [7.0, 8.0, 9.0]
-    assert db.dropped_samples == 7
-
-
-def test_db_retention_validated():
-    with pytest.raises(ValueError):
-        TimeSeriesDB(retention_samples=0)
-
-
 def test_db_query_delegation():
     db = TimeSeriesDB()
     for i in range(4):

@@ -62,6 +62,61 @@ def test_log_empty_category_filter_keeps_nothing():
     assert snap["s.duration_s"]["count"] == 1
 
 
+@pytest.mark.parametrize("max_events,categories", [
+    (None, None), (40, None), (None, {"web", "event"}),
+    (40, {"web", "counter"}), (None, ())])
+def test_metrics_fold_matches_an_eagerly_fed_registry(max_events,
+                                                      categories):
+    # The tracer folds its metrics from the log's rows when they are
+    # read; a registry fed at every emission must read the same, float
+    # for float and in the same key order, whatever the ring buffer
+    # trims, the filter drops or TraceLog.append slips in between.
+    rng = random.Random(20160901)
+    tracer = Tracer(max_events=max_events, categories=categories)
+    clock = types.SimpleNamespace(_now=0.0)
+    tracer.bind(clock)
+    reference = MetricsRegistry()
+    names = ("request", "cache", "db", "boot")
+    reads = 0
+    for seq in range(3000):
+        clock._now += rng.choice((0.0, rng.expovariate(50.0)))
+        name = rng.choice(names)
+        category = rng.choice(("web", "kernel", "event", "counter"))
+        attrs = {key: seq for key in rng.sample(("req", "status", "k"),
+                                                rng.randrange(3))}
+        kind = rng.randrange(10)
+        if kind < 5:
+            start = clock._now * rng.random()
+            ctx = tracer.root_context() if kind == 0 else None
+            tracer.complete(name, start, category=category, ctx=ctx,
+                            **attrs)
+            reference.counter(f"{name}.count").inc()
+            reference.histogram(f"{name}.duration_s").observe(
+                clock._now - start)
+        elif kind < 7:
+            tracer.instant(name, category=category, **attrs)
+            reference.counter(f"{name}.count").inc()
+        elif kind < 9:
+            value = rng.choice((seq, rng.uniform(0.0, 9.0)))
+            tracer.counter(name, value, category=category, **attrs)
+            reference.gauge(name).set(value)
+        else:
+            tracer.log.append(TraceEvent(ts=clock._now, category=category,
+                                         name=name, attrs=attrs,
+                                         phase=PHASE_SPAN, dur=1.0))
+        if rng.random() < 0.01:
+            list(tracer.log)
+        if rng.random() < 0.005:
+            reads += 1
+            assert list(tracer.metrics.snapshot().items()) == \
+                list(reference.snapshot().items())
+    assert reads > 5
+    assert list(tracer.metrics.snapshot().items()) == \
+        list(reference.snapshot().items())
+    assert json.dumps(tracer.metrics.snapshot()) == \
+        json.dumps(reference.snapshot())
+
+
 def test_bounded_log_interleaves_appends_and_emissions_across_trims():
     cap = 100
     # The filter drops the kernel's own calendar instant.
@@ -131,12 +186,12 @@ def test_log_gc_footprint_does_not_grow_with_span_count():
     assert tracked_after(1_000) == tracked_after(100_000)
 
 
-@pytest.mark.parametrize("attrs,bound", [(False, 100), (True, 160)])
+@pytest.mark.parametrize("attrs,bound", [(False, 60), (True, 120)])
 def test_log_retained_bytes_per_row(attrs, bound):
-    # A row keeps 8-byte typed-array and list slots, one slot per attr
-    # value and the value itself (a boxed ``req`` int here); no boxed
-    # ``dur``, no per-row attrs dict.  Kept as objects, the same rows
-    # took about 168 and 320 bytes.
+    # A row keeps six 8-byte slots (its interned shape, ts, dur and the
+    # three ids), one slot per attr value and the value itself (a boxed
+    # ``req`` int here); no boxed ``dur``, no per-row attrs dict: about
+    # 49 and 97 bytes.
     rows = 100_000
     tracer = Tracer()
     tracer.complete("request", 0.0, category="web", node="web-0",
@@ -314,7 +369,7 @@ def test_counter_and_gauge():
 def test_histogram_percentile_against_brute_force():
     rng = random.Random(42)
     values = [rng.lognormvariate(0.0, 2.0) for _ in range(5000)]
-    hist = Histogram(growth=1.08)
+    hist = Histogram()
     for value in values:
         hist.observe(value)
     ordered = sorted(values)
@@ -331,7 +386,7 @@ def test_histogram_percentile_low_tail_clamped_to_min():
     # Regression: the geometric midpoint of the lowest occupied bucket
     # can fall below the observed minimum; low-percentile estimates
     # must be clamped into [min, max] just like the high tail.
-    hist = Histogram(growth=2.0)
+    hist = Histogram()
     for value in (1.9, 1000.0, 1001.0, 1002.0):
         hist.observe(value)
     assert hist.percentile(0) == 1.9
@@ -348,7 +403,7 @@ def test_histogram_percentile_monotone_in_p_property():
     rng = random.Random(1337)
     grid = [p / 2 for p in range(0, 201)]
     for trial in range(25):
-        hist = Histogram(growth=rng.choice([1.05, 1.1, 1.5, 2.0]))
+        hist = Histogram()
         count = rng.randint(1, 200)
         for _ in range(count):
             if rng.random() < 0.2:
@@ -388,17 +443,7 @@ def test_metrics_registry_snapshot():
     assert snap["delay"]["count"] == 4
     assert snap["delay"]["p95"] == pytest.approx(4.0, rel=0.1)
     assert registry.counter("requests") is registry.counter("requests")
-
-
-def test_registry_rejects_histogram_with_other_bucket_layout():
-    registry = MetricsRegistry()
-    hist = registry.histogram("delay", growth=1.1)
-    assert registry.histogram("delay", growth=1.1) is hist
-    with pytest.raises(ValueError):
-        registry.histogram("delay")
-    with pytest.raises(ValueError):
-        registry.histogram("delay", growth=1.1, floor=1e-6)
-    assert registry.histogram("plain") is registry.histogram("plain")
+    assert registry.histogram("delay") is registry.histogram("delay")
 
 
 # -- exporters ----------------------------------------------------------------

@@ -3,8 +3,8 @@
 The autoscale controller steers a fleet off ``rate()`` and friends, so
 the helpers must be boringly total at their edges: counter resets must
 not produce negative rates, empty windows must say "no data" instead
-of raising, and resampling near the retention boundary must never trip
-over float dust.
+of raising, and resampling a series that starts off the grid (as one
+trimmed to a retention window does) must never trip over float dust.
 """
 
 import math
@@ -102,13 +102,13 @@ def test_avg_over_time_window_validation():
 # -- resampling near retention boundaries -------------------------------------
 
 def test_resample_after_retention_trim_does_not_raise():
-    # Retention drops the oldest samples, so the series now starts at
-    # an arbitrary (non-grid) time; resampling must clamp its first
-    # grid point instead of asking for a value before the first sample.
-    db = TimeSeriesDB(retention_samples=5)
-    for i in range(50):
-        db.record(0.3 + i * 0.7, "cpu", float(i), node="a")
-    series = db.series("cpu", node="a")
+    # A series trimmed to its newest samples (here the last 5 of 50)
+    # starts at an arbitrary (non-grid) time; resampling must clamp its
+    # first grid point instead of asking for a value before the first
+    # sample.
+    series = TimeSeries("cpu")
+    for i in range(45, 50):
+        series.record(0.3 + i * 0.7, float(i))
     resampled = series.resample(1.0)
     assert resampled.times[0] >= series.times[0] - 1e-9
     assert all(math.isclose(t, round(t)) for t in resampled.times)
@@ -131,13 +131,18 @@ def test_resample_randomised_retention_boundaries_never_raise():
     rng = random.Random(20160901)
     for _trial in range(50):
         limit = rng.randrange(2, 8)
-        db = TimeSeriesDB(retention_samples=limit)
+        times, values = [], []
         t = rng.uniform(0.0, 3.0)
         for i in range(rng.randrange(limit, 40)):
             t += rng.uniform(0.05, 1.5)
-            db.record(t, "sig", rng.uniform(0.0, 100.0))
+            times.append(t)
+            values.append(rng.uniform(0.0, 100.0))
         step = rng.choice([0.25, 0.5, 1.0, 2.0])
-        series = db.series("sig")
+        # The last ``limit`` samples: a series that starts off the grid,
+        # as one trimmed to a retention window does.
+        series = TimeSeries("sig")
+        for t, v in zip(times[-limit:], values[-limit:]):
+            series.record(t, v)
         out = series.resample(step)
         assert len(out.times) == len(out.values)
         if not out.times:
