@@ -218,9 +218,10 @@ class Cpu:
         # holder count: full single-thread speed while no core runs
         # both of its hardware threads, the SMT-degraded rate after.
         vcores = self.vcores
-        grant = Request(vcores)
+        grant = Request(vcores, in_place=True)
         try:
-            yield grant
+            if grant.callbacks is not None:
+                yield grant
             rate = (self._thread_dmips
                     if len(vcores.users) <= self._cores
                     else self._loaded_dmips)

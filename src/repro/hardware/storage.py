@@ -86,9 +86,10 @@ class Storage:
         # simulated disk request, which MapReduce issues by the
         # thousand (spills, merges, HDFS block reads).
         channel = self.channel
-        grant = Request(channel)
+        grant = Request(channel, in_place=True)
         try:
-            yield grant
+            if grant.callbacks is not None:
+                yield grant
             yield (self._latencies[op]
                    + nbytes / self._rates[op, buffered])
         finally:

@@ -9,9 +9,11 @@ application master's doing: it hands each granted node a split stored
 there (see ``runtime._InputPool``).
 
 Allocation polling is Terasort's largest host cost (hundreds of
-thousands of rounds per job), so one heartbeat round is kept to its
-three calendar events — heartbeat wait, master vCPU grant, master CPU
-burst — and allocates nothing beyond the burst's ``Request``.
+thousands of rounds per job).  A round still schedules three calendar
+entries — heartbeat wait, master vCPU grant, master CPU burst — but the
+grant, and usually the burst, are taken in place by the calendar's
+tail handoff (see ``repro.sim.kernel``).  A round allocates nothing
+beyond the burst's ``Request``.
 """
 
 from __future__ import annotations
@@ -162,10 +164,10 @@ class YarnScheduler:
         speculative twin must not land beside the straggler it is
         insuring against).
 
-        One round costs three calendar events (the jittered heartbeat
-        wait, the master's vCPU grant and its CPU burst; two without a
-        master) and allocates nothing beyond the burst's ``Request``:
-        everything a round reads is bound once per request.
+        One round schedules three calendar entries (the jittered
+        heartbeat wait, the master's vCPU grant and its CPU burst; two
+        without a master) and allocates nothing beyond the burst's
+        ``Request``: everything a round reads is bound once per request.
         """
         if mem_mb < 1:
             raise ValueError("mem_mb must be >= 1")

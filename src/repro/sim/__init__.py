@@ -3,7 +3,7 @@
 from .._exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
-    ".errors": ("EmptySchedule", "Interrupt", "SimulationError"),
+    ".errors": ("Interrupt", "SimulationError"),
     ".kernel": ("AllOf", "AnyOf", "Event", "Process", "Simulation", "Timeout"),
     ".monitor": ("TimeSeries", "periodic_sampler"),
     ".resources": ("Container", "Request", "Resource", "Store"),

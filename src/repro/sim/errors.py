@@ -5,10 +5,6 @@ class SimulationError(Exception):
     """Base class for all kernel-level errors."""
 
 
-class EmptySchedule(SimulationError):
-    """Raised by :meth:`Simulation.step` when no events remain."""
-
-
 class StopSimulation(Exception):
     """Raised internally to end :meth:`Simulation.run` at an until-event.
 

@@ -12,6 +12,18 @@ object-free: the calendar entry carries the process itself, so the hot
 paths (network hops, CPU bursts, device time) allocate no Event at all.
 Use a real :class:`Timeout` when the wait must be cancellable or shared.
 
+Tail handoff: a resume is in the calendar's *tail* when it is the drain
+loop's last action before the next pop, i.e. the wake of a bare delay
+or of an event with exactly one callback.  There a process whose next
+wake would provably be that pop continues in place: a bare delay ``d``
+with an empty heap or ``heap[0][0] > now + d``, and an uncontended
+``Request(resource, in_place=True)`` with no entry at ``<= now``.
+Each consumes its sequence number, counts toward the heap peak as if
+pushed, and sets the clock as the pop would, so every pop order, float,
+``calendar_stats()`` field and trace row is unchanged.  A resume nested
+in a callback run by :meth:`Event.add_callback`, or run among several
+callbacks, is never in the tail.
+
 The design is intentionally close to the well-known SimPy API so the rest
 of the codebase reads naturally to anyone who has simulated systems
 before, but it is implemented here from scratch and trimmed to exactly
@@ -39,7 +51,7 @@ from itertools import count
 from math import isfinite
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
-from .errors import EmptySchedule, Interrupt, SimulationError, StopSimulation
+from .errors import Interrupt, SimulationError, StopSimulation
 
 #: Priority used for ordinary events.
 NORMAL = 1
@@ -136,8 +148,12 @@ class Event:
         """Run ``callback(event)`` when the event is processed."""
         callbacks = self.callbacks
         if callbacks is None:
-            # Already processed: run immediately so late waiters still wake.
+            # Already processed: run immediately so late waiters still
+            # wake.  A resume nested here is not in the calendar's tail.
+            sim = self.sim
+            tail, sim._tail = sim._tail, False
             callback(self)
+            sim._tail = tail
         elif callbacks is _NO_CALLBACKS:
             self.callbacks = [callback]
         else:
@@ -245,7 +261,7 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current time."""
         if not self.is_alive:
             raise SimulationError(f"{self.name} already terminated")
-        if self._target is self:
+        if self.sim._active_process is self:
             raise SimulationError("a process cannot interrupt itself")
         wakeup = Event(self.sim)
         wakeup._ok = False
@@ -310,8 +326,18 @@ class Process(Event):
                     event._value = exc
                     continue
                 heap = sim._heap
-                heappush(heap, (sim._now + target, NORMAL,
-                                next(sim._seq), self, self._wait_token))
+                at = sim._now + target
+                if sim._tail and (not heap or heap[0][0] > at):
+                    # Tail handoff: this wake is the next pop, so take
+                    # it here, accounted as if pushed and popped.
+                    next(sim._seq)
+                    if len(heap) >= sim._heap_peak:
+                        sim._heap_peak = len(heap) + 1
+                    sim._now = at
+                    event = _DELAY_FIRED
+                    continue
+                heappush(heap, (at, NORMAL, next(sim._seq), self,
+                                self._wait_token))
                 if len(heap) > sim._heap_peak:
                     sim._heap_peak = len(heap)
                 self._target = None
@@ -434,6 +460,9 @@ class Simulation:
         self._heap: list = []
         self._seq = count()
         self._active_process: Optional[Process] = None
+        # The tail flag (see the module docstring): raised while run()
+        # drains, lowered around several callbacks and nested resumes.
+        self._tail = False
         self.trace = trace
         #: Attached fault injector (set by repro.faults.FaultInjector).
         #: ``None`` keeps every fault-aware path at a single None-check,
@@ -517,53 +546,6 @@ class Simulation:
             heapq.heapify(heap)
             self._ncancelled = 0
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none remain."""
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            if len(head) == 5:
-                if head[4] == head[3]._wait_token:
-                    break
-                heapq.heappop(heap)  # superseded bare-delay wake
-                self._dropped += 1
-                continue
-            if not head[3]._cancelled:
-                break
-            heapq.heappop(heap)
-            self._ncancelled -= 1
-            self._dropped += 1
-        return heap[0][0] if heap else float("inf")
-
-    def step(self) -> None:
-        """Process exactly one event."""
-        heap = self._heap
-        while True:
-            try:
-                entry = heapq.heappop(heap)
-            except IndexError:
-                raise EmptySchedule("no scheduled events") from None
-            self._now = entry[0]
-            event = entry[3]
-            if len(entry) == 5:
-                # Bare-delay wake (see Process._resume): resume the
-                # process directly unless an interrupt superseded it.
-                if entry[4] == event._wait_token:
-                    event._resume(_DELAY_FIRED)
-                    return
-                self._dropped += 1
-                continue
-            if not event._cancelled:
-                break
-            self._ncancelled -= 1
-            self._dropped += 1
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            # An un-waited-for failure must not pass silently.
-            raise event._value
-
     def run(self, until: Optional[Any] = None) -> Any:
         """Run until the schedule drains, a time is reached, or an event fires.
 
@@ -595,12 +577,11 @@ class Simulation:
                 stop_event._value = None
                 self._schedule(stop_event, priority=URGENT, delay=at - self._now)
                 stop_event.callbacks = [self._stop_callback]
-        # The drain below is step() inlined: one bound-method call and
-        # one try/except per event add ~15% to the hot loop, and this
-        # loop is where whole-cluster sweeps spend their time.  step()
-        # remains the single-event entry point for external callers.
+        # The one drain loop: whole-cluster sweeps spend their time
+        # here, so it is kept free of per-event method calls.
         heap = self._heap
         pop = heapq.heappop
+        self._tail = True
         try:
             while heap:
                 entry = pop(heap)
@@ -620,14 +601,21 @@ class Simulation:
                     self._dropped += 1
                     continue
                 callbacks, event.callbacks = event.callbacks, None
-                for callback in callbacks:
-                    callback(event)
+                if len(callbacks) == 1:
+                    callbacks[0](event)
+                elif callbacks:
+                    # None of several callbacks is in the tail.
+                    self._tail = False
+                    for callback in callbacks:
+                        callback(event)
+                    self._tail = True
                 if not event._ok and not event._defused:
                     # An un-waited-for failure must not pass silently.
                     raise event._value
         except StopSimulation as stop:
             return stop.value
         finally:
+            self._tail = False
             if self.trace is not None:
                 self.trace.instant("calendar", category="kernel",
                                    **self.calendar_stats())
@@ -645,7 +633,8 @@ class Simulation:
         the heap and ran callbacks (cancelled-timeout tombstones are
         reported separately as ``dropped``).  All exact, not sampled.
         """
-        scheduled = self._seq.__reduce__()[1][0]
+        scheduled = next(self._seq)
+        self._seq = count(scheduled)
         return {"scheduled": scheduled,
                 "processed": scheduled - len(self._heap) - self._dropped,
                 "dropped": self._dropped,

@@ -37,11 +37,16 @@ class Request(Event):
             yield req
             ... hold the slot ...
         # released on exit
+
+    A process that yields the request at once may pass ``in_place``:
+    in the calendar's tail (see :mod:`repro.sim.kernel`), an uncontended
+    grant whose entry would be the next pop then comes back already
+    processed, and the process skips its ``yield``.
     """
 
     __slots__ = ("resource", "_in_queue", "_enqueued_at", "_granted_at")
 
-    def __init__(self, resource: "Resource"):
+    def __init__(self, resource: "Resource", in_place: bool = False):
         # Event.__init__ inlined: one Request per CPU burst, disk op
         # and connection slot makes this a hot allocation site.
         sim = resource.sim
@@ -72,6 +77,14 @@ class Request(Event):
         self._ok = True
         self._value = resource
         heap = sim._heap
+        if in_place and sim._tail and (not heap or heap[0][0] > now):
+            # Tail handoff (see repro.sim.kernel): this grant is the next
+            # pop, so it is processed here, counted as if pushed.
+            self.callbacks = None
+            next(sim._seq)
+            if len(heap) >= sim._heap_peak:
+                sim._heap_peak = len(heap) + 1
+            return
         heappush(heap, (now, NORMAL, next(sim._seq), self))
         if len(heap) > sim._heap_peak:
             sim._heap_peak = len(heap)

@@ -1,12 +1,11 @@
 """Unit tests for the discrete-event simulation kernel."""
 
 import random
+import warnings
 
 import pytest
 
-from repro.sim import (
-    EmptySchedule, Interrupt, Resource, Simulation, SimulationError,
-)
+from repro.sim import Interrupt, Resource, Simulation, SimulationError
 
 
 def test_clock_starts_at_zero():
@@ -356,6 +355,21 @@ def test_interrupt_dead_process_rejected():
         victim.interrupt()
 
 
+def test_self_interrupt_rejected():
+    sim = Simulation()
+    log = []
+
+    def selfish():
+        with pytest.raises(SimulationError, match="interrupt itself"):
+            sim.active_process.interrupt()
+        yield 5.0
+        log.append(sim.now)
+
+    sim.process(selfish())
+    sim.run()
+    assert log == [5.0]
+
+
 def test_any_of_fires_on_first():
     sim = Simulation()
     log = []
@@ -398,17 +412,33 @@ def test_all_of_empty_fires_immediately():
     assert log == [0.0]
 
 
-def test_step_on_empty_schedule_raises():
-    with pytest.raises(EmptySchedule):
-        Simulation().step()
+def test_run_on_empty_schedule_returns_at_once():
+    sim = Simulation(start=2.0)
+    assert sim.run() is None
+    assert sim.now == 2.0
+    assert sim.calendar_stats()["scheduled"] == 0
 
 
-def test_peek_reports_next_event_time():
+def test_run_drains_to_the_last_event_time():
     sim = Simulation()
     sim.timeout(9)
-    assert sim.peek() == 9
     sim.run()
-    assert sim.peek() == float("inf")
+    assert sim.now == 9
+    assert sim.calendar_stats()["heap_now"] == 0
+
+
+def test_calendar_stats_reads_the_counter_without_warnings():
+    sim = Simulation()
+    sim.timeout(1)
+    sim.timeout(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first = sim.calendar_stats()
+        assert sim.calendar_stats() == first
+    assert first["scheduled"] == 2
+    # Reading the counter consumes no sequence number.
+    sim.timeout(3)
+    assert sim.calendar_stats()["scheduled"] == 3
 
 
 def test_process_value_available_after_run():
