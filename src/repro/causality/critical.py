@@ -55,13 +55,6 @@ class CriticalPath:
     root: SpanNode
     segments: List[Segment]
 
-    def by_name(self) -> Dict[str, float]:
-        """Seconds attributed to each span name along the path."""
-        totals: Dict[str, float] = {}
-        for seg in self.segments:
-            totals[seg.name] = totals.get(seg.name, 0.0) + seg.duration
-        return totals
-
     def by_kind(self) -> Dict[str, float]:
         """Seconds split into working ("self") vs waiting ("blocked")."""
         totals: Dict[str, float] = {}

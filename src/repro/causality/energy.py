@@ -73,11 +73,6 @@ class EnergyAttribution:
 
     nodes: Dict[str, NodeEnergy]
 
-    def joules_of(self, span_id: int) -> float:
-        """Joules attributed to one span (0.0 when it never resided)."""
-        return sum(acct.by_span.get(span_id, 0.0)
-                   for acct in self.nodes.values())
-
     def by_trace(self, forest: SpanForest) -> Dict[int, float]:
         """Total joules per causal tree (request / connection / job)."""
         totals: Dict[int, float] = {}

@@ -76,7 +76,3 @@ class Cluster:
     def idle_watts(self) -> float:
         """Wall power with every metered server idle."""
         return sum(s.spec.power.min_w for s in self.metered_servers)
-
-    def busy_watts(self) -> float:
-        """Wall power with every metered server saturated."""
-        return sum(s.spec.power.max_w for s in self.metered_servers)

@@ -163,17 +163,14 @@ def _run_arm(plan: DvfsPlan, governor: str, platform: str,
              shape_name: str, shape: ShapedLoad) -> DvfsArm:
     from ..telemetry import Telemetry       # deferred: import cycle
     from ..web import WebServiceDeployment
-    from .plane import DvfsPlane
+    from .plane import attach_web
 
     deployment = WebServiceDeployment(platform, plan.scale(platform),
                                       seed=plan.seed)
     telemetry = Telemetry()
     telemetry.attach_web(deployment, until=plan.duration_s)
-    plane = DvfsPlane(deployment.sim,
-                      deployment.cluster.metered_servers,
-                      plan.config(governor), telemetry=telemetry,
-                      meter=deployment.meter)
-    plane.start(until=plan.duration_s)
+    plane = attach_web(deployment, plan.config(governor),
+                       until=plan.duration_s, telemetry=telemetry)
     level = deployment.run_shaped(shape, plan.duration_s,
                                   calls=plan.calls, collect_delays=True)
     slo = telemetry.slo_report()

@@ -142,7 +142,7 @@ def measure_proportionality(platform: str, scale: str = "1/8",
     from ..telemetry import Telemetry       # deferred: import cycle
     from ..web import WebServiceDeployment
     from ..web.loadshape import DiurnalShape, ShapedLoad
-    from .plane import DvfsPlane
+    from .plane import attach_web
 
     points = []
     for fraction in LOAD_FRACTIONS:
@@ -151,11 +151,7 @@ def measure_proportionality(platform: str, scale: str = "1/8",
         if dvfs is not None:
             telemetry = Telemetry()
             telemetry.attach_web(deployment, until=RUNG_S)
-            plane = DvfsPlane(deployment.sim,
-                              deployment.cluster.metered_servers,
-                              dvfs, telemetry=telemetry,
-                              meter=deployment.meter)
-            plane.start(until=RUNG_S)
+            attach_web(deployment, dvfs, until=RUNG_S, telemetry=telemetry)
         shape = ShapedLoad(DiurnalShape(base_rps=rate, peak_rps=rate,
                                         period_s=RUNG_S))
         level = deployment.run_shaped(shape, RUNG_S, warmup=RUNG_WARMUP_S,

@@ -39,10 +39,6 @@ class OverheadLedger:
         """One more ``name`` event; an unknown name raises KeyError."""
         self.counters[name] += 1
 
-    @property
-    def total_j(self) -> float:
-        return sum(self.joules.values())
-
 
 @dataclass(frozen=True)
 class GridImpact:

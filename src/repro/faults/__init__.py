@@ -26,7 +26,7 @@ from .._exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".models": ("Fault", "FaultCause", "FaultPlan", "GRAY_KINDS",
-                "NODE_DOWN_KINDS", "PARTITION_KINDS", "RecurringFault",
+                "PARTITION_KINDS", "RecurringFault",
                 "cpu_throttle", "disk_failure", "node_crash",
                 "node_set_partition", "packet_loss", "rack_partition",
                 "single_node_kill", "switch_down"),

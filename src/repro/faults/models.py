@@ -58,9 +58,6 @@ FAULT_KINDS = ("crash", "disk_fail", "cpu_throttle", "packet_loss",
 #: quietly running slow — exactly the failures mitigation exists for.
 GRAY_KINDS = ("cpu_throttle", "packet_loss")
 
-#: Kinds that take a node out of service entirely (kill its processes).
-NODE_DOWN_KINDS = ("crash",)
-
 #: Kinds that sever connectivity without killing anything: the victims
 #: stay *up* but become *unreachable* — the down/unreachable distinction
 #: the whole partition-tolerance layer exists to honour.

@@ -63,10 +63,6 @@ class Memory:
     def capacity_bytes(self) -> float:
         return self.spec.capacity_bytes
 
-    @property
-    def occupied_bytes(self) -> float:
-        return self._occupied.level
-
     def reserve(self, nbytes: float):
         """Event firing once ``nbytes`` could be claimed."""
         return self._occupied.put(nbytes)
@@ -78,10 +74,3 @@ class Memory:
     def utilization(self) -> float:
         """Fraction of capacity currently occupied."""
         return self._occupied.level / self.spec.capacity_bytes
-
-    def transfer_time(self, nbytes: float) -> float:
-        """Seconds to stream ``nbytes`` through the memory system in
-        1 MiB blocks on one thread."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be >= 0")
-        return nbytes / self.spec.bandwidth(1 << 20, 1)

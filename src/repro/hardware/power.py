@@ -105,16 +105,6 @@ class PowerSpec:
                 u = u - cpu_part + cpu_part * pstate.busy_w_factor
         return self.idle_w + (self.busy_w - self.idle_w) * u + self.adapter_w
 
-    def max_w_at(self, pstate) -> float:
-        """Wall power saturated in ``pstate`` (adapter included)."""
-        return (self.idle_w
-                + (self.busy_w - self.idle_w) * pstate.busy_w_factor
-                + self.adapter_w)
-
-    def without_adapter(self) -> "PowerSpec":
-        """The same server with its USB adapter removed (ablation)."""
-        return PowerSpec(self.idle_w, self.busy_w, 0.0, dict(self.weights))
-
     def with_adapter(self, adapter_w: float) -> "PowerSpec":
         """The same server with a different constant adapter power."""
         return PowerSpec(self.idle_w, self.busy_w, adapter_w, dict(self.weights))

@@ -94,16 +94,6 @@ class Server:
         self._probe_nic_bytes = nic_bytes
         return window
 
-    def power_now(self) -> float:
-        """Wall power at a freshly probed utilisation window.
-
-        Prices the CPU's active P-state: a governor-parked core burns
-        less per busy second (the P0 default takes the exact historical
-        expression).
-        """
-        return self.spec.power.power(self.utilization_window(),
-                                     self.cpu.pstate)
-
     def marginal_vcore_watts(self) -> float:
         """Marginal power of one busy vcore under the linear power model.
 

@@ -9,7 +9,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".jobs": ("JOB_FACTORIES", "TABLE8_JOBS"),
     ".runtime": ("JobReport", "JobRunner", "JobSpec", "JobTimeline", "run_job"),
     ".scaling": ("DELL_SIZES", "EDISON_SIZES", "ScalingGrid",
-                 "paper_energies", "paper_mean_speedup", "paper_times",
-                 "run_scaling_grid"),
+                 "paper_mean_speedup", "paper_times", "run_scaling_grid"),
     ".yarn": ("ContainerGrant", "NodeManager", "YarnScheduler"),
 })

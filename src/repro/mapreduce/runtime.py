@@ -145,21 +145,6 @@ class JobSpec:
     def input_bytes(self) -> int:
         return self.dataset.total_bytes if self.dataset else 0
 
-    @property
-    def map_output_bytes(self) -> float:
-        """Map output volume *before* any combiner."""
-        if self.dataset is None:
-            return 0.0
-        return self.input_bytes * self.dataset.map_output_ratio
-
-    @property
-    def shuffle_bytes(self) -> float:
-        """Bytes that actually move to reducers (after the combiner)."""
-        if self.dataset is None:
-            return 0.0
-        survival = self.dataset.combine_survival if self.combiner else 1.0
-        return self.map_output_bytes * survival
-
 
 @dataclass(frozen=True)
 class JobCounts:

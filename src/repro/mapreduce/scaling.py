@@ -50,12 +50,6 @@ def paper_times(job: str, platform: str) -> Dict[int, float]:
             for size, result in paper.T8[job][platform].items()}
 
 
-def paper_energies(job: str, platform: str) -> Dict[int, float]:
-    """Table 8's published energies for one job/platform."""
-    return {size: result.joules
-            for size, result in paper.T8[job][platform].items()}
-
-
 def paper_mean_speedup(platform: str) -> float:
     """S5.3's published mean speed-up recomputed from Table 8."""
     return mean_speedup_across_jobs(

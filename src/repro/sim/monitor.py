@@ -126,13 +126,6 @@ class TimeSeries:
             return None
         return sum(values) / len(values)
 
-    def max_over_time(self, window_s: Optional[float] = None,
-                      now: Optional[float] = None) -> Optional[float]:
-        """Largest sample in the trailing window (None when empty)."""
-        first, _end = self._window_start(window_s, now)
-        values = self.values[first:]
-        return max(values) if values else None
-
     def resample(self, step: float, start: Optional[float] = None,
                  end: Optional[float] = None) -> "TimeSeries":
         """Zero-order-hold samples aligned to multiples of ``step``.

@@ -152,13 +152,6 @@ class Resource:
         self._accumulate()
         return self._busy_integral
 
-    def utilization_since(self, t0: float, busy0: float) -> float:
-        """Mean utilisation in ``[t0, now]`` given ``busy0 = busy_time()@t0``."""
-        elapsed = self.sim.now - t0
-        if elapsed <= 0:
-            return 0.0
-        return (self.busy_time() - busy0) / (self.capacity * elapsed)
-
     # -- request/release ---------------------------------------------------
 
     def request(self) -> Request:

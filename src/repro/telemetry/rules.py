@@ -101,10 +101,6 @@ class Alert:
     resolved_at: Optional[float] = None
 
     @property
-    def active(self) -> bool:
-        return self.resolved_at is None
-
-    @property
     def duration_s(self) -> Optional[float]:
         if self.resolved_at is None:
             return None
@@ -148,12 +144,6 @@ class AlertManager:
         self._active: Dict[Tuple[str, str], Alert] = {}
         self._pending_since: Dict[Tuple[str, str], float] = {}
         self.evaluations = 0
-
-    # -- queries ---------------------------------------------------------
-
-    def active(self) -> List[Alert]:
-        """Alerts currently firing."""
-        return [a for a in self.history if a.active]
 
     # -- evaluation ------------------------------------------------------
 

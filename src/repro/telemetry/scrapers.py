@@ -61,9 +61,8 @@ class NodeAgent:
         while until is None or sim.now <= until:
             faults = sim.faults
             # A partitioned node is alive but its pushes never reach the
-            # central TSDB, so it goes silent exactly like a dead one —
-            # which is why dead-vs-unreachable needs the correlation
-            # rule, not a smarter agent.
+            # central TSDB, so it goes silent exactly like a dead one;
+            # only the injector's ground truth tells the two apart.
             if faults is None or (faults.is_up(self.node)
                                   and faults.is_reachable(self.node)):
                 self.scrape(sim.now)

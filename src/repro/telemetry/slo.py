@@ -17,34 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..faults.models import NODE_DOWN_KINDS, PARTITION_KINDS
-
-#: Which alert rules assert "silent but alive" rather than "dead".
-#: Anything not listed here is read as a dead-node claim.  No stock
-#: rule (:func:`~repro.telemetry.rules.default_rules`) fires
-#: ``nodes_unreachable``, so on every CLI, example and plane run a
-#: detected partition is scored as a misclassified "down"; only
-#: hand-built alerts reach the "unreachable" class.
-DEFAULT_RULE_CLASSES: Mapping[str, str] = {"nodes_unreachable": "unreachable"}
-#: Covering alerts that fire within this many seconds of the matched
-#: one vote on its dead-vs-unreachable class.
-CLASS_WINDOW_S = 1.0
-
-
-def expected_class(kind: str) -> str:
-    """Ground-truth dead-vs-unreachable label for a fault kind.
-
-    ``"down"`` for kinds that stop the node, ``"unreachable"`` for
-    partitions (the node keeps running, its heartbeats just cannot get
-    out), and ``""`` for gray degradations the absence rules are not
-    expected to classify at all.
-    """
-    if kind in PARTITION_KINDS:
-        return "unreachable"
-    if kind in NODE_DOWN_KINDS:
-        return "down"
-    return ""
-
 
 @dataclass(frozen=True)
 class SloSpec:
@@ -192,22 +164,13 @@ class SloReport:
 
 @dataclass(frozen=True)
 class Detection:
-    """One injected fault and how the alerting plane saw it.
-
-    ``expected`` is the ground-truth dead-vs-unreachable label from the
-    fault kind (``""`` when the kind carries no expectation) and
-    ``observed`` is what the covering alerts claimed; a partition seen
-    only by ``node_silent`` is a *misclassification* — the operator
-    would have declared a live rack dead.
-    """
+    """One injected fault and the first alert that saw it."""
 
     kind: str
     node: str
     injected_at: float
     detected_at: Optional[float]
     rule: Optional[str]
-    expected: str = ""
-    observed: str = ""
 
     @property
     def detected(self) -> bool:
@@ -219,38 +182,25 @@ class Detection:
             return None
         return self.detected_at - self.injected_at
 
-    @property
-    def classified_ok(self) -> Optional[bool]:
-        """True/False when classification was expected and seen; else None."""
-        if not self.expected or not self.detected:
-            return None
-        return self.observed == self.expected
-
     def to_dict(self) -> Dict:
         return {"kind": self.kind, "node": self.node,
                 "injected_at": self.injected_at,
                 "detected_at": self.detected_at, "rule": self.rule,
-                "expected": self.expected, "observed": self.observed,
                 "time_to_detect": self.time_to_detect}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Detection":
+        """Load one detection; the ``expected``/``observed`` class keys
+        of an older bundle are ignored."""
         return cls(kind=data["kind"], node=data["node"],
                    injected_at=data["injected_at"],
                    detected_at=data.get("detected_at"),
-                   rule=data.get("rule"),
-                   expected=data.get("expected", ""),
-                   observed=data.get("observed", ""))
+                   rule=data.get("rule"))
 
 
 @dataclass(frozen=True)
 class DetectionReport:
-    """Alert firings matched against ground-truth fault injections.
-
-    Partitions are expected to be classed "unreachable", but the stock
-    rules only ever claim "down" (see :data:`DEFAULT_RULE_CLASSES`), so
-    with them every detected partition counts as misclassified.
-    """
+    """Alert firings matched against ground-truth fault injections."""
 
     detections: Tuple[Detection, ...] = ()
 
@@ -266,14 +216,6 @@ class DetectionReport:
         makes slowness visible rather than hiding it).  Each alert is
         consumed at most once so two back-to-back faults need two
         firings.
-
-        Classification is scored separately from consumption: every
-        covering alert co-fired within :data:`CLASS_WINDOW_S` of the
-        match votes, and one "silent but alive" claim
-        (:data:`DEFAULT_RULE_CLASSES` maps rule name to
-        ``"unreachable"``) outvotes any number of dead-node claims —
-        exactly how an operator reads a page that says both "8 nodes
-        silent" and "they went silent together".
         """
 
         def covers(record, name):
@@ -284,7 +226,6 @@ class DetectionReport:
         used = [False] * len(remaining)
         detections = []
         for record in sorted(fault_records, key=lambda r: r.start):
-            expected = expected_class(record.kind)
             hit = None
             for i, alert in enumerate(remaining):
                 if used[i] or not covers(record, alert.node):
@@ -295,23 +236,14 @@ class DetectionReport:
             if hit is None:
                 detections.append(Detection(
                     kind=record.kind, node=record.node,
-                    injected_at=record.start, detected_at=None, rule=None,
-                    expected=expected))
+                    injected_at=record.start, detected_at=None, rule=None))
             else:
                 used[hit] = True
                 alert = remaining[hit]
-                votes = {DEFAULT_RULE_CLASSES.get(a.rule, "down")
-                         for a in remaining
-                         if covers(record, a.node)
-                         and record.start <= a.fired_at
-                         <= alert.fired_at + CLASS_WINDOW_S}
-                observed = ("unreachable" if "unreachable" in votes
-                            else "down")
                 detections.append(Detection(
                     kind=record.kind, node=record.node,
                     injected_at=record.start,
-                    detected_at=alert.fired_at, rule=alert.rule,
-                    expected=expected, observed=observed))
+                    detected_at=alert.fired_at, rule=alert.rule))
         return cls(detections=tuple(detections))
 
     @property
@@ -325,28 +257,11 @@ class DetectionReport:
             return None
         return sum(ttds) / len(ttds)
 
-    @property
-    def misclassified(self) -> Tuple[Detection, ...]:
-        """Detections whose dead-vs-unreachable call was wrong."""
-        return tuple(d for d in self.detections
-                     if d.classified_ok is False)
-
-    @property
-    def classification_accuracy(self) -> Optional[float]:
-        """Fraction of scoreable detections classified correctly."""
-        scored = [d.classified_ok for d in self.detections
-                  if d.classified_ok is not None]
-        if not scored:
-            return None
-        return sum(scored) / len(scored)
-
     def to_dict(self) -> Dict:
         return {"detections": [d.to_dict() for d in self.detections],
                 "detected": self.detected_count,
                 "injected": len(self.detections),
-                "mean_time_to_detect": self.mean_time_to_detect,
-                "classification_accuracy": self.classification_accuracy,
-                "misclassified": len(self.misclassified)}
+                "mean_time_to_detect": self.mean_time_to_detect}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "DetectionReport":
@@ -360,22 +275,13 @@ class DetectionReport:
                f"{len(self.detections)} faults detected)"]
         for d in self.detections:
             if d.detected:
-                suffix = ""
-                if d.classified_ok is True:
-                    suffix = f" [classified {d.observed}]"
-                elif d.classified_ok is False:
-                    suffix = (f" [MISCLASSIFIED as {d.observed}, "
-                              f"expected {d.expected}]")
                 out.append(f"  {d.kind} on {d.node} at t={d.injected_at:.2f}s"
                            f" -> {d.rule} fired at t={d.detected_at:.2f}s"
-                           f" (ttd {d.time_to_detect:.2f}s){suffix}")
+                           f" (ttd {d.time_to_detect:.2f}s)")
             else:
                 out.append(f"  {d.kind} on {d.node} at t={d.injected_at:.2f}s"
                            f" -> NOT DETECTED")
         mean = self.mean_time_to_detect
         if mean is not None:
             out.append(f"  mean time-to-detect: {mean:.2f}s")
-        accuracy = self.classification_accuracy
-        if accuracy is not None:
-            out.append(f"  dead-vs-unreachable accuracy: {accuracy:.0%}")
         return out

@@ -56,10 +56,6 @@ class TimeSeriesDB:
 
     # -- read side -------------------------------------------------------
 
-    def names(self) -> List[str]:
-        """All metric names present, sorted."""
-        return sorted({name for name, _ in self._series})
-
     def select(self, name: str, **matchers: object
                ) -> List[Tuple[Dict[str, str], TimeSeries]]:
         """Series of metric ``name`` whose labels include ``matchers``."""
@@ -72,14 +68,6 @@ class TimeSeriesDB:
             if all(labels.get(k) == v for k, v in wanted.items()):
                 out.append((labels, series))
         return out
-
-    def last(self, name: str, **labels: object
-             ) -> Optional[Tuple[float, float]]:
-        """Most recent ``(time, value)`` of one exact series, or None."""
-        series = self._series.get((name, label_key(labels)))
-        if series is None or not series.times:
-            return None
-        return series.times[-1], series.values[-1]
 
     def rate(self, name: str, window_s: Optional[float] = None,
              now: Optional[float] = None, **labels: object) -> float:
@@ -108,13 +96,3 @@ class TimeSeriesDB:
                         "times": list(series.times),
                         "values": list(series.values)})
         return out
-
-    @classmethod
-    def from_dicts(cls, dicts: List[Dict]) -> "TimeSeriesDB":
-        """Rebuild a database from :meth:`to_dicts` output."""
-        db = cls()
-        for entry in dicts:
-            series = db.series(entry["name"], **entry.get("labels", {}))
-            for t, v in zip(entry["times"], entry["values"]):
-                series.record(t, v)
-        return db

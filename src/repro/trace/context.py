@@ -37,11 +37,3 @@ class SpanContext:
             raise ValueError("trace_id and span_id must be > 0")
         if self.parent_id < 0:
             raise ValueError("parent_id must be >= 0")
-
-    @property
-    def is_root(self) -> bool:
-        return self.parent_id == 0
-
-    def to_traceparent(self) -> str:
-        """W3C-style ``00-<trace>-<span>-01`` rendering (hex, padded)."""
-        return f"00-{self.trace_id:032x}-{self.span_id:016x}-01"

@@ -160,10 +160,6 @@ class WebServiceDeployment:
         if calls is None:
             calls = P.tuned_calls_per_connection(concurrency,
                                                  self.target_rps())
-        if self.sim.faults is not None:
-            # Covers injectors attached directly rather than through
-            # attach_faults (add_listener deduplicates).
-            self.sim.faults.add_listener(self._on_fault_event)
         driver = HttperfDriver(
             self.sim, self.cluster.topology, self.web_nodes,
             self.client_names, self.workload,
@@ -171,12 +167,9 @@ class WebServiceDeployment:
             resilience=self.resilience, ledger=self.resilience_ledger,
             retry_rng=self._backoff_rng, breakers=self.breakers,
             collect_delays=collect_delays)
-        self.last_driver = driver
-        self.sim.process(driver.generate(concurrency, calls, until=duration))
-        self.meter.start(until=duration)
-        self.sim.run(until=duration)
-        window = duration - warmup
-        stats = driver.stats
+        result = self._drive(
+            driver, driver.generate(concurrency, calls, until=duration),
+            concurrency, calls, duration, warmup)
         if self.resilience_ledger is not None:
             self.resilience_ledger.counters["breaker_opens"] = sum(
                 b.open_count for b in self.breakers.values())
@@ -184,26 +177,9 @@ class WebServiceDeployment:
             # Client-side failures (give-ups after the timeout) never
             # reach a server-side log; hand them to the monitoring
             # plane so the SLO error budget charges them too.
-            self.telemetry.note_client_outcomes(timeouts=stats.timeout_calls)
-        counted = max(1, stats.ok_calls)
-        power_samples = [v for t, v in self.meter.series.pairs()
-                         if t >= warmup]
-        mean_power = (sum(power_samples) / len(power_samples)
-                      if power_samples else self.cluster.idle_watts())
-        return LevelResult(
-            platform=self.platform,
-            concurrency=concurrency,
-            calls_per_connection=calls,
-            window_s=window,
-            ok_calls=stats.ok_calls,
-            error_calls=stats.error_calls,
-            timeout_calls=stats.timeout_calls,
-            failed_connections=stats.failed_connections,
-            connections=stats.connections,
-            syn_retries=stats.syn_retries,
-            mean_delay_s=stats.delay_sum_s / counted,
-            mean_power_w=mean_power,
-        )
+            self.telemetry.note_client_outcomes(
+                timeouts=driver.stats.timeout_calls)
+        return result
 
     # -- running a shaped (time-varying) day -------------------------------
 
@@ -223,27 +199,38 @@ class WebServiceDeployment:
         """
         if duration <= warmup:
             raise ValueError("duration must exceed warmup")
-        sim = self.sim
-        if sim.faults is not None:
-            sim.faults.add_listener(self._on_fault_event)
         driver = HttperfDriver(
-            sim, self.cluster.topology, self.web_nodes,
+            self.sim, self.cluster.topology, self.web_nodes,
             self.client_names, self.workload,
             self.rng.stream("arrivals"), collect_after=warmup,
             collect_delays=collect_delays)
-        self.last_driver = driver
-        sim.process(driver.generate_shaped(shape, calls, until=duration,
-                                           rotation=rotation))
-        self.meter.start(until=duration)
-        sim.run(until=duration)
-        stats = driver.stats
+        result = self._drive(
+            driver, driver.generate_shaped(shape, calls, until=duration,
+                                           rotation=rotation),
+            0, calls, duration, warmup)
         if self.telemetry is not None:
             # Abandoned calls *and* connections that never established
             # (SYN retries exhausted) are user-visible outages no server
             # log sees; both charge the availability SLO.
             self.telemetry.note_client_outcomes(
-                timeouts=stats.timeout_calls,
-                give_ups=stats.failed_connections)
+                timeouts=driver.stats.timeout_calls,
+                give_ups=driver.stats.failed_connections)
+        return result
+
+    def _drive(self, driver: HttperfDriver, arrivals, concurrency: int,
+               calls: int, duration: float, warmup: float) -> LevelResult:
+        """Run ``driver``'s ``arrivals`` process to ``duration`` and
+        report the ``[warmup, duration]`` window."""
+        sim = self.sim
+        if sim.faults is not None:
+            # Covers injectors attached directly rather than through
+            # attach_faults (add_listener deduplicates).
+            sim.faults.add_listener(self._on_fault_event)
+        self.last_driver = driver
+        sim.process(arrivals)
+        self.meter.start(until=duration)
+        sim.run(until=duration)
+        stats = driver.stats
         counted = max(1, stats.ok_calls)
         power_samples = [v for t, v in self.meter.series.pairs()
                          if t >= warmup]
@@ -251,7 +238,7 @@ class WebServiceDeployment:
                       if power_samples else self.cluster.idle_watts())
         return LevelResult(
             platform=self.platform,
-            concurrency=0,
+            concurrency=concurrency,
             calls_per_connection=calls,
             window_s=duration - warmup,
             ok_calls=stats.ok_calls,

@@ -34,7 +34,6 @@ class LevelStats:
     connections: int = 0
     syn_retries: int = 0
     delay_sum_s: float = 0.0          # per-call delay incl. connect share
-    call_delay_sum_s: float = 0.0     # per-call delay excl. connect
 
 
 @dataclass(frozen=True)
@@ -57,13 +56,6 @@ class LevelResult:
     @property
     def requests_per_second(self) -> float:
         return self.ok_calls / self.window_s
-
-    @property
-    def error_rate(self) -> float:
-        total = self.ok_calls + self.error_calls + self.timeout_calls
-        if total == 0:
-            return 1.0 if self.failed_connections else 0.0
-        return (self.error_calls + self.timeout_calls) / total
 
     @property
     def has_server_errors(self) -> bool:
@@ -278,7 +270,7 @@ class HttperfDriver:
                                    node=client, ctx=call_ctx,
                                    status=record.status)
                 reported = call_delay + (connect_delay if i == 0 else 0.0)
-                self._count_call(record.ok, call_delay, reported)
+                self._count_call(record.ok, reported)
                 if record.status == 503 and not (resilient and record.shed):
                     return  # the server died; the connection died with it
         finally:
@@ -488,13 +480,12 @@ class HttperfDriver:
     def _in_window(self) -> bool:
         return self.sim._now >= self.collect_after
 
-    def _count_call(self, ok: bool, call_delay: float, reported: float):
+    def _count_call(self, ok: bool, reported: float):
         if not self._in_window():
             return
         if ok:
             self.stats.ok_calls += 1
             self.stats.delay_sum_s += reported
-            self.stats.call_delay_sum_s += call_delay
             if self.collect_delays:
                 self.delays.append(reported)
         else:

