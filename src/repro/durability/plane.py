@@ -55,8 +55,9 @@ def _heartbeat_feeder(sim, detector, node: str, rng):
     delayed) while the node is down or unreachable — silence is the
     only way the RM side learns anything is wrong.
     """
+    wait = heartbeat_jitter(rng, HEARTBEAT_S, low=0.9, high=1.1)
     while True:
-        yield heartbeat_jitter(rng, HEARTBEAT_S, low=0.9, high=1.1)
+        yield wait()
         faults = sim.faults
         if faults is None or (faults.is_up(node)
                               and faults.is_reachable(node)):

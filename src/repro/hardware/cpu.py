@@ -214,28 +214,34 @@ class Cpu:
         # try/finally rather than the context-manager sugar: execute()
         # runs once per simulated CPU burst, and __enter__/__exit__ are
         # two extra calls per burst for the same release-on-interrupt
-        # guarantee.  The per-vcore rate is read against the live
-        # holder count: full single-thread speed while no core runs
-        # both of its hardware threads, the SMT-degraded rate after.
+        # guarantee.
         vcores = self.vcores
         grant = Request(vcores, in_place=True)
         try:
             if grant.callbacks is not None:
                 yield grant
-            rate = (self._thread_dmips
-                    if len(vcores.users) <= self._cores
-                    else self._loaded_dmips)
-            # Throttle and P-state compose multiplicatively; the guards
-            # keep the nominal path free of any multiply, so untouched
-            # runs stay bit-identical to the pre-DVFS model.
-            throttle = self.throttle
-            if self._dvfs_factor != 1.0:
-                throttle *= self._dvfs_factor
-            if throttle != 1.0:
-                rate *= throttle
-            yield work_mi / rate
+            yield work_mi / self.rate()
         finally:
             vcores.release(grant)
+
+    def rate(self) -> float:
+        """DMIPS of one vcore for a burst dispatched now, its slot held.
+
+        The rate is read against the live holder count: full
+        single-thread speed while no core runs both of its hardware
+        threads, the SMT-degraded rate after.  Throttle and P-state
+        compose multiplicatively; the guards keep the nominal path free
+        of any multiply, so untouched runs stay bit-identical to the
+        pre-DVFS model.
+        """
+        rate = (self._thread_dmips if len(self.vcores.users) <= self._cores
+                else self._loaded_dmips)
+        throttle = self.throttle
+        if self._dvfs_factor != 1.0:
+            throttle *= self._dvfs_factor
+        if throttle != 1.0:
+            rate *= throttle
+        return rate
 
     def utilization(self) -> float:
         """Instantaneous fraction of vcores that are busy."""

@@ -12,8 +12,11 @@ Allocation polling is Terasort's largest host cost (hundreds of
 thousands of rounds per job).  A round still schedules three calendar
 entries — heartbeat wait, master vCPU grant, master CPU burst — but the
 grant, and usually the burst, are taken in place by the calendar's
-tail handoff (see ``repro.sim.kernel``).  A round allocates nothing
-beyond the burst's ``Request``.
+tail handoff (see ``repro.sim.kernel``).  An uncontended round holds
+the master's vCPU through one reused key and yields its burst as a
+bare delay, so it allocates nothing; only a contended master builds a
+``Request``.  A round on a full cluster is answered by a fit bound
+without a scan of the NodeManagers.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from ..hardware.server import Server
 from ..sim import Simulation, heartbeat_jitter
+from ..sim.resources import Holder
 from .config import HadoopConfig
 
 if TYPE_CHECKING:   # the scheduler never touches the global random module:
@@ -37,17 +41,59 @@ class ContainerGrant:
     mem_mb: int
 
 
+class _FitBound:
+    """The most free memory of any NodeManager that is up.
+
+    Every write to a NodeManager's ``down`` or ``free_mem_mb`` goes
+    through its setter, which refreshes ``mb``, so a request larger
+    than ``mb`` fits nowhere: the scheduler answers it without a scan.
+    """
+
+    __slots__ = ("nodes", "mb")
+
+    def __init__(self):
+        self.nodes = []
+        self.refresh()
+
+    def refresh(self) -> None:
+        # With no NodeManager up, every request exceeds the bound.
+        self.mb = max((nm._free_mem_mb for nm in self.nodes if not nm._down),
+                      default=float("-inf"))
+
+
 class NodeManager:
     """Per-node bookkeeping of schedulable memory."""
 
-    def __init__(self, server: Server, task_mem_mb: int):
+    def __init__(self, server: Server, task_mem_mb: int, fit: _FitBound):
         if task_mem_mb < 1:
             raise ValueError("task_mem_mb must be >= 1")
         self.server = server
         self.total_mem_mb = task_mem_mb
-        self.free_mem_mb = task_mem_mb
-        #: Blacklisted after its heartbeats stopped (node crash).
-        self.down = False
+        self._free_mem_mb = task_mem_mb
+        self._down = False
+        self._fit = fit
+        fit.nodes.append(self)
+        fit.refresh()
+
+    @property
+    def free_mem_mb(self) -> int:
+        """Schedulable memory not reserved by a container."""
+        return self._free_mem_mb
+
+    @free_mem_mb.setter
+    def free_mem_mb(self, mb: int) -> None:
+        self._free_mem_mb = mb
+        self._fit.refresh()
+
+    @property
+    def down(self) -> bool:
+        """Blacklisted after its heartbeats stopped (node crash)."""
+        return self._down
+
+    @down.setter
+    def down(self, down: bool) -> None:
+        self._down = down
+        self._fit.refresh()
 
     def can_fit(self, mem_mb: int) -> bool:
         return not self.down and self.free_mem_mb >= mem_mb
@@ -128,23 +174,31 @@ class YarnScheduler:
         self.config = config
         self.rng = rng
         self.master = master
+        self._fit = _FitBound()
         self.nodes: Dict[str, NodeManager] = {
-            s.name: NodeManager(s, config.node_task_mem_mb) for s in slaves}
+            s.name: NodeManager(s, config.node_task_mem_mb, self._fit)
+            for s in slaves}
 
     def _try_grant(self, mem_mb: int,
                    avoid: Sequence[str] = ()) -> Optional[ContainerGrant]:
         """Reserve ``mem_mb`` on the least-loaded fitting node, or None.
 
         Nodes in ``avoid`` are skipped; on equal free memory the first
-        node wins.  One pass and no temporary lists, since this runs
-        once per heartbeat round.
+        node wins.  This runs once per heartbeat round, and on a full
+        cluster nearly every round asks for more than any node has: the
+        fit bound answers those at once, and ``avoid`` only narrows the
+        set, so the answer is exact.  Otherwise one pass and no
+        temporary lists.
         """
+        if mem_mb > self._fit.mb:
+            return None
         best = None
         best_name = None
         for name, nm in self.nodes.items():
-            if (not nm.down and nm.free_mem_mb >= mem_mb
+            if (not nm._down and nm._free_mem_mb >= mem_mb
                     and name not in avoid
-                    and (best is None or nm.free_mem_mb > best.free_mem_mb)):
+                    and (best is None
+                         or nm._free_mem_mb > best._free_mem_mb)):
                 best = nm
                 best_name = name
         if best is None:
@@ -166,18 +220,25 @@ class YarnScheduler:
 
         One round schedules three calendar entries (the jittered
         heartbeat wait, the master's vCPU grant and its CPU burst; two
-        without a master) and allocates nothing beyond the burst's
-        ``Request``: everything a round reads is bound once per request.
+        without a master).  Everything a round reads is bound once per
+        request, the heartbeat window is checked once, and the vCPU is
+        held by one :class:`~repro.sim.resources.Holder` for the whole
+        request: where the grant would be the next pop (see
+        :meth:`~repro.sim.Resource.hold_in_place`), a round takes it in
+        place and yields its burst as a bare delay, so it builds no
+        ``Request`` and no ``Cpu.execute`` generator.  A contended
+        master falls back to ``Cpu.execute``.
         """
         if mem_mb < 1:
             raise ValueError("mem_mb must be >= 1")
         sim = self.sim
-        rng = self.rng
-        heartbeat_s = self.config.heartbeat_s
+        wait = heartbeat_jitter(self.rng, self.config.heartbeat_s)
         try_grant = self._try_grant
         master = self.master
         if master is not None:
             master_cpu = master.cpu
+            vcores = master_cpu.vcores
+            hold = Holder()
             round_mi = self.RM_MI_PER_ROUND * self._master_penalty()
         requested_at = sim.now
         heartbeats = 0
@@ -185,14 +246,20 @@ class YarnScheduler:
             if max_heartbeats is not None and heartbeats >= max_heartbeats:
                 return None
             # Requests ride the next NM heartbeat (jittered).
-            yield heartbeat_jitter(rng, heartbeat_s)
+            yield wait()
             if master is not None:
                 # The RM does real work per scheduling round; a weak
                 # master serialises every waiting request through its
                 # tiny CPU, and one without room for the namenode+RM
                 # working set pays a paging penalty on top ("a single
                 # Edison node cannot fulfill resource-intensive tasks").
-                yield from master_cpu.execute(round_mi)
+                if vcores.hold_in_place(hold):
+                    try:
+                        yield round_mi / master_cpu.rate()
+                    finally:
+                        vcores.release(hold)
+                else:
+                    yield from master_cpu.execute(round_mi)
             grant = try_grant(mem_mb, avoid)
             if grant is not None:
                 if sim.trace is not None:

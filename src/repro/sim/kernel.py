@@ -17,7 +17,8 @@ loop's last action before the next pop, i.e. the wake of a bare delay
 or of an event with exactly one callback.  There a process whose next
 wake would provably be that pop continues in place: a bare delay ``d``
 with an empty heap or ``heap[0][0] > now + d``, and an uncontended
-``Request(resource, in_place=True)`` with no entry at ``<= now``.
+slot grant with no entry at ``<= now`` (``Resource.hold_in_place``,
+which ``Request(resource, in_place=True)`` calls).
 Each consumes its sequence number, counts toward the heap peak as if
 pushed, and sets the clock as the pop would, so every pop order, float,
 ``calendar_stats()`` field and trace row is unchanged.  A resume nested

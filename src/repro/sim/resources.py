@@ -60,31 +60,27 @@ class Request(Event):
         now = sim._now
         traced = sim.trace is not None
         self._enqueued_at = now if traced else None
+        if in_place and resource.hold_in_place(self):
+            # Tail handoff: granted and processed here, as if popped.
+            self.callbacks = None
+            self._ok = True
+            self._value = resource
+            return
         users = resource.users
         if resource._queued or len(users) >= resource.capacity:
             self._value = _PENDING
             self._ok = None
             resource._enqueue(self)
             return
-        # Uncontended: the grant happens here, with the same busy-time
-        # accounting as _grant_waiters and succeed()'s calendar entry
-        # at the current time, minus two calls per request.
-        resource._busy_integral += len(users) * (now - resource._last_change)
-        resource._last_change = now
+        # Uncontended outside the tail: the grant happens here, with
+        # succeed()'s calendar entry at the current time inlined.
+        resource._accumulate()
         users[self] = None
         if traced:
             self._granted_at = now
         self._ok = True
         self._value = resource
         heap = sim._heap
-        if in_place and sim._tail and (not heap or heap[0][0] > now):
-            # Tail handoff (see repro.sim.kernel): this grant is the next
-            # pop, so it is processed here, counted as if pushed.
-            self.callbacks = None
-            next(sim._seq)
-            if len(heap) >= sim._heap_peak:
-                sim._heap_peak = len(heap) + 1
-            return
         heappush(heap, (now, NORMAL, next(sim._seq), self))
         if len(heap) > sim._heap_peak:
             sim._heap_peak = len(heap)
@@ -98,6 +94,21 @@ class Request(Event):
     def cancel(self) -> None:
         """Withdraw a request that has not been granted yet."""
         self.resource._cancel(self)
+
+
+class Holder:
+    """A slot key that is no event, for :meth:`Resource.hold_in_place`.
+
+    It carries the two fields :meth:`Resource.release` reads of a
+    :class:`Request`, so one key can hold and release a slot again and
+    again without an allocation per grant.
+    """
+
+    __slots__ = ("_in_queue", "_granted_at")
+
+    def __init__(self):
+        self._in_queue = False
+        self._granted_at = None
 
 
 class Resource:
@@ -158,8 +169,42 @@ class Resource:
         """Claim one slot; the returned event fires when granted."""
         return Request(self)
 
-    def release(self, request: Request) -> None:
-        """Return the slot held by ``request`` (no-op if never granted)."""
+    def hold_in_place(self, key) -> bool:
+        """Grant ``key`` a slot here if the grant would be the next pop.
+
+        The calendar's tail handoff (see :mod:`repro.sim.kernel`) for a
+        grant: with the caller's resume in the tail, nobody queued, a
+        free slot and no calendar entry at ``<= now``, the grant's entry
+        would be the next pop.  It is taken at once, with a grant's
+        busy-time accounting and its sequence number and heap-peak
+        count as if pushed, and True is returned.  Otherwise nothing
+        changes and False is returned.  ``key`` (a :class:`Request` or
+        a :class:`Holder`) keeps the slot until :meth:`release`.
+        """
+        sim = self.sim
+        heap = sim._heap
+        now = sim._now
+        users = self.users
+        if (not sim._tail or self._queued or len(users) >= self.capacity
+                or (heap and heap[0][0] <= now)):
+            return False
+        # _accumulate() inlined: this runs once per in-place CPU burst,
+        # disk op and YARN heartbeat round.
+        self._busy_integral += len(users) * (now - self._last_change)
+        self._last_change = now
+        users[key] = None
+        if sim.trace is not None:
+            key._granted_at = now
+        next(sim._seq)
+        if len(heap) >= sim._heap_peak:
+            sim._heap_peak = len(heap) + 1
+        return True
+
+    def release(self, request) -> None:
+        """Return the slot held by ``request`` (no-op if never granted).
+
+        ``request`` is a :class:`Request` or a :class:`Holder`.
+        """
         if request._in_queue:
             self._cancel(request)
             return

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict
+from typing import Callable, Dict
 
 _INF = float("inf")
 
@@ -27,23 +27,33 @@ def derive_seed(root_seed: int, name: str) -> int:
 
 
 def heartbeat_jitter(rng: random.Random, base_s: float,
-                     low: float = 0.3, high: float = 1.0) -> float:
-    """One jittered wait: ``uniform(low, high) * base_s``.
+                     low: float = 0.3,
+                     high: float = 1.0) -> Callable[[], float]:
+    """A source of jittered waits, each ``uniform(low, high) * base_s``.
 
-    Heartbeat-paced pollers (YARN allocation, retry probes) de-phase
-    their wakeups with this draw; pulling it through the caller's named
-    stream keeps every delay reproducible from the run seed.  The
+    Heartbeat-paced pollers (YARN allocation, NodeManager heartbeats)
+    de-phase their wakeups with these draws; pulling them through the
+    caller's named stream keeps every delay reproducible from the run
+    seed.  The arguments are checked once, here, so a poller builds its
+    source before its loop and pays only the draw per beat.  The
     default ``(0.3, 1.0)`` window and draw order match the historical
     YARN heartbeat jitter bit-for-bit.  The draw is spelt out as
     ``low + (high - low) * rng.random()``, which is exactly what
-    ``Random.uniform`` computes, minus one call per heartbeat.
+    ``Random.uniform`` computes, minus one call per heartbeat; the
+    span ``high - low`` is the same float computed once.
     """
     # One chained comparison rejects negatives, NaN and infinity alike.
     if not 0 <= base_s < _INF:
         raise ValueError(f"base_s must be finite and >= 0, got {base_s!r}")
     if not 0 <= low <= high:
         raise ValueError("need 0 <= low <= high")
-    return (low + (high - low) * rng.random()) * base_s
+    draw = rng.random
+    span = high - low
+
+    def wait() -> float:
+        return (low + span * draw()) * base_s
+
+    return wait
 
 
 def backoff_delay(rng: random.Random, attempt: int) -> float:

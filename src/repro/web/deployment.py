@@ -173,12 +173,6 @@ class WebServiceDeployment:
         if self.resilience_ledger is not None:
             self.resilience_ledger.counters["breaker_opens"] = sum(
                 b.open_count for b in self.breakers.values())
-        if self.telemetry is not None:
-            # Client-side failures (give-ups after the timeout) never
-            # reach a server-side log; hand them to the monitoring
-            # plane so the SLO error budget charges them too.
-            self.telemetry.note_client_outcomes(
-                timeouts=driver.stats.timeout_calls)
         return result
 
     # -- running a shaped (time-varying) day -------------------------------
@@ -204,23 +198,16 @@ class WebServiceDeployment:
             self.client_names, self.workload,
             self.rng.stream("arrivals"), collect_after=warmup,
             collect_delays=collect_delays)
-        result = self._drive(
+        return self._drive(
             driver, driver.generate_shaped(shape, calls, until=duration,
                                            rotation=rotation),
             0, calls, duration, warmup)
-        if self.telemetry is not None:
-            # Abandoned calls *and* connections that never established
-            # (SYN retries exhausted) are user-visible outages no server
-            # log sees; both charge the availability SLO.
-            self.telemetry.note_client_outcomes(
-                timeouts=driver.stats.timeout_calls,
-                give_ups=driver.stats.failed_connections)
-        return result
 
     def _drive(self, driver: HttperfDriver, arrivals, concurrency: int,
                calls: int, duration: float, warmup: float) -> LevelResult:
-        """Run ``driver``'s ``arrivals`` process to ``duration`` and
-        report the ``[warmup, duration]`` window."""
+        """Run ``driver``'s ``arrivals`` process to ``duration``, charge
+        its client-side failures to the telemetry SLO, and report the
+        ``[warmup, duration]`` window."""
         sim = self.sim
         if sim.faults is not None:
             # Covers injectors attached directly rather than through
@@ -231,6 +218,13 @@ class WebServiceDeployment:
         self.meter.start(until=duration)
         sim.run(until=duration)
         stats = driver.stats
+        if self.telemetry is not None:
+            # Abandoned calls *and* connections that never established
+            # (SYN retries exhausted) are user-visible outages no server
+            # log sees; both charge the availability SLO.
+            self.telemetry.note_client_outcomes(
+                timeouts=stats.timeout_calls,
+                give_ups=stats.failed_connections)
         counted = max(1, stats.ok_calls)
         power_samples = [v for t, v in self.meter.series.pairs()
                          if t >= warmup]

@@ -10,10 +10,10 @@ import random
 import pytest
 
 from repro.cluster import hadoop_cluster
-from repro.hardware import EDISON
+from repro.hardware import DELL_R620, EDISON
 from repro.mapreduce import YarnScheduler, default_config
 from repro.mapreduce.yarn import ContainerGrant
-from repro.sim import Resource, Simulation, heartbeat_jitter
+from repro.sim import Interrupt, Resource, Simulation, heartbeat_jitter
 from repro.sim.kernel import Event
 from repro.sim.resources import Request
 from repro.trace import Tracer
@@ -35,7 +35,9 @@ def old_try_grant(yarn, mem_mb, avoid=()):
 
 
 def old_allocate(yarn, mem_mb, max_heartbeats=None, avoid=()):
-    """The round that re-read every attribute and drew via ``uniform``."""
+    """The round that re-read every attribute, drew via ``uniform`` and
+    ran every master burst through ``Cpu.execute``."""
+    requested_at = yarn.sim.now
     heartbeats = 0
     while True:
         if max_heartbeats is not None and heartbeats >= max_heartbeats:
@@ -46,6 +48,11 @@ def old_allocate(yarn, mem_mb, max_heartbeats=None, avoid=()):
                 yarn.RM_MI_PER_ROUND * yarn._master_penalty())
         grant = old_try_grant(yarn, mem_mb, avoid)
         if grant is not None:
+            if yarn.sim.trace is not None:
+                yarn.sim.trace.complete(
+                    "container.wait", requested_at, category="yarn",
+                    node=grant.node, mem_mb=grant.mem_mb, local=False,
+                    heartbeats=heartbeats)
             return grant
         heartbeats += 1
 
@@ -130,6 +137,59 @@ def test_try_grant_skips_avoided_nodes():
     assert got.node == third
 
 
+def test_fit_bound_follows_every_write():
+    # One field at a time, and through the scheduler's own paths, so a
+    # write that skips the bound shows as a refused grant.
+    rng = random.Random(20161018)
+    old, new = _twin_schedulers(slaves=4)
+    names = list(old.nodes)
+    granted = []
+    for _ in range(3000):
+        name = rng.choice(names)
+        op = rng.randrange(5)
+        free = rng.choice((0, 150, 300, 450, 600))
+        for yarn in (old, new):
+            nm = yarn.nodes[name]
+            if op == 0:
+                nm.down = not nm.down
+            elif op == 1:
+                nm.free_mem_mb = free
+            elif op == 2:
+                yarn.mark_node_down(name)
+            elif op == 3:
+                yarn.mark_node_up(name)
+        if op == 4 and granted:
+            grant = granted.pop(rng.randrange(len(granted)))
+            for yarn in (old, new):
+                if grant.mem_mb <= (yarn.nodes[grant.node].total_mem_mb
+                                    - yarn.nodes[grant.node].free_mem_mb):
+                    yarn.release(grant)
+        mem_mb = rng.choice((150, 300, 450))
+        expect = old_try_grant(old, mem_mb)
+        assert new._try_grant(mem_mb) == expect
+        assert _state(new) == _state(old)
+        if expect is not None:
+            granted.append(expect)
+
+
+class _NoScan(dict):
+    def items(self):
+        raise AssertionError("scanned the NodeManagers")
+
+
+def test_full_cluster_round_skips_the_scan():
+    _, yarn = _twin_schedulers(slaves=3)
+    first, second, third = yarn.nodes.values()
+    first.free_mem_mb = 100
+    second.free_mem_mb = 0
+    third.mark_down()          # a down node's free memory never counts
+    yarn.nodes = _NoScan(yarn.nodes)
+    assert yarn._try_grant(150) is None
+    assert yarn._try_grant(101, avoid={"x"}) is None
+    with pytest.raises(AssertionError, match="scanned"):
+        yarn._try_grant(100)
+
+
 # -- heartbeat_jitter ---------------------------------------------------------
 
 @pytest.mark.parametrize("low,high", [(0.3, 1.0), (0.0, 1.0), (0.5, 0.5),
@@ -138,43 +198,114 @@ def test_heartbeat_jitter_equals_uniform_draw(low, high):
     for base_s in (1.0, 0.37, 3.0):
         ours = random.Random(7)
         theirs = random.Random(7)
+        wait = heartbeat_jitter(ours, base_s, low, high)
         for _ in range(10_000):
-            assert (heartbeat_jitter(ours, base_s, low, high)
-                    == theirs.uniform(low, high) * base_s)
+            assert wait() == theirs.uniform(low, high) * base_s
         assert ours.getstate() == theirs.getstate()
 
 
 # -- full allocation round --------------------------------------------------------
 
-def _allocation_run(allocate_with):
-    sim = Simulation()
-    # An Edison master pays the paging penalty and queues the rounds
-    # on its two vcores.
-    cluster = hadoop_cluster(sim, "edison", 3, master_spec=EDISON)
+def _allocation_run(allocate_with, master_spec=EDISON, traced=False,
+                    interrupt=False, pstate=0):
+    """60 contending requests; with ``interrupt``, one request first runs
+    alone and is interrupted while its master burst is in the calendar."""
+    tracer = Tracer() if traced else None
+    sim = Simulation(trace=tracer)
+    cluster = hadoop_cluster(sim, "edison", 3, master_spec=master_spec)
     yarn = YarnScheduler(sim, cluster.metered_servers,
                          default_config("edison"), random.Random(11),
                          master=cluster.servers["master"])
+    yarn.master.cpu.set_pstate(pstate)
+    vcores = yarn.master.cpu.vcores
     log = []
 
     def task(tag, max_heartbeats):
+        if interrupt:
+            yield 30.0          # after the victim's round
         grant = yield from allocate_with(yarn, 150, max_heartbeats, ())
         log.append((sim.now, tag, grant))
         if grant is not None:
             yield 20.0 + tag % 3
             yarn.release(grant)
 
+    def victim():
+        try:
+            yield from allocate_with(yarn, 150, None, ())
+        except Interrupt:
+            log.append((sim.now, "interrupted", len(vcores.users),
+                        vcores.busy_time()))
+
+    def interrupter(target):
+        # Polls on a grid finer than a Dell round's burst, so the burst's
+        # end is never the next pop and sits in the calendar.
+        while not vcores.users:
+            yield 0.0005
+        log.append((sim.now, "holding", len(vcores.users)))
+        target.interrupt()
+
+    if interrupt:
+        sim.process(interrupter(sim.process(victim())))
     # The capped requests give up while the cluster is full.
     for tag in range(60):
         sim.process(task(tag, 2 if tag % 5 == 0 else None))
     sim.run()
-    return log, sim.calendar_stats(), yarn.rng.getstate(), _state(yarn)
+    trace = list(tracer.log) if traced else None
+    return (log, sim.calendar_stats(), yarn.rng.getstate(), _state(yarn),
+            vcores.busy_time(), trace)
+
+
+def _new_allocate(yarn, *args):
+    return yarn.allocate(*args)
 
 
 def test_allocate_matches_previous_round():
-    def new(yarn, *args):
-        return yarn.allocate(*args)
+    # An Edison master pays the paging penalty and queues the rounds
+    # on its two vcores, so rounds also take the Cpu.execute fallback.
+    assert _allocation_run(_new_allocate) == _allocation_run(old_allocate)
 
-    assert _allocation_run(new) == _allocation_run(old_allocate)
+
+@pytest.mark.parametrize("traced,pstate", [(False, 0), (True, 0),
+                                           (False, 3)])
+def test_allocate_on_dell_master_matches_previous_round(traced, pstate):
+    # A Dell master's rounds hold its vCPU in place; a down-clocked one
+    # stretches each burst by the same rate Cpu.execute applies.
+    ours = _allocation_run(_new_allocate, DELL_R620, traced, pstate=pstate)
+    assert ours == _allocation_run(old_allocate, DELL_R620, traced,
+                                   pstate=pstate)
+    if traced:
+        names = {event.name for event in ours[5]}
+        assert {"master.cpu.vcores.hold", "container.wait"} <= names
+
+
+def test_allocate_interrupted_mid_burst_matches_previous_round():
+    ours = _allocation_run(_new_allocate, DELL_R620, interrupt=True)
+    assert ours == _allocation_run(old_allocate, DELL_R620, interrupt=True)
+    log = ours[0]
+    assert log[0][1:] == ("holding", 1)
+    # The interrupt released the held vCPU.
+    assert log[1][1:3] == ("interrupted", 0)
+    assert log[1][0] == log[0][0]
+
+
+def test_uncontended_rounds_build_no_request(monkeypatch):
+    built = []
+    init = Request.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Request, "__init__", counting)
+    sim = Simulation()
+    cluster = hadoop_cluster(sim, "edison", 1, master_spec=DELL_R620)
+    yarn = YarnScheduler(sim, cluster.metered_servers,
+                         default_config("edison"), random.Random(3),
+                         master=cluster.servers["master"])
+    next(iter(yarn.nodes.values())).free_mem_mb = 0   # never grants
+    sim.run(until=sim.process(yarn.allocate(150, max_heartbeats=50)))
+    assert built == []
+    assert sim.calendar_stats()["scheduled"] == 50 * 3 + 2
 
 
 def test_allocation_round_costs_three_events():

@@ -132,4 +132,4 @@ def test_derive_seed_stable_and_positive():
 def test_heartbeat_jitter_rejects_bad_base(base_s):
     with pytest.raises(ValueError, match="base_s"):
         heartbeat_jitter(random.Random(1), base_s)
-    assert heartbeat_jitter(random.Random(1), 0.0) == 0.0
+    assert heartbeat_jitter(random.Random(1), 0.0)() == 0.0
