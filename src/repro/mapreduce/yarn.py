@@ -184,14 +184,12 @@ class YarnScheduler:
         """Reserve ``mem_mb`` on the least-loaded fitting node, or None.
 
         Nodes in ``avoid`` are skipped; on equal free memory the first
-        node wins.  This runs once per heartbeat round, and on a full
-        cluster nearly every round asks for more than any node has: the
-        fit bound answers those at once, and ``avoid`` only narrows the
-        set, so the answer is exact.  Otherwise one pass and no
-        temporary lists.
+        node wins.  One pass and no temporary lists.  :meth:`allocate`
+        calls this only when ``mem_mb`` is within the fit bound: on a
+        full cluster nearly every round asks for more than any node
+        has, and ``avoid`` only narrows the set, so skipping the call
+        is exact.
         """
-        if mem_mb > self._fit.mb:
-            return None
         best = None
         best_name = None
         for name, nm in self.nodes.items():
@@ -234,6 +232,7 @@ class YarnScheduler:
         sim = self.sim
         wait = heartbeat_jitter(self.rng, self.config.heartbeat_s)
         try_grant = self._try_grant
+        fit = self._fit
         master = self.master
         if master is not None:
             master_cpu = master.cpu
@@ -260,7 +259,7 @@ class YarnScheduler:
                         vcores.release(hold)
                 else:
                     yield from master_cpu.execute(round_mi)
-            grant = try_grant(mem_mb, avoid)
+            grant = try_grant(mem_mb, avoid) if mem_mb <= fit.mb else None
             if grant is not None:
                 if sim.trace is not None:
                     # ``local`` stays in the span's schema: every grant

@@ -25,6 +25,11 @@ pushed, and sets the clock as the pop would, so every pop order, float,
 in a callback run by :meth:`Event.add_callback`, or run among several
 callbacks, is never in the tail.
 
+No reference cycles: a process drops its bound ``_resume`` when its
+generator ends, and a cancelled :class:`Timeout` drops its callbacks,
+so finished calls are freed by reference counting, not by the cyclic
+collector (``tests/test_no_cycles.py`` is the ratchet).
+
 The design is intentionally close to the well-known SimPy API so the rest
 of the codebase reads naturally to anyone who has simulated systems
 before, but it is implemented here from scratch and trimmed to exactly
@@ -218,6 +223,9 @@ class Timeout(Event):
         if self.callbacks is None or self._cancelled:
             return
         self._cancelled = True
+        # The drain loop never reads a tombstone's callbacks; holding
+        # them would keep a cycle with the AnyOf waiting on this timer.
+        self.callbacks = _NO_CALLBACKS
         self.sim._cancel_scheduled()
 
 
@@ -301,12 +309,16 @@ class Process(Event):
                 self._value = exc.value
                 sim._schedule(self)
                 self._trace_end()
+                # The bound method points back at self: drop it so a
+                # finished process is freed by reference counting.
+                self._resume_cb = None
                 break
             except BaseException as exc:
                 self._ok = False
                 self._value = exc
                 sim._schedule(self)
                 self._trace_end()
+                self._resume_cb = None
                 break
             cls = type(target)
             if cls is float or cls is int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpanContext:
     """Identity of one span inside one causal tree.
 

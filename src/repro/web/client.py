@@ -106,9 +106,12 @@ class UrllibProbe:
             handler = sim.process(web.handle_call(client))
             timer = sim.timeout(self.deployment.workload.client_timeout_s)
             yield AnyOf(sim, [handler, timer])
-            if handler.processed and handler.value.ok \
-                    and sim.now >= self.collect_after:
-                self.log.delays_s.append(sim.now - start)
+            if handler.processed:
+                # The race is settled: leave a tombstone, not a live
+                # 10 s entry that outlasts a Figure 10/11 run.
+                timer.cancel()
+                if handler.value.ok and sim.now >= self.collect_after:
+                    self.log.delays_s.append(sim.now - start)
         finally:
             web.close_connection(epoch)
 

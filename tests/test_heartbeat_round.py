@@ -177,17 +177,31 @@ class _NoScan(dict):
         raise AssertionError("scanned the NodeManagers")
 
 
-def test_full_cluster_round_skips_the_scan():
+def test_full_cluster_round_skips_the_scan(monkeypatch):
+    """A round whose request fits nowhere makes no ``_try_grant`` call."""
     _, yarn = _twin_schedulers(slaves=3)
     first, second, third = yarn.nodes.values()
     first.free_mem_mb = 100
     second.free_mem_mb = 0
     third.mark_down()          # a down node's free memory never counts
     yarn.nodes = _NoScan(yarn.nodes)
-    assert yarn._try_grant(150) is None
-    assert yarn._try_grant(101, avoid={"x"}) is None
-    with pytest.raises(AssertionError, match="scanned"):
-        yarn._try_grant(100)
+    calls = []
+    monkeypatch.setattr(yarn, "_try_grant",
+                        lambda *args: calls.append(args))
+    results = []
+
+    def request(mem_mb, avoid):
+        results.append((yield from yarn.allocate(mem_mb, 4, avoid)))
+
+    yarn.sim.process(request(150, ()))
+    yarn.sim.process(request(101, {"x"}))
+    yarn.sim.run()
+    assert results == [None, None]
+    assert calls == []
+    # Within the bound the round asks, once per round.
+    yarn.sim.process(request(100, ()))
+    yarn.sim.run()
+    assert calls == [(100, ())] * 4
 
 
 # -- heartbeat_jitter ---------------------------------------------------------

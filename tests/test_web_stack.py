@@ -185,6 +185,20 @@ def test_delay_histogram_edison_stays_subsecond():
     assert log.fraction_above(0.9) < 0.05
 
 
+def test_settled_probe_call_leaves_only_a_tombstone():
+    from repro.sim import Timeout
+    from repro.web import UrllibProbe
+    deployment = WebServiceDeployment("edison", "1/8")
+    probe = UrllibProbe(deployment, 400.0)
+    probe.start(until=0.5)
+    deployment.sim.run(until=1.0)      # every call has settled by now
+    timers = [entry[3] for entry in deployment.sim._heap
+              if type(entry[3]) is Timeout
+              and entry[3].delay == deployment.workload.client_timeout_s]
+    assert len(timers) == len(probe.log.delays_s) > 100
+    assert all(timer._cancelled for timer in timers)
+
+
 def test_probe_log_histogram_bins():
     from repro.web import ProbeLog
     log = ProbeLog(delays_s=[0.1, 0.2, 1.1, 7.9, 12.0])
