@@ -27,8 +27,11 @@ callbacks, is never in the tail.
 
 No reference cycles: a process drops its bound ``_resume`` when its
 generator ends, and a cancelled :class:`Timeout` drops its callbacks,
-so finished calls are freed by reference counting, not by the cyclic
-collector (``tests/test_no_cycles.py`` is the ratchet).
+so a process whose generator returns, and the calls it settled, are
+freed by reference counting, not by the cyclic collector
+(``tests/test_no_cycles.py`` is the ratchet).  A process that ends by
+raising is not: its exception's traceback holds ``_resume``'s frame,
+which holds the process.
 
 The design is intentionally close to the well-known SimPy API so the rest
 of the codebase reads naturally to anyone who has simulated systems
@@ -310,7 +313,7 @@ class Process(Event):
                 sim._schedule(self)
                 self._trace_end()
                 # The bound method points back at self: drop it so a
-                # finished process is freed by reference counting.
+                # returned process is freed by reference counting.
                 self._resume_cb = None
                 break
             except BaseException as exc:

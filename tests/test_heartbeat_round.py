@@ -172,9 +172,54 @@ def test_fit_bound_follows_every_write():
             granted.append(expect)
 
 
-class _NoScan(dict):
-    def items(self):
-        raise AssertionError("scanned the NodeManagers")
+def _bound_of(yarn):
+    """The fit bound recomputed from scratch."""
+    return max((nm.free_mem_mb for nm in yarn.nodes.values()
+                if not nm.down), default=float("-inf"))
+
+
+def test_fit_bound_is_exact_through_allocates_gate():
+    # The same write soup, but each grant is asked as ``allocate`` asks
+    # it: ``_try_grant`` only within the bound.  A write that leaves the
+    # bound stale-low shows as a refused grant, one that leaves it
+    # stale-high as a wrong ``mb``.
+    rng = random.Random(20161019)
+    old, new = _twin_schedulers(slaves=4)
+    names = list(old.nodes)
+    granted = []
+    gated = set()
+    for _ in range(3000):
+        name = rng.choice(names)
+        op = rng.randrange(5)
+        free = rng.choice((0, 150, 300, 450, 600))
+        for yarn in (old, new):
+            nm = yarn.nodes[name]
+            if op == 0:
+                nm.down = not nm.down
+            elif op == 1:
+                nm.free_mem_mb = free
+            elif op == 2:
+                yarn.mark_node_down(name)
+            elif op == 3:
+                yarn.mark_node_up(name)
+        if op == 4 and granted:
+            grant = granted.pop(rng.randrange(len(granted)))
+            for yarn in (old, new):
+                if grant.mem_mb <= (yarn.nodes[grant.node].total_mem_mb
+                                    - yarn.nodes[grant.node].free_mem_mb):
+                    yarn.release(grant)
+        assert new._fit.mb == _bound_of(new)
+        mem_mb = rng.choice((150, 300, 450))
+        expect = old_try_grant(old, mem_mb)
+        fits = mem_mb <= new._fit.mb
+        gated.add(fits)
+        assert (new._try_grant(mem_mb) if fits else None) == expect
+        assert new._fit.mb == _bound_of(new)
+        assert _state(new) == _state(old)
+        if expect is not None:
+            granted.append(expect)
+    # Both sides of the gate were taken.
+    assert gated == {True, False}
 
 
 def test_full_cluster_round_skips_the_scan(monkeypatch):
@@ -184,7 +229,6 @@ def test_full_cluster_round_skips_the_scan(monkeypatch):
     first.free_mem_mb = 100
     second.free_mem_mb = 0
     third.mark_down()          # a down node's free memory never counts
-    yarn.nodes = _NoScan(yarn.nodes)
     calls = []
     monkeypatch.setattr(yarn, "_try_grant",
                         lambda *args: calls.append(args))

