@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
+from ..hardware.power import COMPONENTS
 from ..hardware.server import Server
 from ..sim import Simulation, TimeSeries
 
@@ -32,8 +33,7 @@ class PowerMeter:
         self.name = name
         self.series = TimeSeries(f"{name}.power_w")
         self.per_component: Dict[str, TimeSeries] = {
-            key: TimeSeries(f"{name}.{key}")
-            for key in ("cpu", "mem", "disk", "net")
+            key: TimeSeries(f"{name}.{key}") for key in COMPONENTS
         }
         #: Per-server power traces, recorded at the same sample instants
         #: as the summed series — the ground truth per-node energy that
@@ -42,6 +42,19 @@ class PowerMeter:
             server.name: TimeSeries(f"{name}.{server.name}.power_w")
             for server in self.servers
         }
+        # The blend must know every component a window carries; checked
+        # here once, not at every sample.
+        for server in self.servers:
+            weights = server.spec.power.weights
+            for component in COMPONENTS:
+                if component not in weights:
+                    raise ValueError(
+                        f"{server.name}: the meter reads power component "
+                        f"{component!r}; the weight blend knows "
+                        f"{sorted(weights)}")
+        self._nodes = [(server, server.spec.power,
+                        self.per_node[server.name].record)
+                       for server in self.servers]
         self._process = None
 
     def start(self, until: Optional[float] = None) -> None:
@@ -62,25 +75,23 @@ class PowerMeter:
         faults = self.sim.faults
         now = self.sim.now
         trace = self.sim.trace
-        for server in self.servers:
-            utilization = server.utilization_window()
+        for server, power, record in self._nodes:
+            window = server.utilization_window()
             if faults is not None:
                 # Crashed nodes draw idle power, powered-off ones nothing
                 # (identical to the plain formula while the node is up).
-                node_w = faults.node_watts(server, utilization)
+                node_w = faults.node_watts(server, window)
             else:
-                node_w = server.spec.power.power(utilization,
-                                                 server.cpu.pstate)
+                node_w = power.window_power(window, server.cpu.pstate)
             watts += node_w
-            self.per_node[server.name].record(now, node_w)
+            record(now, node_w)
             if trace is not None:
                 trace.counter(f"{self.name}.node_power_w", node_w,
                               category="power", node=server.name)
-            get = utilization.get
-            cpu += get("cpu", 0.0)
-            mem += get("mem", 0.0)
-            disk += get("disk", 0.0)
-            net += get("net", 0.0)
+            cpu += window[0]
+            mem += window[1]
+            disk += window[2]
+            net += window[3]
         self.series.record(now, watts)
         n = len(self.servers)
         means = (cpu / n, mem / n, disk / n, net / n)

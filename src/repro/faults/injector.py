@@ -118,6 +118,9 @@ class FaultInjector:
         self.detection_s = detection_s
         self.status: Dict[str, _NodeStatus] = {
             name: _NodeStatus() for name in cluster.servers}
+        #: Bumped by every write to a node's fault flags, so a reader
+        #: (the HDFS block census) can reuse what it derived from them.
+        self.status_version = 0
         # Insertion-ordered (dict, not set): victims are interrupted in
         # bind order, keeping chaos runs deterministic per seed.
         self._bound: Dict[str, Dict] = {name: {} for name in
@@ -184,8 +187,9 @@ class FaultInjector:
         status = self.status.get(node)
         return status is not None and status.disk_failed
 
-    def node_watts(self, server, utilization) -> float:
-        """Wall power of ``server`` right now, fault state included.
+    def node_watts(self, server, window) -> float:
+        """Wall power of ``server`` over a ``(cpu, mem, disk, net)``
+        utilisation ``window``, fault state included.
 
         Crashed nodes draw idle power (the paper's meters would keep
         counting a hung Edison), administratively powered-off nodes draw
@@ -194,7 +198,7 @@ class FaultInjector:
         """
         status = self.status.get(server.name)
         if status is None or status.up:
-            return server.spec.power.power(utilization, server.cpu.pstate)
+            return server.spec.power.window_power(window, server.cpu.pstate)
         if status.admin_off:
             return 0.0
         # Crashed-but-powered, or administratively booting: idle draw.
@@ -227,6 +231,7 @@ class FaultInjector:
         was_up = status.up
         status.admin_off = True
         status.admin_booting = False
+        self.status_version += 1
         if self.sim.trace is not None:
             self.sim.trace.instant("admin.power_off", category="autoscale",
                                    node=node)
@@ -244,6 +249,7 @@ class FaultInjector:
             raise RuntimeError(f"{node} is not administratively off")
         status.admin_off = False
         status.admin_booting = True
+        self.status_version += 1
 
     def admin_power_on(self, node: str) -> None:
         """Finish booting (or instantly resume) a suspended node."""
@@ -252,6 +258,7 @@ class FaultInjector:
             return
         status.admin_off = False
         status.admin_booting = False
+        self.status_version += 1
         if self.sim.trace is not None:
             self.sim.trace.instant("admin.power_on", category="autoscale",
                                    node=node)
@@ -372,6 +379,7 @@ class FaultInjector:
             yield from self._apply_packet_loss(fault, record)
         elif fault.kind == "disk_fail":
             self.status[fault.node].disk_failed = True
+            self.status_version += 1
             # Permanent: the record's end stays None.  Listeners hear
             # about it (the HDFS repair monitor starts re-replicating);
             # pre-existing listeners filter on kind and ignore it.
@@ -384,6 +392,7 @@ class FaultInjector:
         status = self.status[fault.node]
         first = status.down_tokens == 0
         status.down_tokens += 1
+        self.status_version += 1
         if first:
             status.down_since = self.sim.now
             status.last_down_at = self.sim.now
@@ -397,6 +406,7 @@ class FaultInjector:
                     process.interrupt(FaultCause(fault.kind, fault.node))
         yield self.sim.timeout(fault.duration)
         status.down_tokens -= 1
+        self.status_version += 1
         if status.down_tokens == 0:
             status.downtime_s += self.sim.now - status.down_since
             status.down_since = None
@@ -426,6 +436,7 @@ class FaultInjector:
             status = self.status[node]
             first = status.unreachable_tokens == 0
             status.unreachable_tokens += 1
+            self.status_version += 1
             if first:
                 status.unreachable_since = now
                 for listener in list(self._listeners):
@@ -436,6 +447,7 @@ class FaultInjector:
         for node in members:
             status = self.status[node]
             status.unreachable_tokens -= 1
+            self.status_version += 1
             if status.unreachable_tokens == 0:
                 status.unreachable_s += now - status.unreachable_since
                 status.unreachable_since = None

@@ -98,10 +98,13 @@ class Fault:
                              f"expected one of {FAULT_KINDS}")
         if not self.node:
             raise ValueError("a fault needs a victim node name")
-        if self.at < 0:
-            raise ValueError("fault onset time must be >= 0")
-        if self.duration <= 0:
-            raise ValueError("fault duration must be > 0")
+        # Written so that NaN fails each check: NaN compares False.
+        if not (self.at >= 0 and math.isfinite(self.at)):
+            raise ValueError(f"fault onset time must be finite and >= 0, "
+                             f"got {self.at!r}")
+        if not self.duration > 0:
+            raise ValueError(f"fault duration must be > 0, "
+                             f"got {self.duration!r}")
         if math.isinf(self.duration) and self.kind != "disk_fail":
             raise ValueError(f"only disk_fail may be permanent; "
                              f"{self.kind} needs a finite duration")
@@ -211,10 +214,15 @@ class RecurringFault:
                              "be scheduled as a one-shot fault")
         if not self.node:
             raise ValueError("a fault needs a victim node name")
-        if self.mtbf_s <= 0 or self.mttr_s <= 0:
-            raise ValueError("mtbf_s and mttr_s must be > 0")
-        if self.start < 0:
-            raise ValueError("start must be >= 0")
+        # Written so that NaN fails each check: NaN compares False.
+        for name in ("mtbf_s", "mttr_s"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and > 0, "
+                                 f"got {value!r}")
+        if not (self.start >= 0 and math.isfinite(self.start)):
+            raise ValueError(f"start must be finite and >= 0, "
+                             f"got {self.start!r}")
         # Re-use Fault's kind-parameter validation.
         Fault(kind=self.kind, node=self.node, at=self.start, duration=1.0,
               factor=self.factor, loss=self.loss)

@@ -15,7 +15,11 @@ adapter-power ablation can swap it for an integrated 0.1 W port.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Tuple
+
+#: The components a server reports, in the order of its utilisation
+#: window (:meth:`~repro.hardware.server.Server.utilization_window`).
+COMPONENTS = ("cpu", "mem", "disk", "net")
 
 #: Default blend of component activities into effective utilisation.
 #: CPU dominates; the blend is jointly calibrated against the paper's
@@ -33,6 +37,8 @@ class PowerSpec:
 
     ``idle_w``/``busy_w`` bracket the server *without* any constant
     adapter; ``adapter_w`` is added unconditionally while present.
+    ``weights`` is read once, here: its keys must be among
+    :data:`COMPONENTS`, and the blend keeps its order.
     """
 
     idle_w: float
@@ -48,6 +54,15 @@ class PowerSpec:
         total = sum(self.weights.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {total}")
+        for component in self.weights:
+            if component not in COMPONENTS:
+                raise ValueError(
+                    f"unknown power component {component!r}; servers "
+                    f"report {list(COMPONENTS)}")
+        # The blend as (window index, weight) pairs in weights order.
+        object.__setattr__(self, "_blend", tuple(
+            (COMPONENTS.index(component), weight)
+            for component, weight in self.weights.items()))
 
     @property
     def min_w(self) -> float:
@@ -59,14 +74,16 @@ class PowerSpec:
         """Wall power with the server saturated (adapter included)."""
         return self.busy_w + self.adapter_w
 
-    def effective_utilization(self, utilization: Mapping[str, float]) -> float:
-        """Blend per-component utilisations into one dial in [0, 1].
+    def power(self, utilization: Mapping[str, float],
+              pstate=None) -> float:
+        """Instantaneous wall power for the given component utilisations.
 
         Components absent from ``utilization`` count as idle, but a key
         the weight blend does not know (``"network"`` for ``"net"``,
         say) raises: silently treating a typo as 0 utilisation would
         bill idle watts for a busy component and skew every
-        work-per-joule figure downstream.
+        work-per-joule figure downstream.  The value is
+        :meth:`window_power` of the matching window.
         """
         weights = self.weights
         for component in utilization:
@@ -74,34 +91,36 @@ class PowerSpec:
                 raise ValueError(
                     f"unknown power component {component!r}; the weight "
                     f"blend knows {sorted(weights)}")
-        blended = 0.0
-        for component, weight in weights.items():
-            value = utilization.get(component, 0.0)
+        get = utilization.get
+        return self.window_power(
+            tuple([get(component, 0.0) for component in COMPONENTS]), pstate)
+
+    def window_power(self, window: Tuple[float, float, float, float],
+                     pstate=None) -> float:
+        """Wall power for a ``(cpu, mem, disk, net)`` utilisation window.
+
+        Each component is clamped to [0, 1] (NaN to 0) and blended by
+        its weight, in ``weights`` order.  ``pstate`` (a
+        :class:`~repro.hardware.cpu.PState`) rescales the *CPU share*
+        of the busy-above-idle span by the state's ``busy_w_factor`` —
+        a down-clocked core works longer per MI but draws less while
+        doing it.  ``None`` or P0 takes the exact historical
+        expression, so runs that never leave nominal frequency are
+        bit-identical.
+        """
+        u = 0.0
+        for index, weight in self._blend:
+            value = window[index]
             # min(1.0, max(0.0, value)) by comparisons; NaN clamps to 0.
             if not value > 0.0:
                 value = 0.0
             elif not value < 1.0:
                 value = 1.0
-            blended += weight * value
-        return blended
-
-    def power(self, utilization: Mapping[str, float],
-              pstate=None) -> float:
-        """Instantaneous wall power for the given component utilisations.
-
-        ``pstate`` (a :class:`~repro.hardware.cpu.PState`) rescales the
-        *CPU share* of the busy-above-idle span by the state's
-        ``busy_w_factor`` — a down-clocked core works longer per MI but
-        draws less while doing it.  ``None`` or P0 takes the exact
-        historical expression, so runs that never leave nominal
-        frequency are bit-identical.
-        """
-        u = self.effective_utilization(utilization)
+            u += weight * value
         if pstate is not None and pstate.busy_w_factor != 1.0:
             cpu_weight = self.weights.get("cpu", 0.0)
             if cpu_weight:
-                cpu_part = cpu_weight * min(
-                    1.0, max(0.0, utilization.get("cpu", 0.0)))
+                cpu_part = cpu_weight * min(1.0, max(0.0, window[0]))
                 u = u - cpu_part + cpu_part * pstate.busy_w_factor
         return self.idle_w + (self.busy_w - self.idle_w) * u + self.adapter_w
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
 
 from ..sim import Simulation
 from .cpu import Cpu, CpuSpec
@@ -64,13 +64,14 @@ class Server:
             "net": self.nic.utilization(),
         }
 
-    def utilization_window(self) -> Dict[str, float]:
-        """Mean per-component utilisation since the previous call.
+    def utilization_window(self) -> Tuple[float, float, float, float]:
+        """Mean ``(cpu, mem, disk, net)`` utilisation since the previous call.
 
-        Returns a dict with keys ``cpu``, ``mem``, ``disk``, ``net`` in
-        [0, 1].  The power meter calls this once per sampling interval;
-        windowed averages avoid aliasing that instantaneous probes would
-        suffer at coarse sampling rates.
+        Each value is in [0, 1], in :data:`~repro.hardware.power.COMPONENTS`
+        order, the form :meth:`PowerSpec.window_power` blends.  The
+        power meter calls this once per sampling interval; windowed
+        averages avoid aliasing that instantaneous probes would suffer
+        at coarse sampling rates.
         """
         now = self.sim.now
         dt = now - self._probe_time
@@ -78,16 +79,14 @@ class Server:
         disk_busy = self.storage.channel.busy_time()
         nic_bytes = self.nic.total_bytes
         if dt <= 0:
-            window = self.utilization_now()
+            window = tuple(self.utilization_now().values())
         else:
             nic_rate = (nic_bytes - self._probe_nic_bytes) / dt
-            window = {
-                "cpu": (cpu_busy - self._probe_cpu_busy)
-                       / (self.cpu.vcores.capacity * dt),
-                "mem": self.memory.utilization(),
-                "disk": (disk_busy - self._probe_disk_busy) / dt,
-                "net": min(1.0, nic_rate / self.nic.spec.bytes_per_second),
-            }
+            window = ((cpu_busy - self._probe_cpu_busy)
+                      / (self.cpu.vcores.capacity * dt),
+                      self.memory.utilization(),
+                      (disk_busy - self._probe_disk_busy) / dt,
+                      min(1.0, nic_rate / self.nic.spec.bytes_per_second))
         self._probe_time = now
         self._probe_cpu_busy = cpu_busy
         self._probe_disk_busy = disk_busy

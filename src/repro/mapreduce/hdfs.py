@@ -93,6 +93,11 @@ class Hdfs:
         #: Every placed block, by id — the NameNode's block map, walked
         #: by the repair loop and the durability ledger.
         self.blocks: Dict[int, HdfsBlock] = {}
+        #: Bumped by every block-map write (placement and repair); with
+        #: the fault plane's status version it keys the cached census.
+        self._map_version = 0
+        self._census_key: Optional[tuple] = None
+        self._census: Tuple[Dict[str, int], Tuple[int, ...]] = ({}, ())
         self.monitor: Optional["ReplicationMonitor"] = None
         #: Remote-read byte counters for the locality accounting: reads
         #: served inside the reader's rack vs across the trunk/ToR.
@@ -115,6 +120,7 @@ class Hdfs:
         block = HdfsBlock(self._next_block, size, tuple(replicas))
         self.blocks[block.block_id] = block
         self._next_block += 1
+        self._map_version += 1
         return block
 
     def _rack_aware_tail(self, primary: str, others: List[str]) -> List[str]:
@@ -167,11 +173,11 @@ class Hdfs:
         """
         if self.sim.faults is None:
             return block.replicas
-        live = tuple(r for r in block.replicas if self._alive(r))
+        live = tuple([r for r in block.replicas if self._alive(r)])
         if reader is None or len(self.topology._cuts) == 0:
             return live
         reachable = self.topology.reachable
-        return tuple(r for r in live if reachable(reader, r))
+        return tuple([r for r in live if reachable(reader, r)])
 
     def read_block(self, node: str, block: HdfsBlock):
         """Process generator: read one block from ``node``.
@@ -201,8 +207,8 @@ class Hdfs:
             return
         rack_of = self.topology.rack_of
         reader_rack = rack_of(node)
-        same_rack = tuple(r for r in replicas
-                          if rack_of(r) == reader_rack)
+        same_rack = tuple([r for r in replicas
+                           if rack_of(r) == reader_rack])
         # Same-length pools draw identically from the stream, so the
         # rack preference is invisible in single-rack layouts.
         source = self.rng.choice(same_rack or replicas)
@@ -263,34 +269,48 @@ class Hdfs:
         faults = self.sim.faults
         if faults is None:
             return block.replicas
-        return tuple(r for r in block.replicas
-                     if not faults.disk_failed(r))
+        return tuple([r for r in block.replicas
+                      if not faults.disk_failed(r)])
 
     def readable_replicas(self, block: HdfsBlock) -> Tuple[str, ...]:
         """Intact homes that are also up and reachable right now."""
         faults = self.sim.faults
         if faults is None:
             return block.replicas
-        return tuple(r for r in block.replicas
-                     if faults.is_up(r) and faults.is_reachable(r)
-                     and not faults.disk_failed(r))
+        return tuple([r for r in block.replicas
+                      if faults.is_up(r) and faults.is_reachable(r)
+                      and not faults.disk_failed(r)])
 
     def census(self) -> Tuple[Dict[str, int], List[int]]:
-        """One pass over the block map: the health counts and the ids
-        of every lost block.
+        """The health counts and the ids of every lost block.
 
-        Each datanode's fault flags are read once; the block walk then
-        needs only set membership.  A block is *lost* when no replica
-        keeps its data (every home's disk failed), *unavailable* when
-        it is live but no copy is readable right now, and
-        *under-replicated* when fewer than ``replication`` copies are.
-        ``blocks_created`` comes from the placement counter, not from
-        the map, so ``created == live + lost`` is a real check on the
-        map's bookkeeping.
+        A block is *lost* when no replica keeps its data (every home's
+        disk failed), *unavailable* when it is live but no copy is
+        readable right now, and *under-replicated* when fewer than
+        ``replication`` copies are.  ``blocks_created`` comes from the
+        placement counter, not from the map, so ``created == live +
+        lost`` is a real check on the map's bookkeeping.
+
+        The result only changes when the block map or a node's fault
+        flags do, so it is cached behind their versions; the map's size
+        is part of the key too, so a block that leaves the map by any
+        other path still shows at once.  Each call returns fresh
+        containers.
         """
+        faults = self.sim.faults
+        key = (self._map_version, len(self.blocks), faults,
+               None if faults is None else faults.status_version)
+        if key != self._census_key:
+            self._census = self._walk_census(faults)
+            self._census_key = key
+        counts, lost_ids = self._census
+        return dict(counts), list(lost_ids)
+
+    def _walk_census(self, faults) -> Tuple[Dict[str, int], Tuple[int, ...]]:
+        """One pass over the block map.  Each datanode's fault flags are
+        read once; the block walk then needs only set membership."""
         dead = set()        # disk failed: the copy's bytes are gone
         unreadable = set()  # dead, down or severed right now
-        faults = self.sim.faults
         if faults is not None:
             for name in self._node_order:
                 if faults.disk_failed(name):
@@ -323,7 +343,7 @@ class Hdfs:
         counts = {"blocks_created": self._next_block, "blocks_live": live,
                   "blocks_lost": len(lost_ids), "under_replicated": under,
                   "unavailable": unavailable}
-        return counts, lost_ids
+        return counts, tuple(lost_ids)
 
     def health_summary(self) -> Dict[str, int]:
         """Block census counts: created == live + lost is the
@@ -514,6 +534,7 @@ class ReplicationMonitor:
                     keep.remove(r)
                     break
         block.replicas = tuple(keep) + (target,)
+        self.hdfs._map_version += 1
         self._queued.discard(bid)
         self.repairs_completed += 1
         self.repair_bytes += block.size_bytes

@@ -4,5 +4,5 @@ from .._exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".flows": ("Flow", "FlowNetwork", "Segment"),
-    ".topology": ("NetworkUnreachable", "ROOM_RACKS", "TRUNK_BPS", "Topology"),
+    ".topology": ("ROOM_RACKS", "TRUNK_BPS", "Topology"),
 })

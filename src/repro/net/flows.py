@@ -4,15 +4,21 @@ Long-lived transfers (HDFS writes, MapReduce shuffle, iperf streams) are
 modelled as *fluid flows*: each flow traverses a set of capacity-limited
 segments (source NIC transmit, destination NIC receive, optionally an
 inter-rack trunk) and receives its max-min fair rate, recomputed by
-progressive filling every time a flow starts or finishes.  Filling keeps
-a count of unfrozen flows per segment and decrements it as each flow
-freezes, so a round costs one pass over the segments rather than one
-rescan of every segment's flow list.
+progressive filling every time a flow starts or finishes.  Filling runs
+over one row per segment, in first-touch order (flows in start order,
+each flow's segments in path order): the capacity left, the count of
+unfrozen flows and the flows through it.  Each round takes the first row
+with the strictly smallest ``capacity / count`` as the bottleneck and
+freezes its unfrozen flows at that share, subtracting it from each of
+their rows; no round rebuilds a row.
 
 The implementation keeps per-flow remaining bytes; when the rate
 allocation changes, remaining work is rolled forward and the next
-completion re-scheduled using a versioned wake-up (the kernel has no
-timeout cancellation, so stale wake-ups are recognised and ignored).
+completion is found in the same pass that sums the NIC rates.  A newer
+allocation cancels the pending wake-up (``Timeout.cancel``), so the one
+that fires is always the current one.  The only exception is a drained
+network, which keeps its last wake-up; that wake then finds no flow to
+roll forward.
 """
 
 from __future__ import annotations
@@ -29,6 +35,9 @@ from ..sim import Event, Simulation
 #: without the threshold a residue can imply a wake-up delay below the
 #: clock's float resolution, stalling the simulation at one timestamp.
 COMPLETION_THRESHOLD_BYTES = 1e-3
+#: A wake-up is aimed at half the threshold, so float residue still
+#: leaves the finishing flow under it.
+_HALF_THRESHOLD = COMPLETION_THRESHOLD_BYTES / 2
 
 
 @dataclass(eq=False)
@@ -71,7 +80,6 @@ class FlowNetwork:
         self.sim = sim
         self.flows: List[Flow] = []
         self._last_update = sim.now
-        self._version = 0
         self._wake = None
 
     # -- public API -----------------------------------------------------
@@ -123,89 +131,91 @@ class FlowNetwork:
             return
         finished = []
         for flow in self.flows:
-            flow.remaining_bytes -= flow.rate_Bps * dt
-            self._account(flow, flow.rate_Bps * dt)
+            nbytes = flow.rate_Bps * dt
+            flow.remaining_bytes -= nbytes
+            for segment in flow.segments:
+                nic = segment.nic
+                if nic is None:
+                    continue
+                if segment.nic_direction == "tx":
+                    nic.bytes_sent += nbytes
+                else:
+                    nic.bytes_received += nbytes
             if flow.remaining_bytes <= COMPLETION_THRESHOLD_BYTES:
                 finished.append(flow)
         for flow in finished:
             self.flows.remove(flow)
             flow.done.succeed(self.sim.now)
 
-    @staticmethod
-    def _account(flow: Flow, nbytes: float) -> None:
-        for segment in flow.segments:
-            if segment.nic is None:
-                continue
-            if segment.nic_direction == "tx":
-                segment.nic.bytes_sent += nbytes
-            else:
-                segment.nic.bytes_received += nbytes
-
     def _reallocate(self) -> None:
         """Progressive filling: assign max-min fair rates, reschedule."""
-        # Clear NIC instantaneous-rate accounting.
-        for flow in self.flows:
-            for segment in flow.segments:
-                if segment.nic is not None:
-                    segment.nic.active_rate_Bps = 0.0
-        if not self.flows:
-            self._version += 1
+        flows = self.flows
+        if not flows:
             return
-        unfrozen = set(self.flows)
-        rates: Dict[Flow, float] = {flow: 0.0 for flow in self.flows}
-        seg_flows: Dict[Segment, List[Flow]] = {}
-        for flow in self.flows:
+        # One row per segment in first-touch order: [capacity left,
+        # unfrozen flows, flows through it].  Touched NICs restart at 0.
+        rows: Dict[Segment, list] = {}
+        for flow in flows:
             for segment in flow.segments:
-                seg_flows.setdefault(segment, []).append(flow)
-        seg_capacity = {seg: seg.capacity_Bps for seg in seg_flows}
-        # Unfrozen flows per segment, in seg_flows' insertion order (the
-        # tie-break below relies on it).
-        active = {seg: len(flows) for seg, flows in seg_flows.items()}
+                row = rows.get(segment)
+                if row is None:
+                    rows[segment] = [segment.capacity_Bps, 1, [flow]]
+                    if segment.nic is not None:
+                        segment.nic.active_rate_Bps = 0.0
+                else:
+                    row[1] += 1
+                    row[2].append(flow)
+        table = list(rows.values())
+        frozen = set()
+        unfrozen = len(flows)
         while unfrozen:
-            # Tightest segment determines the next fair-share increment.
-            bottleneck, fair = None, float("inf")
-            for segment, count in active.items():
+            # The tightest row sets the next fair-share increment.
+            bottleneck, fair = None, math.inf
+            for row in table:
+                count = row[1]
                 if count:
-                    share = seg_capacity[segment] / count
+                    share = row[0] / count
                     if share < fair:
-                        bottleneck, fair = segment, share
+                        bottleneck, fair = row, share
             if bottleneck is None:
+                for flow in flows:
+                    if flow not in frozen:
+                        flow.rate_Bps = 0.0
                 break
-            for flow in [f for f in seg_flows[bottleneck] if f in unfrozen]:
-                rates[flow] += fair
-                unfrozen.discard(flow)
+            for flow in bottleneck[2]:
+                if flow in frozen:
+                    continue
+                frozen.add(flow)
+                unfrozen -= 1
+                flow.rate_Bps = 0.0 + fair
                 for segment in flow.segments:
-                    seg_capacity[segment] -= fair
-                    active[segment] -= 1
-        for flow, rate in rates.items():
-            flow.rate_Bps = rate
+                    row = rows[segment]
+                    row[0] -= fair
+                    row[1] -= 1
+        # NIC rates in flow order, and the earliest completion.
+        horizon = None
+        for flow in flows:
+            rate = flow.rate_Bps
             for segment in flow.segments:
-                if segment.nic is not None:
-                    segment.nic.active_rate_Bps += rate
-        self._schedule_next_completion()
-
-    def _schedule_next_completion(self) -> None:
-        self._version += 1
-        version = self._version
+                nic = segment.nic
+                if nic is not None:
+                    nic.active_rate_Bps += rate
+            if rate > 0:
+                left = (flow.remaining_bytes - _HALF_THRESHOLD) / rate
+                if horizon is None or left < horizon:
+                    horizon = left
         if self._wake is not None:
             # The wake-up belonging to the previous allocation is now
             # stale; cancelling it keeps shuffle-heavy runs from
             # accumulating one dead calendar entry per rate change.
             self._wake.cancel()
             self._wake = None
-        horizon = min(
-            ((f.remaining_bytes - COMPLETION_THRESHOLD_BYTES / 2)
-             / f.rate_Bps
-             for f in self.flows if f.rate_Bps > 0),
-            default=None)
         if horizon is None:
             return
         wake = self.sim.timeout(max(horizon, 0.0))
-        wake.add_callback(lambda _ev: self._on_wake(version))
+        wake.add_callback(self._on_wake)
         self._wake = wake
 
-    def _on_wake(self, version: int) -> None:
-        if version != self._version:
-            return  # a newer allocation superseded this wake-up
+    def _on_wake(self, _wake: Event) -> None:
         self._advance_clock()
         self._reallocate()

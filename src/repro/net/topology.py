@@ -29,17 +29,6 @@ TRUNK_BPS = 1e9
 ROOM_RACKS = ("edison-room", "dell-room")
 
 
-class NetworkUnreachable(Exception):
-    """No route between two endpoints while a cut is severed.
-
-    Raised only by callers that explicitly ask for fail-fast semantics
-    (:meth:`Topology.check_reachable`); the default transport behaviour
-    under a partition is to *stall* until the cut heals, which the
-    surrounding timeouts then convert into application-level failures —
-    the same shape real TCP traffic takes across a dead trunk.
-    """
-
-
 class Topology:
     """Registry of servers, their NIC segments and the inter-room trunk."""
 
@@ -190,11 +179,6 @@ class Topology:
                 return False
         return True
 
-    def check_reachable(self, src: str, dst: str) -> None:
-        """Fail-fast probe: raise :class:`NetworkUnreachable` on a cut."""
-        if not self.reachable(src, dst):
-            raise NetworkUnreachable(f"{src} -> {dst}: path severed")
-
     def _heal_barrier(self):
         """An event fired at the next heal; shared by all stalled waits."""
         if self._heal_event is None or self._heal_event.triggered:
@@ -206,8 +190,9 @@ class Topology:
 
         Models TCP retransmitting into a black hole: the conversation
         makes no progress, holds no wire resources, and resumes the
-        instant the route returns.  Callers that would rather fail fast
-        use :meth:`check_reachable` instead.
+        instant the route returns; the surrounding timeouts turn a long
+        stall into an application-level failure.  Callers that would
+        rather fail fast test :meth:`reachable` first.
         """
         while not self.reachable(src, dst):
             yield self._heal_barrier()

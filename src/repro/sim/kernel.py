@@ -27,11 +27,11 @@ callbacks, is never in the tail.
 
 No reference cycles: a process drops its bound ``_resume`` when its
 generator ends, and a cancelled :class:`Timeout` drops its callbacks,
-so a process whose generator returns, and the calls it settled, are
-freed by reference counting, not by the cyclic collector
+so a finished process, and the calls it settled, are freed by
+reference counting, not by the cyclic collector
 (``tests/test_no_cycles.py`` is the ratchet).  A process that ends by
-raising is not: its exception's traceback holds ``_resume``'s frame,
-which holds the process.
+raising keeps its exception without ``_resume``'s own traceback frame,
+which would hold the process.
 
 The design is intentionally close to the well-known SimPy API so the rest
 of the codebase reads naturally to anyone who has simulated systems
@@ -318,7 +318,9 @@ class Process(Event):
                 break
             except BaseException as exc:
                 self._ok = False
-                self._value = exc
+                # The traceback's first frame is this one, which holds
+                # self; the generator's frames follow it.
+                self._value = exc.with_traceback(exc.__traceback__.tb_next)
                 sim._schedule(self)
                 self._trace_end()
                 self._resume_cb = None

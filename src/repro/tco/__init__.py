@@ -5,6 +5,6 @@ from .._exports import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".model": ("DELL_TCO", "EDISON_TCO", "HOURS_PER_YEAR", "TcoInputs",
                "amortized_hardware_usd", "cluster_tco", "energy_cost_usd",
-               "energy_cost_usd_tou", "node_energy_cost", "savings_fraction",
-               "table10", "weighted_energy_rate"),
+               "node_energy_cost", "savings_fraction", "table10",
+               "weighted_energy_rate"),
 })

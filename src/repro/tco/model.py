@@ -112,25 +112,6 @@ def weighted_energy_rate(power_series, rate_points) -> float:
     return total
 
 
-def energy_cost_usd_tou(joules_series, tariff) -> float:
-    """Time-of-use electricity cost of a metered power trace.
-
-    The time-of-use variant of :func:`energy_cost_usd`: instead of one
-    flat $/kWh, ``tariff`` is a sorted sequence of
-    ``(start_s, usd_per_kwh)`` steps (e.g. off-peak/shoulder/peak
-    bands), and ``joules_series`` is the power trace whose trapezoidal
-    integral is the run's joules — a
-    :class:`~repro.sim.TimeSeries` or ``(time_s, watts)`` pairs.
-    Trapezoids straddling a tariff boundary are split exactly at it, so
-    a constant tariff reproduces :func:`energy_cost_usd` to the float.
-    """
-    steps = list(tariff)
-    for _, usd_per_kwh in steps:
-        if usd_per_kwh < 0:
-            raise ValueError("tariff rates must be >= 0")
-    return weighted_energy_rate(joules_series, steps)
-
-
 def amortized_hardware_usd(total_node_cost_usd: float,
                            seconds: float) -> float:
     """The slice of Cs a run of ``seconds`` consumes.

@@ -13,7 +13,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".rotation": ("WeightedRotation",),
     ".params": ("COSTS", "LIMITS", "PER_SERVER_CAPACITY_RPS",
                 "ConnectionLimits", "ServiceCosts", "WebWorkload",
-                "mean_reply_bytes", "tuned_calls_per_connection",
-                "workload_factor"),
+                "tuned_calls_per_connection", "workload_factor"),
     ".runner": ("SweepResult", "energy_efficiency_ratio", "sweep_concurrency"),
 })

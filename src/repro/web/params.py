@@ -81,14 +81,6 @@ CACHE_KEY_BYTES = 100.0
 DB_QUERY_BYTES = 150.0
 
 
-def mean_reply_bytes(image_fraction: float) -> float:
-    """Average reply size for an image-query mix (matches S51 table)."""
-    if not 0 <= image_fraction <= 1:
-        raise ValueError("image_fraction must be in [0, 1]")
-    return (1 - image_fraction) * NON_IMAGE_REPLY_BYTES \
-        + image_fraction * IMAGE_REPLY_BYTES
-
-
 @dataclass(frozen=True)
 class ConnectionLimits:
     """Per-web-server OS/network resource limits (Section 5.1.1 knobs)."""

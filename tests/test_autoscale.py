@@ -362,7 +362,8 @@ def test_suspended_node_draws_zero_watts_and_vanishes_from_scrapes():
     deployment.sim.run(until=6.0)
     # Admin-suspended: the fault plane reports it down, bills 0 W...
     assert not injector.is_up("web-1")
-    assert injector.node_watts(server, server.utilization_now()) == 0.0
+    window = tuple(server.utilization_now().values())   # a pure read
+    assert injector.node_watts(server, window) == 0.0
     # ...and the node agent stopped scraping it, so its "up" series
     # goes silent while the live peers keep reporting.
     [(_, up_suspended)] = telemetry.db.select("up", node="web-1")
@@ -371,7 +372,7 @@ def test_suspended_node_draws_zero_watts_and_vanishes_from_scrapes():
     assert up_alive.times[-1] >= 5.0
     # A booting node draws idle watts, not zero and not full tilt.
     injector.admin_begin_boot("web-1")
-    watts = injector.node_watts(server, server.utilization_now())
+    watts = injector.node_watts(server, window)
     assert watts == pytest.approx(server.spec.power.min_w)
 
 

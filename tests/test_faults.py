@@ -39,6 +39,39 @@ def test_fault_timing_validation():
         Fault(kind="crash", node="", at=0, duration=1)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("value", [NAN, INF])
+def test_fault_onset_must_be_a_finite_time(value):
+    # NaN used to pass ``at < 0`` and start the outage at t=0.
+    with pytest.raises(ValueError, match="onset"):
+        node_crash("a", at=value, repair_s=5)
+
+
+def test_fault_duration_rejects_nan():
+    with pytest.raises(ValueError, match="duration"):
+        node_crash("a", at=1.0, repair_s=NAN)
+    with pytest.raises(ValueError, match="duration"):
+        Fault(kind="disk_fail", node="a", at=1.0, duration=NAN)
+
+
+@pytest.mark.parametrize("field", ["mtbf_s", "mttr_s", "start"])
+@pytest.mark.parametrize("value", [NAN, INF])
+def test_recurring_fault_times_must_be_finite(field, value):
+    fields = {"mtbf_s": 60.0, "mttr_s": 5.0, "start": 0.0, field: value}
+    with pytest.raises(ValueError, match=field):
+        RecurringFault(kind="crash", node="a", **fields)
+
+
+def test_plan_with_nan_onset_fails_at_load(tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text('{"faults": [{"kind": "crash", "node": "a", '
+                    '"at": NaN, "duration": 5}]}')
+    with pytest.raises(ValueError, match="onset"):
+        FaultPlan.load(str(path))
+
+
 def test_only_disk_fail_may_be_permanent():
     with pytest.raises(ValueError):
         Fault(kind="crash", node="a", at=0)        # duration defaults to inf

@@ -183,21 +183,25 @@ def test_power_unknown_component_key_raises():
     # and skewing every work-per-joule figure downstream.
     spec = PowerSpec(idle_w=50, busy_w=100)
     with pytest.raises(ValueError, match="network"):
-        spec.effective_utilization({"cpu": 0.5, "network": 0.9})
+        spec.power({"cpu": 0.5, "network": 0.9})
     with pytest.raises(ValueError):
         spec.power({"CPU": 1.0})
+    # ...and so does a weight no server reports.
+    with pytest.raises(ValueError, match="network"):
+        PowerSpec(idle_w=50, busy_w=100, weights={"network": 1.0})
     # Absent components still legitimately count as idle.
-    assert spec.effective_utilization({}) == 0.0
+    assert spec.power({}) == spec.min_w
 
 
 def test_effective_utilization_clamps_like_min_max():
     spec = PowerSpec(idle_w=50, busy_w=100, weights={"cpu": 1.0})
     for value in (-1.0, -0.0, 0.0, 0.25, 1.0, 1.5, float("inf"),
                   float("-inf"), float("nan"), 0, 1, 2):
-        expected = min(1.0, max(0.0, value))
-        got = spec.effective_utilization({"cpu": value})
+        expected = 50 + 50 * (0.0 + 1.0 * min(1.0, max(0.0, value))) + 0.0
+        got = spec.window_power((value, 0.0, 0.0, 0.0))
         assert got == expected and type(got) is type(expected)
-    assert spec.effective_utilization({"cpu": float("nan")}) == 0.0
+        assert spec.power({"cpu": value}) == got
+    assert spec.power({"cpu": float("nan")}) == spec.min_w
 
 
 def test_power_without_adapter_ablation():
@@ -238,10 +242,10 @@ def test_server_utilization_window_idle():
     sim = Simulation()
     server = make_server(sim, EDISON, "e0")
     sim.run(until=10)
-    window = server.utilization_window()
-    assert window["cpu"] == 0
-    assert window["disk"] == 0
-    assert window["net"] == 0
+    cpu, _mem, disk, net = server.utilization_window()
+    assert cpu == 0
+    assert disk == 0
+    assert net == 0
 
 
 def test_server_utilization_window_cpu_busy():
@@ -258,8 +262,8 @@ def test_server_utilization_window_cpu_busy():
     sim.process(hog())
     sim.run(until=10)
     window = server.utilization_window()
-    assert window["cpu"] == pytest.approx(1.0, rel=1e-6)
-    watts = server.spec.power.power(window)
+    assert window[0] == pytest.approx(1.0, rel=1e-6)
+    watts = server.spec.power.window_power(window)
     assert watts > server.spec.power.min_w
 
 
@@ -267,6 +271,6 @@ def test_server_power_now_idle_equals_min():
     sim = Simulation()
     server = make_server(sim, EDISON, "e0")
     sim.run(until=1)
-    watts = server.spec.power.power(server.utilization_window(),
-                                    server.cpu.pstate)
+    watts = server.spec.power.window_power(server.utilization_window(),
+                                           server.cpu.pstate)
     assert watts == pytest.approx(EDISON.power.min_w)

@@ -23,6 +23,7 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.faults.models import cpu_throttle, node_crash, packet_loss
 from repro.mapreduce import JOB_FACTORIES, JobRunner
 from repro.mapreduce.runtime import JobFailed
+from repro.sim import Interrupt, Simulation
 from repro.telemetry import Telemetry
 from repro.trace import Tracer
 from repro.web import DiurnalShape, ShapedLoad, WebServiceDeployment
@@ -104,8 +105,63 @@ def autoscale_day():
     return deployment, telemetry
 
 
+def fail(depth):
+    if depth:
+        yield from fail(depth - 1)
+    yield 1.0
+    raise ValueError("boom")
+
+
+def process_that_raises():
+    """A process whose generator raises, caught by the one waiting on
+    it, and one nobody waits on that raises after a deeper call."""
+    sim = Simulation()
+    caught = []
+
+    def waiter():
+        try:
+            yield sim.process(fail(0))
+        except ValueError as exc:
+            caught.append(str(exc))
+
+    sim.process(waiter())
+    orphan = sim.process(fail(3))
+    orphan._defused = True      # nobody waits: not a run failure
+    sim.run()
+    assert caught == ["boom"] and not orphan.ok
+    return sim, caught
+
+
+def process_interrupted():
+    """One interrupted process lets the Interrupt end it; another
+    catches it and returns."""
+    sim = Simulation()
+    outcomes = []
+
+    def sleeper(catch):
+        try:
+            yield sim.timeout(10.0)
+        except Interrupt:
+            if not catch:
+                raise
+        outcomes.append(catch)
+
+    def interrupter(victims):
+        yield 1.0
+        for victim in victims:
+            victim.interrupt("stop")
+
+    victims = [sim.process(sleeper(catch)) for catch in (False, True)]
+    victims[0]._defused = True      # nobody waits: not a run failure
+    sim.process(interrupter(victims))
+    sim.run()
+    assert outcomes == [True] and not victims[0].ok and victims[1].ok
+    return sim, outcomes
+
+
 CASES = (web_level, web_level_resilient, dvfs_flash_day, mapreduce_job,
-         durability_arm, autoscale_day)
+         durability_arm, autoscale_day, process_that_raises,
+         process_interrupted)
 
 
 def cyclic_garbage(case):

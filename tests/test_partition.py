@@ -10,7 +10,6 @@ from repro.faults import (FaultInjector, FaultPlan, PhiAccrualDetector,
                           node_crash, node_set_partition, rack_partition,
                           switch_down)
 from repro.faults import phi
-from repro.net import NetworkUnreachable
 from repro.sim import Simulation
 
 
@@ -57,15 +56,6 @@ def test_sever_validates_nodes_and_heal_validates_ids():
         topo.sever(["edison-slave-0", "nope"])
     with pytest.raises(ValueError):
         topo.heal(12345)
-
-
-def test_check_reachable_raises_fail_fast():
-    sim = Simulation()
-    topo = two_rack_cluster(sim).topology
-    topo.check_reachable("edison-slave-0", "edison-slave-2")
-    topo.sever(["edison-slave-0"])
-    with pytest.raises(NetworkUnreachable):
-        topo.check_reachable("edison-slave-0", "edison-slave-2")
 
 
 def test_overlapping_cuts_must_all_heal():

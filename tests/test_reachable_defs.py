@@ -54,17 +54,14 @@ ALLOWED: Dict[str, str] = {
     "repro.faults.models.switch_down": _FAULT_KINDS,
     "repro.hardware.cpu.Cpu.service_time": _REFERENCE,
     "repro.hardware.storage.Storage.io_time": _REFERENCE,
-    "repro.net.topology.Topology.check_reachable": _LATER,
     "repro.sim.monitor.TimeSeries.resample": _LATER,
     "repro.sim.monitor.periodic_sampler": _KERNEL,
     "repro.sim.resources.Resource.request": _KERNEL,
     "repro.sim.resources.Store": _KERNEL,
     "repro.sim.resources.Store.put": _KERNEL,
     "repro.sim.rng.RngStreams.spawn": _KERNEL,
-    "repro.tco.model.energy_cost_usd_tou": _LATER,
     "repro.trace.events.TraceLog.evicted": _TRACE_READS,
     "repro.trace.events.TraceLog.spans": _TRACE_READS,
-    "repro.web.params.mean_reply_bytes": _LATER,
 }
 
 

@@ -6,8 +6,7 @@ from repro.core import paperdata as paper
 from repro.sim import TimeSeries
 from repro.tco import (
     DELL_TCO, EDISON_TCO, TcoInputs, cluster_tco, energy_cost_usd,
-    energy_cost_usd_tou, node_energy_cost, savings_fraction, table10,
-    weighted_energy_rate,
+    node_energy_cost, savings_fraction, table10, weighted_energy_rate,
 )
 
 
@@ -66,7 +65,7 @@ def test_edison_always_cheaper():
         assert scenario["edison"] < scenario["dell"]
 
 
-# -- time-of-use pricing -----------------------------------------------------
+# -- time-of-use pricing: a $/kWh tariff through weighted_energy_rate ------
 
 
 def test_tou_flat_tariff_matches_flat_helper():
@@ -74,7 +73,7 @@ def test_tou_flat_tariff_matches_flat_helper():
     # rate must reproduce the flat-rate helper to the float.
     series = [(0.0, 1000.0), (7200.0, 1000.0)]
     flat = energy_cost_usd(2.0 * 3.6e6)
-    assert energy_cost_usd_tou(
+    assert weighted_energy_rate(
         series, [(0.0, paper.T9_ELECTRICITY_PER_KWH)]) == flat
 
 
@@ -84,7 +83,7 @@ def test_tou_boundary_straddling_splits_the_trapezoid():
     # lands on the boundary.
     series = [(0.0, 1000.0), (7200.0, 1000.0)]
     tariff = [(0.0, 0.10), (3600.0, 0.20)]
-    assert energy_cost_usd_tou(series, tariff) == pytest.approx(0.30)
+    assert weighted_energy_rate(series, tariff) == pytest.approx(0.30)
 
 
 def test_tou_ramp_straddling_boundary_weighs_each_side():
@@ -92,13 +91,13 @@ def test_tou_ramp_straddling_boundary_weighs_each_side():
     # 0.5 kWh (mean 0.5 kW), the second 1.5 kWh (mean 1.5 kW).
     series = [(0.0, 0.0), (7200.0, 2000.0)]
     tariff = [(0.0, 0.10), (3600.0, 0.20)]
-    assert energy_cost_usd_tou(series, tariff) == pytest.approx(
+    assert weighted_energy_rate(series, tariff) == pytest.approx(
         0.5 * 0.10 + 1.5 * 0.20)
 
 
 def test_tou_samples_before_first_tariff_point_use_first_rate():
     series = [(0.0, 1000.0), (3600.0, 1000.0)]
-    assert energy_cost_usd_tou(series, [(7200.0, 0.50)]) \
+    assert weighted_energy_rate(series, [(7200.0, 0.50)]) \
         == pytest.approx(0.50)
 
 
@@ -108,7 +107,7 @@ def test_tou_accepts_timeseries_and_many_bands():
         series.record(float(t), 1000.0)
     # Four hourly bands: $0.10, $0.30, $0.10, $0.30 -> $0.80 total.
     tariff = [(0.0, 0.10), (3600.0, 0.30), (7200.0, 0.10), (10800.0, 0.30)]
-    assert energy_cost_usd_tou(series, tariff) == pytest.approx(0.80)
+    assert weighted_energy_rate(series, tariff) == pytest.approx(0.80)
 
 
 def test_weighted_energy_rate_validation():
@@ -119,5 +118,3 @@ def test_weighted_energy_rate_validation():
                              [(1.0, 0.1), (0.5, 0.2)])
     with pytest.raises(ValueError):
         weighted_energy_rate([(1.0, 1.0), (0.0, 1.0)], [(0.0, 0.1)])
-    with pytest.raises(ValueError):
-        energy_cost_usd_tou([(0.0, 1.0), (1.0, 1.0)], [(0.0, -0.1)])
