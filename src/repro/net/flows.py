@@ -144,6 +144,11 @@ class FlowNetwork:
             if flow.remaining_bytes <= COMPLETION_THRESHOLD_BYTES:
                 finished.append(flow)
         for flow in finished:
+            # A NIC left with no flow keeps no share; _reallocate resets
+            # and re-sums every NIC still carrying one.
+            for segment in flow.segments:
+                if segment.nic is not None:
+                    segment.nic.active_rate_Bps = 0.0
             self.flows.remove(flow)
             flow.done.succeed(self.sim.now)
 

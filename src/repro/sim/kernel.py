@@ -391,11 +391,12 @@ class Process(Event):
         started = self._trace_started
         if trace is None or started is None:
             return
-        names = self.sim._process_span_names
-        span = names.get(self.name)
-        if span is None:
-            span = names[self.name] = f"process:{self.name}"
-        trace.complete(span, started, category="kernel", ok=bool(self._ok))
+        shapes = self.sim._process_span_shapes
+        shape = shapes.get(self.name)
+        if shape is None:
+            shape = shapes[self.name] = trace.span_shape(
+                f"process:{self.name}", "kernel", keys=("ok",))
+        trace.span(shape, started, values=(bool(self._ok),))
 
 
 class Condition(Event):
@@ -492,9 +493,9 @@ class Simulation:
         # calendar_stats can report true processed-event counts.
         self._ncancelled = 0
         self._dropped = 0
-        # Process name -> its "process:<name>" span name, built once per
-        # distinct name so the trace's name column shares one string.
-        self._process_span_names: Dict[str, str] = {}
+        # Process name -> the interned shape of its "process:<name>"
+        # span, built once per distinct name.
+        self._process_span_shapes: Dict[str, tuple] = {}
         if trace is not None:
             trace.bind(self)
 

@@ -126,35 +126,6 @@ class TimeSeries:
             return None
         return sum(values) / len(values)
 
-    def resample(self, step: float, start: Optional[float] = None,
-                 end: Optional[float] = None) -> "TimeSeries":
-        """Zero-order-hold samples aligned to multiples of ``step``.
-
-        Grid points are the integer multiples of ``step`` between the
-        first sample (or ``start``) and the last sample (or ``end``);
-        each carries the most recent value at or before it, so two
-        series resampled with the same step land on a shared timeline —
-        the alignment the dashboard and the rules engine rely on.
-        Raises on an empty series or a non-positive step.
-        """
-        if step <= 0:
-            raise ValueError(f"step must be > 0, got {step}")
-        if not self.times:
-            raise ValueError(f"series {self.name!r} is empty")
-        lo = self.times[0] if start is None else max(start, self.times[0])
-        hi = self.times[-1] if end is None else end
-        out = TimeSeries(self.name)
-        first = self.times[0]
-        # Integer grid indices avoid floating-point drift across steps.
-        for k in range(math.ceil(lo / step - 1e-9),
-                       math.floor(hi / step + 1e-9) + 1):
-            t = k * step
-            # The epsilon that admits a grid point sitting on the first
-            # sample can leave t a few ulps *before* it; hold the value
-            # rather than raising over float dust.
-            out.record(t, self.at(t if t >= first else first))
-        return out
-
 
 def periodic_sampler(sim: Simulation, interval: float,
                      probe: Callable[[], float],

@@ -126,9 +126,11 @@ class Resource:
         self.sim = sim
         self.capacity = int(capacity)
         self.name = name
-        # Span names built once, not per traced release/grant.
-        self._hold_span = f"{name}.hold"
-        self._wait_span = f"{name}.wait"
+        # Span shapes interned once, not per traced release/grant.
+        trace = sim.trace
+        if trace is not None:
+            self._hold_span = trace.span_shape(f"{name}.hold", "resource")
+            self._wait_span = trace.span_shape(f"{name}.wait", "resource")
         # Holders as an insertion-ordered dict: O(1) membership and
         # removal where a list pays an O(n) scan per release, while
         # iteration order still matches grant order.
@@ -221,8 +223,7 @@ class Resource:
         if trace is not None:
             granted = request._granted_at
             if granted is not None:
-                trace.complete(self._hold_span, granted,
-                               category="resource")
+                trace.span(self._hold_span, granted)
         if self._queued:
             self._grant_waiters()
 
@@ -262,8 +263,7 @@ class Resource:
                 # Contended acquisitions leave a wait span; immediate
                 # grants would only add zero-length noise.
                 if enqueued is not None and enqueued < self.sim._now:
-                    trace.complete(self._wait_span, enqueued,
-                                   category="resource")
+                    trace.span(self._wait_span, enqueued)
             request.succeed(self)
 
 

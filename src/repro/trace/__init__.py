@@ -24,10 +24,11 @@ allocation, identical simulation results.
 
 The log keeps its events in columns, one row per emission: each row
 holds one slot pointing at its interned
-``(category, name, node, phase, attr keys)`` shape, ``ts``/``dur`` in
-``array("d")`` columns, its three span ids in one ``array("q")``
-column and its attr values in one flat list, so a row retains about 63
-bytes rather than a boxed float and an attrs dict of its own (see
+``(category, name, node, phase, attr keys, identified)`` shape,
+``ts``/``dur`` in ``array("d")`` columns and its attr values in one flat
+list; only rows that carry a :class:`SpanContext` store their three span
+ids, in one ``array("q")`` column.  A row retains about 44 bytes rather
+than a boxed float and an attrs dict of its own (see
 :mod:`repro.trace.events`).  The tracer's :attr:`Tracer.metrics` are
 folded from those rows when read, not fed at every emission.
 :class:`TraceEvent` objects, each with a fresh ``attrs`` dict, are built

@@ -15,25 +15,48 @@ The analysis side lives in :mod:`repro.causality`, which folds a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 
 
-@dataclass(frozen=True, slots=True)
-class SpanContext:
+class SpanContext(tuple):
     """Identity of one span inside one causal tree.
 
     ``trace_id`` is shared by every span in the tree and equals the root
     span's ``span_id``.  ``parent_id`` is 0 for roots.  All ids are
     positive ints drawn from the tracer's single deterministic counter,
     so identical seeds yield identical ids.
+
+    A context is the immutable tuple ``(trace_id, span_id, parent_id)``
+    read through C-level item getters, so the tracer mints one with a
+    single ``tuple.__new__`` and a log stores it as its three ids as
+    they stand.  The public constructor checks the ids.
     """
 
-    trace_id: int
-    span_id: int
-    parent_id: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.trace_id <= 0 or self.span_id <= 0:
+    def __new__(cls, trace_id: int, span_id: int, parent_id: int):
+        if trace_id <= 0 or span_id <= 0:
             raise ValueError("trace_id and span_id must be > 0")
-        if self.parent_id < 0:
+        if parent_id < 0:
             raise ValueError("parent_id must be >= 0")
+        return tuple.__new__(cls, (trace_id, span_id, parent_id))
+
+    trace_id = property(itemgetter(0), doc="Id of the causal tree.")
+    span_id = property(itemgetter(1), doc="Id of this span.")
+    parent_id = property(itemgetter(2), doc="Id of the causing span "
+                                            "(0 for roots).")
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __eq__(self, other):
+        return type(other) is SpanContext and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def __repr__(self) -> str:
+        return (f"SpanContext(trace_id={self[0]!r}, span_id={self[1]!r}, "
+                f"parent_id={self[2]!r})")

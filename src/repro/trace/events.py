@@ -14,23 +14,31 @@ objects only when it is read.  A traced run emits hundreds of
 thousands of rows, so each row is kept as small as the read side
 allows:
 
-* a row's *shape* — its ``(category, name, node, phase, attr keys)``
-  tuple — is interned once per distinct shape, and the row keeps one
-  list slot pointing at it;
-* ``ts`` and ``dur`` live in ``array("d")`` columns and the three span
-  ids, one after another, in a single ``array("q")`` column: 8 bytes a
-  field, no boxed float or int kept alive per row;
+* a row's *shape* — its ``(category, name, node, phase, attr keys,
+  identified)`` tuple — is interned once per distinct shape, and the
+  row keeps one list slot pointing at it.  Hot emitters intern their
+  shapes once, where they are built, and emit through
+  :meth:`~repro.trace.Tracer.span` with a tuple of attr values;
+* ``ts`` and ``dur`` live in ``array("d")`` columns: 8 bytes a field,
+  no boxed float kept alive per row;
+* only a row of an *identified* shape — one that carries a
+  :class:`~repro.trace.SpanContext` — stores its three span ids, one
+  after another, in a single ``array("q")`` column; every other row
+  reads back ids of 0 without storing them;
 * the attr values of every row go, in row order, into one flat list.
   Reading a row rebuilds a fresh ``dict(zip(keys, values))``, so key
   order and value objects are exactly what was emitted.
 
-Recording a span is four appends, and a read narrowed by category,
-name or phase decides once per shape which rows it wants, skipping the
-others before it builds an event.  On the traced ``web-day-observed``
-benchmark day (182,061 rows, a 2-core x86-64 VM with CPython 3.11) the
-log retains about 63 bytes a row by ``tracemalloc``.  Arrays and the
-flat value list are single objects to the cyclic collector, so it
-still scans a fixed handful of containers however long the run.
+Recording a row is one call into :meth:`TraceLog._write`: three
+appends, plus one extend for its attr values and one for its ids when
+it has them.  A read narrowed by category, name or phase decides once
+per shape which rows it wants, skipping the others before it builds an
+event.  On the traced ``web-day-observed`` benchmark day (182,061 rows,
+64,709 of them identified, on a 2-core x86-64 VM with CPython 3.11)
+the log retains about 44 bytes a row by ``tracemalloc``, down from 59
+when every row stored three ids.  Arrays and the flat value list are
+single objects to the cyclic collector, so it still scans a fixed
+handful of containers however long the run.
 """
 
 from __future__ import annotations
@@ -119,8 +127,21 @@ class TraceEvent:
 _new = object.__new__
 _set = object.__setattr__
 
-#: A row's interned ``(category, name, node, phase, attr keys)``.
-Shape = Tuple[str, str, str, str, Tuple[str, ...]]
+#: A row's interned ``(category, name, node, phase, attr keys,
+#: identified)``; only the rows of an identified shape store span ids.
+Shape = Tuple[str, str, str, str, Tuple[str, ...], bool]
+
+#: The ids of a row without a causal identity.
+_NO_IDS = (0, 0, 0)
+
+
+class _Unbound:
+    """The clock of a log no simulation drives: always at 0."""
+
+    _now = 0.0
+
+
+_UNBOUND = _Unbound()
 
 
 class TraceLog:
@@ -147,8 +168,9 @@ class TraceLog:
         self.categories = (frozenset(categories) if categories is not None
                            else None)
         # The one-slot-per-row columns: each row's interned shape, its
-        # ts and its dur.  The ids take three slots a row in ``_ids``
-        # and the attr values len(keys) slots in ``_values``.
+        # ts and its dur.  An identified row's ids take three slots in
+        # ``_ids``, and every row's attr values len(keys) slots in
+        # ``_values``.
         self._shapes: List[Shape] = []
         self._ts = array("d")
         self._dur = array("d")
@@ -163,10 +185,14 @@ class TraceLog:
                          if max_events is not None else None)
         self.accepted = 0
         self.filtered = 0
-        # Set by the Tracer that owns this log: folds the rows it
-        # emitted into its metrics.  ``_folded`` counts accepted rows
-        # already folded (or, for appended rows, skipped).
-        self._fold: Optional[Callable[[], None]] = None
+        # Set by the Tracer that owns this log: the simulation whose
+        # clock ends its spans, and the fold of the rows it emitted
+        # into its metrics, called with a filtered-out emission's
+        # ``(name, phase, sample)`` to fold after them.  ``_folded``
+        # counts accepted rows already folded (or, for appended rows,
+        # skipped).
+        self._clock = _UNBOUND
+        self._fold: Optional[Callable[..., None]] = None
         self._folded = 0
 
     # -- write side ------------------------------------------------------
@@ -179,35 +205,66 @@ class TraceLog:
         """Record ``event``; returns False when category-filtered out.
 
         An appended event is not an emission of the owning tracer, so
-        it never feeds the tracer's metrics.
+        it never feeds the tracer's metrics.  It is stored as an
+        identified row when any of its three ids is not 0.
         """
         if self._fold is not None and self.accepts(event.category):
             self._fold()
             self._folded += 1
-        return self._add(event.category, event.name, event.node,
-                         event.phase, event.ts, event.dur,
-                         (event.trace_id, event.span_id, event.parent_id),
-                         event.attrs)
+        ids = (event.trace_id, event.span_id, event.parent_id)
+        identified = ids != _NO_IDS
+        attrs = event.attrs
+        shape = (event.category, event.name, event.node, event.phase,
+                 tuple(attrs), identified)
+        return self._write(self._interned.setdefault(shape, shape),
+                           event.ts, ids if identified else None,
+                           attrs.values(), event.dur)
 
-    def _add(self, category: str, name: str, node: str, phase: str,
-             ts: float, dur: float, ids: Tuple[int, int, int],
-             attrs: Dict[str, Any]) -> bool:
-        """Record one row, unvalidated; False when filtered out.
+    def _write(self, shape: Shape, start: float, ctx=None, values=(),
+               dur: Optional[float] = None) -> bool:
+        """Record one row of ``shape``; False when filtered out.
 
-        The write path of :meth:`append` and of
-        :class:`~repro.trace.Tracer`, which validates what it emits; no
-        :class:`TraceEvent` is built.
+        The one row writer, which the owning tracer exposes as
+        :meth:`~repro.trace.Tracer.span` (no :class:`TraceEvent` is
+        built).  Without ``dur`` the row is an emission: a span from
+        ``start``, which must be finite and in ``[0, now]``, to the
+        clock's now, and a filtered-out emission still feeds the
+        tracer's metrics.  With ``dur`` it is :meth:`append`'s row of
+        an event validated when it was built.  ``shape`` is the log's
+        interned copy (``_interned``), which rows point at; ``ctx``
+        holds the row's three span ids, given exactly when the shape is
+        identified, and ``values`` its attr values in the shape's key
+        order.
         """
-        if self.categories is not None and category not in self.categories:
+        emitted = dur is None
+        if emitted:
+            now = self._clock._now
+            if not 0 <= start <= now:           # also rejects NaN
+                if start > now:
+                    raise ValueError(f"span start {start} lies in the "
+                                     f"future (now={now})")
+                raise ValueError(f"span start must be finite and >= 0, "
+                                 f"got {start}")
+            dur = now - start
+        if (ctx is None) is shape[5] or len(values) != len(shape[4]):
+            raise ValueError(f"a row of shape {shape!r} needs "
+                             f"{len(shape[4])} values and "
+                             f"{'a' if shape[5] else 'no'} span context, "
+                             f"got ctx={ctx!r}, values={tuple(values)!r}")
+        if self.categories is not None and shape[0] not in self.categories:
             self.filtered += 1
+            if emitted and self._fold is not None:
+                phase = shape[3]
+                self._fold((shape[1], phase, [*values][-1]
+                            if phase == PHASE_COUNTER else dur))
             return False
-        shape = (category, name, node, phase, tuple(attrs) if attrs else ())
-        self._ids.extend(ids)
-        self._ts.append(ts)
+        if ctx is not None:
+            self._ids.extend(ctx)
+        self._shapes.append(shape)
+        self._ts.append(start)
         self._dur.append(dur)
-        self._shapes.append(self._interned.setdefault(shape, shape))
-        if attrs:
-            self._values.extend(attrs.values())
+        if values:
+            self._values.extend(values)
         self.accepted += 1
         if self._trim_at is not None and len(self._ts) > self._trim_at:
             self._trim()
@@ -227,9 +284,9 @@ class TraceLog:
             return
         shapes = self._shapes[-pending:]
         values = self._values
-        end = len(values) - sum(len(keys) for *_, keys in shapes)
-        for (_, name, _, phase, keys), dur in zip(shapes,
-                                                  self._dur[-pending:]):
+        end = len(values) - sum(len(shape[4]) for shape in shapes)
+        for (_, name, _, phase, keys, _), dur in zip(shapes,
+                                                     self._dur[-pending:]):
             end += len(keys)
             yield (name, phase,
                    values[end - 1] if phase == PHASE_COUNTER else dur)
@@ -241,9 +298,12 @@ class TraceLog:
         if excess > 0:
             if self._fold is not None and self._folded < self.accepted:
                 self._fold()
-            del self._values[:sum(len(keys)
-                                  for *_, keys in self._shapes[:excess])]
-            del self._ids[:3 * excess]
+            values = ids = 0
+            for shape in self._shapes[:excess]:
+                values += len(shape[4])
+                ids += shape[5]
+            del self._values[:values]
+            del self._ids[:3 * ids]
             for column in self._columns:
                 del column[:excess]
 
@@ -278,16 +338,17 @@ class TraceLog:
                       and (phase is None or shape[3] == phase)}
         # Rows take their values from one shared iterator, in order:
         # zip() stops at the end of a row's keys without taking more.
-        # The ids iterator is zipped three times to yield each row's
-        # (trace_id, span_id, parent_id).
+        # An identified row takes its (trace_id, span_id, parent_id)
+        # from the ids iterator the same way; any other row's are 0.
         values = iter(self._values)
         ids = iter(self._ids)
-        for (shape, ts, dur, trace_id, span_id,
-             parent_id) in zip(*self._columns, ids, ids, ids):
-            cat, nm, node, ph, keys = shape
+        for shape, ts, dur in zip(*self._columns):
+            cat, nm, node, ph, keys, identified = shape
             if wanted is not None and id(shape) not in wanted:
                 for _ in keys:
                     next(values)
+                if identified:
+                    next(ids), next(ids), next(ids)
                 continue
             event = _new(TraceEvent)
             _set(event, "ts", ts)
@@ -297,9 +358,14 @@ class TraceLog:
             _set(event, "attrs", dict(zip(keys, values)) if keys else {})
             _set(event, "phase", ph)
             _set(event, "dur", dur)
-            _set(event, "trace_id", trace_id)
-            _set(event, "span_id", span_id)
-            _set(event, "parent_id", parent_id)
+            if identified:
+                _set(event, "trace_id", next(ids))
+                _set(event, "span_id", next(ids))
+                _set(event, "parent_id", next(ids))
+            else:
+                _set(event, "trace_id", 0)
+                _set(event, "span_id", 0)
+                _set(event, "parent_id", 0)
             yield event
 
     def __iter__(self) -> Iterator[TraceEvent]:

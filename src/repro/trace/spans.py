@@ -8,9 +8,13 @@ that simulation then reaches the tracer as ``sim.trace`` — instrumented
 code guards with ``if sim.trace is not None`` so a run without tracing
 pays nothing beyond that None-check.
 
-Spans are emitted retroactively with ``tracer.complete(name, start)``
-from a start time the caller noted — the cheapest form, since the hot
-paths already track start times for their own statistics.
+Spans are emitted retroactively from a start time the caller noted —
+the cheapest form, since the hot paths already track start times for
+their own statistics.  ``tracer.complete(name, start, **attrs)`` takes
+everything per call; a hot emitter instead interns its span's shape
+once with :meth:`Tracer.span_shape` and then emits
+``tracer.span(shape, start, ctx, values)``, paying for no kwargs dict
+and no shape lookup per span.
 """
 
 from __future__ import annotations
@@ -18,24 +22,11 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from .context import SpanContext
-from .events import PHASE_COUNTER, PHASE_INSTANT, PHASE_SPAN, TraceLog
+from .events import (_UNBOUND, PHASE_COUNTER, PHASE_INSTANT, PHASE_SPAN,
+                     Shape, TraceLog)
 from .metrics import Counter, Histogram, MetricsRegistry
 
-#: The ids of a span emitted without a causal identity.
-_NO_IDS = (0, 0, 0)
-
-_new = object.__new__
-_set = object.__setattr__
-
-
-class _Unbound:
-    """The clock of a tracer not bound to a simulation: always at 0."""
-
-    _now = 0.0
-    active_process = None
-
-
-_UNBOUND = _Unbound()
+_mint = tuple.__new__
 
 
 class Tracer:
@@ -46,6 +37,15 @@ class Tracer:
     event counts, latest counter values) that the CLI's ``--metrics``
     flag dumps as JSON — metrics ride the same event stream the trace
     does, with no second instrumentation pass.
+
+    ``tracer.span(shape, start, ctx=None, values=())`` emits a span of
+    a ``shape`` from :meth:`span_shape` that began at ``start`` and
+    ends now.  ``ctx`` is its :class:`SpanContext`, given exactly when
+    the shape is identified, and ``values`` its attr values in the
+    shape's key order; ``start`` must be finite and in ``[0, now]``.
+    It is the log's one row writer, so a hot emitter pays one call per
+    span, and :meth:`complete`, :meth:`instant` and :meth:`counter`
+    write through it too.
 
     Parameters
     ----------
@@ -59,8 +59,8 @@ class Tracer:
                  max_events: Optional[int] = None):
         self.log = TraceLog(max_events=max_events, categories=categories)
         self.log._fold = self._fold
+        self.span = self.log._write
         self._metrics = MetricsRegistry()
-        self._sim = _UNBOUND
         self._next_id = 0
         # Span name -> its ("<name>.count", "<name>.duration_s") pair.
         self._span_metrics: Dict[str, Tuple[Counter, Histogram]] = {}
@@ -69,48 +69,43 @@ class Tracer:
 
     def bind(self, sim) -> None:
         """Attach to ``sim``'s clock (done by ``Simulation(trace=...)``)."""
-        if self._sim is not _UNBOUND and self._sim is not sim:
+        clock = self.log._clock
+        if clock is not _UNBOUND and clock is not sim:
             raise RuntimeError("tracer is already bound to another simulation")
-        self._sim = sim
+        self.log._clock = sim
 
     # -- causal identity -------------------------------------------------
 
     def root_context(self) -> SpanContext:
         """Mint the identity of a new causal tree (trace_id == span_id)."""
-        return self.child_context(None)
+        self._next_id += 1
+        return _mint(SpanContext, (self._next_id, self._next_id, 0))
 
     def child_context(self, parent: Optional[SpanContext]) -> SpanContext:
         """Mint a child identity under ``parent`` (a root when None).
 
         Ids come from the tracer's own counter, so the context is built
-        field by field without re-running ``SpanContext``'s checks.
+        as one tuple without re-running ``SpanContext``'s checks.
         """
+        if parent is None:
+            return self.root_context()
         self._next_id += 1
-        span_id = self._next_id
-        ctx = _new(SpanContext)
-        _set(ctx, "trace_id", span_id if parent is None else parent.trace_id)
-        _set(ctx, "span_id", span_id)
-        _set(ctx, "parent_id", 0 if parent is None else parent.span_id)
-        return ctx
+        return _mint(SpanContext, (parent[0], self._next_id, parent[1]))
 
     # -- emission --------------------------------------------------------
 
-    def instant(self, name: str, category: str = "event", node: str = "",
-                **attrs: Any) -> None:
-        """Emit a point-in-time marker at the current clock."""
-        if not self.log._add(category, name, node, PHASE_INSTANT,
-                             self._sim._now, 0.0, _NO_IDS, attrs):
-            self._fold()
-            self._fold_row(name, PHASE_INSTANT, 0.0)
+    def span_shape(self, name: str, category: str, node: str = "",
+                   keys: Tuple[str, ...] = (),
+                   identified: bool = False) -> Shape:
+        """Intern the shape of a span for :attr:`span`.
 
-    def counter(self, name: str, value: float, category: str = "counter",
-                node: str = "", **attrs: Any) -> None:
-        """Emit one sample of a numeric counter/gauge."""
-        attrs["value"] = value
-        if not self.log._add(category, name, node, PHASE_COUNTER,
-                             self._sim._now, 0.0, _NO_IDS, attrs):
-            self._fold()
-            self._fold_row(name, PHASE_COUNTER, value)
+        ``keys`` names the span's attrs in order; ``identified`` says
+        whether its spans carry a :class:`SpanContext`.  A hot emitter
+        interns its shapes once, where it is built.
+        """
+        shape = (category, name, node, PHASE_SPAN, tuple(keys),
+                 bool(identified))
+        return self.log._interned.setdefault(shape, shape)
 
     def complete(self, name: str, start: float, category: str = "span",
                  node: str = "", ctx: Optional[SpanContext] = None,
@@ -122,19 +117,27 @@ class Tracer:
         record with all ids 0.  ``start`` must be finite and in
         ``[0, now]``.
         """
-        now = self._sim._now
-        if not 0 <= start <= now:           # also rejects NaN
-            if start > now:
-                raise ValueError(f"span start {start} lies in the future "
-                                 f"(now={now})")
-            raise ValueError(f"span start must be finite and >= 0, "
-                             f"got {start}")
-        if not self.log._add(category, name, node, PHASE_SPAN, start,
-                             now - start, _NO_IDS if ctx is None else
-                             (ctx.trace_id, ctx.span_id, ctx.parent_id),
-                             attrs):
-            self._fold()
-            self._fold_row(name, PHASE_SPAN, now - start)
+        shape = (category, name, node, PHASE_SPAN, tuple(attrs),
+                 ctx is not None)
+        self.span(self.log._interned.setdefault(shape, shape), start, ctx,
+                  attrs.values())
+
+    def instant(self, name: str, category: str = "event", node: str = "",
+                **attrs: Any) -> None:
+        """Emit a point-in-time marker at the current clock."""
+        shape = (category, name, node, PHASE_INSTANT, tuple(attrs), False)
+        log = self.log
+        self.span(log._interned.setdefault(shape, shape), log._clock._now,
+                  None, attrs.values())
+
+    def counter(self, name: str, value: float, category: str = "counter",
+                node: str = "", **attrs: Any) -> None:
+        """Emit one sample of a numeric counter/gauge."""
+        attrs["value"] = value
+        shape = (category, name, node, PHASE_COUNTER, tuple(attrs), False)
+        log = self.log
+        self.span(log._interned.setdefault(shape, shape), log._clock._now,
+                  None, attrs.values())
 
     # -- metrics ---------------------------------------------------------
 
@@ -151,16 +154,19 @@ class Tracer:
         self._fold()
         return self._metrics
 
-    def _fold(self) -> None:
+    def _fold(self, emission: Optional[Tuple[str, str, Any]] = None
+              ) -> None:
         """Fold the log rows emitted since the last fold into metrics.
 
         Runs when :attr:`metrics` is read, before the log trims rows
-        not folded yet, before a filtered-out emission and before an
-        appended row, so every metric sees the emissions in the order
-        they were made.
+        not folded yet, before an appended row and at a filtered-out
+        emission, whose ``(name, phase, sample)`` it folds last, so
+        every metric sees the emissions in the order they were made.
         """
         for name, phase, sample in self.log._unfolded():
             self._fold_row(name, phase, sample)
+        if emission is not None:
+            self._fold_row(*emission)
 
     def _fold_row(self, name: str, phase: str, value: float) -> None:
         """Feed one emission into the metrics registry."""

@@ -98,6 +98,12 @@ class HttperfDriver:
         self.collect_delays = collect_delays
         self.delays: List[float] = []
         self._rr = 0      # balancer round-robin cursor (resilient path)
+        if sim.trace is not None:
+            # Client name -> the interned shape of its answered calls.
+            self._call_shapes = {
+                client: sim.trace.span_shape("call", "web", client,
+                                             ("status",), True)
+                for client in client_names}
 
     def generate(self, concurrency: float, calls: int, until: float):
         """Process generator: spawn connections at ``concurrency``/s."""
@@ -206,7 +212,11 @@ class HttperfDriver:
         """
         sim = self.sim
         trace = sim.trace
-        conn_ctx = trace.root_context() if trace is not None else None
+        if trace is not None:
+            conn_ctx = trace.root_context()
+            call_shape = self._call_shapes[client]
+        else:
+            conn_ctx = None
         start = sim._now
         resilient = self.resilience
         if resilient:
@@ -266,9 +276,8 @@ class HttperfDriver:
                     return  # client gave up; server keeps grinding
                 call_delay = sim._now - call_start
                 if trace is not None:
-                    trace.complete("call", call_start, category="web",
-                                   node=client, ctx=call_ctx,
-                                   status=record.status)
+                    trace.span(call_shape, call_start, call_ctx,
+                               (record.status,))
                 reported = call_delay + (connect_delay if i == 0 else 0.0)
                 self._count_call(record.ok, reported)
                 if record.status == 503 and not (resilient and record.shed):

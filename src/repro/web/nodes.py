@@ -100,6 +100,11 @@ class CacheNode:
     def __init__(self, server: Server):
         self.server = server
         self.gets = 0
+        trace = server.sim.trace
+        if trace is not None:
+            # A web server's span for a cache leg served here.
+            self._leg_shape = trace.span_shape(
+                "cache", "web", server.name, ("req", "hit"), True)
 
     def handle_get(self):
         """Process generator: serve one GET (CPU only; data is in RAM)."""
@@ -114,6 +119,11 @@ class DatabaseNode:
         self.server = server
         self.rng = rng
         self.queries = 0
+        trace = server.sim.trace
+        if trace is not None:
+            # A web server's span for a database leg served here.
+            self._leg_shape = trace.span_shape(
+                "db", "web", server.name, ("req",), True)
 
     def handle_query(self, content_bytes: float):
         """Process generator: execute one SELECT.
@@ -161,6 +171,9 @@ class WebServerNode:
         self.resilience_ledger = None
         self.shed_calls = 0
         self._shed_threshold: Optional[int] = None
+        if sim.trace is not None:
+            self._request_shape = sim.trace.span_shape(
+                "request", "web", server.name, ("req", "status"), True)
 
     # -- resilience ------------------------------------------------------
 
@@ -306,10 +319,8 @@ class WebServerNode:
             record.cache_s = sim._now - cache_start
             if trace is not None:
                 leg = None
-                trace.complete("cache", cache_start, category="web",
-                               node=cache.server.name,
-                               ctx=trace.child_context(req_ctx),
-                               req=rid, hit=hit)
+                trace.span(cache._leg_shape, cache_start,
+                           trace.child_context(req_ctx), (rid, hit))
             if not hit:
                 db_start = sim._now
                 db = rng.choice(self.db_nodes)
@@ -334,10 +345,8 @@ class WebServerNode:
                 record.db_s = sim._now - db_start
                 if trace is not None:
                     leg = None
-                    trace.complete("db", db_start, category="web",
-                                   node=db.server.name,
-                                   ctx=trace.child_context(req_ctx),
-                                   req=rid)
+                    trace.span(db._leg_shape, db_start,
+                               trace.child_context(req_ctx), (rid,))
             assemble_mi = (0.6 * costs.request_base_mi
                            + costs.per_reply_kb_mi * content / 1000.0)
             yield from cpu_execute(work_factor * assemble_mi)
@@ -346,9 +355,8 @@ class WebServerNode:
             yield from message(name, client_name, content)
             record.total_s = sim._now - record.start
             if trace is not None:
-                trace.complete("request", record.start, category="web",
-                               node=name, ctx=req_ctx, req=rid,
-                               status=record.status)
+                trace.span(self._request_shape, record.start, req_ctx,
+                           (rid, record.status))
             self._log(record)
             return record
         except Interrupt as exc:
@@ -409,9 +417,7 @@ class WebServerNode:
             self.server.name, client_name, P.ERROR_REPLY_BYTES)
         record.total_s = self.sim.now - record.start
         if trace is not None:
-            trace.complete("request", record.start, category="web",
-                           node=self.server.name, ctx=ctx, req=rid,
-                           status=500)
+            trace.span(self._request_shape, record.start, ctx, (rid, 500))
         self._log(record)
 
     def _log(self, record: CallRecord) -> None:

@@ -7,6 +7,7 @@ exemplar determinism and the flame-graph exporters.
 """
 
 import math
+import pickle
 
 import pytest
 
@@ -53,6 +54,18 @@ def test_tracer_mints_linked_contexts():
     # None parent mints a fresh root — convenient for optional ctx.
     other = tracer.child_context(None)
     assert other.parent_id == 0 and other.trace_id != root.trace_id
+
+
+def test_minted_context_is_a_frozen_value():
+    tracer = Tracer()
+    child = tracer.child_context(tracer.root_context())
+    assert child == SpanContext(trace_id=1, span_id=2, parent_id=1)
+    assert child != (1, 2, 1) and not child != SpanContext(1, 2, 1)
+    assert hash(child) == hash(SpanContext(1, 2, 1))
+    assert repr(child) == "SpanContext(trace_id=1, span_id=2, parent_id=1)"
+    assert pickle.loads(pickle.dumps(child)) == child
+    with pytest.raises(AttributeError):
+        child.span_id = 2
 
 
 # -- forest reconstruction ----------------------------------------------------

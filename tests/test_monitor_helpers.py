@@ -1,4 +1,4 @@
-"""Tests for the TimeSeries query helpers: rate, windows, resampling."""
+"""Tests for the TimeSeries query helpers: rate and windows."""
 
 import pytest
 
@@ -20,8 +20,6 @@ def test_empty_series_raises_everywhere():
         empty.rate()
     with pytest.raises(ValueError):
         empty.avg_over_time()
-    with pytest.raises(ValueError):
-        empty.resample(1.0)
 
 
 def test_single_sample_rate_is_zero():
@@ -92,42 +90,3 @@ def test_avg_over_time_window():
 def test_avg_over_time_stale_series_is_none():
     series = make_series([(0.0, 1.0)])
     assert series.avg_over_time(window_s=1.0, now=10.0) is None
-
-
-# -- aligned resampling -------------------------------------------------------
-
-def test_resample_aligns_to_step_multiples():
-    series = make_series([(0.3, 1.0), (1.7, 2.0), (3.2, 3.0)])
-    aligned = series.resample(1.0)
-    assert aligned.times == [1.0, 2.0, 3.0]
-    # Zero-order hold: value of the most recent sample at each grid point.
-    assert aligned.values == [1.0, 2.0, 2.0]
-
-
-def test_resample_two_series_share_a_grid():
-    a = make_series([(0.1, 1.0), (2.9, 2.0)])
-    b = make_series([(0.4, 5.0), (2.6, 6.0)])
-    ga, gb = a.resample(0.5), b.resample(0.5)
-    shared = set(ga.times) & set(gb.times)
-    assert shared  # overlapping grid points exist and are step multiples
-    assert all(abs(t / 0.5 - round(t / 0.5)) < 1e-9 for t in shared)
-
-
-def test_resample_respects_start_end():
-    series = make_series([(0.0, 1.0), (5.0, 2.0)])
-    aligned = series.resample(1.0, start=2.0, end=4.0)
-    assert aligned.times == [2.0, 3.0, 4.0]
-    assert aligned.values == [1.0, 1.0, 1.0]
-
-
-def test_resample_rejects_bad_step():
-    series = make_series([(0.0, 1.0)])
-    with pytest.raises(ValueError):
-        series.resample(0.0)
-
-
-def test_resample_sample_on_grid_point():
-    series = make_series([(1.0, 7.0), (2.0, 8.0)])
-    aligned = series.resample(1.0)
-    assert aligned.times == [1.0, 2.0]
-    assert aligned.values == [7.0, 8.0]

@@ -227,6 +227,25 @@ def test_dell_to_dell_uses_gigabit():
     assert sim.now == pytest.approx(1.0 + 0.24e-3 / 2, rel=1e-3)
 
 
+def test_nic_reads_idle_once_the_network_drains():
+    """A NIC whose last flow finished reads 0, not its old share."""
+    sim = Simulation()
+    cluster = Cluster(sim)
+    servers = [cluster.add(EDISON, f"edison-{i}") for i in range(4)]
+    topo = cluster.topology
+    # edison-2's flow finishes first; edison-0's rx still carries one.
+    done = [topo.network.start_flow(topo.path("edison-2", "edison-0"),
+                                    1e6),
+            topo.network.start_flow(topo.path("edison-1", "edison-0"),
+                                    4e6)]
+    sim.run(until=done[0])
+    assert servers[2].nic.utilization() == 0.0
+    assert servers[0].nic.utilization() == 1.0
+    sim.run(until=sim.all_of(done))
+    assert not topo.network.flows
+    assert [server.nic.utilization() for server in servers] == [0.0] * 4
+
+
 def test_rtt_matrix_matches_section_4_4():
     sim = Simulation()
     cluster = Cluster(sim)

@@ -44,8 +44,6 @@ _FAULT_KINDS = ("one constructor per fault kind; committed plans load the "
 _REFERENCE = ("closed-form reference of a per-request fast path; tests "
               "check the path against it")
 _TRACE_READS = "README-documented TraceLog read"
-_LATER = ("only its own tests reach it; deleting it retires them, left to "
-          "a later change (ROADMAP item 8)")
 
 #: Public defs kept without a non-test caller, each with its reason.
 ALLOWED: Dict[str, str] = {
@@ -54,7 +52,6 @@ ALLOWED: Dict[str, str] = {
     "repro.faults.models.switch_down": _FAULT_KINDS,
     "repro.hardware.cpu.Cpu.service_time": _REFERENCE,
     "repro.hardware.storage.Storage.io_time": _REFERENCE,
-    "repro.sim.monitor.TimeSeries.resample": _LATER,
     "repro.sim.monitor.periodic_sampler": _KERNEL,
     "repro.sim.resources.Resource.request": _KERNEL,
     "repro.sim.resources.Store": _KERNEL,

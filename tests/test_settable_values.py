@@ -75,8 +75,6 @@ ALLOWED: Dict[str, str] = {
     **_each(_PLAN_JSON, "repro.web.loadshape.ShapedLoad", "flashes"),
     **_each(_KERNEL, "repro.sim.kernel.Simulation", "start"),
     **_each(_KERNEL, "repro.sim.kernel.Simulation.timeout", "value"),
-    **_each(_KERNEL, "repro.sim.monitor.TimeSeries.resample",
-            "end", "start"),
     **_each(_KERNEL, "repro.sim.monitor.periodic_sampler",
             "category", "tracer", "until"),
     **_each(_KERNEL, "repro.sim.resources.Container", "init"),
