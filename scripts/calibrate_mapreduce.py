@@ -4,7 +4,8 @@ Protocol (see src/repro/mapreduce/costs.py): the Edison-35 run time
 pins the phase path lengths (uniform scale on map/sort/reduce/fixed MI),
 the Dell-2 run time pins the Dell java factor.  Alternate 1-D secant
 steps until both land within tolerance, then print the fitted JobCosts
-to paste into src/repro/mapreduce/jobs/*.py.
+to paste over the job's ``*_COSTS`` constant in
+src/repro/mapreduce/jobs/catalogue.py.
 
 Run:  python scripts/calibrate_mapreduce.py
 """

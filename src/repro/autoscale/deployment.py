@@ -66,7 +66,7 @@ class HybridWebDeployment(WebServiceDeployment):
         """The actuator needs ``sim.faults``; attach an empty one."""
         if self.sim.faults is None:
             from ..faults import FaultInjector, FaultPlan
-            FaultInjector(self.cluster, FaultPlan.empty())
+            FaultInjector(self.cluster, FaultPlan())
         self.sim.faults.add_listener(self._on_fault_event)
         return self.sim.faults
 

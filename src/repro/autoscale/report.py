@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..core.metrics import nearest_rank_p95
-from ..core.records import Record, decoded, find, many
+from ..core.records import Record, decoded, domain, find, many
 from ..tco.model import amortized_hardware_usd, energy_cost_usd
 from ..web.loadshape import ShapedLoad
 from .deployment import HybridWebDeployment
@@ -38,20 +38,20 @@ class DayPlan(Record):
 
     name: str
     shape: ShapedLoad = decoded(ShapedLoad.from_dict)
-    duration_s: float
-    seed: int = DAY_SEED
-    calls: int = 5
+    duration_s: float = domain("> 0")
+    seed: int = domain(">= 0", integer=True, default=DAY_SEED)
+    calls: int = domain("> 0", integer=True, default=5)
     edison_scale: str = "6x3"       # static-Edison web x cache layout
     dell_scale: str = "1x1"         # static-Dell web x cache layout
-    hybrid_edison_web: int = 6
-    hybrid_dell_web: int = 1
-    hybrid_cache: int = 3
+    hybrid_edison_web: int = domain(">= 0", integer=True, default=6)
+    hybrid_dell_web: int = domain(">= 0", integer=True, default=1)
+    hybrid_cache: int = domain("> 0", integer=True, default=3)
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be > 0")
-        if self.calls < 1:
-            raise ValueError("calls must be >= 1")
+        super().__post_init__()
+        if self.hybrid_edison_web + self.hybrid_dell_web < 1:
+            raise ValueError("the hybrid arm needs at least one web "
+                             "server across platforms")
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,10 @@ web-serving dataset put through batch analytics).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Tuple
 
-from ..core.records import Record
+from ..core.records import Record, domain
 from ..mapreduce.config import HadoopConfig
 from ..mapreduce.jobs.catalogue import terasort_mini_job, wikidb_scan_job
 from ..mapreduce.runtime import JobSpec
@@ -38,23 +38,19 @@ class CarbonJobSpec(Record):
 
     name: str
     kind: str                       # key into CARBON_JOB_KINDS
-    release_s: float                # earliest allowed start (day clock)
-    deadline_s: float               # must finish by (day clock)
+    release_s: float = domain(">= 0")   # earliest allowed start (day clock)
+    deadline_s: float = domain("> 0")   # must finish by (day clock)
     #: Expected runtime per platform, simulated seconds — the committed
     #: calibration the policies budget against.
-    est_s: Mapping[str, float] = field(default_factory=dict)
+    est_s: Mapping[str, float] = domain("> 0", default_factory=dict)
 
     def __post_init__(self):
+        super().__post_init__()
         if self.kind not in CARBON_JOB_KINDS:
             raise ValueError(f"unknown job kind {self.kind!r} "
                              f"(have {sorted(CARBON_JOB_KINDS)})")
-        if self.release_s < 0:
-            raise ValueError("release_s must be >= 0")
         if self.deadline_s <= self.release_s:
             raise ValueError("deadline_s must be > release_s")
-        for platform, est in self.est_s.items():
-            if est <= 0:
-                raise ValueError(f"est_s[{platform!r}] must be > 0")
 
     def build(self, platform: str) -> Tuple[JobSpec, HadoopConfig]:
         """Materialise the underlying MapReduce job for ``platform``."""

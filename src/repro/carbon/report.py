@@ -14,10 +14,10 @@ so the report can answer the two questions the paper could not ask:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..core.records import Record, decoded, find, many
+from ..core.records import Record, decoded, domain, find, many
 from .jobspec import CarbonJobSpec
 from .ledger import CarbonLedger
 from .policy import POLICY_KINDS
@@ -41,20 +41,19 @@ class CarbonDayPlan(Record):
     """
 
     name: str
-    day_s: float
-    seed: int = field(default=DAY_SEED, kw_only=True)
+    day_s: float = domain("> 0")
+    seed: int = domain(">= 0", integer=True, default=DAY_SEED, kw_only=True)
     intensity: SignalTrace = decoded(SignalTrace.from_dict)
     price: SignalTrace = decoded(SignalTrace.from_dict)
-    slaves: Mapping[str, int] = field(
-        default_factory=lambda: {"edison": 4, "dell": 2})
+    slaves: Mapping[str, int] = domain(
+        "> 0", integer=True, default_factory=lambda: {"edison": 4, "dell": 2})
     #: Policy kind names, one arm each per platform.
     policies: Tuple[str, ...] = decoded(tuple, default=POLICY_KINDS)
     jobs: Tuple[CarbonJobSpec, ...] = decoded(many(CarbonJobSpec.from_dict),
                                               kw_only=True)
 
     def __post_init__(self):
-        if self.day_s <= 0:
-            raise ValueError("day_s must be > 0")
+        super().__post_init__()
         if not self.jobs:
             raise ValueError("a day needs at least one job")
         if not self.policies:
@@ -66,8 +65,8 @@ class CarbonDayPlan(Record):
                 raise ValueError(f"unknown policy kind {kind!r} "
                                  f"(have {POLICY_KINDS})")
         for platform in PLATFORMS:
-            if self.slaves.get(platform, 0) < 1:
-                raise ValueError(f"need slaves[{platform!r}] >= 1")
+            if platform not in self.slaves:
+                raise ValueError(f"need slaves[{platform!r}]")
         for job in self.jobs:
             if job.deadline_s > self.day_s:
                 raise ValueError(f"job {job.name!r} deadline exceeds "

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..core.records import Record, decoded
+from ..core.records import Record, domain
 
 #: Grid resolution used when a non-step trace must be rendered as
 #: steps, and when scanning for threshold crossings.
@@ -36,14 +36,15 @@ class SignalTrace(Record):
 
     name: str
     unit: str                                    # "gCO2/kWh" | "usd/kWh"
-    points: Tuple[Tuple[float, float], ...] = decoded(
-        lambda points: tuple((float(t), float(v)) for t, v in points))
+    points: Tuple[Tuple[float, float], ...] = domain(
+        ">= 0", decode=lambda points: tuple((t, v) for t, v in points))
     interpolation: str = "step"                  # "step" | "linear"
     #: When set, the trace repeats with this period (a one-day shape
     #: can score a multi-day run); when ``None`` the edge values hold.
-    period_s: Optional[float] = None
+    period_s: Optional[float] = domain("> 0", default=None)
 
     def __post_init__(self):
+        super().__post_init__()
         if self.interpolation not in ("step", "linear"):
             raise ValueError(
                 f"unknown interpolation {self.interpolation!r}")
@@ -52,8 +53,6 @@ class SignalTrace(Record):
         times = [t for t, _ in self.points]
         if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
             raise ValueError("points must be strictly sorted by time")
-        if any(v < 0 for _, v in self.points):
-            raise ValueError("signal values must be >= 0")
         if self.period_s is not None and self.period_s <= times[-1]:
             raise ValueError("period_s must exceed the last point time")
 

@@ -27,7 +27,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..core.records import Record, decoded, find, many
+from ..core.records import Record, decoded, domain, find, many
 from ..faults.models import PARTITION_KINDS, FaultPlan
 from .plane import DurabilityConfig
 
@@ -52,30 +52,25 @@ class DurabilityPlan(Record):
 
     name: str
     faults: FaultPlan = decoded(FaultPlan.from_dict)
-    slaves: int = 8
-    racks: int = 2
+    slaves: int = domain("> 0", integer=True, default=8)
+    racks: int = domain(">= 2", integer=True, default=2)  # rack-aware
     job: str = "wordcount2"
-    replications: Tuple[int, ...] = (1, 2, 3)
-    settle_s: float = 30.0
-    seed: int = DAY_SEED
-    detection_s: float = 0.25
+    replications: Tuple[int, ...] = domain(
+        "> 0", integer=True, decode=tuple, default=(1, 2, 3))
+    settle_s: float = domain(">= 0", default=30.0)
+    seed: int = domain(">= 0", integer=True, default=DAY_SEED)
+    detection_s: float = domain(">= 0", default=0.25)
 
     def __post_init__(self):
-        object.__setattr__(self, "replications",
-                           tuple(self.replications))
+        super().__post_init__()
         if self.faults.is_empty:
             raise ValueError("a durability day needs faults to survive")
-        if self.slaves < 2:
-            raise ValueError("need >= 2 slaves")
-        if not 2 <= self.racks <= self.slaves:
-            raise ValueError("need >= 2 racks (rack-awareness is the "
-                             "point) and <= one per slave")
-        if not self.replications or any(r < 1 for r in self.replications):
-            raise ValueError("replications must be positive")
+        if self.racks > self.slaves:
+            raise ValueError("need at most one rack per slave")
+        if not self.replications:
+            raise ValueError("the day needs at least one replication")
         if max(self.replications) > self.slaves:
             raise ValueError("replication cannot exceed slave count")
-        if self.settle_s < 0 or self.detection_s < 0:
-            raise ValueError("settle_s and detection_s must be >= 0")
 
     def faults_for(self, platform: str) -> FaultPlan:
         """The committed faults with ``{platform}`` names resolved."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Tuple
 
 from ..core.metrics import nearest_rank_p95
-from ..core.records import Record, decoded, find, keyed, many
+from ..core.records import Record, decoded, domain, find, keyed, many
 from ..web.loadshape import ShapedLoad
 from .governor import DvfsConfig
 from .scorecard import DVFS_SEED, ProportionalityScorecard
@@ -34,19 +34,16 @@ class DvfsPlan(Record):
     name: str
     #: Shape name -> rate function.
     shapes: Mapping[str, ShapedLoad] = decoded(keyed(ShapedLoad.from_dict))
-    duration_s: float
-    seed: int = DVFS_SEED
-    calls: int = 5
+    duration_s: float = domain("> 0")
+    seed: int = domain(">= 0", integer=True, default=DVFS_SEED)
+    calls: int = domain("> 0", integer=True, default=5)
     edison_scale: str = "1/8"
     dell_scale: str = "1/2"
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.shapes:
             raise ValueError("the plan needs at least one load shape")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be > 0")
-        if self.calls < 1:
-            raise ValueError("calls must be >= 1")
 
     def scale(self, platform: str) -> str:
         return self.edison_scale if platform == "edison" \

@@ -106,7 +106,7 @@ class FaultInjector:
         sim = cluster.sim
         if sim.faults is not None:
             raise RuntimeError("this simulation already has a FaultInjector")
-        self.plan = plan if plan is not None else FaultPlan.empty()
+        self.plan = plan if plan is not None else FaultPlan()
         self.plan.check_against(cluster.servers)
         for rack in self.plan.racks():
             if not cluster.topology.rack_members(rack):

@@ -4,9 +4,10 @@ Every fault is a :class:`Fault` value — one kind, one victim node, one
 onset time and (except for permanent disk loss) one repair time.  Plans
 hold one-shot faults plus :class:`RecurringFault` generators that draw
 exponential time-between-failures / time-to-repair from a seeded stream,
-so a chaos run is as reproducible as any other simulation.  All
-validation happens at construction: a bad plan fails before the
-simulation burns any time.
+so a chaos run is as reproducible as any other simulation.  All three
+are :class:`~repro.core.records.Record` types and all validation
+happens at construction: a bad plan fails before the simulation burns
+any time.
 
 The kinds model the failure classes the SBC-cluster literature reports
 for sensor-class hardware (node dropouts first, then flaky links, hot
@@ -45,10 +46,11 @@ CPUs, dead SD cards and severed racks):
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
+
+from ..core.records import Record, decoded, domain, many
 
 #: The recognised fault kinds.
 FAULT_KINDS = ("crash", "disk_fail", "cpu_throttle", "packet_loss",
@@ -72,18 +74,18 @@ class FaultCause:
     node: str
 
 @dataclass(frozen=True)
-class Fault:
+class Fault(Record):
     """One scheduled fault on one node.  Use the constructor helpers."""
 
     kind: str
     node: str
-    at: float
+    at: float = domain(">= 0")
     #: Seconds until repair; ``inf`` means permanent (disk_fail only).
-    duration: float = math.inf
+    duration: float = domain("> 0", finite=False, default=math.inf)
     #: Remaining fraction of DMIPS during a ``cpu_throttle`` fault.
-    factor: float = 1.0
+    factor: float = domain("> 0", default=1.0)
     #: Fraction of packets lost during a ``packet_loss`` fault.
-    loss: float = 0.0
+    loss: float = domain(">= 0", default=0.0)
     #: Rack severed by a ``partition``/``switch_down`` fault (resolved
     #: against the topology at injection time).
     rack: str = ""
@@ -93,21 +95,16 @@ class Fault:
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
+        super().__post_init__()
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}; "
                              f"expected one of {FAULT_KINDS}")
         if not self.node:
             raise ValueError("a fault needs a victim node name")
-        # Written so that NaN fails each check: NaN compares False.
-        if not (self.at >= 0 and math.isfinite(self.at)):
-            raise ValueError(f"fault onset time must be finite and >= 0, "
-                             f"got {self.at!r}")
-        if not self.duration > 0:
-            raise ValueError(f"fault duration must be > 0, "
-                             f"got {self.duration!r}")
         if math.isinf(self.duration) and self.kind != "disk_fail":
-            raise ValueError(f"only disk_fail may be permanent; "
-                             f"{self.kind} needs a finite duration")
+            raise ValueError(f"Fault: field 'duration' may be inf only "
+                             f"for disk_fail; {self.kind} needs a finite "
+                             "duration")
         if self.kind in PARTITION_KINDS:
             if bool(self.rack) == bool(self.nodes):
                 raise ValueError(f"{self.kind} needs exactly one of "
@@ -117,7 +114,7 @@ class Fault:
                                  "use partition for arbitrary node sets")
         elif self.rack or self.nodes:
             raise ValueError(f"rack/nodes only apply to {PARTITION_KINDS}")
-        if self.kind == "cpu_throttle" and not 0 < self.factor <= 1:
+        if self.kind == "cpu_throttle" and self.factor > 1:
             raise ValueError("cpu_throttle factor must be in (0, 1]")
         if self.kind == "packet_loss" and not 0 < self.loss < 1:
             # loss 1 would starve the link outright — that's a crash or
@@ -185,7 +182,7 @@ def switch_down(rack: str, at: float, duration: float) -> Fault:
 
 
 @dataclass(frozen=True)
-class RecurringFault:
+class RecurringFault(Record):
     """A seeded stochastic fault process on one node.
 
     Time between failures is exponential with mean ``mtbf_s``; each
@@ -196,34 +193,22 @@ class RecurringFault:
 
     kind: str
     node: str
-    mtbf_s: float
-    mttr_s: float
+    mtbf_s: float = domain("> 0")
+    mttr_s: float = domain("> 0")
     #: No fault fires before this time (let the system warm up).
-    start: float = 0.0
-    factor: float = 0.5
-    loss: float = 0.1
+    start: float = domain(">= 0", default=0.0)
+    factor: float = domain("> 0", default=0.5)
+    loss: float = domain(">= 0", default=0.1)
 
     def __post_init__(self):
-        if self.kind not in FAULT_KINDS:
-            raise ValueError(f"unknown fault kind {self.kind!r}")
+        super().__post_init__()
         if self.kind == "disk_fail":
             raise ValueError("disk_fail is permanent and cannot recur; "
                              "schedule it as a one-shot fault")
         if self.kind in PARTITION_KINDS:
             raise ValueError(f"{self.kind} severs a node *set* and must "
                              "be scheduled as a one-shot fault")
-        if not self.node:
-            raise ValueError("a fault needs a victim node name")
-        # Written so that NaN fails each check: NaN compares False.
-        for name in ("mtbf_s", "mttr_s"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be finite and > 0, "
-                                 f"got {value!r}")
-        if not (self.start >= 0 and math.isfinite(self.start)):
-            raise ValueError(f"start must be finite and >= 0, "
-                             f"got {self.start!r}")
-        # Re-use Fault's kind-parameter validation.
+        # Re-use Fault's kind, node and kind-parameter validation.
         Fault(kind=self.kind, node=self.node, at=self.start, duration=1.0,
               factor=self.factor, loss=self.loss)
 
@@ -245,19 +230,13 @@ class RecurringFault:
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(Record):
     """Everything a chaos run will inject: one-shots plus processes."""
 
-    faults: Tuple[Fault, ...] = field(default_factory=tuple)
-    recurring: Tuple[RecurringFault, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        object.__setattr__(self, "faults", tuple(self.faults))
-        object.__setattr__(self, "recurring", tuple(self.recurring))
-
-    @classmethod
-    def empty(cls) -> "FaultPlan":
-        return cls()
+    faults: Tuple[Fault, ...] = decoded(many(Fault.from_dict),
+                                        default_factory=tuple)
+    recurring: Tuple[RecurringFault, ...] = decoded(
+        many(RecurringFault.from_dict), default_factory=tuple)
 
     @property
     def is_empty(self) -> bool:
@@ -311,45 +290,6 @@ class FaultPlan:
             faults=tuple(f for f in self.faults if f.kind not in drop),
             recurring=tuple(r for r in self.recurring
                             if r.kind not in drop))
-
-    # -- (de)serialisation for --fault-plan FILE -------------------------
-
-    def to_dict(self) -> Dict:
-        return {"faults": [f.to_dict() for f in self.faults],
-                "recurring": [r.to_dict() for r in self.recurring]}
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "FaultPlan":
-        if not isinstance(data, dict):
-            raise ValueError("fault plan must be a JSON object")
-        unknown = set(data) - {"faults", "recurring"}
-        if unknown:
-            raise ValueError(f"unknown fault-plan keys {sorted(unknown)}")
-        faults = [Fault(**item) for item in data.get("faults", ())]
-        recurring = [RecurringFault(**item)
-                     for item in data.get("recurring", ())]
-        return cls(faults=tuple(faults), recurring=tuple(recurring))
-
-    @classmethod
-    def load(cls, path: str) -> "FaultPlan":
-        """Read a plan from a JSON file (the CLI's ``--fault-plan``)."""
-        with open(path) as handle:
-            try:
-                data = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-        try:
-            return cls.from_dict(data)
-        except TypeError as exc:
-            # A misspelled field name surfaces as an unexpected-kwarg
-            # TypeError from the dataclass constructor; re-raise with
-            # the file attached so the user can find it.
-            raise ValueError(f"{path}: {exc}") from exc
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.to_dict(), handle, indent=2)
-            handle.write("\n")
 
 
 def single_node_kill(node: str, at: float,

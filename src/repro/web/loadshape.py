@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from ..core.records import Record, decoded, many
+from ..core.records import Record, decoded, domain, many
 
 
 @dataclass(frozen=True)
@@ -28,16 +28,15 @@ class DiurnalShape(Record):
     ``rate(t) = base + (peak - base) * (1 - cos(2*pi*(t - trough)/period)) / 2``
     """
 
-    base_rps: float
-    peak_rps: float
-    period_s: float
-    trough_at_s: float = 0.0
+    base_rps: float = domain(">= 0")
+    peak_rps: float = domain("> 0")
+    period_s: float = domain("> 0")
+    trough_at_s: float = domain("any", default=0.0)
 
     def __post_init__(self):
-        if self.base_rps < 0 or self.peak_rps < self.base_rps:
-            raise ValueError("need 0 <= base_rps <= peak_rps")
-        if self.period_s <= 0:
-            raise ValueError("period_s must be > 0")
+        super().__post_init__()
+        if self.peak_rps < self.base_rps:
+            raise ValueError("DiurnalShape: need base_rps <= peak_rps")
 
     def rate(self, t: float) -> float:
         phase = 2.0 * math.pi * (t - self.trough_at_s) / self.period_s
@@ -56,19 +55,11 @@ class FlashCrowd(Record):
     visible slope to extrapolate before capacity is actually short.
     """
 
-    at_s: float
-    ramp_s: float
-    hold_s: float
-    decay_s: float
-    multiplier: float
-
-    def __post_init__(self):
-        if self.at_s < 0:
-            raise ValueError("at_s must be >= 0")
-        if self.ramp_s <= 0 or self.decay_s <= 0 or self.hold_s < 0:
-            raise ValueError("ramp_s/decay_s must be > 0, hold_s >= 0")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
+    at_s: float = domain(">= 0")
+    ramp_s: float = domain("> 0")
+    hold_s: float = domain(">= 0")
+    decay_s: float = domain("> 0")
+    multiplier: float = domain(">= 1")
 
     def factor(self, t: float) -> float:
         dt = t - self.at_s

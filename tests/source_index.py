@@ -110,8 +110,10 @@ def _dataclass_fields(node: ast.ClassDef) -> Tuple[List[str], List[str]]:
         if annotation.startswith(("ClassVar", "typing.ClassVar")):
             continue
         value = stmt.value
+        # ``decoded``/``domain`` (repro.core.records) wrap ``field``: a
+        # default comes only from their default= or default_factory=.
         if (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
-                and value.func.id == "field"):
+                and value.func.id in ("field", "decoded", "domain")):
             if any(k.arg == "init" and isinstance(k.value, ast.Constant)
                    and k.value.value is False for k in value.keywords):
                 continue

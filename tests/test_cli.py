@@ -268,3 +268,45 @@ def test_plan_commands_reject_bad_plans_cleanly(tmp_path, command,
     message = str(excinfo.value.code)
     assert message.startswith("repro: error: --plan: ")
     assert reason in message
+
+
+def _committed_plan(name):
+    import json
+    import os
+    path = os.path.join(os.path.dirname(__file__), "..", "experiments",
+                        f"{name}_day.json")
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def _misspelled_onset(plan):
+    fault = plan["faults"]["faults"][0]
+    fault["att"] = fault.pop("at")
+
+
+def _string_onset(plan):
+    plan["faults"]["faults"][0]["at"] = "8"
+
+
+def _nan_peak(plan):
+    plan["shape"]["diurnal"]["peak_rps"] = float("nan")
+
+
+@pytest.mark.parametrize("command, spoil, reason", [
+    ("durability", _misspelled_onset, "Fault: unknown key 'att'"),
+    ("durability", _string_onset, "Fault: field 'at'"),
+    ("autoscale", _nan_peak, "DiurnalShape: field 'peak_rps'"),
+])
+def test_plan_commands_reject_bad_numbers_before_running(
+        tmp_path, capsys, command, spoil, reason):
+    import json
+    plan = _committed_plan(command)
+    spoil(plan)
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--plan", str(path)])
+    message = str(excinfo.value.code)
+    assert message.startswith("repro: error: --plan: ")
+    assert reason in message
+    assert capsys.readouterr().out == ""     # no arm ran

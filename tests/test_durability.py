@@ -500,7 +500,7 @@ def day_plan(**overrides):
 
 def test_plan_validation():
     with pytest.raises(ValueError):
-        day_plan(faults=FaultPlan.empty())
+        day_plan(faults=FaultPlan())
     with pytest.raises(ValueError):
         day_plan(slaves=1)
     with pytest.raises(ValueError):

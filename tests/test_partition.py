@@ -398,7 +398,7 @@ def test_partition_accrues_no_downtime_vs_control():
     spec, config = JOB_FACTORIES["wordcount2"]("dell", 8)
     config = dataclasses.replace(config, replication=2)
     control = JobRunner("dell", 8, config=config, seed=20260809, racks=2)
-    control_injector = FaultInjector(control.cluster, FaultPlan.empty())
+    control_injector = FaultInjector(control.cluster, FaultPlan())
     control.run(spec)
     assert sum(control_injector.downtime(n) for n in slaves) == 0.0
 

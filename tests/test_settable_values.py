@@ -60,17 +60,19 @@ ALLOWED: Dict[str, str] = {
             "client_timeout_s", "request_bytes"),
     **_each(_PLAN_JSON, "repro.autoscale.report.DayPlan",
             "calls", "dell_scale", "edison_scale", "hybrid_cache",
-            "hybrid_dell_web", "hybrid_edison_web", "seed", "shape"),
+            "hybrid_dell_web", "hybrid_edison_web", "seed"),
     **_each(_PLAN_JSON, "repro.carbon.jobspec.CarbonJobSpec", "est_s"),
     **_each(_PLAN_JSON, "repro.carbon.report.CarbonDayPlan",
-            "intensity", "jobs", "policies", "price", "seed", "slaves"),
+            "policies", "seed", "slaves"),
     **_each(_PLAN_JSON, "repro.carbon.trace.SignalTrace",
-            "interpolation", "period_s", "points"),
+            "interpolation", "period_s"),
     **_each(_PLAN_JSON, "repro.durability.report.DurabilityPlan",
-            "detection_s", "faults", "job", "racks", "replications",
+            "detection_s", "job", "racks", "replications",
             "seed", "settle_s", "slaves"),
     **_each(_PLAN_JSON, "repro.dvfs.report.DvfsPlan",
             "calls", "dell_scale", "edison_scale", "seed"),
+    **_each(_PLAN_JSON, "repro.faults.models.RecurringFault",
+            "factor", "loss", "start"),
     **_each(_PLAN_JSON, "repro.web.loadshape.DiurnalShape", "trough_at_s"),
     **_each(_PLAN_JSON, "repro.web.loadshape.ShapedLoad", "flashes"),
     **_each(_KERNEL, "repro.sim.kernel.Simulation", "start"),
