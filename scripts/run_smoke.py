@@ -1,35 +1,23 @@
 #!/usr/bin/env python
-"""Plane smoke: off-path bit-identity plus each plane's acceptance bar.
+"""Plane smoke: each opt-in plane's acceptance bar and its artifacts.
 
 One runner for the six opt-in planes — resilience, autoscale, carbon,
-dvfs, durability and causality.  Each plane is checked in two steps:
-
-1. **Off-path fidelity** — with the plane off (``None`` is off, or
-   ``False`` for resilience and autoscale, which a bool arms) its
-   fidelity digests must equal the committed
-   ``experiments/<plane>_baseline.json`` float-for-float (``--update``
-   rewrites the baseline instead).  Carbon and causality also run a
-   second variant that must agree with the first: a plain run and one
-   with an idle empty-plan FaultInjector for carbon, an untraced and a
-   traced run for causality.  A plane must be invisible until armed.
-
-2. **Acceptance** — the plane's committed seeded experiment must clear
-   the bar its ``accept_*`` function states.  The reports land in
-   ``--out-dir`` as artifacts.
+dvfs, durability and causality.  Each plane's committed seeded
+experiment must clear the bar its ``accept_*`` function states, and the
+reports land in ``--out-dir`` as artifacts.  That a plane is invisible
+until armed is pinned by the ``offpath.<plane>`` rows of
+``experiments/pins.json``, which ``tests/test_pins.py`` checks.
 
 Every check prints one ``ok``/``FAIL`` line; the exit code is non-zero
 when any check failed.
 
 Run:  PYTHONPATH=src python scripts/run_smoke.py dvfs
-      PYTHONPATH=src python scripts/run_smoke.py dvfs --update
 """
 
 import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, Optional, Tuple
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 EXPERIMENTS = os.path.join(REPO, "experiments")
@@ -45,12 +33,6 @@ def check(ok: bool, what: str) -> None:
         _failures.append(what)
 
 
-def write_json(path: str, payload) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
-
-
 def artifact_path(out_dir: str, name: str) -> str:
     """Resolve an artifact path, creating ``out_dir`` on first use."""
     os.makedirs(out_dir, exist_ok=True)
@@ -60,34 +42,16 @@ def artifact_path(out_dir: str, name: str) -> str:
 def write_artifact(out_dir: str, name: str, payload) -> None:
     """Drop one report JSON into ``out_dir`` and announce it."""
     path = artifact_path(out_dir, name)
-    write_json(path, payload)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=1)
+        handle.write("\n")
     print(f"  artifact -> {path}")
-
-
-def job_digest(report) -> Dict:
-    return {"seconds": report.seconds, "joules": report.joules,
-            "locality_fraction": report.locality_fraction}
 
 
 # -- resilience ------------------------------------------------------------
 
 
-def resilience_digests(resilience):
-    """One web level and one job, faults off."""
-    from repro.mapreduce import JOB_FACTORIES, JobRunner
-    from repro.resilience.report import GRAY_SEED
-    from repro.web import WebServiceDeployment
-
-    deployment = WebServiceDeployment("edison", "1/4", seed=GRAY_SEED,
-                                      resilience=resilience)
-    level = deployment.run_level(24, duration=3.0, warmup=1.0)
-    spec, config = JOB_FACTORIES["wordcount2"]("edison", 8)
-    runner = JobRunner("edison", 8, config=config, seed=GRAY_SEED,
-                       resilience=resilience)
-    return {"web": asdict(level), "job": job_digest(runner.run(spec))}
-
-
-def accept_resilience(args, plain) -> None:
+def accept_resilience(args) -> None:
     """Under the committed gray-failure plan the mitigated web arm keeps
     both SLOs where the unmitigated one misses, and the mitigated job
     finishes faster than the unmitigated one, which fails attempts."""
@@ -138,29 +102,7 @@ def accept_resilience(args, plain) -> None:
 # -- autoscale -------------------------------------------------------------
 
 
-def autoscale_digests(autoscale):
-    """One fixed-rate level, one shaped static day, one shaped hybrid
-    day."""
-    from repro.autoscale import HybridWebDeployment
-    from repro.autoscale.report import DAY_SEED
-    from repro.web import DiurnalShape, ShapedLoad, WebServiceDeployment
-
-    shape = ShapedLoad(DiurnalShape(base_rps=60.0, peak_rps=240.0,
-                                    period_s=24.0))
-    static = WebServiceDeployment("edison", "1/4", seed=DAY_SEED)
-    level = static.run_level(24, duration=3.0, warmup=1.0)
-    shaped = WebServiceDeployment("edison", "1/4", seed=DAY_SEED)
-    shaped_level = shaped.run_shaped(shape, 24.0, calls=5)
-    hybrid = HybridWebDeployment(edison_web=2, dell_web=1, cache=1,
-                                 seed=DAY_SEED, autoscale=autoscale)
-    hybrid_level = hybrid.run_day(shape, 24.0, calls=5)
-    return {"level": asdict(level),
-            "shaped": asdict(shaped_level),
-            "hybrid": asdict(hybrid_level),
-            "hybrid_joules": hybrid.meter.energy_joules()}
-
-
-def accept_autoscale(args, plain) -> None:
+def accept_autoscale(args) -> None:
     """On the committed day the autoscaled hybrid strictly dominates a
     static arm on joules at equal-or-better availability, with boot and
     drain joules itemised and non-zero."""
@@ -199,30 +141,7 @@ CARBON_DAY = os.path.join(EXPERIMENTS, "carbon_day.json")
 CARBON_FLEETS = (("edison", 4), ("dell", 2))
 
 
-def carbon_digests(with_injector: bool):
-    """Every committed job kind on both platforms, run outside any
-    carbon machinery (optionally with an idle empty-plan injector)."""
-    from repro.carbon import CarbonDayPlan
-    from repro.carbon.jobspec import CARBON_JOB_KINDS
-    from repro.faults import FaultInjector
-    from repro.mapreduce.runtime import JobRunner
-
-    seed = CarbonDayPlan.load(CARBON_DAY).seed
-    digests = {}
-    for kind in sorted(CARBON_JOB_KINDS):
-        for platform, slaves in CARBON_FLEETS:
-            spec, config = CARBON_JOB_KINDS[kind](platform)
-            runner = JobRunner(platform, slaves, config=config, seed=seed)
-            if with_injector:
-                FaultInjector(runner.cluster)
-            report = runner.run(spec)
-            digests[f"{kind}/{platform}"] = {
-                "seconds": report.seconds, "joules": report.joules,
-                "locality": report.locality_fraction}
-    return digests
-
-
-def accept_carbon(args, plain) -> None:
+def accept_carbon(args) -> None:
     """The no-wait arm reproduces the plain runs exactly, and on the
     committed day a waiting or suspend-resume policy beats no-wait on
     grams CO2 at zero deadline misses on both platforms, with the
@@ -230,6 +149,9 @@ def accept_carbon(args, plain) -> None:
     more CO2 than the Edison day."""
     from repro.carbon import CarbonDayPlan, carbon_experiment
 
+    with open(os.path.join(EXPERIMENTS, "pins.json"),
+              encoding="utf-8") as handle:
+        plain = json.load(handle)["offpath.carbon"]
     print("eight-arm acceptance (committed day, committed seed):")
     report = carbon_experiment(CarbonDayPlan.load(CARBON_DAY))
     for line in report.lines():
@@ -270,31 +192,6 @@ def accept_carbon(args, plain) -> None:
 # -- dvfs ------------------------------------------------------------------
 
 
-def dvfs_digests(dvfs):
-    """One fixed-rate web level, one shaped day, one MapReduce job —
-    the web runs through the same attach helper the armed path uses,
-    so "off" exercises the real integration."""
-    from repro.dvfs import DVFS_SEED, attach_web
-    from repro.mapreduce import JOB_FACTORIES, JobRunner
-    from repro.web import DiurnalShape, ShapedLoad, WebServiceDeployment
-
-    static = WebServiceDeployment("edison", "1/4", seed=DVFS_SEED)
-    assert attach_web(static, dvfs, until=3.0) is None
-    level = static.run_level(24, duration=3.0, warmup=1.0)
-
-    shape = ShapedLoad(DiurnalShape(base_rps=60.0, peak_rps=240.0,
-                                    period_s=24.0))
-    shaped = WebServiceDeployment("edison", "1/4", seed=DVFS_SEED)
-    assert attach_web(shaped, dvfs, until=24.0) is None
-    shaped_level = shaped.run_shaped(shape, 24.0, calls=5)
-
-    spec, config = JOB_FACTORIES["wordcount2"]("edison", 8)
-    runner = JobRunner("edison", 8, config=config, seed=DVFS_SEED)
-    return {"level": asdict(level),
-            "shaped": asdict(shaped_level),
-            "job": job_digest(runner.run(spec))}
-
-
 def render_governed_dashboard(plan, out_dir: str) -> None:
     """One governed diurnal day, dashboarded with its scorecards."""
     from repro.dvfs import attach_web, measure_proportionality
@@ -324,7 +221,7 @@ def render_governed_dashboard(plan, out_dir: str) -> None:
     print(f"  artifact -> {path}")
 
 
-def accept_dvfs(args, plain) -> None:
+def accept_dvfs(args) -> None:
     """On the committed sweep ondemand strictly beats performance on
     joules at equal SLO attainment somewhere, ondemand arms switch
     P-states, and the governed proportionality ladder burns fewer joules
@@ -374,47 +271,7 @@ def accept_dvfs(args, plain) -> None:
 # -- durability ------------------------------------------------------------
 
 
-def durability_digests(durability):
-    """A plain job, a crash-faulted job and a partitioned job — all
-    through the same attach helper the armed path uses, with no phi
-    detector, heartbeat feeder, repair monitor or ledger left behind."""
-    from repro.durability import DAY_SEED, attach_job
-    from repro.faults import FaultInjector
-    from repro.faults.models import FaultPlan, node_crash, rack_partition
-    from repro.mapreduce import JOB_FACTORIES, JobRunner
-
-    def one_job(faults=None, racks=1):
-        spec, config = JOB_FACTORIES["wordcount2"]("dell", 8)
-        runner = JobRunner("dell", 8, config=config, seed=DAY_SEED,
-                           racks=racks)
-        injector = None
-        if faults is not None:
-            injector = FaultInjector(runner.cluster, faults)
-        assert attach_job(runner, durability) is None
-        assert getattr(runner, "durability_ledger", None) is None
-        assert runner.hdfs.monitor is None
-        digest = job_digest(runner.run(spec))
-        digest["health"] = runner.hdfs.health_summary()
-        if injector is not None:
-            slaves = [s.name for s in runner.slave_servers]
-            digest["downtime_s"] = sum(
-                injector.downtime(n, until=runner.sim.now)
-                for n in slaves)
-            digest["unreachable_s"] = sum(
-                injector.unreachable_time(n, until=runner.sim.now)
-                for n in slaves)
-        return digest
-
-    crash = FaultPlan(faults=(
-        node_crash("dell-slave-3", at=6.0, repair_s=10.0),))
-    cut = FaultPlan(faults=(
-        rack_partition("dell-rack-0", at=6.0, duration=8.0),))
-    return {"plain": one_job(),
-            "crashed": one_job(faults=crash),
-            "partitioned": one_job(faults=cut, racks=2)}
-
-
-def accept_durability(args, plain) -> None:
+def accept_durability(args) -> None:
     """The committed day shows the Section 6 knee — rack-aware r=2 on
     Edison loses nothing while r=1 records a loss — with block
     conservation at every census, every zombie killed at heal, and
@@ -467,33 +324,26 @@ def accept_durability(args, plain) -> None:
 # -- causality -------------------------------------------------------------
 
 CAUSALITY_SEED = 20160901
-CAUSALITY_JOB = "terasort-mini"
 
 
-def causality_digests(traced: Optional[Dict]):
-    """One web level and one terasort-mini job, untraced (``traced`` is
-    None) or traced, keeping each run's ``(tracer, cluster)`` in
-    ``traced`` by label."""
+def traced_cells():
+    """One traced web level and one traced terasort-mini job: label ->
+    ``(tracer, cluster)``."""
     from repro.carbon.jobspec import CARBON_JOB_KINDS
     from repro.mapreduce.runtime import JobRunner
     from repro.trace import Tracer
     from repro.web import WebServiceDeployment
 
-    web_tracer = Tracer() if traced is not None else None
+    web_tracer, job_tracer = Tracer(), Tracer()
     deployment = WebServiceDeployment("edison", "1/4", seed=CAUSALITY_SEED,
                                       trace=web_tracer)
-    level = deployment.run_level(24, duration=3.0, warmup=1.0)
-    job_tracer = Tracer() if traced is not None else None
-    spec, config = CARBON_JOB_KINDS[CAUSALITY_JOB]("edison")
+    deployment.run_level(24, duration=3.0, warmup=1.0)
+    spec, config = CARBON_JOB_KINDS["terasort-mini"]("edison")
     runner = JobRunner("edison", 4, config=config, seed=CAUSALITY_SEED,
                        trace=job_tracer)
-    report = runner.run(spec)
-    if traced is not None:
-        traced["web"] = (web_tracer, deployment.cluster)
-        traced[CAUSALITY_JOB] = (job_tracer, runner.cluster)
-    return {"web": asdict(level),
-            "job": {"seconds": report.seconds, "joules": report.joules,
-                    "locality": report.locality_fraction}}
+    runner.run(spec)
+    return {"web": (web_tracer, deployment.cluster),
+            "terasort-mini": (job_tracer, runner.cluster)}
 
 
 def check_conservation(label, log, cluster) -> None:
@@ -523,7 +373,7 @@ def check_conservation(label, log, cluster) -> None:
           f"({attributed:.2f} J attributed)")
 
 
-def accept_causality(args, traced: Dict) -> None:
+def accept_causality(args) -> None:
     """On the traced runs ``baseline + attributed + unattributed`` equals
     each metered node's joules within 0.1 %, the Table 7 decomposition
     re-derived from causal tree structure agrees with the call-record
@@ -533,6 +383,7 @@ def accept_causality(args, traced: Dict) -> None:
     from repro.trace import Tracer, delay_decomposition_from_trace
     from repro.web.deployment import measure_delay_decomposition
 
+    traced = traced_cells()
     print("energy conservation (attribution sums close):")
     for label, (tracer, cluster) in traced.items():
         check_conservation(label, tracer.log, cluster)
@@ -576,88 +427,19 @@ def accept_causality(args, traced: Dict) -> None:
 
 # -- the table -------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class Plane:
-    """One plane's smoke: its off variants, digests and acceptance."""
-
-    #: What the off-path step proves, for its heading.
-    invisible: str
-    #: ``variant -> digests``, float-for-float comparable.
-    digests: Callable[[object], Dict]
-    #: ``(args, first variant's digests)``: the acceptance checks.
-    accept: Callable[[argparse.Namespace, Dict], None]
-    #: Text of the check against the committed baseline.
-    baseline: str = "off-path digests match the committed baseline"
-    #: The "off" variants; the first one's digests are the baseline's.
-    #: ``None`` for a plane a config arms, ``False`` for one a bool arms.
-    variants: Tuple = (None,)
-    #: Digest key (``None``: all of them) -> text of the check that
-    #: every variant agrees on it.
-    same: Dict[Optional[str], str] = field(default_factory=dict)
-
-
-def planes() -> Dict[str, Plane]:
-    """Every plane's smoke, built afresh for one run."""
-    traced = {}
-    return {
-        "resilience": Plane("resilience package must be invisible",
-                            resilience_digests, accept_resilience,
-                            variants=(False,)),
-        "autoscale": Plane("autoscale package must be invisible",
-                           autoscale_digests, accept_autoscale,
-                           variants=(False,)),
-        "carbon": Plane(
-            "carbon plane must be invisible", carbon_digests, accept_carbon,
-            "plain-run digests match the committed baseline",
-            (False, True),
-            {None: "an idle empty-plan FaultInjector moves no float"}),
-        "dvfs": Plane("P-state tables must be invisible", dvfs_digests,
-                      accept_dvfs),
-        "durability": Plane("no detector/monitor/ledger until armed",
-                            durability_digests, accept_durability),
-        "causality": Plane(
-            "tracing must be invisible", causality_digests,
-            lambda args, plain: accept_causality(args, traced),
-            "untraced digests match the committed baseline",
-            (None, traced),
-            {"web": "traced web level is bit-identical to the untraced run",
-             "job": f"traced {CAUSALITY_JOB} job is bit-identical to the "
-                    "untraced run"}),
-    }
-
-
-def off_path(name: str, plane: Plane, update: bool) -> Dict:
-    """Run every off variant; check they agree and match the baseline."""
-    print(f"off-path fidelity ({plane.invisible}):")
-    first, *others = [plane.digests(variant) for variant in plane.variants]
-    for key, what in plane.same.items():
-        check(all((d if key is None else d[key])
-                  == (first if key is None else first[key])
-                  for d in others), what)
-    path = os.path.join(EXPERIMENTS, f"{name}_baseline.json")
-    if update:
-        write_json(path, first)
-        print(f"  baseline rewritten -> {path}")
-    else:
-        with open(path, encoding="utf-8") as handle:
-            check(json.load(handle) == first, plane.baseline)
-    return first
+ACCEPT = {"resilience": accept_resilience, "autoscale": accept_autoscale,
+          "carbon": accept_carbon, "dvfs": accept_dvfs,
+          "durability": accept_durability, "causality": accept_causality}
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(
         description=__doc__.split("\n\n")[0])
-    table = planes()
-    parser.add_argument("plane", choices=sorted(table))
-    parser.add_argument("--update", action="store_true",
-                        help="rewrite the committed off-path baseline "
-                             "instead of checking against it")
+    parser.add_argument("plane", choices=sorted(ACCEPT))
     parser.add_argument("--out-dir", default=REPO, metavar="DIR",
                         help="where the report artifacts go")
     args = parser.parse_args()
-    plane = table[args.plane]
-    plane.accept(args, off_path(args.plane, plane, args.update))
+    ACCEPT[args.plane](args)
     if _failures:
         print(f"{len(_failures)} check(s) failed")
         return 1

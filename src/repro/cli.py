@@ -504,9 +504,10 @@ def _cmd_report(args) -> int:
                             write_prometheus)
     try:
         bundle = load_bundle(args.bundle)
+        lines = summary_lines(bundle)
     except (OSError, ValueError) as exc:
         raise SystemExit(f"repro: error: {exc}")
-    for line in summary_lines(bundle):
+    for line in lines:
         print(line)
     if args.html:
         _check_parent_dir("--html", args.html)

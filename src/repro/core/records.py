@@ -17,7 +17,9 @@ hand-writing ``to_dict``/``from_dict``/``save``/``load``:
 * :meth:`Record.save`/:meth:`Record.load` write and read JSON with
   ``indent=1`` and a trailing newline — the committed plans' format;
 * a numeric field declares its :func:`domain` beside it, and every
-  construction, from JSON or from Python, checks it.
+  construction, from JSON or from Python, checks it; a field annotated
+  ``str`` or ``Tuple[str, ...]`` holds only strings, checked the same
+  way.
 
 :func:`find` is the shared arm lookup of every report.
 """
@@ -28,6 +30,7 @@ import dataclasses
 import functools
 import json
 import math
+import typing
 from collections.abc import Mapping
 from typing import (Any, Callable, ClassVar, Dict, Iterable, Optional, Tuple,
                     TypeVar)
@@ -100,6 +103,23 @@ def _domains(cls: type) -> Tuple[Tuple[str, Any, _Domain], ...]:
                  for f in dataclasses.fields(cls) if "domain" in f.metadata)
 
 
+@functools.lru_cache(maxsize=None)
+def _strings(cls: type) -> Tuple[Tuple[str, Any, bool], ...]:
+    # Once per class, as _domains: (name, default, is a tuple) of every
+    # field annotated ``str`` or ``Tuple[str, ...]``.
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, f.default, hints[f.name] is not str)
+                 for f in dataclasses.fields(cls)
+                 if hints[f.name] in (str, Tuple[str, ...]))
+
+
+def _all_strings(value: Any, many: bool) -> bool:
+    if not many:
+        return isinstance(value, str)
+    return (isinstance(value, (tuple, list))
+            and all(isinstance(item, str) for item in value))
+
+
 def many(decode: Callable[[Any], Any]) -> Callable[[Any], Tuple]:
     """Decoder for a JSON list: a tuple of ``decode``-d items."""
     return lambda items: tuple(decode(item) for item in items)
@@ -127,14 +147,21 @@ class Record:
     derived: ClassVar[Tuple[str, ...]] = ()
 
     def __post_init__(self) -> None:
-        """Check every declared :func:`domain`; a subclass's own
-        ``__post_init__`` calls this first, then adds only cross-field
-        and kind rules."""
+        """Check every declared :func:`domain` and every string field;
+        a subclass's own ``__post_init__`` calls this first, then adds
+        only cross-field and kind rules."""
         cls = type(self)
         for name, default, rule in _domains(cls):
             value = getattr(self, name)
             if value is not None or default is not None:
                 rule.check(cls.__name__, name, value)
+        for name, default, many in _strings(cls):
+            value = getattr(self, name)
+            if ((value is not None or default is not None)
+                    and not _all_strings(value, many)):
+                kind = "a list of strings" if many else "a string"
+                raise ValueError(f"{cls.__name__}: field {name!r} must be "
+                                 f"{kind}, got {value!r}")
 
     def to_dict(self) -> Dict:
         out = {f.name: _plain(getattr(self, f.name))

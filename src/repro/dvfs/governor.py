@@ -42,6 +42,7 @@ class DvfsConfig(Record):
     kind: str = "ondemand"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.kind not in GOVERNOR_KINDS:
             raise ValueError(f"unknown governor kind {self.kind!r}; "
                              f"choose from {GOVERNOR_KINDS}")

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from ..core.records import Record, decoded, many
+from ..core.records import Record, decoded, domain, many
 
 #: Seed of the committed DVFS experiments (scorecards and the
 #: governor sweep), same spirit as repro.autoscale's DAY_SEED.
@@ -47,11 +47,11 @@ class LoadPoint(Record):
 
     derived = ("joules", "work_per_joule")
 
-    fraction: float
-    offered_rps: float
-    ok_calls: int
-    window_s: float
-    mean_power_w: float
+    fraction: float = domain("> 0")
+    offered_rps: float = domain(">= 0")
+    ok_calls: int = domain(">= 0", integer=True)
+    window_s: float = domain(">= 0")
+    mean_power_w: float = domain(">= 0")
 
     @property
     def joules(self) -> float:
@@ -73,14 +73,13 @@ class ProportionalityScorecard(Record):
     platform: str
     scale: str
     governor: str            # "nominal" when no DVFS plane was attached
-    idle_w: float
+    idle_w: float = domain(">= 0")
     points: Tuple[LoadPoint, ...] = decoded(many(LoadPoint.from_dict))
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.points:
             raise ValueError("a scorecard needs at least one load point")
-        if self.idle_w < 0:
-            raise ValueError("idle_w must be >= 0")
 
     @property
     def peak_w(self) -> float:

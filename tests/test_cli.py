@@ -270,6 +270,40 @@ def test_plan_commands_reject_bad_plans_cleanly(tmp_path, command,
     assert reason in message
 
 
+def _scorecard():
+    from repro.dvfs.scorecard import LoadPoint, ProportionalityScorecard
+    point = LoadPoint(fraction=1.0, offered_rps=100.0, ok_calls=500,
+                      window_s=2.0, mean_power_w=6.0)
+    return ProportionalityScorecard(platform="edison", scale="1/8",
+                                    governor="nominal", idle_w=4.0,
+                                    points=(point,)).to_dict()
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ((), "idle_w", float("nan")),
+    (("points", 0), "fraction", float("nan")),
+    (("points", 0), "ok_calls", "x"),
+    (("points", 0), "mean_power_w", float("inf")),
+])
+def test_report_refuses_a_bundle_with_a_bad_scorecard(tmp_path, capsys,
+                                                      where, key, value):
+    import json
+    card = _scorecard()
+    target = card
+    for step in where:
+        target = target[step]
+    target[key] = value
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps({"series": [],
+                                "dvfs": {"scorecards": [card]}}))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["report", str(path)])
+    message = str(excinfo.value.code)
+    assert message.startswith("repro: error: ")
+    assert f"field '{key}'" in message
+    assert capsys.readouterr().out == ""
+
+
 def _committed_plan(name):
     import json
     import os
@@ -292,10 +326,20 @@ def _nan_peak(plan):
     plan["shape"]["diurnal"]["peak_rps"] = float("nan")
 
 
+def _numbered_victim(plan):
+    plan["faults"]["faults"][0]["node"] = 5
+
+
+def _numbered_scale(plan):
+    plan["edison_scale"] = 8
+
+
 @pytest.mark.parametrize("command, spoil, reason", [
     ("durability", _misspelled_onset, "Fault: unknown key 'att'"),
     ("durability", _string_onset, "Fault: field 'at'"),
     ("autoscale", _nan_peak, "DiurnalShape: field 'peak_rps'"),
+    ("durability", _numbered_victim, "Fault: field 'node'"),
+    ("dvfs", _numbered_scale, "DvfsPlan: field 'edison_scale'"),
 ])
 def test_plan_commands_reject_bad_numbers_before_running(
         tmp_path, capsys, command, spoil, reason):

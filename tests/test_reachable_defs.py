@@ -49,6 +49,7 @@ _TRACE_READS = "README-documented TraceLog read"
 ALLOWED: Dict[str, str] = {
     "repro.faults.models.disk_failure": _FAULT_KINDS,
     "repro.faults.models.node_set_partition": _FAULT_KINDS,
+    "repro.faults.models.rack_partition": _FAULT_KINDS,
     "repro.faults.models.switch_down": _FAULT_KINDS,
     "repro.hardware.cpu.Cpu.service_time": _REFERENCE,
     "repro.hardware.storage.Storage.io_time": _REFERENCE,

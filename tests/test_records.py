@@ -261,6 +261,18 @@ def _numbers(value, path=()):
             yield from _numbers(item, path + (index,))
 
 
+def _strings(value, path=()):
+    """JSON paths of every string inside ``value``."""
+    if isinstance(value, str):
+        yield path
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _strings(item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _strings(item, path + (index,))
+
+
 def _record_type(hint):
     if isinstance(hint, type) and issubclass(hint, Record):
         return hint
@@ -326,6 +338,15 @@ def test_every_bad_number_in_a_committed_plan_fails_at_load(name, cls, path,
                                match=f"{owner.__name__}: field "
                                      f"'{f.name}'"):
                 cls.from_dict(mutated)
+    # Nor does a number in a string field load.
+    leaves = list(_strings(data))
+    assert leaves
+    for leaf in leaves:
+        name = next(key for key in reversed(leaf) if isinstance(key, str))
+        mutated = copy.deepcopy(data)
+        _set(mutated, leaf, 5)
+        with pytest.raises(ValueError, match=f": field '{name}' must be"):
+            cls.from_dict(mutated)
 
 
 def _record_classes():
@@ -355,12 +376,17 @@ def _instances(value, into):
 
 
 def test_every_record_subclass_runs_the_domain_check():
+    from repro.dvfs.scorecard import LoadPoint, ProportionalityScorecard
     from repro.faults import RecurringFault
     samples = {}
     for _, cls, path, key in _committed_cases():
         _instances(cls.from_dict(_load_case(path, key)), samples)
     _instances(RecurringFault(kind="packet_loss", node="n", mtbf_s=60.0,
                               mttr_s=5.0), samples)
+    _instances(ProportionalityScorecard(
+        platform="edison", scale="1/8", governor="nominal", idle_w=4.0,
+        points=(LoadPoint(fraction=1.0, offered_rps=100.0, ok_calls=500,
+                          window_s=2.0, mean_power_w=6.0),)), samples)
     checked = 0
     for cls in _record_classes():
         declared = [f.name for f in dataclasses.fields(cls)
