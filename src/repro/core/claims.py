@@ -387,8 +387,6 @@ def ablations() -> Scalars:
     deployment = WebServiceDeployment(
         "dell", "full", WebWorkload(image_fraction=0.20),
         limits=replace(LIMITS["dell"], port_pool=10_000_000))
-    for node in deployment.web_nodes:
-        node.record_log_enabled = False
     probe = UrllibProbe(deployment, 5000, collect_after=5.0 / 3)
     probe.start(until=5.0)
     deployment.sim.run(until=5.0)

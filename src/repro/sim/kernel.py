@@ -31,7 +31,9 @@ so a finished process, and the calls it settled, are freed by
 reference counting, not by the cyclic collector
 (``tests/test_no_cycles.py`` is the ratchet).  A process that ends by
 raising keeps its exception without ``_resume``'s own traceback frame,
-which would hold the process.
+which would hold the process, and a failure a waiter catches keeps its
+own traceback, without the waiter's frame, which may hold the failed
+process.
 
 The design is intentionally close to the well-known SimPy API so the rest
 of the codebase reads naturally to anyone who has simulated systems
@@ -306,7 +308,20 @@ class Process(Event):
                 else:
                     # Mark the failure as handled: it is being delivered.
                     event._defused = True
-                    target = generator.throw(event._value)
+                    # The throw prepends the waiter's frame to the
+                    # failure's traceback, and that frame may hold the
+                    # failed process, whose value is the failure.  A
+                    # waiter that catches it (and yields, returns or
+                    # raises anew) gives the failure its own back.
+                    failure = event._value
+                    traceback = failure.__traceback__
+                    try:
+                        target = generator.throw(failure)
+                    except BaseException as raised:
+                        if raised is not failure:
+                            failure.__traceback__ = traceback
+                        raise
+                    failure.__traceback__ = traceback
             except StopIteration as exc:
                 self._ok = True
                 self._value = exc.value

@@ -8,7 +8,9 @@ periodically samples that node's state into the shared
 * hardware utilisation (CPU/memory/disk/NIC) and instantaneous power,
 * CPU run-queue depth,
 * web-tier counters (connections, in-flight calls, requests, errors,
-  delays) when the node hosts a web server,
+  delays) when the node hosts a web server: the agent subscribes to
+  the node's finished calls and buffers each only until its next
+  scrape folds it in, so no call log outlives a scrape,
 * YARN container memory occupancy when the node runs a NodeManager,
 * a heartbeat ``up`` series whose *absence* is how node death is
   detected.
@@ -48,10 +50,13 @@ class NodeAgent:
         self.web_node = web_node
         self.node_manager = node_manager
         self.samples = 0
-        # High-water mark into the web node's append-only call log, so
-        # each scrape only walks records that arrived since the last.
-        self._record_index = 0
+        # The web node hands each finished call to this buffer, which
+        # holds it only until the next scrape folds it in.
+        self._fresh: List = []
+        self._requests = 0
         self._errors = 0
+        if web_node is not None:
+            web_node.observers.append(self._fresh.append)
         # This node's series, by metric name, resolved at first use so
         # the database creates them in the order the scrapes reach them.
         self._series: Dict[str, TimeSeries] = {}
@@ -67,6 +72,10 @@ class NodeAgent:
                                   and faults.is_reachable(self.node)):
                 self.scrape(sim.now)
             yield sim.timeout(SCRAPE_INTERVAL)
+        if self.web_node is not None:
+            # No scrape follows: stop buffering calls nobody will read.
+            self.web_node.observers.remove(self._fresh.append)
+            self._fresh.clear()
 
     def _sample(self, now: float, name: str, value: float) -> None:
         """Append one sample to this node's series ``name``."""
@@ -102,10 +111,10 @@ class NodeAgent:
         self._sample(now, "web_connections", web.established)
         self._sample(now, "web_active_calls", web.active_calls)
         self._sample(now, "web_syn_drops_total", web.syn_drops)
-        # Walk only the records appended since the previous scrape; the
-        # log is append-only (reboots bump the epoch, not the list).
-        fresh = web.records[self._record_index:]
-        self._record_index = len(web.records)
+        # Fold the calls finished since the previous scrape, in the
+        # order the node finished them, then let them go.
+        fresh = self._fresh
+        self._requests += len(fresh)
         delays = []
         histogram = self.telemetry.metrics.histogram("web.delay_s")
         exemplars = self.telemetry.exemplars
@@ -123,7 +132,8 @@ class NodeAgent:
                 # web_shed_total, and any call the user actually lost
                 # is charged through client_failures instead.
                 self._errors += 1
-        self._sample(now, "web_requests_total", self._record_index)
+        fresh.clear()
+        self._sample(now, "web_requests_total", self._requests)
         self._sample(now, "web_errors_total", self._errors)
         if web.resilience_ledger is not None:
             self._sample(now, "web_shed_total", web.shed_calls)

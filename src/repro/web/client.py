@@ -123,8 +123,6 @@ def delay_distribution(platform: str, total_rate_rps: float = 6000.0,
     93 % hit ratio)."""
     workload = P.WebWorkload(image_fraction=0.20, cache_hit_ratio=0.93)
     deployment = WebServiceDeployment(platform, "full", workload)
-    for node in deployment.web_nodes:
-        node.record_log_enabled = False   # keep memory bounded
     probe = UrllibProbe(deployment, total_rate_rps, collect_after=warmup)
     probe.start(until=duration)
     deployment.meter.start(until=duration)

@@ -245,15 +245,6 @@ class WebServiceDeployment:
             mean_power_w=mean_power,
         )
 
-    # -- web-server-side logs (Table 7) --------------------------------------
-
-    def call_records(self, after: float = 0.0):
-        """All web-server call logs recorded at or after ``after``."""
-        records = []
-        for node in self.web_nodes:
-            records.extend(r for r in node.records if r.start >= after)
-        return records
-
 
 @dataclass(frozen=True)
 class DelayDecomposition:
@@ -282,9 +273,13 @@ def measure_delay_decomposition(platform: str, request_rate: float,
                                       trace=trace)
     calls = 13
     concurrency = max(1, round(request_rate / calls))
+    # The web-server-side logs: one per node, read in node order.
+    logs = [[] for _ in deployment.web_nodes]
+    for node, log in zip(deployment.web_nodes, logs):
+        node.observers.append(log.append)
     deployment.run_level(concurrency, duration=duration, warmup=warmup,
                          calls=calls)
-    records = [r for r in deployment.call_records(after=warmup) if r.ok]
+    records = [r for log in logs for r in log if r.start >= warmup and r.ok]
     if not records:
         raise RuntimeError("no completed requests in the window")
     misses = [r for r in records if r.db_s > 0]

@@ -282,6 +282,9 @@ class HttperfDriver:
                 self._count_call(record.ok, reported)
                 if record.status == 503 and not (resilient and record.shed):
                     return  # the server died; the connection died with it
+                # Hold no finished call across the next one: the node's
+                # observers are its only consumers.
+                record = handler = None
         finally:
             web.close_connection(epoch)
             if trace is not None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from ..hardware.server import Server
 from ..net import Topology
@@ -164,8 +164,10 @@ class WebServerNode:
         self.syn_drops = 0
         self.accepted = 0
         self.errors_500 = 0
-        self.records: List[CallRecord] = []
-        self.record_log_enabled = True
+        #: Consumers of each finished call (telemetry's scraper, Table
+        #: 7's decomposition).  The node hands every :class:`CallRecord`
+        #: to each and keeps none, so an unobserved run holds no call log.
+        self.observers: List[Callable[[CallRecord], None]] = []
         # Resilience (opt-in via enable_resilience; all None/zero keeps
         # the node bit-identical to a build without the feature).
         self.resilience_ledger = None
@@ -238,8 +240,8 @@ class WebServerNode:
     def handle_call(self, client_name: str, ctx=None):
         """Process generator: serve one HTTP call and send the reply.
 
-        Returns the :class:`CallRecord`; also appends it to the node's
-        log when logging is enabled.  ``ctx`` is the caller's
+        Returns the :class:`CallRecord` and hands it to each of the
+        node's :attr:`observers`.  ``ctx`` is the caller's
         :class:`~repro.trace.SpanContext` (the client-side call span);
         when tracing is on, the request span becomes its child and the
         cache/db legs become children of the request.
@@ -357,7 +359,8 @@ class WebServerNode:
             if trace is not None:
                 trace.span(self._request_shape, record.start, req_ctx,
                            (rid, record.status))
-            self._log(record)
+            for observe in self.observers:
+                observe(record)
             return record
         except Interrupt as exc:
             # The web server died under this request; the client's
@@ -380,7 +383,8 @@ class WebServerNode:
                 trace.complete("request", record.start, category="web",
                                node=name, ctx=req_ctx, req=rid, status=503,
                                aborted=kind)
-            self._log(record)
+            for observe in self.observers:
+                observe(record)
             return record
         finally:
             if faults is not None:
@@ -405,11 +409,12 @@ class WebServerNode:
             trace.complete("request", record.start, category="web",
                            node=self.server.name, ctx=ctx, req=rid,
                            status=503, shed=True)
-        self._log(record)
+        for observe in self.observers:
+            observe(record)
 
     def _error_reply(self, record: CallRecord, client_name: str,
                      rid: int, trace, ctx=None):
-        """Answer 500 cheaply and log the failed call."""
+        """Answer 500 cheaply and hand the failed call to the observers."""
         self.errors_500 += 1
         record.status = 500
         yield from self.server.cpu.execute(self.costs.error_mi)
@@ -418,8 +423,5 @@ class WebServerNode:
         record.total_s = self.sim.now - record.start
         if trace is not None:
             trace.span(self._request_shape, record.start, ctx, (rid, 500))
-        self._log(record)
-
-    def _log(self, record: CallRecord) -> None:
-        if self.record_log_enabled:
-            self.records.append(record)
+        for observe in self.observers:
+            observe(record)

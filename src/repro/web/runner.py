@@ -59,8 +59,6 @@ def sweep_concurrency(platform: str, scale: str = "full",
     for concurrency in levels:
         deployment = WebServiceDeployment(
             platform, scale, workload, seed=SWEEP_SEED + concurrency)
-        for node in deployment.web_nodes:
-            node.record_log_enabled = False
         results.append(deployment.run_level(
             concurrency, duration=duration, warmup=warmup))
     return SweepResult(platform=platform, scale=scale, workload=workload,

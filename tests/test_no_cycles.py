@@ -159,9 +159,33 @@ def process_interrupted():
     return sim, outcomes
 
 
+def waiter_holds_the_failed_process():
+    """A waiter catches a failure while it still holds the failed
+    process in a local, whose value is the exception it caught."""
+    sim = Simulation()
+    caught = []
+
+    def victim():
+        yield 1.0
+        raise RuntimeError("boom")
+
+    def waiter():
+        process = sim.process(victim())
+        try:
+            yield process
+        except RuntimeError:
+            pass
+        caught.append(process.ok)
+
+    sim.process(waiter())
+    sim.run()
+    assert caught == [False]
+    return sim, caught
+
+
 CASES = (web_level, web_level_resilient, dvfs_flash_day, mapreduce_job,
          durability_arm, autoscale_day, process_that_raises,
-         process_interrupted)
+         process_interrupted, waiter_holds_the_failed_process)
 
 
 def cyclic_garbage(case):

@@ -259,7 +259,9 @@ def _job_digest(report):
 
 
 def resilience_digests(resilience):
-    """One web level and one job, faults off."""
+    """One web level and one job, faults off, and whether each carries
+    a resilience ledger: with faults off an armed plane moves no digest
+    of either cell, so the ledgers are what tell it from an off one."""
     from repro.resilience.report import GRAY_SEED
 
     deployment = WebServiceDeployment("edison", "1/4", seed=GRAY_SEED,
@@ -269,7 +271,9 @@ def resilience_digests(resilience):
     runner = JobRunner("edison", 8, config=config, seed=GRAY_SEED,
                        resilience=resilience)
     return {"web": dataclasses.asdict(level),
-            "job": _job_digest(runner.run(spec))}
+            "job": _job_digest(runner.run(spec)),
+            "ledgers": {"web": deployment.resilience_ledger is not None,
+                        "job": runner.resilience_ledger is not None}}
 
 
 def _diurnal_day():
